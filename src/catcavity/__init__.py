@@ -29,7 +29,6 @@ from .errors import (
     ConfigurationError,
     ConsistencyError,
     DegenerateCatError,
-    StiffnessError,
     TruncationError,
     UnsupportedRegimeError,
     ValidityWarning,
@@ -71,7 +70,6 @@ __all__ = [
     "PRESETS",
     "PhotonDistribution",
     "ResumParams",
-    "StiffnessError",
     "TruncationError",
     "UnsupportedRegimeError",
     "ValidityWarning",

@@ -36,6 +36,8 @@ class DampingParams:
     n_thermal: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.kappa) and math.isfinite(self.n_thermal)):
+            raise ValueError("kappa and n_thermal must be finite")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.n_thermal < 0:
@@ -102,8 +104,8 @@ def _probs_of(p0):
 def f_star(p0, damping, t):
     """Closed-form F*_n(t) for initial distribution p0 (may be unnormalized)."""
     probs = _probs_of(p0)
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("time must be finite and non-negative")
     if t == 0.0:
         return probs.copy()
     k, nb = damping.kappa, damping.n_thermal
@@ -170,8 +172,8 @@ def f_star_ground_double_sum(p0, damping, t):
 def offdiag_decay(p0, damping, t):
     """Intra-doublet amplitudes <psi_n^+|W|psi_n^-> = (1/2) e^{-alpha_n t} p_n."""
     probs = _probs_of(p0)
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("time must be finite and non-negative")
     alpha, _, _ = rate_arrays(damping, probs.size - 1)
     return 0.5 * np.exp(-alpha * t) * probs
 

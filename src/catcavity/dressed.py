@@ -30,6 +30,8 @@ class JCParams:
     omega: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.g, self.detuning, self.omega))):
+            raise ValueError("g, detuning and omega must be finite")
         if self.g <= 0:
             raise ValueError("coupling g must be positive")
 

@@ -21,10 +21,6 @@ class ConsistencyError(CatCavityError):
     """An internal quantity violated a bound that should hold by construction."""
 
 
-class StiffnessError(CatCavityError):
-    """The master-equation integrator failed to advance."""
-
-
 class ConfigurationError(CatCavityError):
     """A run configuration is incomplete or contradictory."""
 

@@ -115,8 +115,8 @@ def p_excited(config, t):
     _require_resonance(config)
     probs = config.distribution().probs
     times = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(times < 0):
-        raise ValueError("time must be non-negative")
+    if not np.all((times >= 0) & (times < math.inf)):
+        raise ValueError("time must be finite and non-negative")
     out = np.empty(times.size)
     for i, ti in enumerate(times):
         fg = f_star_ground(probs, config.damping, ti)
@@ -136,8 +136,8 @@ def conditioned_field(config, t_a, outcome):
     vacuum entry fed by the ground sector F*_{-1}.
     """
     _require_resonance(config)
-    if t_a < 0:
-        raise ValueError("time must be non-negative")
+    if not 0.0 <= t_a < math.inf:
+        raise ValueError("time must be finite and non-negative")
     if outcome not in ("+", "-"):
         raise ValueError("outcome must be '+' or '-'")
     probs = config.distribution().probs
@@ -166,8 +166,8 @@ def p_joint(config, t_a, t_b, s1, s2):
     taken within the conditioned weight.
     """
     _require_resonance(config)
-    if not 0 <= t_a <= t_b:
-        raise ValueError("need 0 <= t_A <= t_B")
+    if not 0 <= t_a <= t_b < math.inf:
+        raise ValueError("need 0 <= t_A <= t_B < inf")
     cond = conditioned_field(config, t_a, s1)
     tau = t_b - t_a
     relaxed = f_star(cond.dist, config.damping, tau)

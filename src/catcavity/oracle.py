@@ -1,12 +1,20 @@
 """Brute-force master-equation oracle in a truncated atom x field basis.
 
 The density matrix lives on basis states |n, s> with s in {+, -}, index
-2 n + (0 for +, 1 for -).  Integration happens in the interaction picture
+2 n + (0 for +, 1 for -).  Propagation happens in the interaction picture
 that removes omega (a* a + sigma_z / 2): at resonance the remaining
-Hamiltonian is the bare coupling g (a sigma_+ + a* sigma_-), so step sizes
-are set by g and kappa only and the (unspecified) optical frequency cancels
-from every observable.  The Liouvillian is assembled once as a sparse
-matrix acting on the row-major vectorization of rho.
+Hamiltonian is the bare coupling g (a sigma_+ + a* sigma_-), and the
+(unspecified) optical frequency cancels from every observable.  The
+Liouvillian is assembled once as a sparse matrix acting on the row-major
+vectorization of rho.
+
+The coupling, the detuning and both dissipators conserve the coherence order
+k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
+(Buca & Prosen, NJP 14, 073007, 2012).  Sorted by k, the Liouvillian is
+block-diagonal with blocks of at most 4 N + 2 states, each propagated
+exactly with `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal.
+Appl. 31, 970, 2009).  Populations, P_+, P(s1, s2) and the dressed doublets
+live in k = 0; the Fock coherences of a cat fill k != 0.
 
 The dressed-frame helpers rotate trajectories into W(t) = e^{iHt} rho e^{-iHt}
 (up to the common free phase), where only damping drives the dynamics; the
@@ -19,20 +27,28 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
+# unused here: benchmarks/run.py --trace 1 wraps this name to count nfev
+from scipy.integrate import solve_ivp  # noqa: F401
+from scipy.linalg import expm
 
 from .damping import rate_arrays
 from .dressed import GROUND, apply_annihilation_dressed, build_dressed_frame
 from .errors import (
     ConsistencyError,
     DegenerateCatError,
-    StiffnessError,
     TruncationError,
     UnsupportedRegimeError,
 )
 from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution
 
+#: Trace drift beyond 10 * DEFAULT_TOL raises ConsistencyError.
 DEFAULT_TOL = 1e-8
+
+#: Largest |rho0 - rho0^dagger| entry accepted before filling k < 0 blocks.
+HERMITIAN_TOL = 1e-10
+
+#: Step lengths equal to this relative tolerance share one propagator.
+STEP_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -187,53 +203,86 @@ def liouvillian(jc, damping, truncation, include_coupling=True):
     return lind.tocsr()
 
 
-def integrate_trajectory(rho0, jc, damping, times, tol=DEFAULT_TOL,
-                         include_coupling=True):
-    """Integrate the master equation, returning DensityMatrix at each time.
+def _coherence_order(truncation):
+    """Coherence order k = m_i - m_j of each entry of row-major vec(rho).
 
-    Adaptive explicit Runge-Kutta (DOP853) with relative tolerance `tol`;
-    trace drift beyond 10*tol raises.
+    m = n + [s = +] is the excitation number of basis state |n, s>.  The
+    coupling, the detuning and both dissipators conserve k, so the
+    Liouvillian is block-diagonal once vec(rho) is sorted by it.
+    """
+    m = np.arange(2 * (truncation + 1)) // 2 + np.tile([1, 0], truncation + 1)
+    return (m[:, None] - m[None, :]).ravel()
+
+
+def _step_groups(steps):
+    """Distinct non-zero step lengths (equal to STEP_RTOL relative) and each
+    step's index into them; zero steps get index -1."""
+    order = np.argsort(steps, kind="stable")
+    ranked = steps[order]
+    new = np.r_[ranked[0] > 0, np.diff(ranked) > STEP_RTOL * ranked[1:]]
+    index = np.empty(steps.size, dtype=int)
+    index[order] = np.cumsum(new) - 1
+    return ranked[new], index
+
+
+def integrate_trajectory(rho0, jc, damping, times, include_coupling=True):
+    """Propagate the master equation exactly, returning a DensityMatrix at
+    each time.
+
+    vec(rho) is split into coherence-order blocks (see `_coherence_order`).
+    Only the blocks with k >= 0 whose initial vector is non-zero are
+    propagated; block -k is filled as the conjugate transpose, which needs
+    rho0 to be Hermitian.  Each block gets one `scipy.linalg.expm` per
+    distinct step length and one mat-vec per sample.  Trace drift beyond
+    10*DEFAULT_TOL raises.
     """
     times = np.asarray(times, dtype=float)
-    if times[0] < 0 or np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-negative and non-decreasing")
-    lind = liouvillian(jc, damping, rho0.truncation,
-                       include_coupling=include_coupling)
-    y0 = rho0.matrix.reshape(-1)
-    first = 0
-    out = []
-    if times[0] == rho0.time:
-        out.append(rho0)
-        first = 1
-    if first == len(times):
-        return out
-    sol = solve_ivp(
-        lambda _t, v: lind @ v,
-        (rho0.time, times[-1]),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-3,
-        t_eval=times[first:],
-    )
-    if not sol.success:
-        raise StiffnessError(
-            f"integrator failed: {sol.message}; try a larger tol"
-        )
-    dim = 2 * (rho0.truncation + 1)
-    for idx, t in enumerate(times[first:]):
-        m = sol.y[:, idx].reshape(dim, dim)
-        trace = np.trace(m).real
-        if abs(trace - np.trace(rho0.matrix).real) > 10.0 * tol:
-            raise ConsistencyError(f"trace drift {trace - 1.0:.3e} beyond 10*tol")
-        out.append(DensityMatrix(matrix=m, time=float(t),
-                                 truncation=rho0.truncation))
-    return out
+    if times[0] < rho0.time or np.any(np.diff(times) < 0):
+        raise ValueError("times must be non-decreasing and not before rho0")
+    m0 = rho0.matrix
+    if np.abs(m0 - m0.conj().T).max() > HERMITIAN_TOL:
+        raise ConsistencyError("initial density matrix is not Hermitian")
+    trunc = rho0.truncation
+    dim = 2 * (trunc + 1)
+    k = _coherence_order(trunc)
+    perm = np.argsort(k, kind="stable")
+    upper = perm[k[perm] >= 0]
+    starts = np.searchsorted(k[upper], np.arange(k.max() + 2))
+    lind = liouvillian(jc, damping, trunc, include_coupling=include_coupling)
+    lind = lind[upper][:, upper]
+    levels, step_index = _step_groups(np.diff(np.r_[rho0.time, times]))
+
+    y0 = m0.reshape(-1)[upper]
+    y = np.zeros((times.size, upper.size), dtype=complex)
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        v = y0[lo:hi]
+        if not v.any():
+            continue
+        props = expm(levels[:, None, None] * lind[lo:hi, lo:hi].toarray())
+        for i, j in enumerate(step_index):
+            if j >= 0:
+                v = props[j] @ v
+            y[i, lo:hi] = v
+    out = np.zeros((times.size, dim * dim), dtype=complex)
+    out[:, upper] = y
+    out = out.reshape(times.size, dim, dim)
+    lower = (k < 0).reshape(dim, dim)
+    out[:, lower] = out.transpose(0, 2, 1).conj()[:, lower]
+
+    trace0 = np.trace(m0).real
+    traj = []
+    for m, t in zip(out, times):
+        drift = np.trace(m).real - trace0
+        if abs(drift) > 10.0 * DEFAULT_TOL:
+            raise ConsistencyError(
+                f"trace drift {drift:.3e} beyond 10*DEFAULT_TOL")
+        traj.append(DensityMatrix(matrix=m, time=float(t), truncation=trunc))
+    return traj
 
 
-def integrate(rho0, jc, damping, t, tol=DEFAULT_TOL):
+def integrate(rho0, jc, damping, t):
     """Single-time convenience wrapper around integrate_trajectory."""
-    return integrate_trajectory(rho0, jc, damping, [rho0.time, t], tol=tol)[-1]
+    return integrate_trajectory(rho0, jc, damping, [t])[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -385,20 +434,19 @@ def reinject_excited(field_matrix, truncation, time):
                          truncation=truncation)
 
 
-def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2,
-                             tol=DEFAULT_TOL):
+def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
     """Two-atom joint probability by explicit sequential integration.
 
     Atom 1 evolves with the field to t_A and is projected onto s1 (keeping
     the unnormalized weight); a fresh excited atom then evolves with the
     conditioned field to t_B, where s2 is read off.
     """
-    rho_a = integrate(rho0, jc, damping, t_a, tol=tol)
+    rho_a = integrate(rho0, jc, damping, t_a)
     field, weight = condition_on_atom(rho_a, s1)
     if weight <= 0.0:
         return 0.0
     rho_b0 = reinject_excited(field, rho0.truncation, rho_a.time)
-    rho_b = integrate(rho_b0, jc, damping, t_b, tol=tol)
+    rho_b = integrate(rho_b0, jc, damping, t_b)
     _, joint = condition_on_atom(rho_b, s2)
     return joint
 
@@ -481,7 +529,7 @@ def w_equation_residuals(trajectory, frame, damping, dt):
     return report
 
 
-def w_trajectory(rho0, jc, damping, center_times, dt, tol=1e-11):
+def w_trajectory(rho0, jc, damping, center_times, dt):
     """Sample 5-point W-frame stencils around each center time.
 
     Returns a list of 5-sample W windows (one per center time), ready for
@@ -493,7 +541,7 @@ def w_trajectory(rho0, jc, damping, center_times, dt, tol=1e-11):
         times = tc + dt * np.arange(-2.0, 3.0)
         if times[0] < 0:
             raise ValueError("stencil extends below t = 0")
-        traj = integrate_trajectory(rho0, jc, damping, times, tol=tol)
+        traj = integrate_trajectory(rho0, jc, damping, times)
         windows.append([to_w_frame(r, frame) for r in traj])
     return windows
 
@@ -514,8 +562,7 @@ def branch_coherence(rho_field, intensity, truncation, time, kappa):
     return abs(np.vdot(probe, rho_field @ (probe * signs)))
 
 
-def branch_coherence_trajectory(spec, damping, times, truncation,
-                                tol=DEFAULT_TOL):
+def branch_coherence_trajectory(spec, damping, times, truncation):
     """Cat branch coherence under pure cavity decay (coupling off).
 
     Runs the oracle master equation with the atom uncoupled, so the decay of
@@ -524,7 +571,7 @@ def branch_coherence_trajectory(spec, damping, times, truncation,
     from .dressed import JCParams
 
     rho0 = build_initial_state(spec, truncation)
-    traj = integrate_trajectory(rho0, JCParams(g=1.0), damping, times, tol=tol,
+    traj = integrate_trajectory(rho0, JCParams(g=1.0), damping, times,
                                 include_coupling=False)
     out = np.empty(len(traj))
     for i, rho in enumerate(traj):

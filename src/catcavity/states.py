@@ -38,6 +38,8 @@ class CatSpec:
     phase: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.intensity) and math.isfinite(self.phase)):
+            raise ValueError("intensity and phase must be finite")
         if self.intensity < 0:
             raise ValueError("intensity must be non-negative")
         object.__setattr__(self, "phase", float(self.phase) % _TWO_PI)

@@ -3,7 +3,7 @@
 Each check returns a CheckResult; the CLI `validate` subcommand prints the
 report and exits nonzero if anything failed.  The fast suite touches only the
 closed-form path and runs in seconds; the full suite adds master-equation
-integrations at small mean photon number and derivative residuals of the
+propagations up to the paper's nbar = 49 and derivative residuals of the
 dressed-frame equations of motion.
 """
 
@@ -171,6 +171,7 @@ def full_checks():
     results = fast_checks()
     results.append(check_oracle_f_star(4.0))
     results.append(check_oracle_f_star(9.0))
+    results.append(check_oracle_f_star(49.0))
     results.append(check_oracle_f_star(4.0, kappa_scale=1.1))
     results.append(check_w_residuals())
     return results

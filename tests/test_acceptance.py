@@ -46,11 +46,11 @@ def _peak(config, values_fn, gt_lo, gt_hi, step=0.1):
     return gts[vals.argmax()]
 
 
-def test_criterion_1_exact_diagonal_at_zero_temperature():
+def _criterion_1(nbar):
     start = time.monotonic()
-    trunc = default_truncation(4.0)
+    trunc = default_truncation(nbar)
     damping = DampingParams(kappa=BENSON.kappa)
-    p0 = coherent_distribution(4.0, trunc)
+    p0 = coherent_distribution(nbar, trunc)
     times = np.linspace(0.0, 1.0 / BENSON.kappa, 6)
     rho0 = oracle.build_initial_state(p0, trunc)
     traj = oracle.integrate_trajectory(rho0, BENSON.jc(), damping, times)
@@ -62,10 +62,19 @@ def test_criterion_1_exact_diagonal_at_zero_temperature():
     )
     elapsed = time.monotonic() - start
     _report(
-        "criterion 1 (zero-temperature diagonal vs oracle)",
+        f"criterion 1 (zero-temperature diagonal vs oracle, nbar = {nbar:g})",
         worst < 1e-3 and elapsed < 60.0,
         f"max |F_n - F*_n| = {worst:.2e} (< 1e-3), runtime {elapsed:.1f}s (< 60s)",
     )
+
+
+def test_criterion_1_exact_diagonal_at_zero_temperature():
+    _criterion_1(4.0)
+
+
+def test_criterion_1_at_paper_operating_point():
+    # nbar = 49 (N = 120), the benson97 operating point of the paper
+    _criterion_1(49.0)
 
 
 def test_criterion_2_revival_peak_positions():

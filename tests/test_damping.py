@@ -206,3 +206,10 @@ def test_mass_never_exceeds_input(intensity, n_thermal, kt):
     f = f_star(p, d, kt)
     assert np.all(f >= 0.0)
     assert f.sum() <= p.sum() + 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [{"kappa": math.nan},
+                                    {"kappa": 1.0, "n_thermal": math.inf}])
+def test_damping_params_reject_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        DampingParams(**kwargs)

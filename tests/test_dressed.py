@@ -144,3 +144,8 @@ def test_annihilation_coefficients_norm(n):
         terms = apply_annihilation_dressed(frame, branch, n)
         norm = sum(t.coefficient**2 for t in terms)
         assert norm == pytest.approx(n + 0.5, rel=1e-12)
+
+
+def test_jc_params_reject_non_finite():
+    with pytest.raises(ValueError):
+        JCParams(g=math.nan)

@@ -197,3 +197,9 @@ def test_truncation_resolved_from_field(benson_config):
     assert benson_config.truncation == default_truncation(
         benson_config.mean_photons()
     )
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_p_excited_rejects_non_finite_time(benson_config, t):
+    with pytest.raises(ValueError):
+        p_excited(benson_config, t)

@@ -125,3 +125,8 @@ def test_cat_distribution_properties(intensity, phase):
 def test_coherent_mean_matches_intensity(intensity):
     d = coherent_distribution(intensity, default_truncation(intensity))
     assert d.mean() == pytest.approx(intensity, abs=1e-7)
+
+
+def test_cat_spec_rejects_non_finite():
+    with pytest.raises(ValueError):
+        CatSpec(intensity=math.nan)
