@@ -15,7 +15,7 @@ from .damping import (
     f_star_ground,
     initial_state,
     offdiag_decay,
-    rate_coefficients,
+    rate_arrays,
 )
 from .dressed import (
     DressedFrame,
@@ -91,6 +91,6 @@ __all__ = [
     "offdiag_decay",
     "p_excited",
     "p_joint",
-    "rate_coefficients",
+    "rate_arrays",
     "resummed_p_excited",
 ]

@@ -9,6 +9,7 @@ per run, on the command line or in a config file.
 
 import argparse
 import configparser
+import math
 import sys
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
@@ -95,11 +96,11 @@ def _metadata_line(figure_id, preset, settings, extra=""):
 
 
 def _fmt(value):
-    """Empty cell for undefined entries, repr-exact float otherwise."""
-    if value is None:
-        return ""
+    """Empty cell for undefined (NaN) entries, repr-exact float otherwise."""
     if isinstance(value, str):
         return value
+    if math.isnan(value):
+        return ""
     return format(value, ".12g")
 
 
@@ -120,13 +121,9 @@ def _time_axis(settings, preset):
 
 def _revival_rows(config, preset, settings):
     gts, times = _time_axis(settings, preset)
-    rows = []
-    for gt, t in zip(gts, times):
-        axis = t if settings["si_times"] else gt
-        pp = p_excited(config, t)
-        ppp = p_joint(config, t, 2.0 * t, "+", "+")
-        rows.append((float(axis), float(pp), float(ppp)))
-    return rows
+    axis = times if settings["si_times"] else gts
+    return zip(axis, p_excited(config, times),
+               p_joint(config, times, 2.0 * times, "+", "+"))
 
 
 def _revival_figure(figure_id, settings, out_dir):
@@ -173,14 +170,9 @@ def _eta_figure(settings, out_dir):
                 initial_field=CatSpec(intensity=nbar, phase=local["phi"])),
         }
         gts, times = _time_axis(local, preset)
-        rows = []
-        for gt, t in zip(gts, times):
-            axis = t if local["si_times"] else gt
-            rows.append((
-                float(axis),
-                eta_correlation(configs["coherent"], t),
-                eta_correlation(configs["cat"], t),
-            ))
+        axis = times if local["si_times"] else gts
+        rows = zip(axis, eta_correlation(configs["coherent"], times),
+                   eta_correlation(configs["cat"], times))
         path = out_dir / f"fig3_{preset_name}.csv"
         meta = _metadata_line("fig3", preset, local)
         _write_csv(path, meta, (axis_name, "eta_coherent", "eta_cat"), rows)

@@ -8,8 +8,12 @@ directly from its closed form
               * sum_{j>=n} G(j+3/2)/G(n+3/2) x^{j-n}/(j-n)! p_j,
 
 with x = 1 - exp(-2 kappa (n_b + 1) t) and all gamma-function ratios kept in
-log space (every term is non-negative, so the sum is stable).  F*_{-1} comes
-from unitarity, 2 (1 - sum_n F*_n); the alternating double-sum form is kept
+log space (every term is non-negative, so the sum is stable).  The parts of
+the log kernel that do not depend on time, log G(j+3/2) - log G(n+3/2),
+log (j-n)! and j - n, live in one module-level table that grows to the
+largest truncation N_max seen and is sliced to N x N per call; it keeps
+3 N_max^2 8-byte floats (about 1 MB at N_max = 202).  F*_{-1} comes from
+unitarity, 2 (1 - sum_n F*_n); the alternating double-sum form is kept
 only as a small-truncation cross-check because it loses ~15 digits near
 N = 120.
 """
@@ -47,7 +51,7 @@ class DampingParams:
                 "n_thermal > 0.5 is outside the small-n_b regime of the "
                 "closed-form solution",
                 ValidityWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
     @property
@@ -72,23 +76,19 @@ class DampedFieldState:
             object.__setattr__(self, name, arr)
 
 
-def rate_coefficients(damping, n):
-    """Rates (alpha_n, beta_n, gamma_n) of the dressed-diagonal recurrence."""
-    if n < -1:
-        raise ValueError("n must be >= -1")
-    k, nb = damping.kappa, damping.n_thermal
-    if n == -1:
-        return 2.0 * k * nb, 2.0 * k * (nb + 1.0), 0.0
-    alpha = 2.0 * k * (2.0 * nb * (n + 1.0) + n + 0.5)
-    beta = 2.0 * k * (nb + 1.0) * (n + 1.5)
-    gamma = 2.0 * k * nb * (n + 0.5)
-    return alpha, beta, gamma
-
-
 def rate_arrays(damping, truncation):
-    """(alpha, beta, gamma) arrays for n = 0..truncation."""
-    n = np.arange(truncation + 1)
+    """Rates (alpha_n, beta_n, gamma_n) of the dressed-diagonal recurrence.
+
+    Arrays over n = 0..truncation; truncation = -1 gives the ground-sector
+    rates (alpha_{-1}, beta_{-1}, gamma_{-1}) = (2 kappa n_b,
+    2 kappa (n_b + 1), 0) as scalars.
+    """
     k, nb = damping.kappa, damping.n_thermal
+    if truncation == -1:
+        return 2.0 * k * nb, 2.0 * k * (nb + 1.0), 0.0
+    if truncation < -1:
+        raise ValueError("truncation must be >= -1")
+    n = np.arange(truncation + 1)
     alpha = 2.0 * k * (2.0 * nb * (n + 1.0) + n + 0.5)
     beta = 2.0 * k * (nb + 1.0) * (n + 1.5)
     gamma = 2.0 * k * nb * (n + 0.5)
@@ -99,6 +99,26 @@ def _probs_of(p0):
     if isinstance(p0, PhotonDistribution):
         return p0.probs
     return np.asarray(p0, dtype=float)
+
+
+#: (log G(j+3/2) - log G(n+3/2), log (j-n)!, j - n) for n, j < N_max.
+#: Replaced as one tuple, so a reader never mixes parts of two sizes.
+_KERNEL_TABLE = (np.empty((0, 0)),) * 3
+
+
+def _kernel_table(size):
+    """Top-left size x size corner of the time-independent kernel table."""
+    global _KERNEL_TABLE
+    table = _KERNEL_TABLE
+    if table[0].shape[0] < size:
+        n = np.arange(size, dtype=float)
+        jj = n[None, :]
+        nn = n[:, None]
+        diff = jj - nn
+        table = (gammaln(jj + 1.5) - gammaln(nn + 1.5), gammaln(diff + 1.0),
+                 diff)
+        _KERNEL_TABLE = table
+    return tuple(part[:size, :size] for part in table)
 
 
 def f_star(p0, damping, t):
@@ -112,15 +132,9 @@ def f_star(p0, damping, t):
     n = np.arange(probs.size, dtype=float)
     x = -np.expm1(-2.0 * k * (nb + 1.0) * t)
     decay = np.exp(-2.0 * k * t * ((n + 0.5) * (nb + 1.0) + nb))
-    jj = n[None, :]
-    nn = n[:, None]
-    diff = jj - nn
+    ratio, fact, diff = _kernel_table(probs.size)
     log_x = math.log(x)
-    log_terms = np.where(
-        diff > 0,
-        gammaln(jj + 1.5) - gammaln(nn + 1.5) + diff * log_x - gammaln(diff + 1.0),
-        0.0,
-    )
+    log_terms = np.where(diff > 0, ratio + diff * log_x - fact, 0.0)
     kernel = np.where(diff >= 0, np.exp(log_terms), 0.0)
     out = decay * (kernel @ probs)
     bad = out < -NEGATIVE_CLIP
@@ -131,15 +145,19 @@ def f_star(p0, damping, t):
     return np.clip(out, 0.0, None)
 
 
+def unitarity_ground(probs, f):
+    """F*_{-1} = 2 (sum_n p_n - sum_n F*_n) for F*_n = f, clamped to [0, 2]."""
+    value = 2.0 * (probs.sum() - f.sum())
+    return min(max(value, 0.0), 2.0)
+
+
 def f_star_ground(p0, damping, t):
     """F*_{-1}(t) from unitarity: 2 (1 - sum_n F*_n), clamped to [0, 2].
 
     For an unnormalized input the role of 1 is played by the input mass.
     """
     probs = _probs_of(p0)
-    total = probs.sum()
-    value = 2.0 * (total - f_star(probs, damping, t).sum())
-    return min(max(value, 0.0), 2.0)
+    return unitarity_ground(probs, f_star(probs, damping, t))
 
 
 def f_star_ground_double_sum(p0, damping, t):
@@ -228,7 +246,7 @@ def residual_diagnostics(p0, damping, t, dt):
         - gamma * (f_mid - f_down)
     )
 
-    a_g, b_g, _ = rate_coefficients(damping, -1)
+    a_g, b_g, _ = rate_arrays(damping, -1)
     gdot = (g_hi - g_lo) / (2.0 * dt)
     ground_residual = abs(
         gdot + a_g * g_mid - b_g * f_mid[0]

@@ -14,12 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .damping import (
-    DampingParams,
-    f_star,
-    f_star_ground,
-    rate_arrays,
-)
+from .damping import DampingParams, f_star, rate_arrays, unitarity_ground
 from .dressed import JCParams
 from .errors import ConsistencyError, UnsupportedRegimeError, ValidityWarning
 from .states import (
@@ -59,7 +54,7 @@ class ExperimentConfig:
                 f"{SECULAR_RATIO}; the secular approximation behind the "
                 "analytic path degrades here",
                 ValidityWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
     def distribution(self):
@@ -107,6 +102,62 @@ def _oscillation(probs, damping, g, t):
     return np.exp(-alpha * t) * np.cos(2.0 * g * t * np.sqrt(n + 1.0)) * probs
 
 
+@dataclass(frozen=True)
+class _Passage:
+    """One atom passage of duration t through a field with distribution p.
+
+    f is F*_n(t) of p, osc the oscillation term and ground the clamped
+    unitarity value F*_{-1}(t).  Every observable is built from these.
+    """
+
+    probs: np.ndarray
+    f: np.ndarray
+    osc: np.ndarray
+    ground: float
+
+    @classmethod
+    def run(cls, probs, config, t):
+        f = f_star(probs, config.damping, t)
+        osc = _oscillation(probs, config.damping, config.jc.g, t)
+        return cls(probs, f, osc, unitarity_ground(probs, f))
+
+    def p_plus(self):
+        """P_+ for a normalized input field."""
+        return 0.5 - 0.25 * self.ground + 0.5 * self.osc.sum()
+
+    def joint_plus(self):
+        """Weight of a "+" detection, clipped to [0, sum_n p_n]."""
+        value = 0.5 * self.f.sum() + 0.5 * self.osc.sum()
+        return min(max(value, 0.0), float(self.probs.sum()))
+
+    def conditioned(self, outcome):
+        """Unnormalized field distribution after detecting `outcome`."""
+        if outcome == "+":
+            dist = 0.5 * (self.f + self.osc)
+        else:
+            dist = np.empty_like(self.f)
+            dist[0] = 0.5 * self.ground
+            dist[1:] = 0.5 * (self.f[:-1] - self.osc[:-1])
+        if dist.min() < -1e-10:
+            raise ConsistencyError(
+                f"conditioned distribution entry {dist.min():.3e} below -1e-10"
+            )
+        return np.clip(dist, 0.0, None)
+
+
+def _times(t):
+    """t as a 1-d float array, checked finite and non-negative."""
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((times >= 0) & (times < math.inf)):
+        raise ValueError("time must be finite and non-negative")
+    return times
+
+
+def _check_outcome(outcome, name="outcome"):
+    if outcome not in ("+", "-"):
+        raise ValueError(f"{name} must be '+' or '-'")
+
+
 def p_excited(config, t):
     """Probability P_+(t) of finding the probe atom still excited at time t.
 
@@ -114,14 +165,8 @@ def p_excited(config, t):
     """
     _require_resonance(config)
     probs = config.distribution().probs
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all((times >= 0) & (times < math.inf)):
-        raise ValueError("time must be finite and non-negative")
-    out = np.empty(times.size)
-    for i, ti in enumerate(times):
-        fg = f_star_ground(probs, config.damping, ti)
-        osc = _oscillation(probs, config.damping, config.jc.g, ti).sum()
-        out[i] = 0.5 - 0.25 * fg + 0.5 * osc
+    times = _times(t)
+    out = np.array([_Passage.run(probs, config, ti).p_plus() for ti in times])
     if np.ndim(t) == 0:
         return float(out[0])
     return out
@@ -138,23 +183,18 @@ def conditioned_field(config, t_a, outcome):
     _require_resonance(config)
     if not 0.0 <= t_a < math.inf:
         raise ValueError("time must be finite and non-negative")
-    if outcome not in ("+", "-"):
-        raise ValueError("outcome must be '+' or '-'")
-    probs = config.distribution().probs
-    f = f_star(probs, config.damping, t_a)
-    osc = _oscillation(probs, config.damping, config.jc.g, t_a)
-    if outcome == "+":
-        dist = 0.5 * (f + osc)
-    else:
-        dist = np.empty_like(f)
-        dist[0] = 0.5 * f_star_ground(probs, config.damping, t_a)
-        dist[1:] = 0.5 * (f[:-1] - osc[:-1])
-    if dist.min() < -1e-10:
-        raise ConsistencyError(
-            f"conditioned distribution entry {dist.min():.3e} below -1e-10"
-        )
-    dist = np.clip(dist, 0.0, None)
+    _check_outcome(outcome)
+    passage = _Passage.run(config.distribution().probs, config, t_a)
+    dist = passage.conditioned(outcome)
     return ConditionedField(dist=dist, weight=float(dist.sum()), condition=outcome)
+
+
+def _joint(passage, config, tau, s1, s2):
+    """P(s1, s2) from the first atom's passage and the delay tau."""
+    cond = passage.conditioned(s1)
+    weight = float(cond.sum())
+    joint_plus = _Passage.run(cond, config, tau).joint_plus()
+    return joint_plus if s2 == "+" else weight - joint_plus
 
 
 def p_joint(config, t_a, t_b, s1, s2):
@@ -163,42 +203,56 @@ def p_joint(config, t_a, t_b, s1, s2):
     The second atom enters excited at t_A; the conditioned (unnormalized)
     field is propagated over t_B - t_A with the same diagonal-relaxation
     kernel plus oscillatory term as P_+.  For s2 = "-" the complement is
-    taken within the conditioned weight.
+    taken within the conditioned weight.  t_A and t_B may be arrays (they
+    broadcast); scalars give a float.
     """
     _require_resonance(config)
-    if not 0 <= t_a <= t_b < math.inf:
+    _check_outcome(s1, "s1")
+    _check_outcome(s2, "s2")
+    t_a_arr, t_b_arr = np.broadcast_arrays(_times(t_a), _times(t_b))
+    if not np.all(t_a_arr <= t_b_arr):
         raise ValueError("need 0 <= t_A <= t_B < inf")
-    cond = conditioned_field(config, t_a, s1)
-    tau = t_b - t_a
-    relaxed = f_star(cond.dist, config.damping, tau)
-    osc = _oscillation(cond.dist, config.damping, config.jc.g, tau)
-    joint_plus = 0.5 * relaxed.sum() + 0.5 * osc.sum()
-    joint_plus = min(max(joint_plus, 0.0), cond.weight)
-    if s2 == "+":
-        return joint_plus
-    if s2 == "-":
-        return cond.weight - joint_plus
-    raise ValueError("s2 must be '+' or '-'")
+    probs = config.distribution().probs
+    out = np.array([
+        _joint(_Passage.run(probs, config, ta), config, tb - ta, s1, s2)
+        for ta, tb in zip(t_a_arr, t_b_arr)])
+    if np.ndim(t_a) == 0 and np.ndim(t_b) == 0:
+        return float(out[0])
+    return out
 
 
 def eta_correlation(config, t):
     """Two-atom correlation eta(t) = P_{++}/P_+ - P_{-+}/P_-.
 
-    Uses equal passage delays, t = t_A = t_B - t_A.  Returns
-    None when either marginal is below ETA_EPSILON (conditional undefined).
+    Uses equal passage delays, t = t_A = t_B - t_A.  The conditional is
+    undefined when either marginal is below ETA_EPSILON: a scalar t then
+    gives None, an array of times NaN at those entries.
     """
-    p_plus = p_excited(config, t)
-    p_minus = 1.0 - p_plus
-    if p_plus < ETA_EPSILON or p_minus < ETA_EPSILON:
-        return None
-    ppp = p_joint(config, t, 2.0 * t, "+", "+")
-    pmp = p_joint(config, t, 2.0 * t, "-", "+")
-    return ppp / p_plus - pmp / p_minus
+    _require_resonance(config)
+    probs = config.distribution().probs
+    times = _times(t)
+    out = np.full(times.size, np.nan)
+    for i, ti in enumerate(times):
+        passage = _Passage.run(probs, config, ti)
+        p_plus = float(passage.p_plus())
+        p_minus = 1.0 - p_plus
+        if p_plus < ETA_EPSILON or p_minus < ETA_EPSILON:
+            continue
+        ppp = _joint(passage, config, ti, "+", "+")
+        pmp = _joint(passage, config, ti, "-", "+")
+        out[i] = ppp / p_plus - pmp / p_minus
+    if np.ndim(t) == 0:
+        return None if math.isnan(out[0]) else float(out[0])
+    return out
 
 
 def decoherence_time(config):
-    """Decoherence time-scale t_cav / (nbar (1 + n_b)) of the cat coherence."""
+    """Decoherence time-scale t_cav / (nbar (1 + 2 n_b)) of the cat coherence.
+
+    1 + 2 n_b is the thermal speed-up of the coherence between the two
+    coherent branches: loss and thermal gain both scramble the branch phase.
+    """
     nbar = config.mean_photons()
     if nbar <= 0:
         raise ValueError("decoherence time undefined for an empty field")
-    return config.damping.t_cav / (nbar * (1.0 + config.damping.n_thermal))
+    return config.damping.t_cav / (nbar * (1.0 + 2.0 * config.damping.n_thermal))

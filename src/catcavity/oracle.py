@@ -31,7 +31,6 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
-from .damping import rate_arrays
 from .dressed import GROUND, apply_annihilation_dressed, build_dressed_frame
 from .errors import (
     ConsistencyError,

@@ -40,7 +40,7 @@ class ResumParams:
                 "Poisson resummation is an nbar >> 1 asymptotic; "
                 f"nbar = {self.nbar} is small",
                 ValidityWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
 

@@ -19,6 +19,7 @@ from catcavity import (
     PRESETS,
     build_dressed_frame,
     coherent_distribution,
+    decoherence_time,
     default_truncation,
     evolve,
     initial_state,
@@ -248,17 +249,23 @@ def test_criterion_7_decoherence_scaling():
         f0, f1 = rel[i - 1], rel[i]
         return times[i - 1] + (math.exp(-1.0) - f0) * (times[i] - times[i - 1]) / (f1 - f0)
 
+    def claimed_time(nbar, nb):
+        return decoherence_time(ExperimentConfig(
+            jc=BENSON.jc(), damping=DampingParams(kappa=kappa, n_thermal=nb),
+            initial_field=CatSpec(intensity=nbar)))
+
     td = {(nbar, nb): decay_time(nbar, nb)
           for nbar in (4.0, 9.0) for nb in (0.0, 0.2)}
     exponent = math.log(td[(9.0, 0.0)] / td[(4.0, 0.0)]) / math.log(9.0 / 4.0)
     thermal_ratio = 0.5 * (td[(4.0, 0.0)] / td[(4.0, 0.2)]
                            + td[(9.0, 0.0)] / td[(9.0, 0.2)])
-    claimed = 1.2  # 1 + n_b at n_b = 0.2
+    claimed = 0.5 * sum(claimed_time(nbar, 0.0) / claimed_time(nbar, 0.2)
+                        for nbar in (4.0, 9.0))
     _report(
         "criterion 7 (decoherence scaling)",
-        abs(exponent + 1.0) < 0.2 and abs(thermal_ratio - claimed) / claimed < 0.25,
+        abs(exponent + 1.0) < 0.2 and abs(thermal_ratio - claimed) / claimed < 0.05,
         f"t_d ~ nbar^{exponent:.2f} (want -1 ± 0.2), thermal speed-up "
-        f"{thermal_ratio:.2f} vs claimed {claimed} (within 25%)",
+        f"{thermal_ratio:.3f} vs decoherence_time {claimed:.3f} (within 5%)",
     )
 
 

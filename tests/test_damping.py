@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.special import gammaln
 
 from catcavity import (
     DampingParams,
@@ -14,14 +15,16 @@ from catcavity import (
     f_star,
     initial_state,
     offdiag_decay,
-    rate_coefficients,
+    rate_arrays,
 )
+from catcavity import damping as damping_module
 from catcavity.damping import (
+    NEGATIVE_CLIP,
     f_star_ground,
     f_star_ground_double_sum,
-    rate_arrays,
     residual_diagnostics,
 )
+from catcavity.presets import PRESETS
 
 
 def _tridiagonal_reference(probs, damping, t):
@@ -39,7 +42,7 @@ def _tridiagonal_reference(probs, damping, t):
 
 def test_rate_coefficients_zero_temperature():
     d = DampingParams(kappa=2.0)
-    alpha, beta, gamma = rate_coefficients(d, 3)
+    alpha, beta, gamma = (rates[3] for rates in rate_arrays(d, 3))
     assert alpha == pytest.approx(2.0 * 2.0 * 3.5)
     assert beta == pytest.approx(2.0 * 2.0 * 4.5)
     assert gamma == 0.0
@@ -47,7 +50,7 @@ def test_rate_coefficients_zero_temperature():
 
 def test_rate_coefficients_ground_sector():
     d = DampingParams(kappa=1.5, n_thermal=0.2)
-    alpha, beta, gamma = rate_coefficients(d, -1)
+    alpha, beta, gamma = rate_arrays(d, -1)
     assert alpha == pytest.approx(2.0 * 1.5 * 0.2)
     assert beta == pytest.approx(2.0 * 1.5 * 1.2)
     assert gamma == 0.0
@@ -56,11 +59,56 @@ def test_rate_coefficients_ground_sector():
 def test_rate_flow_balance():
     # alpha_n = beta_{n-1} + gamma_{n+1} for n >= 1 keeps total mass flowing
     d = DampingParams(kappa=3.0, n_thermal=0.3)
+    alpha, beta, gamma = rate_arrays(d, 10)
     for n in range(1, 10):
-        a_n, _, _ = rate_coefficients(d, n)
-        _, b_prev, _ = rate_coefficients(d, n - 1)
-        _, _, g_next = rate_coefficients(d, n + 1)
-        assert a_n == pytest.approx(b_prev + g_next)
+        assert alpha[n] == pytest.approx(beta[n - 1] + gamma[n + 1])
+
+
+def test_rate_arrays_reject_truncation_below_ground():
+    with pytest.raises(ValueError):
+        rate_arrays(DampingParams(kappa=1.0), -2)
+
+
+def _f_star_direct(probs, damping, t):
+    """The direct F*_n evaluation that rebuilds the log kernel on every call."""
+    if t == 0.0:
+        return probs.copy()
+    k, nb = damping.kappa, damping.n_thermal
+    n = np.arange(probs.size, dtype=float)
+    x = -np.expm1(-2.0 * k * (nb + 1.0) * t)
+    decay = np.exp(-2.0 * k * t * ((n + 0.5) * (nb + 1.0) + nb))
+    jj = n[None, :]
+    nn = n[:, None]
+    diff = jj - nn
+    log_x = math.log(x)
+    log_terms = np.where(
+        diff > 0,
+        gammaln(jj + 1.5) - gammaln(nn + 1.5) + diff * log_x - gammaln(diff + 1.0),
+        0.0,
+    )
+    kernel = np.where(diff >= 0, np.exp(log_terms), 0.0)
+    out = decay * (kernel @ probs)
+    assert not np.any(out < -NEGATIVE_CLIP)
+    return np.clip(out, 0.0, None)
+
+
+@pytest.mark.parametrize("order", [(202, 121, 33), (33, 121, 202)])
+def test_f_star_bit_identical_to_direct_kernel(monkeypatch, order):
+    # the cached table is grown in both orders: largest first (later calls
+    # slice it) and smallest first (every call grows it)
+    monkeypatch.setattr(damping_module, "_KERNEL_TABLE",
+                        (np.empty((0, 0)),) * 3)
+    preset = PRESETS["benson97"]
+    nbar_at = {33: 4.0, 121: 49.0, 202: 100.0}  # N = default truncation + 1
+    for size in order:
+        p = coherent_distribution(nbar_at[size], size - 1).probs
+        for nb in (0.0, 0.2):
+            d = DampingParams(kappa=preset.kappa, n_thermal=nb)
+            for gt in (0.5, 44.0, 4000.0):
+                t = gt / preset.g
+                assert np.array_equal(f_star(p, d, t),
+                                      _f_star_direct(p, d, t))
+    assert damping_module._KERNEL_TABLE[0].shape == (202, 202)
 
 
 def test_f_star_at_zero_time_is_input():
@@ -144,8 +192,9 @@ def test_offdiag_decay_values():
     p = coherent_distribution(2.0, 32).probs
     assert np.array_equal(offdiag_decay(p, d, 0.0), 0.5 * p)
     out = offdiag_decay(p, d, 0.2)
-    alpha, _, _ = rate_coefficients(d, 5)
-    assert out[5] == pytest.approx(0.5 * math.exp(-alpha * 0.2) * p[5], rel=1e-12)
+    alpha, _, _ = rate_arrays(d, 5)
+    assert out[5] == pytest.approx(0.5 * math.exp(-alpha[5] * 0.2) * p[5],
+                                   rel=1e-12)
 
 
 def test_evolve_packages_all_parts():
@@ -183,8 +232,9 @@ def test_residuals_bounded_by_model_error_term():
 
 
 def test_high_thermal_occupation_warns():
-    with pytest.warns(ValidityWarning):
+    with pytest.warns(ValidityWarning) as record:
         DampingParams(kappa=1.0, n_thermal=0.8)
+    assert record[0].filename == __file__
 
 
 def test_negative_time_rejected():

@@ -9,6 +9,7 @@ from catcavity import (
     DampingParams,
     ExperimentConfig,
     JCParams,
+    PRESETS,
     UnsupportedRegimeError,
     ValidityWarning,
     coherent_distribution,
@@ -160,7 +161,7 @@ def test_eta_cat_revival_signature():
 def test_decoherence_time_scaling(benson_config):
     td = decoherence_time(benson_config)
     nbar = benson_config.mean_photons()
-    expected = benson_config.damping.t_cav / (nbar * 1.1)
+    expected = benson_config.damping.t_cav / (nbar * 1.2)  # 1 + 2 n_b
     assert td == pytest.approx(expected)
 
 
@@ -185,12 +186,13 @@ def test_detuned_config_rejected():
 
 
 def test_secular_ratio_warning():
-    with pytest.warns(ValidityWarning):
+    with pytest.warns(ValidityWarning) as record:
         ExperimentConfig(
             jc=JCParams(g=24000.0),
             damping=DampingParams(kappa=2500.0, n_thermal=0.1),
             initial_field=CatSpec(intensity=3.3),
         )
+    assert record[0].filename == __file__
 
 
 def test_truncation_resolved_from_field(benson_config):
@@ -203,3 +205,51 @@ def test_truncation_resolved_from_field(benson_config):
 def test_p_excited_rejects_non_finite_time(benson_config, t):
     with pytest.raises(ValueError):
         p_excited(benson_config, t)
+
+
+@pytest.fixture(scope="module")
+def fig1_grid():
+    """The fig1 cat configuration (nbar = 49, n_b = 0.1) and its time axis."""
+    preset = PRESETS["benson97"]
+    config = ExperimentConfig(
+        jc=preset.jc(),
+        damping=DampingParams(kappa=preset.kappa, n_thermal=0.1),
+        initial_field=CatSpec(intensity=49.0, phase=1.7),
+    )
+    return config, np.arange(0.0, 50.0 + 0.05, 0.1) / preset.g
+
+
+def test_p_excited_array_equals_scalar_calls_on_fig1_grid(fig1_grid):
+    config, ts = fig1_grid
+    arr = p_excited(config, ts)
+    assert all(arr[i] == p_excited(config, t) for i, t in enumerate(ts))
+
+
+def test_p_joint_array_equals_scalar_calls_on_fig1_grid(fig1_grid):
+    config, ts = fig1_grid
+    for s1, s2 in (("+", "+"), ("-", "-")):
+        arr = p_joint(config, ts, 2.0 * ts, s1, s2)
+        assert arr.shape == ts.shape
+        assert all(arr[i] == p_joint(config, t, 2.0 * t, s1, s2)
+                   for i, t in enumerate(ts))
+
+
+def test_eta_array_equals_scalar_calls_on_fig1_grid(fig1_grid):
+    config, ts = fig1_grid
+    arr = eta_correlation(config, ts)
+    scalar = [eta_correlation(config, t) for t in ts]
+    assert np.isnan(arr[0]) and scalar[0] is None  # P_- = 0 at t = 0
+    assert all(np.isnan(a) if s is None else a == s
+               for a, s in zip(arr, scalar))
+
+
+def test_p_joint_broadcasts_scalar_first_passage(benson_config):
+    t_a = 5.0 / benson_config.jc.g
+    t_b = np.array([5.0, 9.0, 12.0]) / benson_config.jc.g
+    arr = p_joint(benson_config, t_a, t_b, "+", "-")
+    assert list(arr) == [p_joint(benson_config, t_a, t, "+", "-") for t in t_b]
+
+
+def test_p_joint_rejects_reversed_times_in_array(benson_config):
+    with pytest.raises(ValueError):
+        p_joint(benson_config, np.array([1e-5, 1e-4]), 5e-5, "+", "+")

@@ -14,7 +14,7 @@ from catcavity import (
     coherent_distribution,
 )
 from catcavity import oracle
-from catcavity.damping import f_star, offdiag_decay, rate_coefficients
+from catcavity.damping import f_star, offdiag_decay
 
 
 def _dense_rhs(rho, jc, damping, trunc):

@@ -134,8 +134,9 @@ def test_phase_enters_through_cosine_only():
 
 
 def test_small_nbar_warns():
-    with pytest.warns(ValidityWarning):
+    with pytest.warns(ValidityWarning) as record:
         _params(nbar=3.0)
+    assert record[0].filename == __file__
 
 
 def test_strong_damping_warns():
