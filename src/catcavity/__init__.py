@@ -8,12 +8,9 @@ truncated basis and exists to cross-check the closed forms.
 """
 
 from .damping import (
-    DampedFieldState,
     DampingParams,
-    evolve,
     f_star,
     f_star_ground,
-    initial_state,
     offdiag_decay,
     rate_arrays,
 )
@@ -21,7 +18,6 @@ from .dressed import (
     DressedFrame,
     JCParams,
     apply_annihilation_dressed,
-    apply_creation_dressed,
     build_dressed_frame,
 )
 from .errors import (
@@ -60,7 +56,6 @@ __all__ = [
     "ConditionedField",
     "ConfigurationError",
     "ConsistencyError",
-    "DampedFieldState",
     "DampingParams",
     "DegenerateCatError",
     "DressedFrame",
@@ -74,7 +69,6 @@ __all__ = [
     "UnsupportedRegimeError",
     "ValidityWarning",
     "apply_annihilation_dressed",
-    "apply_creation_dressed",
     "branch_overlap",
     "build_dressed_frame",
     "cat_distribution",
@@ -84,10 +78,8 @@ __all__ = [
     "decoherence_time",
     "default_truncation",
     "eta_correlation",
-    "evolve",
     "f_star",
     "f_star_ground",
-    "initial_state",
     "offdiag_decay",
     "p_excited",
     "p_joint",

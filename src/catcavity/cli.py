@@ -126,19 +126,22 @@ def _revival_rows(config, preset, settings):
                p_joint(config, times, 2.0 * times, "+", "+"))
 
 
+def _field_configs(preset, settings):
+    """{"coherent": config, "cat": config} at the settings' nbar, phi and nb."""
+    nbar = settings["nbar"]
+    damping = DampingParams(kappa=preset.kappa, n_thermal=settings["nb"])
+    fields = {"coherent": coherent_distribution(nbar, default_truncation(nbar)),
+              "cat": CatSpec(intensity=nbar, phase=settings["phi"])}
+    return {tag: ExperimentConfig(jc=preset.jc(), damping=damping,
+                                  initial_field=field)
+            for tag, field in fields.items()}
+
+
 def _revival_figure(figure_id, settings, out_dir):
     preset = PRESETS[settings["preset"]]
-    damping = DampingParams(kappa=preset.kappa, n_thermal=settings["nb"])
-    nbar = settings["nbar"]
     written = []
     axis_name = "t" if settings["si_times"] else "gt"
-    for tag, fieldspec in (
-        ("coherent",
-         coherent_distribution(nbar, default_truncation(nbar))),
-        ("cat", CatSpec(intensity=nbar, phase=settings["phi"])),
-    ):
-        config = ExperimentConfig(jc=preset.jc(), damping=damping,
-                                  initial_field=fieldspec)
+    for tag, config in _field_configs(preset, settings).items():
         rows = _revival_rows(config, preset, settings)
         path = out_dir / f"{figure_id}_{tag}.csv"
         meta = _metadata_line(figure_id, preset, settings, extra=f"field={tag}")
@@ -158,17 +161,7 @@ def _eta_figure(settings, out_dir):
             local["nbar"] = preset.nbar
         if preset_name == "brune96" and settings["nbar"] is None:
             local["gt_max"] = 25.0
-        damping = DampingParams(kappa=preset.kappa, n_thermal=local["nb"])
-        nbar = local["nbar"]
-        configs = {
-            "coherent": ExperimentConfig(
-                jc=preset.jc(), damping=damping,
-                initial_field=coherent_distribution(
-                    nbar, default_truncation(nbar))),
-            "cat": ExperimentConfig(
-                jc=preset.jc(), damping=damping,
-                initial_field=CatSpec(intensity=nbar, phase=local["phi"])),
-        }
+        configs = _field_configs(preset, local)
         gts, times = _time_axis(local, preset)
         axis = times if local["si_times"] else gts
         rows = zip(axis, eta_correlation(configs["coherent"], times),

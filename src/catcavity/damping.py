@@ -13,14 +13,14 @@ the log kernel that do not depend on time, log G(j+3/2) - log G(n+3/2),
 log (j-n)! and j - n, live in one module-level table that grows to the
 largest truncation N_max seen and is sliced to N x N per call; it keeps
 3 N_max^2 8-byte floats (about 1 MB at N_max = 202).  F*_{-1} comes from
-unitarity, 2 (1 - sum_n F*_n); the alternating double-sum form is kept
-only as a small-truncation cross-check because it loses ~15 digits near
-N = 120.
+unitarity, 2 (1 - sum_n F*_n), and not from its alternating double-sum
+form, which loses ~15 digits near N = 120 (the test suite keeps that form
+as a small-truncation cross-check).
 """
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -58,22 +58,6 @@ class DampingParams:
     def t_cav(self):
         """Cavity field decay time 1/(2 kappa)."""
         return 1.0 / (2.0 * self.kappa)
-
-
-@dataclass(frozen=True)
-class DampedFieldState:
-    """F*_n array, ground value F*_{-1} and off-diagonal amplitudes at one time."""
-
-    f: np.ndarray
-    f_ground: float
-    offdiag: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        for name in ("f", "offdiag"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 def rate_arrays(damping, truncation):
@@ -160,33 +144,6 @@ def f_star_ground(p0, damping, t):
     return unitarity_ground(probs, f_star(probs, damping, t))
 
 
-def f_star_ground_double_sum(p0, damping, t):
-    """Explicit alternating double-sum form of F*_{-1}(t).
-
-    Accurate only at small truncation (the inner sum cancels catastrophically
-    for N beyond ~20); retained as an independent cross-check of the
-    unitarity-based evaluation.
-    """
-    probs = _probs_of(p0)
-    k, nb = damping.kappa, damping.n_thermal
-    log_ghalf = gammaln(1.5)
-    terms = []
-    for j, pj in enumerate(probs):
-        if pj == 0.0:
-            continue
-        for m in range(j + 1):
-            log_mag = (
-                gammaln(j + 1.5)
-                - gammaln(j - m + 1.0)
-                - gammaln(m + 1.0)
-                - log_ghalf
-                - k * (2.0 * m + 1.0) * (nb + 1.0) * t
-                - math.log(m + 0.5)
-            )
-            terms.append((-1.0) ** m * math.exp(log_mag) * pj)
-    return 2.0 - math.exp(-2.0 * k * nb * t) * math.fsum(terms)
-
-
 def offdiag_decay(p0, damping, t):
     """Intra-doublet amplitudes <psi_n^+|W|psi_n^-> = (1/2) e^{-alpha_n t} p_n."""
     probs = _probs_of(p0)
@@ -194,62 +151,3 @@ def offdiag_decay(p0, damping, t):
         raise ValueError("time must be finite and non-negative")
     alpha, _, _ = rate_arrays(damping, probs.size - 1)
     return 0.5 * np.exp(-alpha * t) * probs
-
-
-def initial_state(p0):
-    """DampedFieldState at t = 0 for initial distribution p0."""
-    probs = _probs_of(p0)
-    return DampedFieldState(f=probs.copy(), f_ground=0.0,
-                            offdiag=0.5 * probs, time=0.0)
-
-
-def evolve(state0, damping, t):
-    """Propagate a t = 0 state to time t using the closed-form solution."""
-    if state0.time != 0.0:
-        raise ValueError("evolve expects a t = 0 initial state")
-    probs = state0.f
-    return DampedFieldState(
-        f=f_star(probs, damping, t),
-        f_ground=f_star_ground(probs, damping, t),
-        offdiag=offdiag_decay(probs, damping, t),
-        time=t,
-    )
-
-
-def residual_diagnostics(p0, damping, t, dt):
-    """Finite-difference residuals of the F*_n recurrence and the F*_{-1} ODE.
-
-    Returns (max_recurrence_residual, ground_ode_residual).  The recurrence
-    residual includes the known model error gamma_n (F*_n - F*_{n-1}) on the
-    right-hand side, so it measures only numerical error; both residuals
-    vanish identically at n_b = 0.
-    """
-    probs = _probs_of(p0)
-    alpha, beta, gamma = rate_arrays(damping, probs.size - 1)
-    if dt <= 0 or t - dt < 0:
-        raise ValueError("need 0 < dt <= t for centered differences")
-    if dt * alpha.max() >= 1e-2:
-        raise ValueError("dt too large for centered differences: dt*max(alpha) >= 1e-2")
-
-    f_lo = f_star(probs, damping, t - dt)
-    f_mid = f_star(probs, damping, t)
-    f_hi = f_star(probs, damping, t + dt)
-    g_lo = f_star_ground(probs, damping, t - dt)
-    g_mid = f_star_ground(probs, damping, t)
-    g_hi = f_star_ground(probs, damping, t + dt)
-
-    fdot = (f_hi - f_lo) / (2.0 * dt)
-    f_up = np.append(f_mid[1:], 0.0)  # F*_{N+1} = 0 closes the recurrence
-    f_down = np.concatenate(([g_mid], f_mid[:-1]))
-    residual = (
-        fdot + alpha * f_mid - beta * f_up - gamma * f_down
-        - gamma * (f_mid - f_down)
-    )
-
-    a_g, b_g, _ = rate_arrays(damping, -1)
-    gdot = (g_hi - g_lo) / (2.0 * dt)
-    ground_residual = abs(
-        gdot + a_g * g_mid - b_g * f_mid[0]
-        - 4.0 * damping.kappa * damping.n_thermal
-    )
-    return float(np.abs(residual).max()), float(ground_residual)

@@ -15,8 +15,8 @@ from typing import Union
 import numpy as np
 
 from .damping import DampingParams, f_star, rate_arrays, unitarity_ground
-from .dressed import JCParams
-from .errors import ConsistencyError, UnsupportedRegimeError, ValidityWarning
+from .dressed import JCParams, _require_resonance
+from .errors import ConsistencyError, ValidityWarning
 from .states import (
     CatSpec,
     PhotonDistribution,
@@ -87,14 +87,6 @@ class ConditionedField:
         object.__setattr__(self, "dist", arr)
 
 
-def _require_resonance(config):
-    if config.jc.detuning != 0.0:
-        raise UnsupportedRegimeError(
-            "the analytic path is defined at resonance only; "
-            "use the lindblad oracle for detuned runs"
-        )
-
-
 def _oscillation(probs, damping, g, t):
     """Per-level oscillatory amplitudes e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n."""
     n = np.arange(probs.size)
@@ -163,7 +155,7 @@ def p_excited(config, t):
 
     Accepts a scalar or an array of times.
     """
-    _require_resonance(config)
+    _require_resonance(config.jc)
     probs = config.distribution().probs
     times = _times(t)
     out = np.array([_Passage.run(probs, config, ti).p_plus() for ti in times])
@@ -180,7 +172,7 @@ def conditioned_field(config, t_a, outcome):
     oscillatory sign flipped and the level index shifted by one, with the
     vacuum entry fed by the ground sector F*_{-1}.
     """
-    _require_resonance(config)
+    _require_resonance(config.jc)
     if not 0.0 <= t_a < math.inf:
         raise ValueError("time must be finite and non-negative")
     _check_outcome(outcome)
@@ -206,7 +198,7 @@ def p_joint(config, t_a, t_b, s1, s2):
     taken within the conditioned weight.  t_A and t_B may be arrays (they
     broadcast); scalars give a float.
     """
-    _require_resonance(config)
+    _require_resonance(config.jc)
     _check_outcome(s1, "s1")
     _check_outcome(s2, "s2")
     t_a_arr, t_b_arr = np.broadcast_arrays(_times(t_a), _times(t_b))
@@ -228,7 +220,7 @@ def eta_correlation(config, t):
     undefined when either marginal is below ETA_EPSILON: a scalar t then
     gives None, an array of times NaN at those entries.
     """
-    _require_resonance(config)
+    _require_resonance(config.jc)
     probs = config.distribution().probs
     times = _times(t)
     out = np.full(times.size, np.nan)

@@ -30,14 +30,16 @@ import scipy.sparse as sp
 # unused here: benchmarks/run.py --trace 1 wraps this name to count nfev
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
+from scipy.special import gammaln
 
-from .dressed import GROUND, apply_annihilation_dressed, build_dressed_frame
-from .errors import (
-    ConsistencyError,
-    DegenerateCatError,
-    TruncationError,
-    UnsupportedRegimeError,
+from .dressed import (
+    GROUND,
+    JCParams,
+    _require_resonance,
+    apply_annihilation_dressed,
+    build_dressed_frame,
 )
+from .errors import ConsistencyError, DegenerateCatError, TruncationError
 from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution
 
 #: Trace drift beyond 10 * DEFAULT_TOL raises ConsistencyError.
@@ -92,8 +94,6 @@ class WFrameMatrix:
 def coherent_state_vector(intensity, truncation):
     """Fock amplitudes of |z> with z = sqrt(intensity) (real)."""
     n = np.arange(truncation + 1)
-    from scipy.special import gammaln
-
     if intensity == 0.0:
         amp = np.zeros(truncation + 1)
         amp[0] = 1.0
@@ -279,11 +279,6 @@ def integrate_trajectory(rho0, jc, damping, times, include_coupling=True):
     return traj
 
 
-def integrate(rho0, jc, damping, t):
-    """Single-time convenience wrapper around integrate_trajectory."""
-    return integrate_trajectory(rho0, jc, damping, [t])[-1]
-
-
 # ---------------------------------------------------------------------------
 # dressed frame
 # ---------------------------------------------------------------------------
@@ -337,8 +332,7 @@ def to_w_frame(rho, frame, t=None):
     picture, to conjugation by the diagonal phases e^{i g sqrt(n+1) t} of the
     coupling Hamiltonian.
     """
-    if frame.params.detuning != 0.0:
-        raise UnsupportedRegimeError("W frame defined at resonance only")
+    _require_resonance(frame.params)
     if t is None:
         t = rho.time
     u, rabi = dressed_basis(rho.truncation)
@@ -440,12 +434,12 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
     the unnormalized weight); a fresh excited atom then evolves with the
     conditioned field to t_B, where s2 is read off.
     """
-    rho_a = integrate(rho0, jc, damping, t_a)
+    rho_a = integrate_trajectory(rho0, jc, damping, [t_a])[-1]
     field, weight = condition_on_atom(rho_a, s1)
     if weight <= 0.0:
         return 0.0
     rho_b0 = reinject_excited(field, rho0.truncation, rho_a.time)
-    rho_b = integrate(rho_b0, jc, damping, t_b)
+    rho_b = integrate_trajectory(rho_b0, jc, damping, [t_b])[-1]
     _, joint = condition_on_atom(rho_b, s2)
     return joint
 
@@ -567,8 +561,6 @@ def branch_coherence_trajectory(spec, damping, times, truncation):
     Runs the oracle master equation with the atom uncoupled, so the decay of
     the cross-branch overlap isolates environment-induced decoherence.
     """
-    from .dressed import JCParams
-
     rho0 = build_initial_state(spec, truncation)
     traj = integrate_trajectory(rho0, JCParams(g=1.0), damping, times,
                                 include_coupling=False)

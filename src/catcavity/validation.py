@@ -1,10 +1,11 @@
 """Self-check suites: fast analytic invariants and full oracle cross-checks.
 
 Each check returns a CheckResult; the CLI `validate` subcommand prints the
-report and exits nonzero if anything failed.  The fast suite touches only the
-closed-form path and runs in seconds; the full suite adds master-equation
-propagations up to the paper's nbar = 49 and derivative residuals of the
-dressed-frame equations of motion.
+report and exits nonzero if anything failed, and the acceptance tests assert
+the same checks.  The fast suite touches only the closed-form path and runs
+in seconds; the full suite adds master-equation propagations up to the
+paper's nbar = 49 and derivative residuals of the dressed-frame equations of
+motion.
 """
 
 import math
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .damping import DampingParams, evolve, f_star, initial_state
-from .dressed import JCParams, build_dressed_frame
+from .damping import DampingParams, f_star, f_star_ground
+from .dressed import build_dressed_frame
 from .observables import ExperimentConfig, p_excited, p_joint
 from .presets import PRESETS
 from .resummation import ResumParams, resummed_p_excited
@@ -47,16 +48,24 @@ def check_cat_normalization():
 
 
 def check_mass_conservation():
-    """Diagonal evolution conserves total mass including the ground term."""
-    damping = DampingParams(kappa=8.33, n_thermal=0.1)
-    p0 = cat_distribution(CatSpec(intensity=9.0))
-    state0 = initial_state(p0)
+    """sum_n F*_n + F*_{-1} / 2 stays one at n_b = 0.1.
+
+    A coherent field at each preset's nbar and rates, 100 times over
+    kappa t in [0, 1.5], and an nbar = 9 cat at benson97 rates.
+    """
+    runs = [(coherent_distribution(p.nbar, default_truncation(p.nbar)),
+             p.damping(0.1), np.linspace(0.0, 1.5 / p.kappa, 100))
+            for p in PRESETS.values()]
+    runs.append((cat_distribution(CatSpec(intensity=9.0)),
+                 DampingParams(kappa=8.33, n_thermal=0.1), (0.01, 0.05, 0.2)))
     worst = 0.0
-    for t in (0.01, 0.05, 0.2):
-        state = evolve(state0, damping, t)
-        total = state.f.sum() + 0.5 * state.f_ground
-        worst = max(worst, abs(total - 1.0))
-    return _result("mass-conservation", worst < 1e-9, f"max |mass-1| = {worst:.2e}")
+    for p0, damping, times in runs:
+        for t in times:
+            total = (f_star(p0, damping, t).sum()
+                     + 0.5 * f_star_ground(p0, damping, t))
+            worst = max(worst, abs(total - 1.0))
+    return _result("mass-conservation", worst < 1e-10,
+                   f"max |mass - 1| = {worst:.1e} (< 1e-10)")
 
 
 def check_single_photon_decay():
@@ -87,21 +96,32 @@ def check_joint_collapse():
 
 
 def check_resummation_agreement():
-    """Image-sum revival probability tracks the direct sum at large n-bar."""
+    """Image-sum revival probability tracks the direct sum at nbar = 49.
+
+    benson97 rates at n_b = 0.1, even cat, on 60 points of gt in [0.5, 50]
+    and 501 points of gt in [0, 50]: the order-3 and order-6 image sums
+    each stay within 0.075 of the direct sum and within 1e-3 of each other.
+    """
     preset = PRESETS["benson97"]
     nbar = 49.0
-    config = ExperimentConfig(jc=preset.jc(), damping=preset.damping(0.1),
+    damping = preset.damping(0.1)
+    config = ExperimentConfig(jc=preset.jc(), damping=damping,
                               initial_field=CatSpec(intensity=nbar))
-    params = ResumParams(nbar=nbar, phase=0.0, max_order=6,
-                         damping=preset.damping(0.1), g=preset.g)
-    gts = np.linspace(0.5, 50.0, 60)
-    ts = gts / preset.g
-    direct = p_excited(config, ts)
-    image = resummed_p_excited(params, ts)
-    worst = float(np.abs(direct - image).max())
-    # frozen regression bound; see the acceptance suite for the rationale
-    return _result("resummation-agreement", worst < 0.075,
-                   f"sup |direct - resummed| = {worst:.2e}")
+    dev = conv = 0.0
+    for gts in (np.linspace(0.5, 50.0, 60), np.linspace(0.0, 50.0, 501)):
+        ts = gts / preset.g
+        direct = p_excited(config, ts)
+        p3, p6 = (resummed_p_excited(
+            ResumParams(nbar=nbar, phase=0.0, max_order=order,
+                        damping=damping, g=preset.g), ts) for order in (3, 6))
+        dev = max(dev, np.abs(direct - p3).max(), np.abs(direct - p6).max())
+        conv = max(conv, np.abs(p3 - p6).max())
+    # frozen bound 0.075: first-run deviation 0.061, dominated by the
+    # stationary-phase error of the half-order wave at the gt ~ 22 revival;
+    # the nominal 0.02 target is unattainable for the printed asymptotics
+    return _result("resummation-agreement", dev < 0.075 and conv < 1e-3,
+                   f"sup |direct - resummed| = {dev:.3f} (< 0.075), "
+                   f"order 3 vs 6 = {conv:.1e} (< 1e-3)")
 
 
 def fast_checks():

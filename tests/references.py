@@ -1,0 +1,99 @@
+"""Reference forms that only the tests use.
+
+Independent evaluations the library itself does not need: the alternating
+double-sum form of F*_{-1}, finite-difference residuals of the F*_n
+recurrence, and the creation-operator action on dressed states.
+"""
+
+import math
+
+import numpy as np
+from scipy.special import gammaln
+
+from catcavity.damping import f_star, f_star_ground, rate_arrays
+from catcavity.dressed import GROUND, LadderTerm, _branch_sign, _require_resonance
+
+
+def f_star_ground_double_sum(p0, damping, t):
+    """Explicit alternating double-sum form of F*_{-1}(t).
+
+    Accurate only at small truncation (the inner sum cancels catastrophically
+    for N beyond ~20); retained as an independent cross-check of the
+    unitarity-based evaluation.
+    """
+    probs = np.asarray(p0, dtype=float)
+    k, nb = damping.kappa, damping.n_thermal
+    log_ghalf = gammaln(1.5)
+    terms = []
+    for j, pj in enumerate(probs):
+        if pj == 0.0:
+            continue
+        for m in range(j + 1):
+            log_mag = (
+                gammaln(j + 1.5)
+                - gammaln(j - m + 1.0)
+                - gammaln(m + 1.0)
+                - log_ghalf
+                - k * (2.0 * m + 1.0) * (nb + 1.0) * t
+                - math.log(m + 0.5)
+            )
+            terms.append((-1.0) ** m * math.exp(log_mag) * pj)
+    return 2.0 - math.exp(-2.0 * k * nb * t) * math.fsum(terms)
+
+
+def residual_diagnostics(p0, damping, t, dt):
+    """Finite-difference residuals of the F*_n recurrence and the F*_{-1} ODE.
+
+    Returns (max_recurrence_residual, ground_ode_residual).  The recurrence
+    residual includes the known model error gamma_n (F*_n - F*_{n-1}) on the
+    right-hand side, so it measures only numerical error; both residuals
+    vanish identically at n_b = 0.
+    """
+    probs = np.asarray(p0, dtype=float)
+    alpha, beta, gamma = rate_arrays(damping, probs.size - 1)
+    if dt <= 0 or t - dt < 0:
+        raise ValueError("need 0 < dt <= t for centered differences")
+    if dt * alpha.max() >= 1e-2:
+        raise ValueError("dt too large for centered differences: dt*max(alpha) >= 1e-2")
+
+    f_lo = f_star(probs, damping, t - dt)
+    f_mid = f_star(probs, damping, t)
+    f_hi = f_star(probs, damping, t + dt)
+    g_lo = f_star_ground(probs, damping, t - dt)
+    g_mid = f_star_ground(probs, damping, t)
+    g_hi = f_star_ground(probs, damping, t + dt)
+
+    fdot = (f_hi - f_lo) / (2.0 * dt)
+    f_up = np.append(f_mid[1:], 0.0)  # F*_{N+1} = 0 closes the recurrence
+    f_down = np.concatenate(([g_mid], f_mid[:-1]))
+    residual = (
+        fdot + alpha * f_mid - beta * f_up - gamma * f_down
+        - gamma * (f_mid - f_down)
+    )
+
+    a_g, b_g, _ = rate_arrays(damping, -1)
+    gdot = (g_hi - g_lo) / (2.0 * dt)
+    ground_residual = abs(
+        gdot + a_g * g_mid - b_g * f_mid[0]
+        - 4.0 * damping.kappa * damping.n_thermal
+    )
+    return float(np.abs(residual).max()), float(ground_residual)
+
+
+def apply_creation_dressed(frame, branch, n):
+    """Expansion of a* |psi_n^branch> over the level-(n+1) doublet.
+
+    From the ground sector, a* |0,-> = (|psi_0^+> - |psi_0^->) / sqrt(2).
+    """
+    _require_resonance(frame.params)
+    if branch == GROUND:
+        r = 1.0 / math.sqrt(2.0)
+        return [LadderTerm(r, "+", 0), LadderTerm(-r, "-", 0)]
+    if n < 0:
+        raise ValueError("level must be non-negative")
+    s = _branch_sign(branch)
+    lo, hi = math.sqrt(n + 1.0), math.sqrt(n + 2.0)
+    return [
+        LadderTerm(0.5 * (lo + s * hi), "+", n + 1),
+        LadderTerm(0.5 * (lo - s * hi), "-", n + 1),
+    ]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from catcavity import validation
 from catcavity.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -101,6 +102,16 @@ def test_validate_fast_passes(capsys):
     assert code == 0
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_validate_reports_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(
+        validation, "check_joint_collapse",
+        lambda: validation.CheckResult("joint-collapse", False, "forced"))
+    code = main(["validate"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "[FAIL] joint-collapse: forced" in out
 
 
 def test_oracle_dump(tmp_path):

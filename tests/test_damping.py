@@ -11,20 +11,14 @@ from catcavity import (
     DampingParams,
     ValidityWarning,
     coherent_distribution,
-    evolve,
     f_star,
-    initial_state,
     offdiag_decay,
     rate_arrays,
 )
 from catcavity import damping as damping_module
-from catcavity.damping import (
-    NEGATIVE_CLIP,
-    f_star_ground,
-    f_star_ground_double_sum,
-    residual_diagnostics,
-)
+from catcavity.damping import NEGATIVE_CLIP, f_star_ground
 from catcavity.presets import PRESETS
+from references import f_star_ground_double_sum, residual_diagnostics
 
 
 def _tridiagonal_reference(probs, damping, t):
@@ -195,23 +189,6 @@ def test_offdiag_decay_values():
     alpha, _, _ = rate_arrays(d, 5)
     assert out[5] == pytest.approx(0.5 * math.exp(-alpha[5] * 0.2) * p[5],
                                    rel=1e-12)
-
-
-def test_evolve_packages_all_parts():
-    d = DampingParams(kappa=1.0, n_thermal=0.1)
-    p = coherent_distribution(2.0, 32)
-    state = evolve(initial_state(p), d, 0.3)
-    assert state.time == 0.3
-    assert np.array_equal(state.f, f_star(p.probs, d, 0.3))
-    assert state.f_ground == pytest.approx(f_star_ground(p.probs, d, 0.3))
-    assert np.array_equal(state.offdiag, offdiag_decay(p.probs, d, 0.3))
-
-
-def test_evolve_requires_fresh_state():
-    d = DampingParams(kappa=1.0)
-    state = evolve(initial_state(coherent_distribution(1.0, 32)), d, 0.1)
-    with pytest.raises(ValueError):
-        evolve(state, d, 0.1)
 
 
 def test_residuals_vanish_at_zero_temperature():

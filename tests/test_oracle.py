@@ -284,7 +284,7 @@ def test_joint_probability_oracle_consistency():
     damping = DampingParams(kappa=2500.0, n_thermal=0.1)
     rho0 = oracle.build_initial_state(CatSpec(intensity=3.3), trunc)
     t_a, t_b = 5.0 / jc.g, 12.0 / jc.g
-    rho_a = oracle.integrate(rho0, jc, damping, t_a)
+    rho_a = oracle.integrate_trajectory(rho0, jc, damping, [t_a])[-1]
     _, weight = oracle.condition_on_atom(rho_a, "+")
     pp = oracle.joint_probability_oracle(rho0, jc, damping, t_a, t_b, "+", "+")
     pm = oracle.joint_probability_oracle(rho0, jc, damping, t_a, t_b, "+", "-")
