@@ -106,19 +106,28 @@ def test_number_operator_from_ladder_composition(resonant_frame):
             assert acc[(other, n)] == pytest.approx(-0.5)
 
 
+def test_gamma_coefficient_identities(resonant_frame):
+    # for n >= 1 the squared coefficients of a psi_n^s are Gamma_{+/-, n},
+    # whose sum is n + 1/2 and product 1/16
+    for n in range(1, 13):
+        for branch in ("+", "-"):
+            squares = [t.coefficient**2 for t in
+                       apply_annihilation_dressed(resonant_frame, branch, n)]
+            assert len(squares) == 2
+            assert sum(squares) == pytest.approx(n + 0.5, rel=1e-12)
+            assert squares[0] * squares[1] == pytest.approx(1.0 / 16.0,
+                                                            rel=1e-12)
+
+
 @given(n=st.integers(min_value=0, max_value=200))
 @settings(max_examples=50, deadline=None)
 def test_annihilation_coefficients_norm(n):
-    # |a psi_n^s|^2 must equal n + 1/2 at resonance; for n >= 1 the squared
-    # coefficients are Gamma_{+/-, n}, whose sum is n + 1/2 and product 1/16
+    # |a psi_n^s|^2 must equal n + 1/2 at resonance
     frame = build_dressed_frame(JCParams(g=2.0), 2)
     for branch in ("+", "-"):
-        squares = [t.coefficient**2
-                   for t in apply_annihilation_dressed(frame, branch, n)]
-        assert sum(squares) == pytest.approx(n + 0.5, rel=1e-12)
-        if n >= 1:
-            assert squares[0] * squares[1] == pytest.approx(1.0 / 16.0,
-                                                            rel=1e-12)
+        terms = apply_annihilation_dressed(frame, branch, n)
+        norm = sum(t.coefficient**2 for t in terms)
+        assert norm == pytest.approx(n + 0.5, rel=1e-12)
 
 
 def test_jc_params_reject_non_finite():
