@@ -30,10 +30,11 @@ try:
 except PackageNotFoundError:
     VERSION = "0.dev"
 
-FIGURE_DEFAULTS = {
-    "fig1": {"preset": "benson97", "nbar": 49.0, "gt_max": 50.0},
-    "fig2": {"preset": "brune96", "nbar": 3.3, "gt_max": 25.0},
-    "fig3": {"preset": None, "nbar": None, "gt_max": 50.0},
+#: The presets each figure writes unless a preset is given.
+FIGURE_PRESETS = {
+    "fig1": ("benson97",),
+    "fig2": ("brune96",),
+    "fig3": ("benson97", "brune96"),
 }
 
 
@@ -50,9 +51,8 @@ def _load_config_section(path, section):
 
 def _merge_settings(args, figure_id):
     """Defaults, then config-file section, then explicit CLI flags."""
-    settings = {"phi": 0.0, "gt_step": 0.1, "nb": None, "out": ".",
-                "si_times": False}
-    settings.update(FIGURE_DEFAULTS[figure_id])
+    settings = {"preset": None, "nbar": None, "gt_max": None, "phi": 0.0,
+                "gt_step": 0.1, "nb": None, "out": ".", "si_times": False}
     if args.config:
         raw = _load_config_section(args.config, figure_id)
         for key in ("preset", "out"):
@@ -137,8 +137,7 @@ def _field_configs(preset, settings):
             for tag, field in fields.items()}
 
 
-def _revival_figure(figure_id, settings, out_dir):
-    preset = PRESETS[settings["preset"]]
+def _revival_figure(figure_id, preset, settings, out_dir):
     written = []
     axis_name = "t" if settings["si_times"] else "gt"
     for tag, config in _field_configs(preset, settings).items():
@@ -150,36 +149,39 @@ def _revival_figure(figure_id, settings, out_dir):
     return written
 
 
-def _eta_figure(settings, out_dir):
-    written = []
+def _eta_figure(preset, settings, out_dir):
     axis_name = "t" if settings["si_times"] else "gt"
-    for preset_name in ("benson97", "brune96"):
-        preset = PRESETS[preset_name]
-        local = dict(settings)
-        local["preset"] = preset_name
-        if settings["nbar"] is None:
-            local["nbar"] = preset.nbar
-        if preset_name == "brune96" and settings["nbar"] is None:
-            local["gt_max"] = 25.0
-        configs = _field_configs(preset, local)
-        gts, times = _time_axis(local, preset)
-        axis = times if local["si_times"] else gts
-        rows = zip(axis, eta_correlation(configs["coherent"], times),
-                   eta_correlation(configs["cat"], times))
-        path = out_dir / f"fig3_{preset_name}.csv"
-        meta = _metadata_line("fig3", preset, local)
-        _write_csv(path, meta, (axis_name, "eta_coherent", "eta_cat"), rows)
-        written.append(path)
-    return written
+    configs = _field_configs(preset, settings)
+    gts, times = _time_axis(settings, preset)
+    axis = times if settings["si_times"] else gts
+    rows = zip(axis, eta_correlation(configs["coherent"], times),
+               eta_correlation(configs["cat"], times))
+    path = out_dir / f"fig3_{preset.name}.csv"
+    meta = _metadata_line("fig3", preset, settings)
+    _write_csv(path, meta, (axis_name, "eta_coherent", "eta_cat"), rows)
+    return [path]
 
 
 def run_figure(figure_id, args):
+    """Write the figure for each of its presets, or for the given one only;
+    an unset nbar or gt_max falls back to each preset's own."""
     settings = _merge_settings(args, figure_id)
     out_dir = Path(settings["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    if figure_id in ("fig1", "fig2"):
-        return _revival_figure(figure_id, settings, out_dir)
-    return _eta_figure(settings, out_dir)
+    names = ((settings["preset"],) if settings["preset"]
+             else FIGURE_PRESETS[figure_id])
+    written = []
+    for name in names:
+        preset = PRESETS[name]
+        local = dict(settings, preset=name)
+        for key in ("nbar", "gt_max"):
+            if local[key] is None:
+                local[key] = getattr(preset, key)
+        if figure_id == "fig3":
+            written += _eta_figure(preset, local, out_dir)
+        else:
+            written += _revival_figure(figure_id, preset, local, out_dir)
+    return written
 
 
 def run_validate(level):
@@ -240,8 +242,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig = sub.add_parser("figure", help="write figure data as CSV")
-    fig.add_argument("id", choices=("fig1", "fig2", "fig3"))
-    fig.add_argument("--preset", choices=sorted(PRESETS), default=None)
+    fig.add_argument("id", choices=sorted(FIGURE_PRESETS))
+    fig.add_argument("--preset", choices=sorted(PRESETS), default=None,
+                     help="write only this preset (default: the figure's own)")
     fig.add_argument("--nbar", type=float, default=None,
                      help="mean photon number of the injected field")
     fig.add_argument("--phi", type=float, default=None,

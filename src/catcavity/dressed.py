@@ -21,15 +21,14 @@ GROUND = "ground"
 
 @dataclass(frozen=True)
 class JCParams:
-    """Coupling g, detuning (omega_0 - omega) and cavity frequency, all s^-1."""
+    """Coupling g and detuning (omega_0 - omega), both s^-1."""
 
     g: float
     detuning: float = 0.0
-    omega: float = 0.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.g, self.detuning, self.omega))):
-            raise ValueError("g, detuning and omega must be finite")
+        if not (math.isfinite(self.g) and math.isfinite(self.detuning)):
+            raise ValueError("g and detuning must be finite")
         if self.g <= 0:
             raise ValueError("coupling g must be positive")
 

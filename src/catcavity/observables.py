@@ -71,20 +71,19 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ConditionedField:
-    """Unnormalized field distribution after detecting one atom.
-
-    `weight` is the sum of the entries and equals the probability of the
-    conditioning outcome.
-    """
+    """Unnormalized field distribution after detecting one atom."""
 
     dist: np.ndarray
-    weight: float
-    condition: str
 
     def __post_init__(self):
         arr = np.asarray(self.dist, dtype=float)
         arr.flags.writeable = False
         object.__setattr__(self, "dist", arr)
+
+    @property
+    def weight(self):
+        """Sum of the entries: the probability of the conditioning outcome."""
+        return float(self.dist.sum())
 
 
 def _oscillation(probs, damping, g, t):
@@ -178,7 +177,7 @@ def conditioned_field(config, t_a, outcome):
     _check_outcome(outcome)
     passage = _Passage.run(config.distribution().probs, config, t_a)
     dist = passage.conditioned(outcome)
-    return ConditionedField(dist=dist, weight=float(dist.sum()), condition=outcome)
+    return ConditionedField(dist=dist)
 
 
 def _joint(passage, config, tau, s1, s2):

@@ -29,6 +29,8 @@ class ResumParams:
     g: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.nbar, self.phase, self.g))):
+            raise ValueError("nbar, phase and g must be finite")
         if self.nbar <= 0:
             raise ValueError("nbar must be positive")
         if self.max_order < 1:
@@ -82,8 +84,8 @@ def resummed_p_excited(params, t):
     validity condition alpha_nbar << g is violated.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be non-negative")
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ValueError("time must be finite and non-negative")
     k = params.damping.kappa
     nb = params.damping.n_thermal
     alpha_nbar = 2.0 * k * (2.0 * nb * (params.nbar + 1.0) + params.nbar + 0.5)

@@ -8,7 +8,7 @@ intensities of order 50 (Fock components out to n ~ 120) stay in range.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -59,14 +59,9 @@ class PhotonDistribution:
     """Truncated photon-number distribution p_n over n = 0..truncation."""
 
     probs: np.ndarray
-    truncation: int = field(default=-1)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        if self.truncation < 0:
-            object.__setattr__(self, "truncation", probs.size - 1)
-        if probs.size != self.truncation + 1:
-            raise ValueError("probs must have truncation + 1 entries")
         if np.any(probs < 0.0) or np.any(probs > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         total = probs.sum()
@@ -80,6 +75,11 @@ class PhotonDistribution:
         probs = probs.copy()
         probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
+
+    @property
+    def truncation(self):
+        """Fock cutoff N: the last photon number in probs."""
+        return self.probs.size - 1
 
     def mean(self):
         n = np.arange(self.truncation + 1)
@@ -103,7 +103,7 @@ def coherent_distribution(intensity, truncation):
         raise ValueError("truncation must be at least 1")
     n = np.arange(truncation + 1)
     probs = np.exp(_log_poisson(intensity, n))
-    return PhotonDistribution(probs, truncation)
+    return PhotonDistribution(probs)
 
 
 def cat_distribution(spec, truncation=None):
@@ -125,7 +125,7 @@ def cat_distribution(spec, truncation=None):
     parity = 1.0 + math.cos(spec.phase) * (-1.0) ** n
     weights = 2.0 * parity / spec.normalization
     probs = np.exp(_log_poisson(spec.intensity, n)) * weights
-    return PhotonDistribution(probs, truncation)
+    return PhotonDistribution(probs)
 
 
 def cat_mean_photons(spec):

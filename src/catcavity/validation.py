@@ -9,6 +9,7 @@ motion.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from . import oracle
 from .damping import DampingParams, f_star, f_star_ground
 from .dressed import build_dressed_frame
+from .errors import ValidityWarning
 from .observables import ExperimentConfig, p_excited, p_joint
 from .presets import PRESETS
 from .resummation import ResumParams, resummed_p_excited
@@ -84,8 +86,11 @@ def check_single_photon_decay():
 def check_joint_collapse():
     """Two-atom joint at coincident times reduces to the one-atom law."""
     preset = PRESETS["brune96"]
-    config = ExperimentConfig(jc=preset.jc(), damping=preset.damping(0.1),
-                              initial_field=CatSpec(intensity=3.3))
+    # kappa/g = 0.104 warns, but the collapse identity holds at any kappa/g
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        config = ExperimentConfig(jc=preset.jc(), damping=preset.damping(0.1),
+                                  initial_field=CatSpec(intensity=3.3))
     worst = 0.0
     for gt in (2.0, 10.0, 21.0):
         t = gt / preset.g
@@ -138,18 +143,19 @@ def fast_checks():
 # full suite
 # ---------------------------------------------------------------------------
 
-def check_oracle_f_star(nbar, kappa_scale=1.0, tol=1e-3, n_points=6):
+def check_oracle_f_star(nbar, kappa_scale=1.0):
     """Dressed-diagonal populations from the oracle vs the closed form.
 
     benson97 rates, zero temperature, coherent field.  kappa_scale perturbs
     the oracle's decay rate only, for the sensitivity counter-check.
     """
+    tol = 1e-3
     preset = PRESETS["benson97"]
     trunc = default_truncation(nbar)
     damping_true = preset.damping(0.0)
     damping_oracle = DampingParams(kappa=preset.kappa * kappa_scale)
     p0 = coherent_distribution(nbar, trunc)
-    times = np.linspace(0.0, 1.0 / preset.kappa, n_points)
+    times = np.linspace(0.0, 1.0 / preset.kappa, 6)
 
     rho0 = oracle.build_initial_state(p0, trunc)
     traj = oracle.integrate_trajectory(rho0, preset.jc(), damping_oracle, times)
@@ -165,12 +171,14 @@ def check_oracle_f_star(nbar, kappa_scale=1.0, tol=1e-3, n_points=6):
     return _result(f"{label}-nbar{nbar:g}", passed, f"max |F_n - F*_n| = {worst:.2e}")
 
 
-def check_w_residuals(nbar=4.0, n_thermal=0.1):
-    """Equation-of-motion residuals of the dressed W frame along a trajectory."""
+def check_w_residuals():
+    """Equation-of-motion residuals of the dressed W frame along the
+    trajectory of an nbar = 4 cat at benson97 rates and n_b = 0.1."""
+    nbar = 4.0
     preset = PRESETS["benson97"]
     trunc = default_truncation(nbar)
     jc = preset.jc()
-    damping = preset.damping(n_thermal)
+    damping = preset.damping(0.1)
     rho0 = oracle.build_initial_state(CatSpec(intensity=nbar), trunc)
     dt = 0.04 / jc.g
     centers = [20.0 / jc.g, 300.0 / jc.g]

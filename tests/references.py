@@ -2,7 +2,8 @@
 
 Independent evaluations the library itself does not need: the alternating
 double-sum form of F*_{-1}, finite-difference residuals of the F*_n
-recurrence, and the creation-operator action on dressed states.
+recurrence, the creation-operator action on dressed states, and a
+density-matrix sanity check.
 """
 
 import math
@@ -12,6 +13,7 @@ from scipy.special import gammaln
 
 from catcavity.damping import f_star, f_star_ground, rate_arrays
 from catcavity.dressed import GROUND, LadderTerm, _branch_sign, _require_resonance
+from catcavity.errors import ConsistencyError
 
 
 def f_star_ground_double_sum(p0, damping, t):
@@ -97,3 +99,15 @@ def apply_creation_dressed(frame, branch, n):
         LadderTerm(0.5 * (lo + s * hi), "+", n + 1),
         LadderTerm(0.5 * (lo - s * hi), "-", n + 1),
     ]
+
+
+def validate_density_matrix(rho):
+    """Raise ConsistencyError unless rho.matrix is Hermitian (to 1e-10), of
+    unit trace (to 1e-8) and positive (eigenvalues above -1e-8)."""
+    m = rho.matrix
+    if np.abs(m - m.conj().T).max() > 1e-10:
+        raise ConsistencyError("density matrix not Hermitian")
+    if abs(np.trace(m).real - 1.0) > 1e-8:
+        raise ConsistencyError("density matrix trace drifted")
+    if np.linalg.eigvalsh(m).min() < -1e-8:
+        raise ConsistencyError("density matrix not positive")

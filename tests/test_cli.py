@@ -1,7 +1,8 @@
-import numpy as np
+import warnings
+
 import pytest
 
-from catcavity import validation
+from catcavity import ValidityWarning, validation
 from catcavity.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -67,6 +68,36 @@ def test_fig3_emits_empty_cell_for_undefined_eta(tmp_path):
         assert rows[-1][1] != ""
 
 
+def test_fig3_gt_max_applies_to_every_preset(tmp_path):
+    code = main(["figure", "fig3", "--nb", "0.1", "--gt-max", "2",
+                 "--gt-step", "1", "--out", str(tmp_path)])
+    assert code == 0
+    for preset in ("benson97", "brune96"):
+        meta, _, rows = _read_csv(tmp_path / f"fig3_{preset}.csv")
+        assert "gt_max=2" in meta
+        assert len(rows) == 3
+
+
+def test_fig3_preset_writes_only_that_preset(tmp_path):
+    code = main(["figure", "fig3", "--nb", "0.1", "--preset", "brune96",
+                 "--gt-step", "5", "--out", str(tmp_path)])
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig3_brune96.csv"]
+    meta, _, rows = _read_csv(tmp_path / "fig3_brune96.csv")
+    assert "nbar=3.3" in meta and "gt_max=25" in meta
+    assert len(rows) == 6
+
+
+def test_nbar_flag_keeps_each_preset_window(tmp_path):
+    code = main(["figure", "fig3", "--nb", "0.1", "--nbar", "4",
+                 "--gt-step", "5", "--out", str(tmp_path)])
+    assert code == 0
+    for preset, rows_expected in (("benson97", 11), ("brune96", 6)):
+        meta, _, rows = _read_csv(tmp_path / f"fig3_{preset}.csv")
+        assert "nbar=4" in meta
+        assert len(rows) == rows_expected
+
+
 def test_csv_output_is_deterministic(tmp_path):
     args = ["figure", "fig1", "--nb", "0.1", "--gt-max", "2", "--gt-step", "0.5"]
     main(args + ["--out", str(tmp_path / "a")])
@@ -102,6 +133,12 @@ def test_validate_fast_passes(capsys):
     assert code == 0
     assert "PASS" in out
     assert "FAIL" not in out
+
+
+def test_validate_emits_no_validity_warning(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ValidityWarning)
+        assert main(["validate"]) == 0
 
 
 def test_validate_reports_failed_check(monkeypatch, capsys):

@@ -15,6 +15,7 @@ from catcavity import (
 )
 from catcavity import oracle
 from catcavity.damping import f_star, offdiag_decay
+from references import validate_density_matrix
 
 
 def _dense_rhs(rho, jc, damping, trunc):
@@ -110,7 +111,7 @@ def test_cat_state_vector_norm_and_parity():
 
 def test_initial_state_is_valid_density_matrix():
     rho0 = oracle.build_initial_state(CatSpec(intensity=3.0), 32)
-    rho0.validate()
+    validate_density_matrix(rho0)
     # atom starts excited
     diag = np.diag(rho0.matrix).real
     assert diag[0::2].sum() == pytest.approx(1.0, abs=1e-12)
@@ -213,6 +214,35 @@ def test_w_frame_diagonal_matches_f_star_at_zero_temperature():
         assert np.abs(obs.f[i] - ref[:trunc]).max() < 1e-3
 
 
+def test_observables_match_w_frame_read():
+    # the bare-basis reads equal the dressed-frame elements of to_w_frame on
+    # a coupled, damped, thermal trajectory with Fock coherences
+    trunc = 16
+    jc = JCParams(g=36000.0)
+    damping = DampingParams(kappa=250.0, n_thermal=0.1)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.3), trunc)
+    traj = oracle.integrate_trajectory(rho0, jc, damping,
+                                       np.linspace(0.0, 40.0 / jc.g, 7))
+    frame = build_dressed_frame(jc, trunc)
+    obs = oracle.oracle_observables(traj, frame)
+    plus = [oracle.plus_index(n) for n in range(trunc)]
+    minus = [oracle.minus_index(n) for n in range(trunc)]
+    ground, edge = oracle.ground_index(), oracle.edge_index(trunc)
+    _, rabi = oracle.dressed_basis(trunc)
+    for i, rho in enumerate(traj):
+        w = oracle.to_w_frame(rho, frame).matrix
+        # undo the Rabi phases: |n, +> = (psi_n^+ + psi_n^-) / sqrt(2)
+        ph = np.exp(1j * jc.g * rabi * rho.time)
+        d = ph.conj()[:, None] * w * ph[None, :]
+        p_plus = (0.5 * (d[plus, plus] + d[minus, minus]).real.sum()
+                  + d[plus, minus].real.sum() + d[edge, edge].real)
+        assert abs(obs.p_plus[i] - p_plus) < 1e-14
+        assert np.abs(obs.f[i] - (w[plus, plus] + w[minus, minus]).real).max() < 1e-14
+        assert abs(obs.f_ground[i] - 2.0 * w[ground, ground].real) < 1e-14
+        assert np.abs(obs.offdiag[i] - w[plus, minus]).max() < 1e-14
+    assert np.abs(obs.offdiag).max() > 1e-3
+
+
 def test_offdiag_decay_matches_oracle_in_secular_regime():
     trunc = 32
     jc = JCParams(g=36000.0)
@@ -297,7 +327,7 @@ def test_trace_drift_raises_cleanly():
     bad = oracle.DensityMatrix(matrix=rho0.matrix * 1.5, time=0.0,
                                truncation=trunc)
     with pytest.raises(Exception):
-        bad.validate()
+        validate_density_matrix(bad)
 
 
 def test_branch_coherence_starts_at_overlap_scale():

@@ -1,5 +1,5 @@
+import dataclasses
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from catcavity import (
     JCParams,
     ValidityWarning,
     coherent_distribution,
-    default_truncation,
     p_excited,
 )
 from catcavity.resummation import (
@@ -146,3 +145,16 @@ def test_strong_damping_warns():
     )
     with pytest.warns(ValidityWarning):
         resummed_p_excited(params, 1e-4)
+
+
+@pytest.mark.parametrize("field", ["nbar", "phase", "g"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_resum_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(_params(), **{field: value})
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, [0.0, math.nan]])
+def test_resummed_p_excited_rejects_non_finite_time(t):
+    with pytest.raises(ValueError):
+        resummed_p_excited(_params(), t)
