@@ -74,6 +74,10 @@ def _merge_settings(args, figure_id):
             "(0 for zero temperature, e.g. 0.1 for a cold microwave cavity) "
             "or set nb in the config file"
         )
+    if settings["preset"] is not None and settings["preset"] not in PRESETS:
+        raise ConfigurationError(
+            f"unknown preset {settings['preset']!r}; choose one of "
+            + ", ".join(sorted(PRESETS)))
     return settings
 
 
@@ -196,7 +200,11 @@ def run_validate(level):
 
 
 def run_oracle(args):
-    """Integrate the master equation and dump observables in long format."""
+    """Integrate the master equation and dump observables in long format.
+
+    The `catcavity` logger records the truncation and the size of the one
+    block propagated (see `oracle.integrate_trajectory`).
+    """
     if args.nb is None:
         raise ConfigurationError(
             "thermal occupation nb is required and has no default; pass --nb"
@@ -204,14 +212,11 @@ def run_oracle(args):
     preset = PRESETS[args.preset]
     nbar = args.nbar if args.nbar is not None else 4.0
     trunc = default_truncation(nbar)
-    if trunc > 50:
-        print(f"warning: truncation {trunc} gives a "
-              f"{2 * (trunc + 1)}-dimensional state; this will be slow",
-              file=sys.stderr)
     t_max = args.t_max if args.t_max is not None else 0.5 / preset.kappa
     damping = DampingParams(kappa=preset.kappa, n_thermal=args.nb)
-    rho0 = oracle.build_initial_state(CatSpec(intensity=nbar, phase=args.phi),
-                                      trunc)
+    # every row below is a k = 0 read, so only that block is propagated
+    rho0 = oracle.dephased(oracle.build_initial_state(
+        CatSpec(intensity=nbar, phase=args.phi), trunc))
     times = np.linspace(0.0, t_max, args.samples)
     traj = oracle.integrate_trajectory(rho0, preset.jc(), damping, times)
     frame = build_dressed_frame(preset.jc(), trunc)

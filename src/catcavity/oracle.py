@@ -10,11 +10,20 @@ vectorization of rho.
 
 The coupling, the detuning and both dissipators conserve the coherence order
 k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
-(Buca & Prosen, NJP 14, 073007, 2012).  Sorted by k, the Liouvillian is
-block-diagonal with blocks of at most 4 N + 2 states, each propagated
-exactly with `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal.
-Appl. 31, 970, 2009).  Populations, P_+, P(s1, s2) and the dressed doublets
-live in k = 0; the Fock coherences of a cat fill k != 0.
+(Buca & Prosen, NJP 14, 073007, 2012); with the coupling off the atom pair
+(s_i, s_j) is conserved as well.  Sorted by these labels, the Liouvillian is
+block-diagonal with blocks of at most 4 N + 2 states.  Each block whose
+initial vector is non-zero is scattered straight from the Liouvillian's
+non-zeros into a dense array and propagated exactly with `scipy.linalg.expm`
+(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009).
+
+Populations, P_+, P(s1, s2) and the dressed doublets live in k = 0; the
+Fock coherences of a cat fill k != 0.  The k = 0 block is closed under
+conditioning on an atom outcome and re-injecting an excited atom, so
+`joint_probability_oracle` and the `catcavity oracle` command start from
+`dephased(rho0)` and propagate only that block.  `integrate_trajectory`
+itself propagates every filled block, and `branch_coherence_trajectory`
+(coupling off) the filled (k, +, +) blocks.
 
 The dressed-frame helpers rotate trajectories into W(t) = e^{iHt} rho e^{-iHt}
 (up to the common free phase), where only damping drives the dynamics; the
@@ -22,12 +31,14 @@ appendix equations of motion can then be checked as residuals against the
 ladder-coefficient transcription from `dressed`.
 """
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-# unused here: benchmarks/run.py --trace 1 wraps this name to count nfev
+# unused here: benchmarks/run.py --trace 1 wraps this name to count nfev;
+# delete it when the benchmark replaces that counter (ROADMAP item 4)
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 from scipy.special import gammaln
@@ -51,6 +62,8 @@ HERMITIAN_TOL = 1e-10
 #: Step lengths equal to this relative tolerance share one propagator.
 STEP_RTOL = 1e-12
 
+_LOG = logging.getLogger("catcavity")
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -58,15 +71,19 @@ class DensityMatrix:
 
     matrix: np.ndarray
     time: float
-    truncation: int
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2 * (self.truncation + 1),) * 2:
-            raise ValueError("matrix shape inconsistent with truncation")
-        m = m.copy()
+        m = np.array(self.matrix, dtype=complex)
+        dim = m.shape[0] if m.ndim == 2 else 0
+        if m.shape != (dim, dim) or dim < 2 or dim % 2:
+            raise ValueError("matrix must be square with an even dimension")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @property
+    def truncation(self):
+        """Largest photon number N of the basis, from the 2 (N + 1) rows."""
+        return self.matrix.shape[0] // 2 - 1
 
 
 @dataclass(frozen=True)
@@ -75,7 +92,10 @@ class WFrameMatrix:
 
     matrix: np.ndarray
     time: float
-    truncation: int
+
+    @property
+    def truncation(self):
+        return self.matrix.shape[0] // 2 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +150,7 @@ def build_initial_state(fieldspec, truncation):
             raise ValueError("amplitude vector length mismatch")
         rho_c = np.outer(amp, amp.conj())
     excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    return DensityMatrix(matrix=np.kron(rho_c, excited), time=0.0,
-                         truncation=truncation)
+    return DensityMatrix(matrix=np.kron(rho_c, excited), time=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +210,65 @@ def liouvillian(jc, damping, truncation, include_coupling=True):
     return lind.tocsr()
 
 
-def _coherence_order(truncation):
-    """Coherence order k = m_i - m_j of each entry of row-major vec(rho).
+def _block_labels(truncation, include_coupling=True):
+    """Block label of each entry of row-major vec(rho).
 
-    m = n + [s = +] is the excitation number of basis state |n, s>.  The
-    coupling, the detuning and both dissipators conserve k, so the
-    Liouvillian is block-diagonal once vec(rho) is sorted by it.
+    The label is the coherence order k = m_i - m_j of |n_i, s_i><n_j, s_j|,
+    with excitation number m = n + [s = +]; the coupling, the detuning and
+    both dissipators conserve it.  Without the coupling the atom states are
+    conserved too, and the label is 4 k + 2 s_i + s_j (s = 0 for +, 1 for
+    -).  Either way label < 0 exactly where k < 0, and the Liouvillian is
+    block-diagonal once vec(rho) is sorted by label.
     """
-    m = np.arange(2 * (truncation + 1)) // 2 + np.tile([1, 0], truncation + 1)
-    return (m[:, None] - m[None, :]).ravel()
+    s = np.arange(2 * (truncation + 1)) % 2
+    m = np.arange(2 * (truncation + 1)) // 2 + 1 - s
+    k = m[:, None] - m[None, :]
+    if include_coupling:
+        return k.ravel()
+    return (4 * k + 2 * s[:, None] + s[None, :]).ravel()
+
+
+def dephased(rho):
+    """rho with every entry of coherence order k != 0 set to zero.
+
+    Populations, P_+, P(s1, s2) and the dressed doublets read only k = 0,
+    and the k = 0 block evolves on its own, so a run that reads nothing
+    else gets the same numbers from the dephased state while propagating
+    one block instead of all of them.
+    """
+    keep = (_block_labels(rho.truncation) == 0).reshape(rho.matrix.shape)
+    return DensityMatrix(matrix=np.where(keep, rho.matrix, 0.0), time=rho.time)
+
+
+def _filled_blocks(lind, label, v0):
+    """Each block with label >= 0 whose part of v0 is non-zero, as
+    (indices, generator).
+
+    `indices` are the block's vec(rho) positions in ascending order, and
+    `generator` is the dense block of `lind` on them, scattered directly from
+    the non-zeros of `lind` (no sparse slicing of the full Liouvillian).
+    """
+    order = np.argsort(label, kind="stable")
+    upper = order[label[order] >= 0]
+    cuts = np.flatnonzero(np.diff(label[upper])) + 1
+    blocks = [b for b in np.split(upper, cuts) if v0[b].any()]
+    owner = np.full(label.size, -1)
+    local = np.zeros(label.size, dtype=int)
+    for i, b in enumerate(blocks):
+        owner[b] = i
+        local[b] = np.arange(b.size)
+    coo = lind.tocoo()
+    coo.sum_duplicates()
+    which = owner[coo.row]
+    keep = np.flatnonzero(which >= 0)
+    keep = keep[np.argsort(which[keep], kind="stable")]
+    edges = np.searchsorted(which[keep], np.arange(len(blocks) + 1))
+    rows, cols, data = local[coo.row[keep]], local[coo.col[keep]], coo.data[keep]
+    for i, b in enumerate(blocks):
+        nz = slice(edges[i], edges[i + 1])
+        gen = np.zeros((b.size, b.size), dtype=complex)
+        gen[rows[nz], cols[nz]] = data[nz]
+        yield b, gen
 
 
 def _step_groups(steps):
@@ -217,12 +286,11 @@ def integrate_trajectory(rho0, jc, damping, times, include_coupling=True):
     """Propagate the master equation exactly, returning a DensityMatrix at
     each time.
 
-    vec(rho) is split into coherence-order blocks (see `_coherence_order`).
-    Only the blocks with k >= 0 whose initial vector is non-zero are
-    propagated; block -k is filled as the conjugate transpose, which needs
-    rho0 to be Hermitian.  Each block gets one `scipy.linalg.expm` per
-    distinct step length and one mat-vec per sample.  Trace drift beyond
-    10*DEFAULT_TOL raises.
+    vec(rho) is split into blocks (see `_block_labels`).  Only the blocks
+    with k >= 0 whose initial vector is non-zero are propagated; block -k is
+    filled as the conjugate transpose, which needs rho0 to be Hermitian.
+    Each block gets one `scipy.linalg.expm` per distinct step length and one
+    mat-vec per sample.  Trace drift beyond 10*DEFAULT_TOL raises.
     """
     times = np.asarray(times, dtype=float)
     if times[0] < rho0.time or np.any(np.diff(times) < 0):
@@ -232,29 +300,26 @@ def integrate_trajectory(rho0, jc, damping, times, include_coupling=True):
         raise ConsistencyError("initial density matrix is not Hermitian")
     trunc = rho0.truncation
     dim = 2 * (trunc + 1)
-    k = _coherence_order(trunc)
-    perm = np.argsort(k, kind="stable")
-    upper = perm[k[perm] >= 0]
-    starts = np.searchsorted(k[upper], np.arange(k.max() + 2))
+    label = _block_labels(trunc, include_coupling)
     lind = liouvillian(jc, damping, trunc, include_coupling=include_coupling)
-    lind = lind[upper][:, upper]
     levels, step_index = _step_groups(np.diff(np.r_[rho0.time, times]))
 
-    y0 = m0.reshape(-1)[upper]
-    y = np.zeros((times.size, upper.size), dtype=complex)
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        v = y0[lo:hi]
-        if not v.any():
-            continue
-        props = expm(levels[:, None, None] * lind[lo:hi, lo:hi].toarray())
+    v0 = m0.reshape(-1)
+    out = np.zeros((times.size, dim * dim), dtype=complex)
+    sizes = []
+    for idx, gen in _filled_blocks(lind, label, v0):
+        props = expm(levels[:, None, None] * gen)
+        v = v0[idx]
+        block = np.empty((times.size, idx.size), dtype=complex)
         for i, j in enumerate(step_index):
             if j >= 0:
                 v = props[j] @ v
-            y[i, lo:hi] = v
-    out = np.zeros((times.size, dim * dim), dtype=complex)
-    out[:, upper] = y
+            block[i] = v
+        out[:, idx] = block
+        sizes.append(idx.size)
+    _LOG.info("oracle: truncation %d, propagated block sizes %s", trunc, sizes)
     out = out.reshape(times.size, dim, dim)
-    lower = (k < 0).reshape(dim, dim)
+    lower = (label < 0).reshape(dim, dim)
     out[:, lower] = out.transpose(0, 2, 1).conj()[:, lower]
 
     trace0 = np.trace(m0).real
@@ -264,7 +329,7 @@ def integrate_trajectory(rho0, jc, damping, times, include_coupling=True):
         if abs(drift) > 10.0 * DEFAULT_TOL:
             raise ConsistencyError(
                 f"trace drift {drift:.3e} beyond 10*DEFAULT_TOL")
-        traj.append(DensityMatrix(matrix=m, time=float(t), truncation=trunc))
+        traj.append(DensityMatrix(matrix=m, time=float(t)))
     return traj
 
 
@@ -327,7 +392,7 @@ def to_w_frame(rho, frame):
     dressed = u.T @ rho.matrix @ u
     phases = np.exp(1j * lam * rho.time)
     w = phases[:, None] * dressed * phases.conj()[None, :]
-    return WFrameMatrix(matrix=w, time=rho.time, truncation=rho.truncation)
+    return WFrameMatrix(matrix=w, time=rho.time)
 
 
 def dressed_annihilation(frame, truncation):
@@ -405,11 +470,10 @@ def condition_on_atom(rho, outcome):
     return block, float(np.trace(block).real)
 
 
-def reinject_excited(field_matrix, truncation, time):
+def reinject_excited(field_matrix, time):
     """Re-tensor a fresh excited atom onto an (unnormalized) field matrix."""
     excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    return DensityMatrix(matrix=np.kron(field_matrix, excited), time=time,
-                         truncation=truncation)
+    return DensityMatrix(matrix=np.kron(field_matrix, excited), time=time)
 
 
 def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
@@ -417,13 +481,15 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
 
     Atom 1 evolves with the field to t_A and is projected onto s1 (keeping
     the unnormalized weight); a fresh excited atom then evolves with the
-    conditioned field to t_B, where s2 is read off.
+    conditioned field to t_B, where s2 is read off.  Only the k = 0 part of
+    rho0 can reach that trace through conditioning and re-injection, so the
+    run starts from `dephased(rho0)` and propagates that block alone.
     """
-    rho_a = integrate_trajectory(rho0, jc, damping, [t_a])[-1]
+    rho_a = integrate_trajectory(dephased(rho0), jc, damping, [t_a])[-1]
     field, weight = condition_on_atom(rho_a, s1)
     if weight <= 0.0:
         return 0.0
-    rho_b0 = reinject_excited(field, rho0.truncation, rho_a.time)
+    rho_b0 = reinject_excited(field, rho_a.time)
     rho_b = integrate_trajectory(rho_b0, jc, damping, [t_b])[-1]
     _, joint = condition_on_atom(rho_b, s2)
     return joint

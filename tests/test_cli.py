@@ -1,8 +1,9 @@
+import logging
 import warnings
 
 import pytest
 
-from catcavity import ValidityWarning, validation
+from catcavity import ValidityWarning, default_truncation, validation
 from catcavity.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -127,6 +128,17 @@ def test_config_file_supplies_nb_and_cli_overrides(tmp_path):
     assert "nb=0.1" in meta
 
 
+def test_config_file_unknown_preset_is_a_configuration_error(tmp_path,
+                                                             capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[fig1]\nnb = 0.1\npreset = nosuch\n")
+    code = main(["figure", "fig1", "--config", str(cfg),
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert "unknown preset 'nosuch'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_validate_fast_passes(capsys):
     code = main(["validate", "--level", "fast"])
     out = capsys.readouterr().out
@@ -162,6 +174,19 @@ def test_oracle_dump(tmp_path):
     assert "f_ground" in names
     p0 = [float(r[2]) for r in rows if r[0] == "0" and r[1] == "p_plus"]
     assert p0 and p0[0] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_oracle_logs_truncation_and_k0_block(tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="catcavity")
+    code = main(["oracle", "--nbar", "1", "--nb", "0.1", "--t-max", "0.002",
+                 "--samples", "3", "--out", str(tmp_path)])
+    assert code == 0
+    trunc = default_truncation(1.0)
+    records = [r.getMessage() for r in caplog.records
+               if r.name == "catcavity"]
+    # one propagated block: k = 0, with 4 N + 2 states
+    assert records == [f"oracle: truncation {trunc}, propagated block "
+                       f"sizes [{4 * trunc + 2}]"]
 
 
 def test_oracle_requires_nb(capsys):

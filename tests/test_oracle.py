@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -12,9 +13,12 @@ from catcavity import (
     PhotonDistribution,
     build_dressed_frame,
     coherent_distribution,
+    default_truncation,
 )
 from catcavity import oracle
+from catcavity.cli import main
 from catcavity.damping import f_star, offdiag_decay
+from catcavity.presets import PRESETS
 from references import validate_density_matrix
 
 
@@ -81,15 +85,23 @@ def test_block_propagator_matches_dop853(include_coupling):
 
 
 def test_liouvillian_is_block_diagonal_in_coherence_order():
+    # labels are k with the coupling on and (k, s_i, s_j) with it off
     trunc = 5
-    lind = oracle.liouvillian(JCParams(g=3.0, detuning=0.7),
-                              DampingParams(kappa=0.4, n_thermal=0.3), trunc)
-    k = oracle._coherence_order(trunc)
-    perm = np.argsort(k, kind="stable")
-    permuted = lind[perm][:, perm].tocoo()
-    block = k[perm]
-    assert permuted.nnz == lind.nnz
-    assert np.array_equal(block[permuted.row], block[permuted.col])
+    k = oracle._block_labels(trunc)
+    for include_coupling in (True, False):
+        lind = oracle.liouvillian(JCParams(g=3.0, detuning=0.7),
+                                  DampingParams(kappa=0.4, n_thermal=0.3),
+                                  trunc, include_coupling=include_coupling)
+        label = oracle._block_labels(trunc, include_coupling)
+        coo = lind.tocoo()
+        assert np.array_equal(label[coo.row], label[coo.col])
+        assert np.array_equal(label < 0, k < 0)
+        assert all(np.unique(k[label == value]).size == 1
+                   for value in np.unique(label))
+    assert np.unique(label).size > np.unique(k).size
+    # the coupling moves weight between the atom sectors of one k
+    coupled = oracle.liouvillian(JCParams(g=3.0), None, trunc).tocoo()
+    assert not np.array_equal(label[coupled.row], label[coupled.col])
 
 
 def test_non_hermitian_initial_state_rejected():
@@ -98,9 +110,19 @@ def test_non_hermitian_initial_state_rejected():
                                       trunc)
     skewed = rho0.matrix.copy()
     skewed[0, 2] = 0.1
-    bad = oracle.DensityMatrix(matrix=skewed, time=0.0, truncation=trunc)
+    bad = oracle.DensityMatrix(matrix=skewed, time=0.0)
     with pytest.raises(ConsistencyError):
         oracle.integrate_trajectory(bad, JCParams(g=1.0), None, [0.0, 1.0])
+
+
+def test_density_matrix_truncation_follows_shape():
+    rho0 = oracle.build_initial_state(PhotonDistribution(np.eye(8)[1]), 7)
+    assert rho0.truncation == 7
+    assert oracle.to_w_frame(
+        rho0, build_dressed_frame(JCParams(g=1.0), 7)).truncation == 7
+    for shape in ((3, 3), (4, 6), (4,)):
+        with pytest.raises(ValueError):
+            oracle.DensityMatrix(matrix=np.zeros(shape), time=0.0)
 
 
 def test_cat_state_vector_norm_and_parity():
@@ -321,11 +343,71 @@ def test_joint_probability_oracle_consistency():
     assert pp + pm == pytest.approx(weight, abs=1e-7)
 
 
+def _joint_full_blocks(rho0, jc, damping, t_a, t_b, s1, s2):
+    """Joint probability with every block of rho0 propagated."""
+    rho_a = oracle.integrate_trajectory(rho0, jc, damping, [t_a])[-1]
+    field, _ = oracle.condition_on_atom(rho_a, s1)
+    rho_b0 = oracle.reinject_excited(field, rho_a.time)
+    rho_b = oracle.integrate_trajectory(rho_b0, jc, damping, [t_b])[-1]
+    return oracle.condition_on_atom(rho_b, s2)[1], rho_b0
+
+
+def test_joint_probability_oracle_matches_full_blocks(caplog):
+    # a phi != 0 cat fills every coherence order; the conditioned field of
+    # the full run keeps Fock coherences that the dephased run never forms
+    trunc = 16
+    jc = JCParams(g=24000.0, detuning=900.0)
+    damping = DampingParams(kappa=2500.0, n_thermal=0.1)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
+    t_a, t_b = 5.0 / jc.g, 12.0 / jc.g
+    off_k0 = oracle._block_labels(trunc) != 0
+    caplog.set_level(logging.INFO, logger="catcavity")
+    for s1 in "+-":
+        for s2 in "+-":
+            expected, rho_b0 = _joint_full_blocks(rho0, jc, damping, t_a, t_b,
+                                                  s1, s2)
+            assert np.abs(rho_b0.matrix.reshape(-1)[off_k0]).max() > 1e-3
+            caplog.clear()
+            got = oracle.joint_probability_oracle(rho0, jc, damping, t_a, t_b,
+                                                  s1, s2)
+            assert abs(got - expected) < 1e-12
+            assert 0.01 < got < 1.0
+            # one block, k = 0, of 4 N + 2 states per leg
+            assert [r.getMessage() for r in caplog.records] == [
+                f"oracle: truncation {trunc}, propagated block sizes "
+                f"[{4 * trunc + 2}]"] * 2
+
+
+def test_oracle_command_matches_full_block_observables(tmp_path):
+    nbar, phi, nb, t_max, samples = 2.0, 1.1, 0.1, 0.004, 5
+    code = main(["oracle", "--nbar", str(nbar), "--phi", str(phi),
+                 "--nb", str(nb), "--t-max", str(t_max),
+                 "--samples", str(samples), "--out", str(tmp_path)])
+    assert code == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "oracle.csv").read_text().splitlines()[2:]]
+    preset = PRESETS["benson97"]
+    trunc = default_truncation(nbar)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=nbar, phase=phi),
+                                      trunc)
+    traj = oracle.integrate_trajectory(
+        rho0, preset.jc(), DampingParams(kappa=preset.kappa, n_thermal=nb),
+        np.linspace(0.0, t_max, samples))
+    obs = oracle.oracle_observables(traj, build_dressed_frame(preset.jc(),
+                                                              trunc))
+    expected = []
+    for i, t in enumerate(obs.times):
+        expected.append([t, "p_plus", obs.p_plus[i]])
+        expected.append([t, "f_ground", obs.f_ground[i]])
+        expected += [[t, f"f_{n}", obs.f[i, n]] for n in range(trunc)]
+    assert rows == [[format(t, ".12g"), name, format(v, ".12g")]
+                    for t, name, v in expected]
+
+
 def test_trace_drift_raises_cleanly():
     trunc = 32
     rho0 = oracle.build_initial_state(coherent_distribution(1.0, trunc), trunc)
-    bad = oracle.DensityMatrix(matrix=rho0.matrix * 1.5, time=0.0,
-                               truncation=trunc)
+    bad = oracle.DensityMatrix(matrix=rho0.matrix * 1.5, time=0.0)
     with pytest.raises(Exception):
         validate_density_matrix(bad)
 
