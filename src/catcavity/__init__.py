@@ -9,10 +9,10 @@ truncated basis and exists to cross-check the closed forms.
 
 from .damping import (
     DampingParams,
+    doublet_decay_rate,
     f_star,
     f_star_ground,
     offdiag_decay,
-    rate_arrays,
 )
 from .dressed import (
     DressedFrame,
@@ -77,12 +77,12 @@ __all__ = [
     "conditioned_field",
     "decoherence_time",
     "default_truncation",
+    "doublet_decay_rate",
     "eta_correlation",
     "f_star",
     "f_star_ground",
     "offdiag_decay",
     "p_excited",
     "p_joint",
-    "rate_arrays",
     "resummed_p_excited",
 ]

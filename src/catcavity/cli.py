@@ -49,6 +49,21 @@ def _load_config_section(path, section):
     return dict(parser[section])
 
 
+def _check_numbers(values):
+    """Raise ConfigurationError unless each value set is finite and above
+    its lower bound (a closed bound is itself legal)."""
+    lows = {"nbar": (0.0, False), "nb": (0.0, True), "gt_max": (0.0, True),
+            "gt_step": (0.0, False), "t_max": (0.0, True),
+            "samples": (1, True)}
+    for name, value in values.items():
+        low, closed = lows.get(name, (-math.inf, True))
+        if value is None or (math.isfinite(value) and (
+                value >= low if closed else value > low)):
+            continue
+        rule = f" and {'>=' if closed else '>'} {low:g}" if name in lows else ""
+        raise ConfigurationError(f"{name} must be finite{rule}, got {value!r}")
+
+
 def _merge_settings(args, figure_id):
     """Defaults, then config-file section, then explicit CLI flags."""
     settings = {"preset": None, "nbar": None, "gt_max": None, "phi": 0.0,
@@ -60,7 +75,12 @@ def _merge_settings(args, figure_id):
                 settings[key] = raw[key]
         for key in ("nbar", "phi", "nb", "gt_max", "gt_step"):
             if key in raw:
-                settings[key] = float(raw[key])
+                try:
+                    settings[key] = float(raw[key])
+                except ValueError:
+                    raise ConfigurationError(
+                        f"{key} = {raw[key]!r} in {args.config} is not a "
+                        "number") from None
     for key in ("preset", "nbar", "phi", "nb", "gt_max", "gt_step", "out"):
         value = getattr(args, key)
         if value is not None:
@@ -74,6 +94,8 @@ def _merge_settings(args, figure_id):
             "(0 for zero temperature, e.g. 0.1 for a cold microwave cavity) "
             "or set nb in the config file"
         )
+    _check_numbers({key: settings[key]
+                    for key in ("nbar", "phi", "nb", "gt_max", "gt_step")})
     if settings["preset"] is not None and settings["preset"] not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {settings['preset']!r}; choose one of "
@@ -118,16 +140,11 @@ def _write_csv(path, metadata, header, rows):
 
 
 def _time_axis(settings, preset):
+    """(column name, column values, times in seconds) of a figure's axis."""
     gts = np.arange(0.0, settings["gt_max"] + 0.5 * settings["gt_step"],
                     settings["gt_step"])
-    return gts, gts / preset.g
-
-
-def _revival_rows(config, preset, settings):
-    gts, times = _time_axis(settings, preset)
-    axis = times if settings["si_times"] else gts
-    return zip(axis, p_excited(config, times),
-               p_joint(config, times, 2.0 * times, "+", "+"))
+    times = gts / preset.g
+    return ("t", times, times) if settings["si_times"] else ("gt", gts, times)
 
 
 def _field_configs(preset, settings):
@@ -143,9 +160,10 @@ def _field_configs(preset, settings):
 
 def _revival_figure(figure_id, preset, settings, out_dir):
     written = []
-    axis_name = "t" if settings["si_times"] else "gt"
+    axis_name, axis, times = _time_axis(settings, preset)
     for tag, config in _field_configs(preset, settings).items():
-        rows = _revival_rows(config, preset, settings)
+        rows = zip(axis, p_excited(config, times),
+                   p_joint(config, times, 2.0 * times, "+", "+"))
         path = out_dir / f"{figure_id}_{tag}.csv"
         meta = _metadata_line(figure_id, preset, settings, extra=f"field={tag}")
         _write_csv(path, meta, (axis_name, "P_plus", "P_plusplus"), rows)
@@ -154,10 +172,8 @@ def _revival_figure(figure_id, preset, settings, out_dir):
 
 
 def _eta_figure(preset, settings, out_dir):
-    axis_name = "t" if settings["si_times"] else "gt"
     configs = _field_configs(preset, settings)
-    gts, times = _time_axis(settings, preset)
-    axis = times if settings["si_times"] else gts
+    axis_name, axis, times = _time_axis(settings, preset)
     rows = zip(axis, eta_correlation(configs["coherent"], times),
                eta_correlation(configs["cat"], times))
     path = out_dir / f"fig3_{preset.name}.csv"
@@ -209,6 +225,8 @@ def run_oracle(args):
         raise ConfigurationError(
             "thermal occupation nb is required and has no default; pass --nb"
         )
+    _check_numbers({"nbar": args.nbar, "phi": args.phi, "nb": args.nb,
+                    "t_max": args.t_max, "samples": args.samples})
     preset = PRESETS[args.preset]
     nbar = args.nbar if args.nbar is not None else 4.0
     trunc = default_truncation(nbar)

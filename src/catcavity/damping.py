@@ -16,6 +16,9 @@ largest truncation N_max seen and is sliced to N x N per call; it keeps
 unitarity, 2 (1 - sum_n F*_n), and not from its alternating double-sum
 form, which loses ~15 digits near N = 120 (the test suite keeps that form
 as a small-truncation cross-check).
+
+The intra-doublet amplitudes decay as e^{-alpha_n t}; `doublet_decay_rate`
+is the one place alpha_n is written, for `observables` and `resummation` too.
 """
 
 import math
@@ -60,23 +63,11 @@ class DampingParams:
         return 1.0 / (2.0 * self.kappa)
 
 
-def rate_arrays(damping, truncation):
-    """Rates (alpha_n, beta_n, gamma_n) of the dressed-diagonal recurrence.
-
-    Arrays over n = 0..truncation; truncation = -1 gives the ground-sector
-    rates (alpha_{-1}, beta_{-1}, gamma_{-1}) = (2 kappa n_b,
-    2 kappa (n_b + 1), 0) as scalars.
-    """
+def doublet_decay_rate(damping, n):
+    """Decay rate alpha_n = 2 kappa (2 n_b (n + 1) + n + 1/2) of the
+    intra-doublet coherence at level n (an array of levels or a real nbar)."""
     k, nb = damping.kappa, damping.n_thermal
-    if truncation == -1:
-        return 2.0 * k * nb, 2.0 * k * (nb + 1.0), 0.0
-    if truncation < -1:
-        raise ValueError("truncation must be >= -1")
-    n = np.arange(truncation + 1)
-    alpha = 2.0 * k * (2.0 * nb * (n + 1.0) + n + 0.5)
-    beta = 2.0 * k * (nb + 1.0) * (n + 1.5)
-    gamma = 2.0 * k * nb * (n + 0.5)
-    return alpha, beta, gamma
+    return 2.0 * k * (2.0 * nb * (n + 1.0) + n + 0.5)
 
 
 def _probs_of(p0):
@@ -149,5 +140,5 @@ def offdiag_decay(p0, damping, t):
     probs = _probs_of(p0)
     if not 0.0 <= t < math.inf:
         raise ValueError("time must be finite and non-negative")
-    alpha, _, _ = rate_arrays(damping, probs.size - 1)
+    alpha = doublet_decay_rate(damping, np.arange(probs.size))
     return 0.5 * np.exp(-alpha * t) * probs

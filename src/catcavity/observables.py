@@ -14,7 +14,8 @@ from typing import Union
 
 import numpy as np
 
-from .damping import DampingParams, f_star, rate_arrays, unitarity_ground
+from .damping import (DampingParams, doublet_decay_rate, f_star,
+                      unitarity_ground)
 from .dressed import JCParams, _require_resonance
 from .errors import ConsistencyError, ValidityWarning
 from .states import (
@@ -86,31 +87,19 @@ class ConditionedField:
         return float(self.dist.sum())
 
 
-def _oscillation(probs, damping, g, t):
-    """Per-level oscillatory amplitudes e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n."""
-    n = np.arange(probs.size)
-    alpha, _, _ = rate_arrays(damping, probs.size - 1)
-    return np.exp(-alpha * t) * np.cos(2.0 * g * t * np.sqrt(n + 1.0)) * probs
-
-
 @dataclass(frozen=True)
 class _Passage:
     """One atom passage of duration t through a field with distribution p.
 
     f is F*_n(t) of p, osc the oscillation term and ground the clamped
-    unitarity value F*_{-1}(t).  Every observable is built from these.
+    unitarity value F*_{-1}(t), as `_passages` makes them.  Every
+    observable is built from these.
     """
 
     probs: np.ndarray
     f: np.ndarray
     osc: np.ndarray
     ground: float
-
-    @classmethod
-    def run(cls, probs, config, t):
-        f = f_star(probs, config.damping, t)
-        osc = _oscillation(probs, config.damping, config.jc.g, t)
-        return cls(probs, f, osc, unitarity_ground(probs, f))
 
     def p_plus(self):
         """P_+ for a normalized input field."""
@@ -136,6 +125,26 @@ class _Passage:
         return np.clip(dist, 0.0, None)
 
 
+def _passages(config):
+    """(probs, run): the initial distribution p_n and run(field, t), one
+    passage through a field with as many levels.
+
+    The oscillation term is e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n; alpha_n
+    and sqrt(n+1) are computed here once for every passage of a call.
+    """
+    probs = config.distribution().probs
+    n = np.arange(probs.size)
+    alpha = doublet_decay_rate(config.damping, n)
+    root = np.sqrt(n + 1.0)
+
+    def run(field, t):
+        f = f_star(field, config.damping, t)
+        osc = np.exp(-alpha * t) * np.cos(2.0 * config.jc.g * t * root) * field
+        return _Passage(field, f, osc, unitarity_ground(field, f))
+
+    return probs, run
+
+
 def _times(t):
     """t as a 1-d float array, checked finite and non-negative."""
     times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -155,9 +164,8 @@ def p_excited(config, t):
     Accepts a scalar or an array of times.
     """
     _require_resonance(config.jc)
-    probs = config.distribution().probs
-    times = _times(t)
-    out = np.array([_Passage.run(probs, config, ti).p_plus() for ti in times])
+    probs, run = _passages(config)
+    out = np.array([run(probs, ti).p_plus() for ti in _times(t)])
     if np.ndim(t) == 0:
         return float(out[0])
     return out
@@ -175,16 +183,16 @@ def conditioned_field(config, t_a, outcome):
     if not 0.0 <= t_a < math.inf:
         raise ValueError("time must be finite and non-negative")
     _check_outcome(outcome)
-    passage = _Passage.run(config.distribution().probs, config, t_a)
-    dist = passage.conditioned(outcome)
+    probs, run = _passages(config)
+    dist = run(probs, t_a).conditioned(outcome)
     return ConditionedField(dist=dist)
 
 
-def _joint(passage, config, tau, s1, s2):
+def _joint(passage, run, tau, s1, s2):
     """P(s1, s2) from the first atom's passage and the delay tau."""
     cond = passage.conditioned(s1)
     weight = float(cond.sum())
-    joint_plus = _Passage.run(cond, config, tau).joint_plus()
+    joint_plus = run(cond, tau).joint_plus()
     return joint_plus if s2 == "+" else weight - joint_plus
 
 
@@ -203,10 +211,9 @@ def p_joint(config, t_a, t_b, s1, s2):
     t_a_arr, t_b_arr = np.broadcast_arrays(_times(t_a), _times(t_b))
     if not np.all(t_a_arr <= t_b_arr):
         raise ValueError("need 0 <= t_A <= t_B < inf")
-    probs = config.distribution().probs
-    out = np.array([
-        _joint(_Passage.run(probs, config, ta), config, tb - ta, s1, s2)
-        for ta, tb in zip(t_a_arr, t_b_arr)])
+    probs, run = _passages(config)
+    out = np.array([_joint(run(probs, ta), run, tb - ta, s1, s2)
+                    for ta, tb in zip(t_a_arr, t_b_arr)])
     if np.ndim(t_a) == 0 and np.ndim(t_b) == 0:
         return float(out[0])
     return out
@@ -220,17 +227,17 @@ def eta_correlation(config, t):
     gives None, an array of times NaN at those entries.
     """
     _require_resonance(config.jc)
-    probs = config.distribution().probs
+    probs, run = _passages(config)
     times = _times(t)
     out = np.full(times.size, np.nan)
     for i, ti in enumerate(times):
-        passage = _Passage.run(probs, config, ti)
+        passage = run(probs, ti)
         p_plus = float(passage.p_plus())
         p_minus = 1.0 - p_plus
         if p_plus < ETA_EPSILON or p_minus < ETA_EPSILON:
             continue
-        ppp = _joint(passage, config, ti, "+", "+")
-        pmp = _joint(passage, config, ti, "-", "+")
+        ppp = _joint(passage, run, ti, "+", "+")
+        pmp = _joint(passage, run, ti, "-", "+")
         out[i] = ppp / p_plus - pmp / p_minus
     if np.ndim(t) == 0:
         return None if math.isnan(out[0]) else float(out[0])

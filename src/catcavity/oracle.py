@@ -6,7 +6,8 @@ that removes omega (a* a + sigma_z / 2): at resonance the remaining
 Hamiltonian is the bare coupling g (a sigma_+ + a* sigma_-), and the
 (unspecified) optical frequency cancels from every observable.  The
 Liouvillian is assembled once as a sparse matrix acting on the row-major
-vectorization of rho.
+vectorization of rho, with the dissipator written once as a sum over its two
+jumps; jc=None switches the coupling off and damping=None the dissipator.
 
 The coupling, the detuning and both dissipators conserve the coherence order
 k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
@@ -23,12 +24,13 @@ conditioning on an atom outcome and re-injecting an excited atom, so
 `joint_probability_oracle` and the `catcavity oracle` command start from
 `dephased(rho0)` and propagate only that block.  `integrate_trajectory`
 itself propagates every filled block, and `branch_coherence_trajectory`
-(coupling off) the filled (k, +, +) blocks.
+(jc=None) the filled (k, +, +) blocks.
 
 The dressed-frame helpers rotate trajectories into W(t) = e^{iHt} rho e^{-iHt}
 (up to the common free phase), where only damping drives the dynamics; the
 appendix equations of motion can then be checked as residuals against the
-ladder-coefficient transcription from `dressed`.
+ladder-coefficient transcription from `dressed`, with a dissipator of their
+own that does not share code with `liouvillian`.
 """
 
 import logging
@@ -41,17 +43,15 @@ import scipy.sparse as sp
 # delete it when the benchmark replaces that counter (ROADMAP item 4)
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
-from scipy.special import gammaln
 
 from .dressed import (
     GROUND,
-    JCParams,
     _require_resonance,
     apply_annihilation_dressed,
     build_dressed_frame,
 )
 from .errors import ConsistencyError, DegenerateCatError, TruncationError
-from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution
+from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution, _log_poisson
 
 #: Trace drift beyond 10 * DEFAULT_TOL raises ConsistencyError.
 DEFAULT_TOL = 1e-8
@@ -104,12 +104,7 @@ class WFrameMatrix:
 
 def coherent_state_vector(intensity, truncation):
     """Fock amplitudes of |z> with z = sqrt(intensity) (real)."""
-    n = np.arange(truncation + 1)
-    if intensity == 0.0:
-        amp = np.zeros(truncation + 1)
-        amp[0] = 1.0
-        return amp.astype(complex)
-    log_amp = 0.5 * (n * math.log(intensity) - intensity - gammaln(n + 1.0))
+    log_amp = 0.5 * _log_poisson(intensity, np.arange(truncation + 1))
     return np.exp(log_amp).astype(complex)
 
 
@@ -149,81 +144,66 @@ def build_initial_state(fieldspec, truncation):
         if amp.size != truncation + 1:
             raise ValueError("amplitude vector length mismatch")
         rho_c = np.outer(amp, amp.conj())
-    excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    return DensityMatrix(matrix=np.kron(rho_c, excited), time=0.0)
+    return reinject_excited(rho_c, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # Liouvillian and integration
 # ---------------------------------------------------------------------------
 
-def _field_annihilation(truncation):
-    return np.diag(np.sqrt(np.arange(1, truncation + 1)), 1)
-
-
-def _left(op):
-    """Superoperator for op @ rho under row-major vectorization."""
-    dim = op.shape[0]
-    return sp.kron(sp.csr_matrix(op), sp.identity(dim, format="csr"), format="csr")
-
-
-def _right(op):
-    """Superoperator for rho @ op under row-major vectorization."""
-    dim = op.shape[0]
-    return sp.kron(sp.identity(dim, format="csr"), sp.csr_matrix(op.T), format="csr")
-
-
-def liouvillian(jc, damping, truncation, include_coupling=True):
+def liouvillian(jc, damping, truncation):
     """Sparse interaction-picture Liouvillian on vec(rho).
 
-    drho/dt = i [rho, H'] - kappa (n_b+1) (a*a rho + rho a*a - 2 a rho a*)
-                          - kappa n_b   (a a* rho + rho a a* - 2 a* rho a)
+    drho/dt = i [rho, H'] + sum_(rate, J) rate (2 J rho J* - J*J rho - rho J*J)
 
-    with H' = (detuning/2) sigma_z + g (a sigma_+ + a* sigma_-).  Setting
-    include_coupling=False drops H' entirely (field-only decay; used for
-    pure-decoherence runs).  damping=None runs the undamped limit, which
-    DampingParams itself excludes.
+    with H' = (detuning/2) sigma_z + g (a sigma_+ + a* sigma_-) and the jumps
+    (rate, J) = (kappa (n_b + 1), a) and (kappa n_b, a*).  Under row-major
+    vectorization the sandwich A rho B is kron(A, B^T).  jc=None drops H'
+    (field-only decay, for pure-decoherence runs) and damping=None drops the
+    dissipator (the undamped limit, which DampingParams itself excludes).
     """
-    a_f = _field_annihilation(truncation)
-    eye_f = np.eye(truncation + 1)
-    sigma_p = np.array([[0.0, 1.0], [0.0, 0.0]])
-    sigma_m = sigma_p.T
-    sigma_z = np.diag([1.0, -1.0])
+    dim = 2 * (truncation + 1)
+    a_f = np.diag(np.sqrt(np.arange(1, truncation + 1)), 1)
+    eye = np.eye(dim)
 
-    a = np.kron(a_f, np.eye(2))
-    ad = a.conj().T
+    def sandwich(left, right):
+        return sp.kron(sp.csr_matrix(left), sp.csr_matrix(right.T),
+                       format="csr")
 
-    lind = sp.csr_matrix((4 * (truncation + 1) ** 2,) * 2, dtype=complex)
-    if include_coupling:
-        h = jc.g * (np.kron(a_f, sigma_p) + np.kron(a_f.conj().T, sigma_m))
-        h = h + 0.5 * jc.detuning * np.kron(eye_f, sigma_z)
-        lind = lind + 1j * (_right(h) - _left(h))
-
+    lind = sp.csr_matrix((dim * dim,) * 2, dtype=complex)
+    if jc is not None:
+        sigma_p = np.array([[0.0, 1.0], [0.0, 0.0]])
+        h = jc.g * (np.kron(a_f, sigma_p) + np.kron(a_f.T, sigma_p.T))
+        h = h + 0.5 * jc.detuning * np.kron(np.eye(truncation + 1),
+                                            np.diag([1.0, -1.0]))
+        lind = lind + 1j * (sandwich(eye, h) - sandwich(h, eye))
     if damping is None:
-        return lind.tocsr()
+        return lind
+    a = np.kron(a_f, np.eye(2))  # real, so a* = a^T
     k, nb = damping.kappa, damping.n_thermal
-    ada = ad @ a
-    aad = a @ ad
-    lind = lind - k * (nb + 1.0) * (_left(ada) + _right(ada) - 2.0 * _left(a) @ _right(ad))
-    if nb > 0:
-        lind = lind - k * nb * (_left(aad) + _right(aad) - 2.0 * _left(ad) @ _right(a))
-    return lind.tocsr()
+    for rate, jump in ((k * (nb + 1.0), a), (k * nb, a.T)):
+        if rate > 0:
+            number = jump.T @ jump
+            lind = lind - rate * (sandwich(number, eye) + sandwich(eye, number)
+                                  - 2.0 * sandwich(jump, jump.T))
+    return lind
 
 
-def _block_labels(truncation, include_coupling=True):
+def _block_labels(truncation, jc):
     """Block label of each entry of row-major vec(rho).
 
     The label is the coherence order k = m_i - m_j of |n_i, s_i><n_j, s_j|,
     with excitation number m = n + [s = +]; the coupling, the detuning and
-    both dissipators conserve it.  Without the coupling the atom states are
-    conserved too, and the label is 4 k + 2 s_i + s_j (s = 0 for +, 1 for
-    -).  Either way label < 0 exactly where k < 0, and the Liouvillian is
-    block-diagonal once vec(rho) is sorted by label.
+    both dissipators conserve it.  With the coupling off (jc=None) the atom
+    states are conserved too, and the label is 4 k + 2 s_i + s_j (s = 0 for
+    +, 1 for -), so label // 4 is k.  Either way label < 0 exactly where
+    k < 0, and the Liouvillian is block-diagonal once vec(rho) is sorted by
+    label.
     """
     s = np.arange(2 * (truncation + 1)) % 2
     m = np.arange(2 * (truncation + 1)) // 2 + 1 - s
     k = m[:, None] - m[None, :]
-    if include_coupling:
+    if jc is not None:
         return k.ravel()
     return (4 * k + 2 * s[:, None] + s[None, :]).ravel()
 
@@ -236,7 +216,8 @@ def dephased(rho):
     else gets the same numbers from the dephased state while propagating
     one block instead of all of them.
     """
-    keep = (_block_labels(rho.truncation) == 0).reshape(rho.matrix.shape)
+    k = _block_labels(rho.truncation, None) // 4
+    keep = (k == 0).reshape(rho.matrix.shape)
     return DensityMatrix(matrix=np.where(keep, rho.matrix, 0.0), time=rho.time)
 
 
@@ -282,9 +263,10 @@ def _step_groups(steps):
     return ranked[new], index
 
 
-def integrate_trajectory(rho0, jc, damping, times, include_coupling=True):
+def integrate_trajectory(rho0, jc, damping, times):
     """Propagate the master equation exactly, returning a DensityMatrix at
-    each time.
+    each time; jc=None or damping=None drops the coupling or the dissipator
+    (see `liouvillian`).
 
     vec(rho) is split into blocks (see `_block_labels`).  Only the blocks
     with k >= 0 whose initial vector is non-zero are propagated; block -k is
@@ -300,8 +282,8 @@ def integrate_trajectory(rho0, jc, damping, times, include_coupling=True):
         raise ConsistencyError("initial density matrix is not Hermitian")
     trunc = rho0.truncation
     dim = 2 * (trunc + 1)
-    label = _block_labels(trunc, include_coupling)
-    lind = liouvillian(jc, damping, trunc, include_coupling=include_coupling)
+    label = _block_labels(trunc, jc)
+    lind = liouvillian(jc, damping, trunc)
     levels, step_index = _step_groups(np.diff(np.r_[rho0.time, times]))
 
     v0 = m0.reshape(-1)
@@ -613,8 +595,7 @@ def branch_coherence_trajectory(spec, damping, times, truncation):
     the cross-branch overlap isolates environment-induced decoherence.
     """
     rho0 = build_initial_state(spec, truncation)
-    traj = integrate_trajectory(rho0, JCParams(g=1.0), damping, times,
-                                include_coupling=False)
+    traj = integrate_trajectory(rho0, None, damping, times)
     out = np.empty(len(traj))
     for i, rho in enumerate(traj):
         field = rho.matrix[0::2, 0::2] + rho.matrix[1::2, 1::2]

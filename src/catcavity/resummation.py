@@ -12,10 +12,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .damping import DampingParams
+from .damping import DampingParams, doublet_decay_rate
 from .errors import ValidityWarning
+from .states import _log_poisson
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def fractional_poisson(nbar, x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise ValueError("argument must be non-negative")
-    out = np.exp(x * math.log(nbar) - nbar - gammaln(x + 1.0))
+    out = np.exp(_log_poisson(nbar, x))
     return float(out) if out.ndim == 0 else out
 
 
@@ -86,9 +86,7 @@ def resummed_p_excited(params, t):
     t = np.asarray(t, dtype=float)
     if not np.all((t >= 0) & (t < math.inf)):
         raise ValueError("time must be finite and non-negative")
-    k = params.damping.kappa
-    nb = params.damping.n_thermal
-    alpha_nbar = 2.0 * k * (2.0 * nb * (params.nbar + 1.0) + params.nbar + 0.5)
+    alpha_nbar = doublet_decay_rate(params.damping, params.nbar)
     if alpha_nbar > 0.1 * params.g:
         warnings.warn(
             f"alpha_nbar/g = {alpha_nbar / params.g:.3g}; the leading-order "
@@ -101,9 +99,7 @@ def resummed_p_excited(params, t):
     for nu in range(1, params.max_order + 1):
         waves = waves + revival_wave(params, nu, t)
         waves = waves - cos_phi * revival_wave(params, nu - 0.5, t)
-    ground = 0.5 * np.exp(-2.0 * k * nb * t)
-    prefactor = 0.5 * np.exp(
-        -2.0 * k * t * (2.0 * nb * (1.0 + params.nbar) + params.nbar + 0.5)
-    )
-    out = ground + prefactor * waves
+    ground = 0.5 * np.exp(-2.0 * params.damping.kappa
+                          * params.damping.n_thermal * t)
+    out = ground + 0.5 * np.exp(-alpha_nbar * t) * waves
     return float(out) if out.ndim == 0 else out

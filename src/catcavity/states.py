@@ -87,7 +87,8 @@ class PhotonDistribution:
 
 
 def _log_poisson(intensity, n):
-    """log of the Poisson pmf with mean `intensity` at integer points n."""
+    """log of the Poisson weight intensity^n e^{-intensity} / n! at points
+    n >= 0; a real n gives the Gamma-function continuation."""
     if intensity == 0.0:
         out = np.full(n.shape, -np.inf)
         out[n == 0] = 0.0

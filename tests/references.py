@@ -1,9 +1,9 @@
 """Reference forms that only the tests use.
 
-Independent evaluations the library itself does not need: the alternating
-double-sum form of F*_{-1}, finite-difference residuals of the F*_n
-recurrence, the creation-operator action on dressed states, and a
-density-matrix sanity check.
+Independent evaluations the library itself does not need: the rates of the
+F*_n recurrence, the alternating double-sum form of F*_{-1},
+finite-difference residuals of the F*_n recurrence, the creation-operator
+action on dressed states, and a density-matrix sanity check.
 """
 
 import math
@@ -11,9 +11,28 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from catcavity.damping import f_star, f_star_ground, rate_arrays
+from catcavity.damping import f_star, f_star_ground
 from catcavity.dressed import GROUND, LadderTerm, _branch_sign, _require_resonance
 from catcavity.errors import ConsistencyError
+
+
+def rate_arrays(damping, truncation):
+    """Rates (alpha_n, beta_n, gamma_n) of the dressed-diagonal recurrence.
+
+    Arrays over n = 0..truncation; truncation = -1 gives the ground-sector
+    rates (alpha_{-1}, beta_{-1}, gamma_{-1}) = (2 kappa n_b,
+    2 kappa (n_b + 1), 0) as scalars.
+    """
+    k, nb = damping.kappa, damping.n_thermal
+    if truncation == -1:
+        return 2.0 * k * nb, 2.0 * k * (nb + 1.0), 0.0
+    if truncation < -1:
+        raise ValueError("truncation must be >= -1")
+    n = np.arange(truncation + 1)
+    alpha = 2.0 * k * (2.0 * nb * (n + 1.0) + n + 0.5)
+    beta = 2.0 * k * (nb + 1.0) * (n + 1.5)
+    gamma = 2.0 * k * nb * (n + 0.5)
+    return alpha, beta, gamma
 
 
 def f_star_ground_double_sum(p0, damping, t):

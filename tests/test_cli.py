@@ -193,3 +193,22 @@ def test_oracle_requires_nb(capsys):
     code = main(["oracle", "--nbar", "1", "--t-max", "0.001"])
     assert code == 2
     assert "nb" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["figure", "fig1", "--nb", "0.1", "--gt-step", "0"],
+    ["figure", "fig1", "--nb", "0.1", "--gt-step", "-1"],
+    ["figure", "fig2", "--nb", "0.1", "--nbar", "-1"],
+    ["figure", "fig2", "--nb", "0.1", "--phi", "inf"],
+    ["figure", "fig2", "--config", "bad.ini"],
+    ["oracle", "--nb", "0.1", "--samples", "0"],
+    ["oracle", "--nb", "0.1", "--t-max", "-1"],
+    ["oracle", "--nb", "-0.1"],
+    ["oracle", "--nb", "nan"],
+])
+def test_malformed_number_is_an_input_error(tmp_path, capsys, argv):
+    (tmp_path / "bad.ini").write_text("[fig2]\nnb = 0.1\ngt_step = 0.1.2\n")
+    argv = [str(tmp_path / a) if a == "bad.ini" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()

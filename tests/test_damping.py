@@ -13,12 +13,15 @@ from catcavity import (
     coherent_distribution,
     f_star,
     offdiag_decay,
-    rate_arrays,
 )
 from catcavity import damping as damping_module
 from catcavity.damping import NEGATIVE_CLIP, f_star_ground
 from catcavity.presets import PRESETS
-from references import f_star_ground_double_sum, residual_diagnostics
+from references import (
+    f_star_ground_double_sum,
+    rate_arrays,
+    residual_diagnostics,
+)
 
 
 def _tridiagonal_reference(probs, damping, t):

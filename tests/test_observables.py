@@ -19,6 +19,9 @@ from catcavity import (
     p_excited,
     p_joint,
 )
+from catcavity import observables
+from catcavity.damping import f_star, unitarity_ground
+from references import rate_arrays
 
 
 @pytest.fixture
@@ -252,3 +255,41 @@ def test_p_joint_broadcasts_scalar_first_passage(benson_config):
 def test_p_joint_rejects_reversed_times_in_array(benson_config):
     with pytest.raises(ValueError):
         p_joint(benson_config, np.array([1e-5, 1e-4]), 5e-5, "+", "+")
+
+
+def _per_passage_rates(config):
+    """The passage with alpha_n (from `rate_arrays`) and sqrt(n+1) rebuilt
+    on every passage, as before they were computed once per call."""
+    def run(probs, t):
+        n = np.arange(probs.size)
+        alpha, _, _ = rate_arrays(config.damping, probs.size - 1)
+        osc = (np.exp(-alpha * t)
+               * np.cos(2.0 * config.jc.g * t * np.sqrt(n + 1.0)) * probs)
+        f = f_star(probs, config.damping, t)
+        return observables._Passage(probs, f, osc, unitarity_ground(probs, f))
+
+    return config.distribution().probs, run
+
+
+@pytest.mark.parametrize("nb", [0.0, 0.13])
+def test_passage_bit_identical_to_per_passage_rates(monkeypatch, nb):
+    # the fig1 grid and fields: the figure CSVs stay byte-identical
+    preset = PRESETS["benson97"]
+    ts = np.arange(0.0, 50.0 + 0.05, 0.1) / preset.g
+    damping = DampingParams(kappa=preset.kappa, n_thermal=nb)
+    for field in (coherent_distribution(49.0, default_truncation(49.0)),
+                  CatSpec(intensity=49.0, phase=1.7)):
+        config = ExperimentConfig(jc=preset.jc(), damping=damping,
+                                  initial_field=field)
+
+        def curves():
+            return (p_excited(config, ts),
+                    p_joint(config, ts, 2.0 * ts, "+", "+"),
+                    eta_correlation(config, ts))
+
+        got = curves()
+        with monkeypatch.context() as patch:
+            patch.setattr(observables, "_passages", _per_passage_rates)
+            expected = curves()
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b, equal_nan=True)

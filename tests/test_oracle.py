@@ -23,43 +23,55 @@ from references import validate_density_matrix
 
 
 def _dense_rhs(rho, jc, damping, trunc):
+    """drho/dt from dense operator products; jc=None or damping=None drops
+    the coupling or the dissipator."""
     a_f = np.diag(np.sqrt(np.arange(1.0, trunc + 1)), 1)
     a = np.kron(a_f, np.eye(2))
     ad = a.conj().T
-    sigma_p = np.array([[0.0, 1.0], [0.0, 0.0]])
-    sigma_z = np.diag([1.0, -1.0])
-    h = jc.g * (np.kron(a_f, sigma_p) + np.kron(a_f.T, sigma_p.T))
-    h = h + 0.5 * jc.detuning * np.kron(np.eye(trunc + 1), sigma_z)
-    out = 1j * (rho @ h - h @ rho)
-    k, nb = damping.kappa, damping.n_thermal
-    ada, aad = ad @ a, a @ ad
-    out = out - k * (nb + 1.0) * (ada @ rho + rho @ ada - 2.0 * a @ rho @ ad)
-    out = out - k * nb * (aad @ rho + rho @ aad - 2.0 * ad @ rho @ a)
+    out = np.zeros_like(rho, dtype=complex)
+    if jc is not None:
+        sigma_p = np.array([[0.0, 1.0], [0.0, 0.0]])
+        sigma_z = np.diag([1.0, -1.0])
+        h = jc.g * (np.kron(a_f, sigma_p) + np.kron(a_f.T, sigma_p.T))
+        h = h + 0.5 * jc.detuning * np.kron(np.eye(trunc + 1), sigma_z)
+        out = out + 1j * (rho @ h - h @ rho)
+    if damping is not None:
+        k, nb = damping.kappa, damping.n_thermal
+        ada, aad = ad @ a, a @ ad
+        out = out - k * (nb + 1.0) * (ada @ rho + rho @ ada
+                                      - 2.0 * a @ rho @ ad)
+        out = out - k * nb * (aad @ rho + rho @ aad - 2.0 * ad @ rho @ a)
     return out
 
 
 def test_liouvillian_matches_dense_rhs():
+    # coupled and damped, uncoupled (jc=None) and undamped (damping=None)
     rng = np.random.default_rng(7)
     trunc = 5
     dim = 2 * (trunc + 1)
     jc = JCParams(g=3.0, detuning=0.7)
     damping = DampingParams(kappa=0.4, n_thermal=0.3)
-    lind = oracle.liouvillian(jc, damping, trunc)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = m + m.conj().T
-    expected = _dense_rhs(rho, jc, damping, trunc)
-    got = (lind @ rho.reshape(-1)).reshape(dim, dim)
-    assert np.abs(got - expected).max() < 1e-12
+    for gen_jc, gen_damping in ((jc, damping), (None, damping), (jc, None)):
+        lind = oracle.liouvillian(gen_jc, gen_damping, trunc)
+        expected = _dense_rhs(rho, gen_jc, gen_damping, trunc)
+        got = (lind @ rho.reshape(-1)).reshape(dim, dim)
+        assert np.abs(expected).max() > 1.0
+        assert np.abs(got - expected).max() < 1e-12
 
 
-def _dop853_reference(rho0, jc, damping, times, include_coupling):
-    """vec(rho) at each time from DOP853 on the full Liouvillian."""
-    lind = oracle.liouvillian(jc, damping, rho0.truncation,
-                              include_coupling=include_coupling)
+def _dop853_reference(rho0, jc, damping, times):
+    """vec(rho) at each time from DOP853 on the dense right-hand side."""
+    trunc = rho0.truncation
+    dim = 2 * (trunc + 1)
+
+    def rhs(_t, v):
+        return _dense_rhs(v.reshape(dim, dim), jc, damping, trunc).reshape(-1)
+
     distinct, inverse = np.unique(times, return_inverse=True)
-    sol = solve_ivp(lambda _t, v: lind @ v, (rho0.time, times[-1]),
-                    rho0.matrix.reshape(-1), method="DOP853", rtol=1e-12,
-                    atol=1e-15, t_eval=distinct)
+    sol = solve_ivp(rhs, (rho0.time, times[-1]), rho0.matrix.reshape(-1),
+                    method="DOP853", rtol=1e-12, atol=1e-15, t_eval=distinct)
     assert sol.success
     return sol.y.T[inverse]
 
@@ -73,13 +85,12 @@ def test_block_propagator_matches_dop853(include_coupling):
     base = oracle.coherent_state_vector(1.0, trunc)
     amp = base * (1.0 + np.exp(1j * phi) * (-1.0) ** np.arange(trunc + 1))
     rho0 = oracle.build_initial_state(amp / np.linalg.norm(amp), trunc)
-    jc = JCParams(g=1.3, detuning=0.4)
+    jc = JCParams(g=1.3, detuning=0.4) if include_coupling else None
     damping = DampingParams(kappa=0.2, n_thermal=0.15)
     times = np.array([0.3, 0.5, 0.5, 1.7, 2.0, 4.5])
-    traj = oracle.integrate_trajectory(rho0, jc, damping, times,
-                                       include_coupling=include_coupling)
+    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
     got = np.array([rho.matrix.reshape(-1) for rho in traj])
-    expected = _dop853_reference(rho0, jc, damping, times, include_coupling)
+    expected = _dop853_reference(rho0, jc, damping, times)
     assert [rho.time for rho in traj] == list(times)
     assert np.abs(got - expected).max() < 1e-9
 
@@ -87,18 +98,18 @@ def test_block_propagator_matches_dop853(include_coupling):
 def test_liouvillian_is_block_diagonal_in_coherence_order():
     # labels are k with the coupling on and (k, s_i, s_j) with it off
     trunc = 5
-    k = oracle._block_labels(trunc)
-    for include_coupling in (True, False):
-        lind = oracle.liouvillian(JCParams(g=3.0, detuning=0.7),
-                                  DampingParams(kappa=0.4, n_thermal=0.3),
-                                  trunc, include_coupling=include_coupling)
-        label = oracle._block_labels(trunc, include_coupling)
+    k = oracle._block_labels(trunc, JCParams(g=3.0))
+    for jc in (JCParams(g=3.0, detuning=0.7), None):
+        lind = oracle.liouvillian(jc, DampingParams(kappa=0.4, n_thermal=0.3),
+                                  trunc)
+        label = oracle._block_labels(trunc, jc)
         coo = lind.tocoo()
         assert np.array_equal(label[coo.row], label[coo.col])
         assert np.array_equal(label < 0, k < 0)
         assert all(np.unique(k[label == value]).size == 1
                    for value in np.unique(label))
     assert np.unique(label).size > np.unique(k).size
+    assert np.array_equal(label // 4, k)  # how `dephased` reads k
     # the coupling moves weight between the atom sectors of one k
     coupled = oracle.liouvillian(JCParams(g=3.0), None, trunc).tocoo()
     assert not np.array_equal(label[coupled.row], label[coupled.col])
@@ -184,8 +195,7 @@ def test_thermal_stationary_state():
     p0 = np.zeros(trunc + 1)
     p0[0] = 1.0
     rho0 = oracle.build_initial_state(PhotonDistribution(p0), trunc)
-    traj = oracle.integrate_trajectory(rho0, JCParams(g=1.0), damping,
-                                       [0.0, 3.0], include_coupling=False)
+    traj = oracle.integrate_trajectory(rho0, None, damping, [0.0, 3.0])
     diag = np.diag(traj[-1].matrix).real
     field = diag[0::2] + diag[1::2]
     nb = 0.4
@@ -197,8 +207,7 @@ def test_energy_decay_fixes_kappa_convention():
     trunc = 32
     damping = DampingParams(kappa=5.0)
     rho0 = oracle.build_initial_state(coherent_distribution(4.0, trunc), trunc)
-    traj = oracle.integrate_trajectory(rho0, JCParams(g=1.0), damping,
-                                       [0.0, 0.1], include_coupling=False)
+    traj = oracle.integrate_trajectory(rho0, None, damping, [0.0, 0.1])
     diag = np.diag(traj[-1].matrix).real
     mean = np.arange(trunc + 1) @ (diag[0::2] + diag[1::2])
     assert mean == pytest.approx(4.0 * math.exp(-1.0), abs=1e-9)
@@ -360,7 +369,7 @@ def test_joint_probability_oracle_matches_full_blocks(caplog):
     damping = DampingParams(kappa=2500.0, n_thermal=0.1)
     rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
     t_a, t_b = 5.0 / jc.g, 12.0 / jc.g
-    off_k0 = oracle._block_labels(trunc) != 0
+    off_k0 = oracle._block_labels(trunc, jc) != 0
     caplog.set_level(logging.INFO, logger="catcavity")
     for s1 in "+-":
         for s2 in "+-":
