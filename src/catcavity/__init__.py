@@ -14,12 +14,7 @@ from .damping import (
     f_star_ground,
     offdiag_decay,
 )
-from .dressed import (
-    DressedFrame,
-    JCParams,
-    apply_annihilation_dressed,
-    build_dressed_frame,
-)
+from .dressed import JCParams, apply_annihilation_dressed
 from .errors import (
     CatCavityError,
     ConfigurationError,
@@ -30,7 +25,6 @@ from .errors import (
     ValidityWarning,
 )
 from .observables import (
-    ConditionedField,
     ExperimentConfig,
     conditioned_field,
     decoherence_time,
@@ -53,12 +47,10 @@ from .states import (
 __all__ = [
     "CatCavityError",
     "CatSpec",
-    "ConditionedField",
     "ConfigurationError",
     "ConsistencyError",
     "DampingParams",
     "DegenerateCatError",
-    "DressedFrame",
     "ExperimentConfig",
     "ExperimentPreset",
     "JCParams",
@@ -70,7 +62,6 @@ __all__ = [
     "ValidityWarning",
     "apply_annihilation_dressed",
     "branch_overlap",
-    "build_dressed_frame",
     "cat_distribution",
     "cat_mean_photons",
     "coherent_distribution",

@@ -18,7 +18,6 @@ import numpy as np
 
 from . import oracle
 from .damping import DampingParams
-from .dressed import build_dressed_frame
 from .errors import ConfigurationError
 from .observables import ExperimentConfig, eta_correlation, p_excited, p_joint
 from .presets import PRESETS
@@ -62,6 +61,14 @@ def _check_numbers(values):
             continue
         rule = f" and {'>=' if closed else '>'} {low:g}" if name in lows else ""
         raise ConfigurationError(f"{name} must be finite{rule}, got {value!r}")
+
+
+def _check_cat(nbar, phi):
+    """Raise ConfigurationError if the cat at (nbar, phi) is degenerate."""
+    if CatSpec(intensity=nbar, phase=phi).is_degenerate:
+        raise ConfigurationError(
+            f"nbar = {nbar:g} and phi = {phi:g} give a degenerate cat: its "
+            "normalization 2 + 2 cos(phi) exp(-2 nbar) is too close to zero")
 
 
 def _merge_settings(args, figure_id):
@@ -186,17 +193,20 @@ def run_figure(figure_id, args):
     """Write the figure for each of its presets, or for the given one only;
     an unset nbar or gt_max falls back to each preset's own."""
     settings = _merge_settings(args, figure_id)
-    out_dir = Path(settings["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = ((settings["preset"],) if settings["preset"]
              else FIGURE_PRESETS[figure_id])
-    written = []
+    runs = []
     for name in names:
-        preset = PRESETS[name]
         local = dict(settings, preset=name)
         for key in ("nbar", "gt_max"):
             if local[key] is None:
-                local[key] = getattr(preset, key)
+                local[key] = getattr(PRESETS[name], key)
+        _check_cat(local["nbar"], local["phi"])
+        runs.append((PRESETS[name], local))
+    out_dir = Path(settings["out"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for preset, local in runs:
         if figure_id == "fig3":
             written += _eta_figure(preset, local, out_dir)
         else:
@@ -229,6 +239,7 @@ def run_oracle(args):
                     "t_max": args.t_max, "samples": args.samples})
     preset = PRESETS[args.preset]
     nbar = args.nbar if args.nbar is not None else 4.0
+    _check_cat(nbar, args.phi)
     trunc = default_truncation(nbar)
     t_max = args.t_max if args.t_max is not None else 0.5 / preset.kappa
     damping = DampingParams(kappa=preset.kappa, n_thermal=args.nb)
@@ -237,8 +248,7 @@ def run_oracle(args):
         CatSpec(intensity=nbar, phase=args.phi), trunc))
     times = np.linspace(0.0, t_max, args.samples)
     traj = oracle.integrate_trajectory(rho0, preset.jc(), damping, times)
-    frame = build_dressed_frame(preset.jc(), trunc)
-    obs = oracle.oracle_observables(traj, frame)
+    obs = oracle.oracle_observables(traj, preset.jc())
 
     out_dir = Path(args.out if args.out is not None else ".")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,12 +1,13 @@
 """Jaynes-Cummings dressed states: parameters and ladder actions.
 
 The dressed doublet at level n mixes the bare states |n+1, -> and |n, +>
-through the mixing angle theta_n.  The annihilation operator is exposed as
-coefficient lists on dressed states, the transcription of the dressed-frame
-equations of motion that the oracle checks; the coefficient formulas are
-only valid at resonance (theta = pi/4), where they take the form
-(sqrt(n) +/- sqrt(n+1))/2 and the squared coefficients reduce to
-Gamma_{+/-, n} = (sqrt(n+1) +/- sqrt(n))^2 / 4.
+through the mixing angle theta_n.  At resonance (theta = pi/4) the dressed
+frame is fixed by the coupling g alone, so every dressed-frame function
+takes the JCParams `jc` and nothing else.  The annihilation operator is
+exposed as coefficient lists on dressed states, the transcription of the
+dressed-frame equations of motion that the oracle checks; the coefficients
+(sqrt(n) +/- sqrt(n+1))/2 hold at resonance only, where their squares reduce
+to Gamma_{+/-, n} = (sqrt(n+1) +/- sqrt(n))^2 / 4.
 """
 
 import math
@@ -33,14 +34,6 @@ class JCParams:
             raise ValueError("coupling g must be positive")
 
 
-@dataclass(frozen=True)
-class DressedFrame:
-    """JC parameters and Fock truncation of a dressed-frame calculation."""
-
-    params: JCParams
-    truncation: int
-
-
 class LadderTerm(NamedTuple):
     """One component of a ladder-operator action on a dressed state."""
 
@@ -49,11 +42,14 @@ class LadderTerm(NamedTuple):
     level: int
 
 
-def build_dressed_frame(params, truncation):
-    """Dressed frame of `params` for doublets n = 0..truncation."""
+# kept only as the entry point benchmarks/workloads.py calls; ROADMAP item 4
+# deletes it with the benchmark's next change
+def build_dressed_frame(jc, truncation):
+    """`jc` itself, the whole dressed frame at resonance, once truncation
+    is checked to be at least 1."""
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
-    return DressedFrame(params=params, truncation=truncation)
+    return jc
 
 
 def _require_resonance(jc):
@@ -73,13 +69,13 @@ def _branch_sign(branch):
     raise ValueError(f"branch must be '+' or '-', got {branch!r}")
 
 
-def apply_annihilation_dressed(frame, branch, n):
+def apply_annihilation_dressed(jc, branch, n):
     """Expansion of a |psi_n^branch> over the level-(n-1) doublet.
 
     Level 0 maps into the ground sector: a |psi_0^+-> = (+-1/sqrt(2)) |0,->,
     and a annihilates the ground sector itself.
     """
-    _require_resonance(frame.params)
+    _require_resonance(jc)
     if branch == GROUND:
         return []
     if n < 0:

@@ -5,6 +5,8 @@ resonance.  Two-atom joint probabilities propagate the unnormalized
 conditioned field distribution through the elapsed time t_B - t_A, so
 P(s1, s2) summed over s2 recovers the single-atom probability P(s1)
 exactly (the formulas are a joint-probability decomposition).
+`conditioned_field` returns that distribution as a plain array whose sum is
+the probability of the outcome.
 """
 
 import math
@@ -43,6 +45,12 @@ class ExperimentConfig:
     truncation: int = 0
 
     def __post_init__(self):
+        if (isinstance(self.initial_field, PhotonDistribution)
+                and 0 < self.truncation != self.initial_field.truncation):
+            raise ValueError(
+                f"truncation {self.truncation} contradicts initial_field, "
+                f"a distribution truncated at "
+                f"{self.initial_field.truncation}")
         if self.truncation <= 0:
             if isinstance(self.initial_field, PhotonDistribution):
                 trunc = self.initial_field.truncation
@@ -68,23 +76,6 @@ class ExperimentConfig:
         if isinstance(self.initial_field, PhotonDistribution):
             return self.initial_field.mean()
         return cat_mean_photons(self.initial_field)
-
-
-@dataclass(frozen=True)
-class ConditionedField:
-    """Unnormalized field distribution after detecting one atom."""
-
-    dist: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.dist, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "dist", arr)
-
-    @property
-    def weight(self):
-        """Sum of the entries: the probability of the conditioning outcome."""
-        return float(self.dist.sum())
 
 
 @dataclass(frozen=True)
@@ -172,7 +163,8 @@ def p_excited(config, t):
 
 
 def conditioned_field(config, t_a, outcome):
-    """Unnormalized field distribution after detecting the atom as `outcome`.
+    """Unnormalized field distribution after detecting the atom as `outcome`,
+    an array over n = 0..truncation whose sum is the outcome's probability.
 
     The "+" branch is (1/2)[F*_n + e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n];
     the "-" branch is the complementary dressed-frame combination with the
@@ -184,8 +176,7 @@ def conditioned_field(config, t_a, outcome):
         raise ValueError("time must be finite and non-negative")
     _check_outcome(outcome)
     probs, run = _passages(config)
-    dist = run(probs, t_a).conditioned(outcome)
-    return ConditionedField(dist=dist)
+    return run(probs, t_a).conditioned(outcome)
 
 
 def _joint(passage, run, tau, s1, s2):

@@ -26,11 +26,13 @@ conditioning on an atom outcome and re-injecting an excited atom, so
 itself propagates every filled block, and `branch_coherence_trajectory`
 (jc=None) the filled (k, +, +) blocks.
 
-The dressed-frame helpers rotate trajectories into W(t) = e^{iHt} rho e^{-iHt}
-(up to the common free phase), where only damping drives the dynamics; the
-appendix equations of motion can then be checked as residuals against the
-ladder-coefficient transcription from `dressed`, with a dissipator of their
-own that does not share code with `liouvillian`.
+The dressed-frame helpers take the JCParams `jc`, which fixes the resonant
+dressed frame.  `to_w_frame` rotates a density matrix into the array
+W(t) = e^{iHt} rho e^{-iHt} (up to the common free phase), where only damping
+drives the dynamics; `w_equation_residuals` checks the appendix equations of
+motion on a window of samples against the ladder-coefficient transcription
+from `dressed`, with a dissipator of its own that does not share code with
+`liouvillian`.
 """
 
 import logging
@@ -44,12 +46,7 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
-from .dressed import (
-    GROUND,
-    _require_resonance,
-    apply_annihilation_dressed,
-    build_dressed_frame,
-)
+from .dressed import GROUND, _require_resonance, apply_annihilation_dressed
 from .errors import ConsistencyError, DegenerateCatError, TruncationError
 from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution, _log_poisson
 
@@ -83,18 +80,6 @@ class DensityMatrix:
     @property
     def truncation(self):
         """Largest photon number N of the basis, from the 2 (N + 1) rows."""
-        return self.matrix.shape[0] // 2 - 1
-
-
-@dataclass(frozen=True)
-class WFrameMatrix:
-    """W(t) in the dressed basis (ordering of `dressed_basis`)."""
-
-    matrix: np.ndarray
-    time: float
-
-    @property
-    def truncation(self):
         return self.matrix.shape[0] // 2 - 1
 
 
@@ -361,23 +346,22 @@ def dressed_basis(truncation):
     return u, rabi
 
 
-def to_w_frame(rho, frame):
-    """Rotate rho(t) into the dressed-basis W frame at t = rho.time.
+def to_w_frame(rho, jc):
+    """W(t) of rho(t) at t = rho.time, as an array in the dressed basis
+    (the column order of `dressed_basis`).
 
     At resonance W(t) = e^{iHt} rho(t) e^{-iHt} reduces, in the interaction
     picture, to conjugation by the diagonal phases e^{i g sqrt(n+1) t} of the
     coupling Hamiltonian.
     """
-    _require_resonance(frame.params)
+    _require_resonance(jc)
     u, rabi = dressed_basis(rho.truncation)
-    lam = frame.params.g * rabi
     dressed = u.T @ rho.matrix @ u
-    phases = np.exp(1j * lam * rho.time)
-    w = phases[:, None] * dressed * phases.conj()[None, :]
-    return WFrameMatrix(matrix=w, time=rho.time)
+    phases = np.exp(1j * (jc.g * rabi) * rho.time)
+    return phases[:, None] * dressed * phases.conj()[None, :]
 
 
-def dressed_annihilation(frame, truncation):
+def dressed_annihilation(jc, truncation):
     """Matrix of a in the dressed basis, built from the ladder coefficients.
 
     Bulk columns come from the resonant relations of `dressed`; the two
@@ -394,7 +378,7 @@ def dressed_annihilation(frame, truncation):
 
     for n in range(truncation):
         for branch, col in (("+", plus_index(n)), ("-", minus_index(n))):
-            for term in apply_annihilation_dressed(frame, branch, n):
+            for term in apply_annihilation_dressed(jc, branch, n):
                 a_d[row_of(term), col] = term.coefficient
     # a |N, +> = sqrt(N) |N-1, +> = sqrt(N/2) (|psi_{N-1}^+> + |psi_{N-1}^->)
     root = math.sqrt(truncation / 2.0)
@@ -422,14 +406,14 @@ class OracleObservables:
     offdiag: np.ndarray
 
 
-def oracle_observables(trajectory, frame):
+def oracle_observables(trajectory, jc):
     """P_+, dressed F_n, F_{-1} and off-diagonals per sample, read from the
     bare density matrix.  With a = |n, +>, b = |n+1, -> and
     psi_n^{+/-} = (a +/- b) / sqrt(2): F_n = rho_aa + rho_bb,
     F_{-1} = 2 rho(|0, ->), P_+ = sum_n rho(|n, +>) and <psi_n^+|W|psi_n^->
     = (1/2) e^{2 i g sqrt(n+1) t} (rho_aa - rho_bb + rho_ba - rho_ab).
     """
-    _require_resonance(frame.params)
+    _require_resonance(jc)
     trunc = trajectory[0].truncation
     times = np.array([r.time for r in trajectory])
     rho = np.stack([r.matrix for r in trajectory])
@@ -437,7 +421,7 @@ def oracle_observables(trajectory, frame):
     a = 2 * np.arange(trunc)  # |n, +>
     b = a + 3                 # |n+1, ->
     rho_aa, rho_bb = diag[:, a], diag[:, b]
-    phases = np.exp(2j * frame.params.g * np.sqrt(np.arange(1.0, trunc + 1.0))
+    phases = np.exp(2j * jc.g * np.sqrt(np.arange(1.0, trunc + 1.0))
                     * times[:, None])
     offd = 0.5 * phases * (rho_aa - rho_bb + rho[:, b, a] - rho[:, a, b])
     return OracleObservables(times=times, p_plus=diag[:, 0::2].sum(axis=1),
@@ -481,95 +465,53 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
 # appendix equation residuals
 # ---------------------------------------------------------------------------
 
-def w_equation_residuals(trajectory, frame, damping, dt):
-    """Residuals of the dressed-frame equations of motion along a W trajectory.
+def w_equation_residuals(window, jc, damping, dt):
+    """Largest residual of the dressed-frame equations of motion on a window
+    of samples, and the largest |W| entry it saw.
 
-    `trajectory` is a list of WFrameMatrix sampled at uniform spacing dt with
-    dt * g < 0.1.  Time derivatives use a fourth-order centered stencil, so
+    `window` is a list of DensityMatrix samples at uniform spacing dt with
+    dt * g < 0.1, as `integrate_trajectory` returns them; each is rotated by
+    `to_w_frame`.  Time derivatives use a fourth-order centered stencil, so
     residuals exist at interior samples 2..len-3.  The right-hand side is the
     dissipator conjugated into the rotating dressed frame, assembled from the
     ladder-coefficient matrix of `dressed_annihilation` and the explicit
-    oscillatory phase factors; element families are reported separately:
+    oscillatory phase factors.  The residual is read on the doublet
+    diagonals, the intra-doublet off-diagonals <psi_n^+|W|psi_n^-> and the
+    ground sector.
 
-      diag_bulk    diagonal doublet elements, n >= 1
-      diag_ground  diagonal elements at n = 0 and the ground sector
-      offdiag_bulk intra-doublet off-diagonals, n >= 1
-      offdiag_n0   intra-doublet off-diagonal at n = 0
-
-    Returns a dict with the max absolute residual per family and `w_norm`,
-    the max absolute W element seen.
+    Returns (largest absolute residual, largest absolute W entry).
     """
-    if len(trajectory) < 5:
+    if len(window) < 5:
         raise ValueError("need at least 5 uniformly spaced samples")
-    trunc = trajectory[0].truncation
-    g = frame.params.g
-    if dt * g >= 0.1:
+    trunc = window[0].truncation
+    if dt * jc.g >= 0.1:
         raise ValueError("dt*g must be below 0.1 for the secular part")
     _, rabi = dressed_basis(trunc)
-    lam = g * rabi
-    a_base = dressed_annihilation(frame, trunc)
+    lam = jc.g * rabi
+    a_base = dressed_annihilation(jc, trunc)
     k, nb = damping.kappa, damping.n_thermal
+    w = [to_w_frame(rho, jc) for rho in window]
 
-    plus_rows = np.array([plus_index(n) for n in range(trunc)])
-    minus_rows = np.array([minus_index(n) for n in range(trunc)])
-    report = {key: 0.0 for key in
-              ("diag_bulk", "diag_ground", "offdiag_bulk", "offdiag_n0")}
-    w_norm = 0.0
-    for i in range(2, len(trajectory) - 2):
-        t = trajectory[i].time
-        w = trajectory[i].matrix
-        w_norm = max(w_norm, np.abs(w).max())
-        phases = np.exp(1j * lam * t)
+    plus, minus = plus_index(np.arange(trunc)), minus_index(np.arange(trunc))
+    rows = np.r_[plus, minus, ground_index(), plus]
+    cols = np.r_[plus, minus, ground_index(), minus]
+    worst = w_norm = 0.0
+    for i in range(2, len(w) - 2):
+        w_norm = max(w_norm, np.abs(w[i]).max())
+        phases = np.exp(1j * lam * window[i].time)
         a_t = phases[:, None] * a_base * phases.conj()[None, :]
         a_t_dag = a_t.conj().T
         num_low = a_t_dag @ a_t
-        rhs = -k * (nb + 1.0) * (num_low @ w + w @ num_low
-                                 - 2.0 * a_t @ w @ a_t_dag)
+        rhs = -k * (nb + 1.0) * (num_low @ w[i] + w[i] @ num_low
+                                 - 2.0 * a_t @ w[i] @ a_t_dag)
         if nb > 0:
             num_high = a_t @ a_t_dag
-            rhs = rhs - k * nb * (num_high @ w + w @ num_high
-                                  - 2.0 * a_t_dag @ w @ a_t)
-        wdot = (
-            -trajectory[i + 2].matrix + 8.0 * trajectory[i + 1].matrix
-            - 8.0 * trajectory[i - 1].matrix + trajectory[i - 2].matrix
-        ) / (12.0 * dt)
-        res = np.abs(wdot - rhs)
-        report["diag_bulk"] = max(
-            report["diag_bulk"],
-            res[plus_rows[1:], plus_rows[1:]].max(),
-            res[minus_rows[1:], minus_rows[1:]].max(),
-        )
-        report["diag_ground"] = max(
-            report["diag_ground"],
-            res[plus_rows[0], plus_rows[0]],
-            res[minus_rows[0], minus_rows[0]],
-            res[ground_index(), ground_index()],
-        )
-        report["offdiag_bulk"] = max(
-            report["offdiag_bulk"], res[plus_rows[1:], minus_rows[1:]].max()
-        )
-        report["offdiag_n0"] = max(
-            report["offdiag_n0"], res[plus_rows[0], minus_rows[0]]
-        )
-    report["w_norm"] = w_norm
-    return report
-
-
-def w_trajectory(rho0, jc, damping, center_times, dt):
-    """Sample 5-point W-frame stencils around each center time.
-
-    Returns a list of 5-sample W windows (one per center time), ready for
-    `w_equation_residuals`.
-    """
-    frame = build_dressed_frame(jc, rho0.truncation)
-    windows = []
-    for tc in center_times:
-        times = tc + dt * np.arange(-2.0, 3.0)
-        if times[0] < 0:
-            raise ValueError("stencil extends below t = 0")
-        traj = integrate_trajectory(rho0, jc, damping, times)
-        windows.append([to_w_frame(r, frame) for r in traj])
-    return windows
+            rhs = rhs - k * nb * (num_high @ w[i] + w[i] @ num_high
+                                  - 2.0 * a_t_dag @ w[i] @ a_t)
+        wdot = (-w[i + 2] + 8.0 * w[i + 1] - 8.0 * w[i - 1] + w[i - 2]) / (
+            12.0 * dt)
+        worst = max(worst, np.abs(wdot - rhs)[rows, cols].max())
+    return float(worst), float(w_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,12 @@ _TWO_PI = 2.0 * math.pi
 #: Largest admissible probability-mass loss to the truncated upper tail.
 MASS_TOLERANCE = 1e-10
 
+#: Largest admissible excess of the total probability over one (round-off).
+_SUM_SLACK = 1e-12
+
+#: Cat normalizations at or below this are refused (see CatSpec.is_degenerate).
+_DEGENERATE_NORM = 4.0 * np.finfo(float).eps / _SUM_SLACK
+
 
 def default_truncation(nbar):
     """Fock cutoff keeping at least 1 - 1e-10 of the photon mass at mean nbar."""
@@ -51,7 +57,19 @@ class CatSpec:
 
     @property
     def is_degenerate(self):
-        return self.normalization <= 1e-12
+        """True where rounding alone could break the cat's unit total.
+
+        Near phi = pi and small |z|^2 the normalization 2 + 2 cos(phi)
+        e^{-2|z|^2} and the parity weights it divides are differences of
+        O(1) terms, each off by about one machine epsilon, so every p_n and
+        their sum carry a relative error of about eps / normalization (a scan
+        over phi in pi +/- [0, 1e-2] and |z|^2 in [1e-13, 0.1] measured at
+        most 1.06 eps / normalization).  PhotonDistribution lets the sum
+        exceed one by 1e-12 at most, so a normalization below
+        eps / 1e-12 = 2.2e-4 can fail by rounding; the threshold keeps a
+        factor of four, 4 eps / 1e-12 = 8.9e-4.
+        """
+        return self.normalization <= _DEGENERATE_NORM
 
 
 @dataclass(frozen=True)
@@ -70,7 +88,7 @@ class PhotonDistribution:
                 f"retained mass {total:.15f} below 1 - {MASS_TOLERANCE:g}; "
                 "increase the truncation"
             )
-        if total > 1.0 + 1e-12:
+        if total > 1.0 + _SUM_SLACK:
             raise ValueError("probabilities sum above 1")
         probs = probs.copy()
         probs.flags.writeable = False

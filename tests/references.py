@@ -101,12 +101,12 @@ def residual_diagnostics(p0, damping, t, dt):
     return float(np.abs(residual).max()), float(ground_residual)
 
 
-def apply_creation_dressed(frame, branch, n):
+def apply_creation_dressed(jc, branch, n):
     """Expansion of a* |psi_n^branch> over the level-(n+1) doublet.
 
     From the ground sector, a* |0,-> = (|psi_0^+> - |psi_0^->) / sqrt(2).
     """
-    _require_resonance(frame.params)
+    _require_resonance(jc)
     if branch == GROUND:
         r = 1.0 / math.sqrt(2.0)
         return [LadderTerm(r, "+", 0), LadderTerm(-r, "-", 0)]

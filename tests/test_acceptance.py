@@ -18,7 +18,6 @@ from catcavity import (
     ExperimentConfig,
     JCParams,
     PRESETS,
-    build_dressed_frame,
     coherent_distribution,
     decoherence_time,
     default_truncation,
@@ -166,8 +165,7 @@ def test_criterion_6_w_equations_and_secular_envelope():
         jc_r = JCParams(g=kappa * ratio)
         traj = oracle.integrate_trajectory(
             oracle.build_initial_state(p0, trunc), jc_r, dmp0, times)
-        obs = oracle.oracle_observables(
-            traj, build_dressed_frame(jc_r, trunc))
+        obs = oracle.oracle_observables(traj, jc_r)
         devs.append(max(
             float(np.abs(obs.f[i] - f_star(p0, dmp0, t)[:trunc]).max())
             for i, t in enumerate(times)

@@ -205,6 +205,9 @@ def test_oracle_requires_nb(capsys):
     ["oracle", "--nb", "0.1", "--t-max", "-1"],
     ["oracle", "--nb", "-0.1"],
     ["oracle", "--nb", "nan"],
+    ["figure", "fig2", "--nb", "0.1", "--nbar", "1e-9",
+     "--phi", "3.141592653589793"],
+    ["oracle", "--nb", "0.1", "--nbar", "1e-9", "--phi", "3.141592653589793"],
 ])
 def test_malformed_number_is_an_input_error(tmp_path, capsys, argv):
     (tmp_path / "bad.ini").write_text("[fig2]\nnb = 0.1\ngt_step = 0.1.2\n")

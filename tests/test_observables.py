@@ -81,22 +81,22 @@ def test_conditioned_weights_partition_unity(benson_config):
         t = gt / benson_config.jc.g
         plus = conditioned_field(benson_config, t, "+")
         minus = conditioned_field(benson_config, t, "-")
-        assert plus.weight + minus.weight == pytest.approx(1.0, abs=1e-9)
-        assert plus.weight == pytest.approx(p_excited(benson_config, t),
-                                            abs=1e-9)
+        assert plus.sum() + minus.sum() == pytest.approx(1.0, abs=1e-9)
+        assert plus.sum() == pytest.approx(p_excited(benson_config, t),
+                                           abs=1e-9)
 
 
 def test_conditioned_field_is_nonnegative(benson_config):
     t = 13.0 / benson_config.jc.g
     for outcome in ("+", "-"):
         cond = conditioned_field(benson_config, t, outcome)
-        assert np.all(cond.dist >= 0.0)
+        assert np.all(cond >= 0.0)
 
 
 def test_conditioned_ground_outcome_at_t_zero(benson_config):
     # at t = 0 the atom is excited with certainty
     cond = conditioned_field(benson_config, 0.0, "-")
-    assert cond.weight == pytest.approx(0.0, abs=1e-12)
+    assert cond.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_joint_at_coincident_times_collapses(benson_config):
@@ -123,7 +123,7 @@ def test_joint_marginalizes_to_single_atom(benson_config):
     for s1 in "+-":
         marginal = (p_joint(benson_config, t_a, t_b, s1, "+")
                     + p_joint(benson_config, t_a, t_b, s1, "-"))
-        expected = conditioned_field(benson_config, t_a, s1).weight
+        expected = conditioned_field(benson_config, t_a, s1).sum()
         assert marginal == pytest.approx(expected, abs=1e-12)
 
 
@@ -197,10 +197,16 @@ def test_secular_ratio_warning():
     assert record[0].filename == __file__
 
 
-def test_truncation_resolved_from_field(benson_config):
+def test_truncation_resolved_from_field(benson_config, coherent_config):
     assert benson_config.truncation == default_truncation(
         benson_config.mean_photons()
     )
+    assert coherent_config.truncation == default_truncation(9.0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(jc=coherent_config.jc,
+                         damping=coherent_config.damping,
+                         initial_field=coherent_distribution(4.0, 32),
+                         truncation=10)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])

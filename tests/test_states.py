@@ -56,6 +56,21 @@ def test_degenerate_cat_rejected():
         cat_distribution(CatSpec(intensity=0.0, phase=math.pi), 32)
 
 
+def test_near_degenerate_cat_builds_or_is_refused():
+    # near phi = pi the normalization cancels to rounding; each cat must
+    # either build or raise DegenerateCatError, never a ValueError or
+    # TruncationError from PhotonDistribution's checks
+    offsets = [0.0] + [s * 10.0**e for e in range(-9, -1) for s in (1, -1)]
+    for offset in offsets:
+        for intensity in np.logspace(-13, -1, 121):
+            spec = CatSpec(intensity=float(intensity), phase=math.pi + offset)
+            try:
+                d = cat_distribution(spec, 32)
+            except DegenerateCatError:
+                continue
+            assert abs(d.probs.sum() - 1.0) <= 1e-12
+
+
 def test_cat_mean_at_zero_intensity():
     # even cat at zero intensity is the vacuum
     assert cat_mean_photons(CatSpec(intensity=0.0, phase=0.0)) == 0.0
