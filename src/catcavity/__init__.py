@@ -14,7 +14,7 @@ from .damping import (
     f_star_ground,
     offdiag_decay,
 )
-from .dressed import JCParams, apply_annihilation_dressed
+from .dressed import JCParams
 from .errors import (
     CatCavityError,
     ConfigurationError,
@@ -60,7 +60,6 @@ __all__ = [
     "TruncationError",
     "UnsupportedRegimeError",
     "ValidityWarning",
-    "apply_annihilation_dressed",
     "branch_overlap",
     "cat_distribution",
     "cat_mean_photons",

@@ -1,23 +1,23 @@
-"""Jaynes-Cummings dressed states: parameters and ladder actions.
+"""Jaynes-Cummings parameters and the resonant dressed frame.
 
 The dressed doublet at level n mixes the bare states |n+1, -> and |n, +>
 through the mixing angle theta_n.  At resonance (theta = pi/4) the dressed
-frame is fixed by the coupling g alone, so every dressed-frame function
-takes the JCParams `jc` and nothing else.  The annihilation operator is
-exposed as coefficient lists on dressed states, the transcription of the
-dressed-frame equations of motion that the oracle checks; the coefficients
-(sqrt(n) +/- sqrt(n+1))/2 hold at resonance only, where their squares reduce
-to Gamma_{+/-, n} = (sqrt(n+1) +/- sqrt(n))^2 / 4.
+states are psi_n^{+/-} = (|n, +> +/- |n+1, ->) / sqrt(2), fixed by the
+coupling g alone, so the dressed frame is written once here as two arrays:
+the basis `dressed_basis` and the annihilation operator
+`dressed_annihilation` in it.  The latter is built from the resonant ladder
+relations (Barnett & Knight, PRA 33, 2444, 1986), not by rotating the bare
+operator, so the oracle's equation-of-motion check against it stays
+independent; its squared coefficients reduce to
+Gamma_{+/-, n} = (sqrt(n+1) +/- sqrt(n))^2 / 4.
 """
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+
+import numpy as np
 
 from .errors import UnsupportedRegimeError
-
-#: Branch label of the ground sector |0, -> used in ladder terms.
-GROUND = "ground"
 
 
 @dataclass(frozen=True)
@@ -32,14 +32,6 @@ class JCParams:
             raise ValueError("g and detuning must be finite")
         if self.g <= 0:
             raise ValueError("coupling g must be positive")
-
-
-class LadderTerm(NamedTuple):
-    """One component of a ladder-operator action on a dressed state."""
-
-    coefficient: float
-    branch: str  # "+", "-" or GROUND
-    level: int
 
 
 # kept only as the entry point benchmarks/workloads.py calls; ROADMAP item 4
@@ -61,30 +53,54 @@ def _require_resonance(jc):
         )
 
 
-def _branch_sign(branch):
-    if branch == "+":
-        return 1.0
-    if branch == "-":
-        return -1.0
-    raise ValueError(f"branch must be '+' or '-', got {branch!r}")
+def dressed_basis(truncation):
+    """(U, rabi): the resonant dressed states as the columns of U over the
+    bare basis |n, s> (row 2 n for s = +, 2 n + 1 for s = -).
+
+    Column order: 0 is the ground state |0, ->; columns 1 + 2 n and 2 + 2 n
+    are psi_n^+ and psi_n^- for n = 0..N-1; the last column, 2 N + 1, is the
+    unpaired truncation-edge state |N, +>.  `rabi` holds the
+    interaction-picture eigenvalue of each column in units of g: 0, then
+    +sqrt(n+1) and -sqrt(n+1), then 0.
+    """
+    dim = 2 * (truncation + 1)
+    n = np.arange(truncation)
+    plus, minus = 1 + 2 * n, 2 + 2 * n
+    r = 1.0 / math.sqrt(2.0)
+    u = np.zeros((dim, dim))
+    u[1, 0] = 1.0                          # |0, ->
+    u[2 * n, plus] = u[2 * n, minus] = r   # |n, +>
+    u[2 * n + 3, plus] = r                 # |n+1, ->
+    u[2 * n + 3, minus] = -r
+    u[2 * truncation, dim - 1] = 1.0       # |N, +>
+    rabi = np.zeros(dim)
+    rabi[plus] = np.sqrt(n + 1.0)
+    rabi[minus] = -rabi[plus]
+    return u, rabi
 
 
-def apply_annihilation_dressed(jc, branch, n):
-    """Expansion of a |psi_n^branch> over the level-(n-1) doublet.
+def dressed_annihilation(jc, truncation):
+    """Matrix of a in the column order of `dressed_basis`, from the resonant
+    ladder relations
 
-    Level 0 maps into the ground sector: a |psi_0^+-> = (+-1/sqrt(2)) |0,->,
-    and a annihilates the ground sector itself.
+        a |psi_n^s> = (1/2)(sqrt(n) + s sqrt(n+1)) |psi_{n-1}^+>
+                      + (1/2)(sqrt(n) - s sqrt(n+1)) |psi_{n-1}^->,
+        a |psi_0^s> = (s / sqrt(2)) |0, ->,
+        a |N, +>    = sqrt(N / 2) (|psi_{N-1}^+> + |psi_{N-1}^->),
+
+    and a |0, -> = 0.
     """
     _require_resonance(jc)
-    if branch == GROUND:
-        return []
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    s = _branch_sign(branch)
-    if n == 0:
-        return [LadderTerm(s / math.sqrt(2.0), GROUND, -1)]
-    lo, hi = math.sqrt(n), math.sqrt(n + 1.0)
-    return [
-        LadderTerm(0.5 * (lo + s * hi), "+", n - 1),
-        LadderTerm(0.5 * (lo - s * hi), "-", n - 1),
-    ]
+    if truncation < 1:
+        raise ValueError("truncation must be at least 1")
+    dim = 2 * (truncation + 1)
+    a_d = np.zeros((dim, dim))
+    r = 1.0 / math.sqrt(2.0)
+    a_d[0, 1], a_d[0, 2] = r, -r
+    n = np.arange(1, truncation)
+    lo, hi = np.sqrt(n), np.sqrt(n + 1.0)
+    plus, minus = 1 + 2 * n, 2 + 2 * n
+    a_d[plus - 2, plus] = a_d[minus - 2, minus] = 0.5 * (lo + hi)
+    a_d[minus - 2, plus] = a_d[plus - 2, minus] = 0.5 * (lo - hi)
+    a_d[dim - 3:dim - 1, dim - 1] = math.sqrt(truncation / 2.0)
+    return a_d

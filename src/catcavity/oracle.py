@@ -26,12 +26,13 @@ conditioning on an atom outcome and re-injecting an excited atom, so
 itself propagates every filled block, and `branch_coherence_trajectory`
 (jc=None) the filled (k, +, +) blocks.
 
-The dressed-frame helpers take the JCParams `jc`, which fixes the resonant
-dressed frame.  `to_w_frame` rotates a density matrix into the array
-W(t) = e^{iHt} rho e^{-iHt} (up to the common free phase), where only damping
-drives the dynamics; `w_equation_residuals` checks the appendix equations of
-motion on a window of samples against the ladder-coefficient transcription
-from `dressed`, with a dissipator of its own that does not share code with
+The resonant dressed frame, fixed by the JCParams `jc`, is the two arrays of
+`dressed`: `dressed_basis` and `dressed_annihilation`.  `to_w_frame` rotates
+a density matrix into the array W(t) = e^{iHt} rho e^{-iHt} (up to the common
+free phase) in that basis, where only damping drives the dynamics;
+`w_equation_residuals` checks the appendix equations of motion on a window of
+samples against the matrix of a that `dressed_annihilation` builds from the
+ladder relations, with a dissipator of its own that does not share code with
 `liouvillian`.
 """
 
@@ -46,8 +47,9 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
-from .dressed import GROUND, _require_resonance, apply_annihilation_dressed
+from .dressed import _require_resonance, dressed_annihilation, dressed_basis
 from .errors import ConsistencyError, DegenerateCatError, TruncationError
+from .observables import _check_outcome
 from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution, _log_poisson
 
 #: Trace drift beyond 10 * DEFAULT_TOL raises ConsistencyError.
@@ -114,7 +116,8 @@ def build_initial_state(fieldspec, truncation):
     """rho(0) = (field state) x |+><+| with the atom excited.
 
     `fieldspec` may be a CatSpec (pure cat, Fock coherences kept), a complex
-    amplitude vector (any pure field state), or a PhotonDistribution
+    amplitude vector (any pure field state: N + 1 finite amplitudes whose
+    squared norm is one to MASS_TOLERANCE), or a PhotonDistribution
     (diagonal mixture -- what the analytic path sees).
     """
     if isinstance(fieldspec, CatSpec):
@@ -126,8 +129,12 @@ def build_initial_state(fieldspec, truncation):
         rho_c = np.diag(fieldspec.probs.astype(complex))
     else:
         amp = np.asarray(fieldspec, dtype=complex)
-        if amp.size != truncation + 1:
+        if amp.shape != (truncation + 1,):
             raise ValueError("amplitude vector length mismatch")
+        if not np.all(np.isfinite(amp)):
+            raise ValueError("amplitudes must be finite")
+        if abs(np.vdot(amp, amp).real - 1.0) > MASS_TOLERANCE:
+            raise ValueError("amplitude vector must have unit norm")
         rho_c = np.outer(amp, amp.conj())
     return reinject_excited(rho_c, 0.0)
 
@@ -260,6 +267,8 @@ def integrate_trajectory(rho0, jc, damping, times):
     mat-vec per sample.  Trace drift beyond 10*DEFAULT_TOL raises.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise ValueError("times must be a non-empty 1-D array of finite values")
     if times[0] < rho0.time or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-decreasing and not before rho0")
     m0 = rho0.matrix
@@ -304,51 +313,9 @@ def integrate_trajectory(rho0, jc, damping, times):
 # dressed frame
 # ---------------------------------------------------------------------------
 
-def ground_index():
-    return 0
-
-
-def plus_index(n):
-    return 1 + 2 * n
-
-
-def minus_index(n):
-    return 2 + 2 * n
-
-
-def edge_index(truncation):
-    """Index of the unpaired top state |N, +> left over by the truncation."""
-    return 2 * truncation + 1
-
-
-def dressed_basis(truncation):
-    """(U, rabi) with dressed states as columns of U (resonant, theta = pi/4).
-
-    Column order: |psi_0>=|0,->, then (psi_n^+, psi_n^-) for n = 0..N-1, then
-    the truncation edge state |N, +>.  `rabi` holds the interaction-picture
-    eigenvalue of each column in units of g: 0, +-sqrt(n+1), 0.
-    """
-    dim = 2 * (truncation + 1)
-    u = np.zeros((dim, dim))
-    rabi = np.zeros(dim)
-    u[2 * 0 + 1, ground_index()] = 1.0  # |0, ->
-    r = 1.0 / math.sqrt(2.0)
-    for n in range(truncation):
-        bare_minus = 2 * (n + 1) + 1  # |n+1, ->
-        bare_plus = 2 * n             # |n, +>
-        u[bare_minus, plus_index(n)] = r
-        u[bare_plus, plus_index(n)] = r
-        u[bare_minus, minus_index(n)] = -r
-        u[bare_plus, minus_index(n)] = r
-        rabi[plus_index(n)] = math.sqrt(n + 1.0)
-        rabi[minus_index(n)] = -math.sqrt(n + 1.0)
-    u[2 * truncation, edge_index(truncation)] = 1.0  # |N, +>
-    return u, rabi
-
-
 def to_w_frame(rho, jc):
     """W(t) of rho(t) at t = rho.time, as an array in the dressed basis
-    (the column order of `dressed_basis`).
+    (the column order of `dressed.dressed_basis`).
 
     At resonance W(t) = e^{iHt} rho(t) e^{-iHt} reduces, in the interaction
     picture, to conjugation by the diagonal phases e^{i g sqrt(n+1) t} of the
@@ -359,32 +326,6 @@ def to_w_frame(rho, jc):
     dressed = u.T @ rho.matrix @ u
     phases = np.exp(1j * (jc.g * rabi) * rho.time)
     return phases[:, None] * dressed * phases.conj()[None, :]
-
-
-def dressed_annihilation(jc, truncation):
-    """Matrix of a in the dressed basis, built from the ladder coefficients.
-
-    Bulk columns come from the resonant relations of `dressed`; the two
-    truncation-edge cases (the unpaired |N, +> and the absent level N
-    doublet) are filled from the bare action.
-    """
-    dim = 2 * (truncation + 1)
-    a_d = np.zeros((dim, dim))
-
-    def row_of(term):
-        if term.branch == GROUND:
-            return ground_index()
-        return plus_index(term.level) if term.branch == "+" else minus_index(term.level)
-
-    for n in range(truncation):
-        for branch, col in (("+", plus_index(n)), ("-", minus_index(n))):
-            for term in apply_annihilation_dressed(jc, branch, n):
-                a_d[row_of(term), col] = term.coefficient
-    # a |N, +> = sqrt(N) |N-1, +> = sqrt(N/2) (|psi_{N-1}^+> + |psi_{N-1}^->)
-    root = math.sqrt(truncation / 2.0)
-    a_d[plus_index(truncation - 1), edge_index(truncation)] = root
-    a_d[minus_index(truncation - 1), edge_index(truncation)] = root
-    return a_d
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +372,7 @@ def oracle_observables(trajectory, jc):
 
 def condition_on_atom(rho, outcome):
     """Unnormalized field matrix <s|rho|s> and its weight after detection."""
+    _check_outcome(outcome)
     s = 0 if outcome == "+" else 1
     block = rho.matrix[s::2, s::2]
     return block, float(np.trace(block).real)
@@ -451,6 +393,8 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
     rho0 can reach that trace through conditioning and re-injection, so the
     run starts from `dephased(rho0)` and propagates that block alone.
     """
+    _check_outcome(s1, "s1")
+    _check_outcome(s2, "s2")
     rho_a = integrate_trajectory(dephased(rho0), jc, damping, [t_a])[-1]
     field, weight = condition_on_atom(rho_a, s1)
     if weight <= 0.0:
@@ -473,11 +417,13 @@ def w_equation_residuals(window, jc, damping, dt):
     dt * g < 0.1, as `integrate_trajectory` returns them; each is rotated by
     `to_w_frame`.  Time derivatives use a fourth-order centered stencil, so
     residuals exist at interior samples 2..len-3.  The right-hand side is the
-    dissipator conjugated into the rotating dressed frame, assembled from the
-    ladder-coefficient matrix of `dressed_annihilation` and the explicit
-    oscillatory phase factors.  The residual is read on the doublet
-    diagonals, the intra-doublet off-diagonals <psi_n^+|W|psi_n^-> and the
-    ground sector.
+    dissipator conjugated into the rotating dressed frame, assembled from
+    `dressed.dressed_annihilation` and the explicit oscillatory phase
+    factors.  The residual is read on the doublet diagonals, the
+    intra-doublet off-diagonals <psi_n^+|W|psi_n^-> and the ground sector.
+    All of these, and the largest |W| entry (a diagonal one, since W is a
+    density matrix), have coherence order k = 0, so a window propagated from
+    `dephased(rho0)` gives the same two numbers.
 
     Returns (largest absolute residual, largest absolute W entry).
     """
@@ -492,9 +438,10 @@ def w_equation_residuals(window, jc, damping, dt):
     k, nb = damping.kappa, damping.n_thermal
     w = [to_w_frame(rho, jc) for rho in window]
 
-    plus, minus = plus_index(np.arange(trunc)), minus_index(np.arange(trunc))
-    rows = np.r_[plus, minus, ground_index(), plus]
-    cols = np.r_[plus, minus, ground_index(), minus]
+    n = np.arange(trunc)
+    plus, minus = 1 + 2 * n, 2 + 2 * n  # columns of psi_n^+ and psi_n^-
+    rows = np.r_[plus, minus, 0, plus]
+    cols = np.r_[plus, minus, 0, minus]
     worst = w_norm = 0.0
     for i in range(2, len(w) - 2):
         w_norm = max(w_norm, np.abs(w[i]).max())

@@ -80,6 +80,8 @@ class PhotonDistribution:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
+        if probs.ndim != 1 or not np.all(np.isfinite(probs)):
+            raise ValueError("probabilities must be a 1-D array of finite values")
         if np.any(probs < 0.0) or np.any(probs > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         total = probs.sum()

@@ -2,8 +2,8 @@
 
 Independent evaluations the library itself does not need: the rates of the
 F*_n recurrence, the alternating double-sum form of F*_{-1},
-finite-difference residuals of the F*_n recurrence, the creation-operator
-action on dressed states, and a density-matrix sanity check.
+finite-difference residuals of the F*_n recurrence, the matrix of the
+creation operator in the dressed basis, and a density-matrix sanity check.
 """
 
 import math
@@ -12,7 +12,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from catcavity.damping import f_star, f_star_ground
-from catcavity.dressed import GROUND, LadderTerm, _branch_sign, _require_resonance
 from catcavity.errors import ConsistencyError
 
 
@@ -101,23 +100,28 @@ def residual_diagnostics(p0, damping, t, dt):
     return float(np.abs(residual).max()), float(ground_residual)
 
 
-def apply_creation_dressed(jc, branch, n):
-    """Expansion of a* |psi_n^branch> over the level-(n+1) doublet.
+def dressed_creation(truncation):
+    """Matrix of a* in the column order of `dressed.dressed_basis`, from the
+    resonant relations
 
-    From the ground sector, a* |0,-> = (|psi_0^+> - |psi_0^->) / sqrt(2).
+        a* |0, ->    = (|psi_0^+> - |psi_0^->) / sqrt(2),
+        a* |psi_n^s> = (1/2)(sqrt(n+1) + s sqrt(n+2)) |psi_{n+1}^+>
+                       + (1/2)(sqrt(n+1) - s sqrt(n+2)) |psi_{n+1}^->
+
+    for n < N - 1, and a* |psi_{N-1}^s> = sqrt(N/2) |N, +> once the
+    truncation drops |N+1, ->; a* takes |N, +> out of the truncated space.
     """
-    _require_resonance(jc)
-    if branch == GROUND:
-        r = 1.0 / math.sqrt(2.0)
-        return [LadderTerm(r, "+", 0), LadderTerm(-r, "-", 0)]
-    if n < 0:
-        raise ValueError("level must be non-negative")
-    s = _branch_sign(branch)
-    lo, hi = math.sqrt(n + 1.0), math.sqrt(n + 2.0)
-    return [
-        LadderTerm(0.5 * (lo + s * hi), "+", n + 1),
-        LadderTerm(0.5 * (lo - s * hi), "-", n + 1),
-    ]
+    dim = 2 * (truncation + 1)
+    c = np.zeros((dim, dim))
+    r = 1.0 / math.sqrt(2.0)
+    c[1, 0], c[2, 0] = r, -r
+    n = np.arange(truncation - 1)
+    lo, hi = np.sqrt(n + 1.0), np.sqrt(n + 2.0)
+    plus, minus = 1 + 2 * n, 2 + 2 * n
+    c[plus + 2, plus] = c[minus + 2, minus] = 0.5 * (lo + hi)
+    c[minus + 2, plus] = c[plus + 2, minus] = 0.5 * (lo - hi)
+    c[dim - 1, dim - 3:dim - 1] = math.sqrt(truncation / 2.0)
+    return c
 
 
 def validate_density_matrix(rho):

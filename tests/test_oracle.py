@@ -17,6 +17,7 @@ from catcavity import (
 from catcavity import oracle
 from catcavity.cli import main
 from catcavity.damping import f_star, offdiag_decay
+from catcavity.dressed import dressed_annihilation, dressed_basis
 from catcavity.presets import PRESETS
 from references import validate_density_matrix
 
@@ -125,6 +126,21 @@ def test_non_hermitian_initial_state_rejected():
         oracle.integrate_trajectory(bad, JCParams(g=1.0), None, [0.0, 1.0])
 
 
+@pytest.mark.parametrize("times", [[], [math.nan], [0.0, math.inf],
+                                   [[0.0, 1.0]]])
+def test_integrate_trajectory_rejects_malformed_times(times):
+    rho0 = oracle.build_initial_state(PhotonDistribution(np.eye(5)[1]), 4)
+    with pytest.raises(ValueError):
+        oracle.integrate_trajectory(rho0, JCParams(g=1.0), None, times)
+
+
+@pytest.mark.parametrize("amp", [np.ones(9), np.r_[math.nan, np.zeros(8)],
+                                 np.eye(9)[:, :1]])
+def test_initial_state_rejects_malformed_amplitudes(amp):
+    with pytest.raises(ValueError):
+        oracle.build_initial_state(amp, 8)
+
+
 def test_density_matrix_truncation_follows_shape():
     rho0 = oracle.build_initial_state(PhotonDistribution(np.eye(8)[1]), 7)
     assert rho0.truncation == 7
@@ -211,19 +227,19 @@ def test_energy_decay_fixes_kappa_convention():
 
 
 def test_dressed_basis_is_orthonormal():
-    u, rabi = oracle.dressed_basis(10)
+    u, rabi = dressed_basis(10)
     assert np.abs(u.T @ u - np.eye(22)).max() < 1e-14
-    assert rabi[oracle.ground_index()] == 0.0
-    assert rabi[oracle.edge_index(10)] == 0.0
-    assert rabi[oracle.plus_index(3)] == pytest.approx(2.0)
+    assert rabi[0] == 0.0      # |0, ->
+    assert rabi[21] == 0.0     # |N, +>
+    assert rabi[1 + 2 * 3] == pytest.approx(2.0)  # psi_3^+
 
 
 def test_dressed_annihilation_matches_bare_rotation():
     trunc = 12
-    u, _ = oracle.dressed_basis(trunc)
+    u, _ = dressed_basis(trunc)
     a_bare = np.kron(np.diag(np.sqrt(np.arange(1.0, trunc + 1)), 1), np.eye(2))
     expected = u.T @ a_bare @ u
-    assert np.abs(oracle.dressed_annihilation(JCParams(g=2.0), trunc) - expected).max() < 1e-13
+    assert np.abs(dressed_annihilation(JCParams(g=2.0), trunc) - expected).max() < 1e-13
 
 
 def test_w_frame_diagonal_matches_f_star_at_zero_temperature():
@@ -250,10 +266,10 @@ def test_observables_match_w_frame_read():
     traj = oracle.integrate_trajectory(rho0, jc, damping,
                                        np.linspace(0.0, 40.0 / jc.g, 7))
     obs = oracle.oracle_observables(traj, jc)
-    plus = [oracle.plus_index(n) for n in range(trunc)]
-    minus = [oracle.minus_index(n) for n in range(trunc)]
-    ground, edge = oracle.ground_index(), oracle.edge_index(trunc)
-    _, rabi = oracle.dressed_basis(trunc)
+    plus = 1 + 2 * np.arange(trunc)
+    minus = plus + 1
+    ground, edge = 0, 2 * trunc + 1
+    _, rabi = dressed_basis(trunc)
     for i, rho in enumerate(traj):
         w = oracle.to_w_frame(rho, jc)
         # undo the Rabi phases: |n, +> = (psi_n^+ + psi_n^-) / sqrt(2)
@@ -331,6 +347,24 @@ def test_w_equation_residuals_small_on_trajectory(kappa_scale):
     assert (residual < 1e-3 * damping.kappa * w_norm) == (kappa_scale == 1.0)
 
 
+def test_w_equation_residuals_read_only_coherence_order_zero():
+    # a phi != 0 cat fills every coherence order, yet the residual and
+    # max |W| read k = 0 alone: a dephased start gives the same floats
+    jc = JCParams(g=36000.0)
+    damping = DampingParams(kappa=8.33, n_thermal=0.1)
+    trunc = 16
+    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
+    dt = 0.04 / jc.g
+    times = 40.0 / jc.g + dt * np.arange(-2.0, 3.0)
+    full, dephased = (
+        oracle.w_equation_residuals(
+            oracle.integrate_trajectory(start, jc, damping, times), jc,
+            damping, dt)
+        for start in (rho0, oracle.dephased(rho0)))
+    assert full == dephased
+    assert full[0] > 0.0
+
+
 def test_joint_probability_oracle_consistency():
     # conditioning then summing over the second outcome recovers the first
     # atom's marginal
@@ -344,6 +378,18 @@ def test_joint_probability_oracle_consistency():
     pp = oracle.joint_probability_oracle(rho0, jc, damping, t_a, t_b, "+", "+")
     pm = oracle.joint_probability_oracle(rho0, jc, damping, t_a, t_b, "+", "-")
     assert pp + pm == pytest.approx(weight, abs=1e-7)
+
+
+def test_oracle_rejects_unknown_outcome():
+    jc = JCParams(g=24000.0)
+    damping = DampingParams(kappa=2500.0, n_thermal=0.1)
+    rho0 = oracle.build_initial_state(PhotonDistribution(np.eye(9)[1]), 8)
+    with pytest.raises(ValueError):
+        oracle.condition_on_atom(rho0, "up")
+    for s1, s2 in (("+", "x"), ("x", "+")):
+        with pytest.raises(ValueError):
+            oracle.joint_probability_oracle(rho0, jc, damping, 1e-4, 2e-4,
+                                            s1, s2)
 
 
 def _joint_full_blocks(rho0, jc, damping, t_a, t_b, s1, s2):

@@ -115,6 +115,13 @@ def test_distribution_rejects_mass_above_one():
         PhotonDistribution(p)
 
 
+@pytest.mark.parametrize("probs", [np.array([math.nan, 1.0]),
+                                   np.eye(2) / 2])
+def test_distribution_rejects_non_finite_or_non_vector(probs):
+    with pytest.raises(ValueError):
+        PhotonDistribution(probs)
+
+
 def test_distribution_is_read_only():
     d = coherent_distribution(1.0, 32)
     with pytest.raises(ValueError):
