@@ -31,6 +31,7 @@ from .observables import (
     eta_correlation,
     p_excited,
     p_joint,
+    revival_curves,
 )
 from .presets import PRESETS, ExperimentPreset
 from .resummation import ResumParams, resummed_p_excited
@@ -75,4 +76,5 @@ __all__ = [
     "p_excited",
     "p_joint",
     "resummed_p_excited",
+    "revival_curves",
 ]

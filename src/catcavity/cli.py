@@ -19,7 +19,7 @@ import numpy as np
 from . import oracle
 from .damping import DampingParams
 from .errors import ConfigurationError
-from .observables import ExperimentConfig, eta_correlation, p_excited, p_joint
+from .observables import ExperimentConfig, eta_correlation, revival_curves
 from .presets import PRESETS
 from .states import CatSpec, coherent_distribution, default_truncation
 from .validation import fast_checks, full_checks
@@ -169,8 +169,7 @@ def _revival_figure(figure_id, preset, settings, out_dir):
     written = []
     axis_name, axis, times = _time_axis(settings, preset)
     for tag, config in _field_configs(preset, settings).items():
-        rows = zip(axis, p_excited(config, times),
-                   p_joint(config, times, 2.0 * times, "+", "+"))
+        rows = zip(axis, *revival_curves(config, times))
         path = out_dir / f"{figure_id}_{tag}.csv"
         meta = _metadata_line(figure_id, preset, settings, extra=f"field={tag}")
         _write_csv(path, meta, (axis_name, "P_plus", "P_plusplus"), rows)

@@ -12,10 +12,19 @@ log space (every term is non-negative, so the sum is stable).  The parts of
 the log kernel that do not depend on time, log G(j+3/2) - log G(n+3/2),
 log (j-n)! and j - n, live in one module-level table that grows to the
 largest truncation N_max seen and is sliced to N x N per call; it keeps
-3 N_max^2 8-byte floats (about 1 MB at N_max = 202).  F*_{-1} comes from
-unitarity, 2 (1 - sum_n F*_n), and not from its alternating double-sum
-form, which loses ~15 digits near N = 120 (the test suite keeps that form
-as a small-truncation cross-check).
+3 N_max^2 8-byte floats (about 1 MB at N_max = 202).  log (j-n)! is +inf
+below the diagonal, so the kernel is one exp(ratio + (j-n) log x - fact)
+that is exactly 1 on the diagonal and 0 below it.
+
+`f_star_operator(size, damping, t)` builds the time-t part, decay_n and
+the N x N kernel, and returns the function that applies it to a field;
+`f_star` is the two steps composed.  The kernel does not depend on the
+field, so a caller that propagates several fields over one t (the atom
+passages of `observables`) builds it once.
+
+F*_{-1} comes from unitarity, 2 (1 - sum_n F*_n), and not from its
+alternating double-sum form, which loses ~15 digits near N = 120 (the test
+suite keeps that form as a small-truncation cross-check).
 
 The intra-doublet amplitudes decay as e^{-alpha_n t}; `doublet_decay_rate`
 is the one place alpha_n is written, for `observables` and `resummation` too.
@@ -96,28 +105,43 @@ def _kernel_table(size):
     return tuple(part[:size, :size] for part in table)
 
 
-def f_star(p0, damping, t):
-    """Closed-form F*_n(t) for initial distribution p0 (may be unnormalized)."""
-    probs = _probs_of(p0)
+def f_star_operator(size, damping, t):
+    """F*(t) on `size` levels as a function of the field: probs -> F*_n(t).
+
+    The time-t part, decay_n and the kernel, is built here once; the
+    returned function only multiplies, so one build serves every field
+    propagated over t.  At t = 0 it returns a copy of the field.
+    """
     if not 0.0 <= t < math.inf:
         raise ValueError("time must be finite and non-negative")
     if t == 0.0:
-        return probs.copy()
+        return np.copy
     k, nb = damping.kappa, damping.n_thermal
-    n = np.arange(probs.size, dtype=float)
+    n = np.arange(size, dtype=float)
     x = -np.expm1(-2.0 * k * (nb + 1.0) * t)
     decay = np.exp(-2.0 * k * t * ((n + 0.5) * (nb + 1.0) + nb))
-    ratio, fact, diff = _kernel_table(probs.size)
-    log_x = math.log(x)
-    log_terms = np.where(diff > 0, ratio + diff * log_x - fact, 0.0)
-    kernel = np.where(diff >= 0, np.exp(log_terms), 0.0)
-    out = decay * (kernel @ probs)
-    bad = out < -NEGATIVE_CLIP
-    if np.any(bad):
-        raise ConsistencyError(
-            f"F*_n went negative beyond roundoff: min {out.min():.3e}"
-        )
-    return np.clip(out, 0.0, None)
+    ratio, fact, diff = _kernel_table(size)
+    # fact is +inf below the diagonal, where the kernel is exp(-inf) = 0
+    kernel = diff * math.log(x)
+    kernel += ratio
+    kernel -= fact
+    np.exp(kernel, out=kernel)
+
+    def apply(probs):
+        out = decay * (kernel @ probs)
+        if np.any(out < -NEGATIVE_CLIP):
+            raise ConsistencyError(
+                f"F*_n went negative beyond roundoff: min {out.min():.3e}"
+            )
+        return np.clip(out, 0.0, None)
+
+    return apply
+
+
+def f_star(p0, damping, t):
+    """Closed-form F*_n(t) for initial distribution p0 (may be unnormalized)."""
+    probs = _probs_of(p0)
+    return f_star_operator(probs.size, damping, t)(probs)
 
 
 def unitarity_ground(probs, f):

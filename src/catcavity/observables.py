@@ -7,6 +7,12 @@ P(s1, s2) summed over s2 recovers the single-atom probability P(s1)
 exactly (the formulas are a joint-probability decomposition).
 `conditioned_field` returns that distribution as a plain array whose sum is
 the probability of the outcome.
+
+Every passage over a time t applies one time-t operator, the F*_n kernel of
+`damping.f_star_operator` plus the oscillation factor; within one call it is
+built once per time and shared by the passages at that time (the two of a
+P_++(t, 2t) point, the three of an eta(t) point).  At most one operator is
+alive per call, and each field keeps its own kernel-vector product.
 """
 
 import math
@@ -16,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .damping import (DampingParams, doublet_decay_rate, f_star,
+from .damping import (DampingParams, doublet_decay_rate, f_star_operator,
                       unitarity_ground)
 from .dressed import JCParams, _require_resonance
 from .errors import ConsistencyError, ValidityWarning
@@ -120,18 +126,26 @@ def _passages(config):
     """(probs, run): the initial distribution p_n and run(field, t), one
     passage through a field with as many levels.
 
-    The oscillation term is e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n; alpha_n
-    and sqrt(n+1) are computed here once for every passage of a call.
+    The time-t operator, the F* kernel (`f_star_operator`) and the factor
+    e^{-alpha_n t} cos(2 g t sqrt(n+1)) of the oscillation term, is built
+    once and reused while consecutive passages share t, as the passages of
+    one P_++(t, 2t) or eta(t) point do; only the latest one is kept.
     """
     probs = config.distribution().probs
     n = np.arange(probs.size)
     alpha = doublet_decay_rate(config.damping, n)
     root = np.sqrt(n + 1.0)
+    latest = {}
 
     def run(field, t):
-        f = f_star(field, config.damping, t)
-        osc = np.exp(-alpha * t) * np.cos(2.0 * config.jc.g * t * root) * field
-        return _Passage(field, f, osc, unitarity_ground(field, f))
+        if t not in latest:
+            latest.clear()
+            latest[t] = (
+                f_star_operator(probs.size, config.damping, t),
+                np.exp(-alpha * t) * np.cos(2.0 * config.jc.g * t * root))
+        f_star_at, factor = latest[t]
+        f = f_star_at(field)
+        return _Passage(field, f, factor * field, unitarity_ground(field, f))
 
     return probs, run
 
@@ -208,6 +222,26 @@ def p_joint(config, t_a, t_b, s1, s2):
     if np.ndim(t_a) == 0 and np.ndim(t_b) == 0:
         return float(out[0])
     return out
+
+
+def revival_curves(config, t):
+    """(P_+(t), P_++(t, 2t)) from one first passage per time.
+
+    Equal to (p_excited(config, t), p_joint(config, t, 2t, "+", "+")), the
+    two curves of a revival figure, with the first atom's passage shared and
+    the second atom's passage, over 2t - t = t, run with the same operator.
+    Scalar t gives two floats, an array of times two arrays.
+    """
+    _require_resonance(config.jc)
+    probs, run = _passages(config)
+    times = _times(t)
+    out = np.empty((2, times.size))
+    for i, ti in enumerate(times):
+        passage = run(probs, ti)
+        out[:, i] = passage.p_plus(), _joint(passage, run, ti, "+", "+")
+    if np.ndim(t) == 0:
+        return float(out[0, 0]), float(out[1, 0])
+    return out[0], out[1]
 
 
 def eta_correlation(config, t):

@@ -76,6 +76,8 @@ class DensityMatrix:
         dim = m.shape[0] if m.ndim == 2 else 0
         if m.shape != (dim, dim) or dim < 2 or dim % 2:
             raise ValueError("matrix must be square with an even dimension")
+        if not (math.isfinite(self.time) and np.all(np.isfinite(m))):
+            raise ValueError("time and matrix entries must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -302,7 +304,7 @@ def integrate_trajectory(rho0, jc, damping, times):
     traj = []
     for m, t in zip(out, times):
         drift = np.trace(m).real - trace0
-        if abs(drift) > 10.0 * DEFAULT_TOL:
+        if not abs(drift) <= 10.0 * DEFAULT_TOL:  # NaN drift fails too
             raise ConsistencyError(
                 f"trace drift {drift:.3e} beyond 10*DEFAULT_TOL")
         traj.append(DensityMatrix(matrix=m, time=float(t)))

@@ -18,9 +18,10 @@ from catcavity import (
     eta_correlation,
     p_excited,
     p_joint,
+    revival_curves,
 )
 from catcavity import observables
-from catcavity.damping import f_star, unitarity_ground
+from catcavity.damping import f_star, f_star_operator, unitarity_ground
 from references import rate_arrays
 
 
@@ -291,7 +292,8 @@ def test_passage_bit_identical_to_per_passage_rates(monkeypatch, nb):
         def curves():
             return (p_excited(config, ts),
                     p_joint(config, ts, 2.0 * ts, "+", "+"),
-                    eta_correlation(config, ts))
+                    eta_correlation(config, ts),
+                    *revival_curves(config, ts))
 
         got = curves()
         with monkeypatch.context() as patch:
@@ -299,3 +301,26 @@ def test_passage_bit_identical_to_per_passage_rates(monkeypatch, nb):
             expected = curves()
         for a, b in zip(got, expected):
             assert np.array_equal(a, b, equal_nan=True)
+        # revival_curves is (p_excited, p_joint(t, 2t, "+", "+"))
+        assert np.array_equal(got[3], expected[0])
+        assert np.array_equal(got[4], expected[1])
+
+
+def test_one_operator_build_per_time(monkeypatch, fig1_grid):
+    config, ts = fig1_grid
+    # 20 odd multiples of the step: no delay 3t - t equals the next time
+    ts = ts[1:41:2]
+    builds = []
+
+    def counted(size, damping, t):
+        builds.append(t)
+        return f_star_operator(size, damping, t)
+
+    monkeypatch.setattr(observables, "f_star_operator", counted)
+    for call, per_time in ((lambda: eta_correlation(config, ts), 1),
+                           (lambda: revival_curves(config, ts), 1),
+                           (lambda: p_joint(config, ts, 3.0 * ts, "+", "-"),
+                            2)):
+        builds.clear()
+        call()
+        assert len(builds) == per_time * ts.size

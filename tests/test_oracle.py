@@ -150,6 +150,24 @@ def test_density_matrix_truncation_follows_shape():
             oracle.DensityMatrix(matrix=np.zeros(shape), time=0.0)
 
 
+@pytest.mark.parametrize("entry, time", [(0.0, math.nan), (0.0, math.inf),
+                                         (math.nan, 0.0)])
+def test_density_matrix_rejects_non_finite(entry, time):
+    m = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    m[3, 3] = entry
+    with pytest.raises(ValueError):
+        oracle.DensityMatrix(matrix=m, time=time)
+
+
+def test_trace_drift_check_rejects_nan_drift(monkeypatch):
+    # a propagator that returns NaN must not pass as zero drift
+    rho0 = oracle.build_initial_state(PhotonDistribution(np.eye(5)[1]), 4)
+    monkeypatch.setattr(oracle, "expm", lambda a: np.full(a.shape, math.nan))
+    with pytest.raises(ConsistencyError):
+        oracle.integrate_trajectory(rho0, JCParams(g=1.0),
+                                    DampingParams(kappa=0.1), [0.0, 1.0])
+
+
 def test_cat_state_vector_norm_and_parity():
     amp = oracle.cat_state_vector(CatSpec(intensity=3.0, phase=0.0), 32)
     assert np.vdot(amp, amp).real == pytest.approx(1.0, abs=1e-12)
