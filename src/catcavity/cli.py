@@ -168,8 +168,10 @@ def _field_configs(preset, settings):
 def _revival_figure(figure_id, preset, settings, out_dir):
     written = []
     axis_name, axis, times = _time_axis(settings, preset)
-    for tag, config in _field_configs(preset, settings).items():
-        rows = zip(axis, *revival_curves(config, times))
+    configs = _field_configs(preset, settings)
+    curves = revival_curves(configs.values(), times)
+    for row, tag in enumerate(configs):
+        rows = zip(axis, *(curve[row] for curve in curves))
         path = out_dir / f"{figure_id}_{tag}.csv"
         meta = _metadata_line(figure_id, preset, settings, extra=f"field={tag}")
         _write_csv(path, meta, (axis_name, "P_plus", "P_plusplus"), rows)
@@ -180,8 +182,8 @@ def _revival_figure(figure_id, preset, settings, out_dir):
 def _eta_figure(preset, settings, out_dir):
     configs = _field_configs(preset, settings)
     axis_name, axis, times = _time_axis(settings, preset)
-    rows = zip(axis, eta_correlation(configs["coherent"], times),
-               eta_correlation(configs["cat"], times))
+    rows = zip(axis, *eta_correlation(
+        [configs["coherent"], configs["cat"]], times))
     path = out_dir / f"fig3_{preset.name}.csv"
     meta = _metadata_line("fig3", preset, settings)
     _write_csv(path, meta, (axis_name, "eta_coherent", "eta_cat"), rows)

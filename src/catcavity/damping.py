@@ -8,19 +8,25 @@ directly from its closed form
               * sum_{j>=n} G(j+3/2)/G(n+3/2) x^{j-n}/(j-n)! p_j,
 
 with x = 1 - exp(-2 kappa (n_b + 1) t) and all gamma-function ratios kept in
-log space (every term is non-negative, so the sum is stable).  The parts of
-the log kernel that do not depend on time, log G(j+3/2) - log G(n+3/2),
-log (j-n)! and j - n, live in one module-level table that grows to the
-largest truncation N_max seen and is sliced to N x N per call; it keeps
-3 N_max^2 8-byte floats (about 1 MB at N_max = 202).  log (j-n)! is +inf
-below the diagonal, so the kernel is one exp(ratio + (j-n) log x - fact)
-that is exactly 1 on the diagonal and 0 below it.
+log space (every term is non-negative, so the sum is stable).  The kernel is
+upper triangular: exactly 1 on the diagonal and 0 below it.  The parts of its
+log that do not depend on time, log G(j+3/2) - log G(n+3/2), log (j-n)! and
+j - n, live in one module-level table packed over the upper triangle n <= j,
+column by column, so the size-N triangle is the first N (N + 1) / 2 entries
+of the table for the largest truncation N_max seen.  With it goes the
+N_max x N_max boolean lower triangle: its top-left N x N corner, read row by
+row, selects the entries (j, n), n <= j, of the transposed kernel in the
+table's order, so one masked assignment scatters a build.  The table
+keeps 3 N_max (N_max + 1) / 2 8-byte floats and N_max^2 bytes (about 0.53 MB
+at N_max = 202).  Each build evaluates exp(ratio + (j-n) log x - fact) on the
+triangle only and scatters it through the mask into a zeroed N x N matrix.
 
 `f_star_operator(size, damping, t)` builds the time-t part, decay_n and
-the N x N kernel, and returns the function that applies it to a field;
-`f_star` is the two steps composed.  The kernel does not depend on the
-field, so a caller that propagates several fields over one t (the atom
-passages of `observables`) builds it once.
+the kernel, and returns the function that applies it to an (F, N) stack of
+fields, one kernel-vector product per row; `f_star` is the two steps
+composed.  The kernel does not depend on the field, so a caller that
+propagates several fields over one t (the atom passages of `observables`)
+builds it once.
 
 F*_{-1} comes from unitarity, 2 (1 - sum_n F*_n), and not from its
 alternating double-sum form, which loses ~15 digits near N = 120 (the test
@@ -85,55 +91,67 @@ def _probs_of(p0):
     return np.asarray(p0, dtype=float)
 
 
-#: (log G(j+3/2) - log G(n+3/2), log (j-n)!, j - n) for n, j < N_max.
-#: Replaced as one tuple, so a reader never mixes parts of two sizes.
-_KERNEL_TABLE = (np.empty((0, 0)),) * 3
+#: (log G(j+3/2) - log G(n+3/2), log (j-n)!, j - n) over n <= j < N_max,
+#: ordered by j then n, and the N_max x N_max lower-triangle mask whose
+#: True entries (j, n), in row-major order, are those (n, j).  Replaced as
+#: one tuple, so a reader never mixes parts of two sizes.
+_PACKED_TABLE = (np.empty(0),) * 3 + (np.empty((0, 0), dtype=bool),)
 
 
-def _kernel_table(size):
-    """Top-left size x size corner of the time-independent kernel table."""
-    global _KERNEL_TABLE
-    table = _KERNEL_TABLE
-    if table[0].shape[0] < size:
-        n = np.arange(size, dtype=float)
-        jj = n[None, :]
-        nn = n[:, None]
+def _packed_table(size):
+    """The size-`size` upper triangle of the time-independent kernel table
+    and the mask that scatters it into the transposed kernel."""
+    global _PACKED_TABLE
+    table = _PACKED_TABLE
+    if table[3].shape[0] < size:
+        lower = np.tri(size, dtype=bool)
+        jj, nn = (index.astype(float) for index in np.nonzero(lower))
         diff = jj - nn
         table = (gammaln(jj + 1.5) - gammaln(nn + 1.5), gammaln(diff + 1.0),
-                 diff)
-        _KERNEL_TABLE = table
-    return tuple(part[:size, :size] for part in table)
+                 diff, lower)
+        _PACKED_TABLE = table
+    count = size * (size + 1) // 2
+    return (*(part[:count] for part in table[:3]), table[3][:size, :size])
 
 
 def f_star_operator(size, damping, t):
-    """F*(t) on `size` levels as a function of the field: probs -> F*_n(t).
+    """F*(t) on `size` levels as a function of the field: an (F, size)
+    stack of distributions -> the stack of F*_n(t), row by row.
 
     The time-t part, decay_n and the kernel, is built here once; the
     returned function only multiplies, so one build serves every field
-    propagated over t.  At t = 0 it returns a copy of the field.
+    propagated over t.  Where 2 kappa (n_b + 1) t is 0 in floating point
+    (t = 0, or t so small that it underflows) the kernel is the identity
+    and decay_n exactly 1, and the function returns a copy of the stack.
     """
     if not 0.0 <= t < math.inf:
         raise ValueError("time must be finite and non-negative")
-    if t == 0.0:
-        return np.copy
     k, nb = damping.kappa, damping.n_thermal
-    n = np.arange(size, dtype=float)
     x = -np.expm1(-2.0 * k * (nb + 1.0) * t)
+    if x == 0.0:
+        return np.copy
+    n = np.arange(size, dtype=float)
     decay = np.exp(-2.0 * k * t * ((n + 0.5) * (nb + 1.0) + nb))
-    ratio, fact, diff = _kernel_table(size)
-    # fact is +inf below the diagonal, where the kernel is exp(-inf) = 0
-    kernel = diff * math.log(x)
-    kernel += ratio
-    kernel -= fact
-    np.exp(kernel, out=kernel)
+    ratio, fact, diff, lower = _packed_table(size)
+    values = diff * math.log(x)
+    values += ratio
+    values -= fact
+    np.exp(values, out=values)
+    kernel = np.zeros((size, size))
+    kernel.T[lower] = values
 
-    def apply(probs):
-        out = decay * (kernel @ probs)
+    def apply(stack):
+        # one matrix-vector product per row: a matrix product over the
+        # stack would let BLAS pick a summation order by the stack's size
+        out = np.empty(stack.shape)
+        for row, field in zip(out, stack):
+            np.matmul(kernel, field, out=row)
+        out *= decay
         if np.any(out < -NEGATIVE_CLIP):
             raise ConsistencyError(
                 f"F*_n went negative beyond roundoff: min {out.min():.3e}"
             )
-        return np.clip(out, 0.0, None)
+        return np.clip(out, 0.0, None, out=out)
 
     return apply
 
@@ -141,13 +159,14 @@ def f_star_operator(size, damping, t):
 def f_star(p0, damping, t):
     """Closed-form F*_n(t) for initial distribution p0 (may be unnormalized)."""
     probs = _probs_of(p0)
-    return f_star_operator(probs.size, damping, t)(probs)
+    return f_star_operator(probs.size, damping, t)(probs[None])[0]
 
 
 def unitarity_ground(probs, f):
-    """F*_{-1} = 2 (sum_n p_n - sum_n F*_n) for F*_n = f, clamped to [0, 2]."""
-    value = 2.0 * (probs.sum() - f.sum())
-    return min(max(value, 0.0), 2.0)
+    """F*_{-1} = 2 (sum_n p_n - sum_n F*_n) for F*_n = f, clamped to [0, 2];
+    one value per row of a stack."""
+    value = 2.0 * (probs.sum(axis=-1) - f.sum(axis=-1))
+    return np.minimum(np.maximum(value, 0.0), 2.0)
 
 
 def f_star_ground(p0, damping, t):

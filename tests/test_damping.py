@@ -91,10 +91,10 @@ def _f_star_direct(probs, damping, t):
 
 @pytest.mark.parametrize("order", [(202, 121, 33), (33, 121, 202)])
 def test_f_star_bit_identical_to_direct_kernel(monkeypatch, order):
-    # the cached table is grown in both orders: largest first (later calls
-    # slice it) and smallest first (every call grows it)
-    monkeypatch.setattr(damping_module, "_KERNEL_TABLE",
-                        (np.empty((0, 0)),) * 3)
+    # the packed table is grown in both orders: largest first (later calls
+    # take a prefix of it) and smallest first (every call grows it)
+    monkeypatch.setattr(damping_module, "_PACKED_TABLE",
+                        (np.empty(0),) * 3 + (np.empty((0, 0), dtype=bool),))
     preset = PRESETS["benson97"]
     nbar_at = {33: 4.0, 121: 49.0, 202: 100.0}  # N = default truncation + 1
     for size in order:
@@ -105,13 +105,23 @@ def test_f_star_bit_identical_to_direct_kernel(monkeypatch, order):
                 t = gt / preset.g
                 assert np.array_equal(f_star(p, d, t),
                                       _f_star_direct(p, d, t))
-    assert damping_module._KERNEL_TABLE[0].shape == (202, 202)
+    *packed, lower = damping_module._PACKED_TABLE
+    assert all(part.size == 202 * 203 // 2 for part in packed)
+    assert lower.shape == (202, 202)
 
 
 def test_f_star_at_zero_time_is_input():
     d = DampingParams(kappa=1.0, n_thermal=0.1)
     p = coherent_distribution(2.0, 32).probs
     assert np.array_equal(f_star(p, d, 0.0), p)
+
+
+def test_f_star_at_underflowing_time_is_input():
+    # 2 kappa (n_b + 1) t rounds to 0, so x = 0 and log x is undefined; the
+    # kernel is the identity and the decay factor exactly 1
+    d = DampingParams(kappa=0.1)
+    p = np.ones(33) / 33
+    assert np.array_equal(f_star(p, d, 5e-324), p)
 
 
 def test_f_star_vacuum_input():

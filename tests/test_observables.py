@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -264,18 +265,24 @@ def test_p_joint_rejects_reversed_times_in_array(benson_config):
         p_joint(benson_config, np.array([1e-5, 1e-4]), 5e-5, "+", "+")
 
 
-def _per_passage_rates(config):
-    """The passage with alpha_n (from `rate_arrays`) and sqrt(n+1) rebuilt
-    on every passage, as before they were computed once per call."""
-    def run(probs, t):
-        n = np.arange(probs.size)
-        alpha, _, _ = rate_arrays(config.damping, probs.size - 1)
-        osc = (np.exp(-alpha * t)
-               * np.cos(2.0 * config.jc.g * t * np.sqrt(n + 1.0)) * probs)
-        f = f_star(probs, config.damping, t)
-        return observables._Passage(probs, f, osc, unitarity_ground(probs, f))
+def _per_passage_rates(configs):
+    """Passages with alpha_n (from `rate_arrays`), sqrt(n+1) and F*_n
+    rebuilt for every row of every passage, as before they were computed
+    once per call and the F*_n operator once per time for the stack."""
+    damping, g = configs[0].damping, configs[0].jc.g
 
-    return config.distribution().probs, run
+    def run(fields, t):
+        rows = []
+        for probs in fields:
+            n = np.arange(probs.size)
+            alpha, _, _ = rate_arrays(damping, probs.size - 1)
+            osc = np.exp(-alpha * t) * np.cos(2.0 * g * t * np.sqrt(n + 1.0))
+            f = f_star(probs, damping, t)
+            rows.append((f, osc * probs, unitarity_ground(probs, f)))
+        f, osc, ground = (np.array(part) for part in zip(*rows))
+        return observables._Passage(fields, f, osc, ground)
+
+    return np.array([config.distribution().probs for config in configs]), run
 
 
 @pytest.mark.parametrize("nb", [0.0, 0.13])
@@ -284,21 +291,23 @@ def test_passage_bit_identical_to_per_passage_rates(monkeypatch, nb):
     preset = PRESETS["benson97"]
     ts = np.arange(0.0, 50.0 + 0.05, 0.1) / preset.g
     damping = DampingParams(kappa=preset.kappa, n_thermal=nb)
-    for field in (coherent_distribution(49.0, default_truncation(49.0)),
-                  CatSpec(intensity=49.0, phase=1.7)):
-        config = ExperimentConfig(jc=preset.jc(), damping=damping,
-                                  initial_field=field)
+    configs = [ExperimentConfig(jc=preset.jc(), damping=damping,
+                                initial_field=field)
+               for field in (coherent_distribution(49.0,
+                                                   default_truncation(49.0)),
+                             CatSpec(intensity=49.0, phase=1.7))]
 
-        def curves():
-            return (p_excited(config, ts),
-                    p_joint(config, ts, 2.0 * ts, "+", "+"),
-                    eta_correlation(config, ts),
-                    *revival_curves(config, ts))
+    def curves(config):
+        return (p_excited(config, ts),
+                p_joint(config, ts, 2.0 * ts, "+", "+"),
+                eta_correlation(config, ts),
+                *revival_curves(config, ts))
 
-        got = curves()
+    for config in configs:
+        got = curves(config)
         with monkeypatch.context() as patch:
             patch.setattr(observables, "_passages", _per_passage_rates)
-            expected = curves()
+            expected = curves(config)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b, equal_nan=True)
         # revival_curves is (p_excited, p_joint(t, 2t, "+", "+"))
@@ -306,10 +315,71 @@ def test_passage_bit_identical_to_per_passage_rates(monkeypatch, nb):
         assert np.array_equal(got[4], expected[1])
 
 
+def _figure_pair(preset, nb, truncations=(0, 0)):
+    """The coherent and cat configs of one figure (phi = 1.7) and its axis."""
+    damping = DampingParams(kappa=preset.kappa, n_thermal=nb)
+    fields = (coherent_distribution(preset.nbar,
+                                    default_truncation(preset.nbar)),
+              CatSpec(intensity=preset.nbar, phase=1.7))
+    configs = [ExperimentConfig(jc=preset.jc(), damping=damping,
+                                initial_field=field, truncation=trunc)
+               for field, trunc in zip(fields, truncations)]
+    ts = np.arange(0.0, preset.gt_max + 0.05, 0.1) / preset.g
+    return configs, ts
+
+
+def _assert_rows_equal_single_calls(configs, ts):
+    p_plus, p_plusplus = revival_curves(configs, ts)
+    eta = eta_correlation(configs, ts)
+    assert p_plus.shape == p_plusplus.shape == eta.shape == (2, ts.size)
+    for row, config in enumerate(configs):
+        single = (*revival_curves(config, ts), eta_correlation(config, ts))
+        for stacked, alone in zip((p_plus, p_plusplus, eta), single):
+            assert np.array_equal(stacked[row], alone, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore::catcavity.ValidityWarning")
+@pytest.mark.parametrize("nb", [0.0, 0.13])
+@pytest.mark.parametrize("name", ["benson97", "brune96"])
+def test_stacked_rows_equal_single_config_calls(name, nb):
+    # the fig1 (benson97) and fig3 (both presets) grids and fields
+    _assert_rows_equal_single_calls(*_figure_pair(PRESETS[name], nb))
+
+
+def test_stacked_rows_of_different_truncation_equal_single_calls():
+    configs, ts = _figure_pair(PRESETS["benson97"], 0.1, (120, 150))
+    assert [config.truncation for config in configs] == [120, 150]
+    _assert_rows_equal_single_calls(configs, ts[::10])
+
+
+def test_stacked_scalar_time_gives_one_value_per_config():
+    configs, ts = _figure_pair(PRESETS["benson97"], 0.1)
+    p_plus, p_plusplus = revival_curves(configs, ts[220])
+    eta = eta_correlation(configs, ts[220])
+    assert p_plus.shape == p_plusplus.shape == eta.shape == (2,)
+    assert list(eta) == [eta_correlation(config, ts[220])
+                         for config in configs]
+    assert np.isnan(eta_correlation(configs, 0.0)).all()
+
+
+@pytest.mark.parametrize("other", [
+    {"jc": JCParams(g=24000.0)},
+    {"damping": DampingParams(kappa=8.33, n_thermal=0.2)},
+])
+def test_stacked_configs_must_share_jc_and_damping(other):
+    configs, ts = _figure_pair(PRESETS["benson97"], 0.1)
+    configs[1] = dataclasses.replace(configs[1], **other)
+    for call in (revival_curves, eta_correlation):
+        with pytest.raises(ValueError):
+            call(configs, ts[:3])
+
+
 def test_one_operator_build_per_time(monkeypatch, fig1_grid):
     config, ts = fig1_grid
     # 20 odd multiples of the step: no delay 3t - t equals the next time
     ts = ts[1:41:2]
+    coherent = dataclasses.replace(
+        config, initial_field=coherent_distribution(49.0, config.truncation))
     builds = []
 
     def counted(size, damping, t):
@@ -320,7 +390,13 @@ def test_one_operator_build_per_time(monkeypatch, fig1_grid):
     for call, per_time in ((lambda: eta_correlation(config, ts), 1),
                            (lambda: revival_curves(config, ts), 1),
                            (lambda: p_joint(config, ts, 3.0 * ts, "+", "-"),
-                            2)):
+                            2),
+                           # one build per time for the coherent field and
+                           # the cat together, not one each
+                           (lambda: eta_correlation([coherent, config], ts),
+                            1),
+                           (lambda: revival_curves([coherent, config], ts),
+                            1)):
         builds.clear()
         call()
         assert len(builds) == per_time * ts.size
