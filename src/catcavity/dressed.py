@@ -10,6 +10,10 @@ relations (Barnett & Knight, PRA 33, 2444, 1986), not by rotating the bare
 operator, so the oracle's equation-of-motion check against it stays
 independent; its squared coefficients reduce to
 Gamma_{+/-, n} = (sqrt(n+1) +/- sqrt(n))^2 / 4.
+
+The input guards that the closed form and the oracle share, the resonance
+check and the atom-outcome check, are written here too, so the oracle
+imports nothing from the closed-form modules.
 """
 
 import math
@@ -51,6 +55,12 @@ def _require_resonance(jc):
             "the dressed-state formulas are defined at resonance only; "
             "use the master-equation oracle for detuned runs"
         )
+
+
+def _check_outcome(outcome, name="outcome"):
+    """The one check of an atom outcome, "+" or "-", for both routes."""
+    if outcome not in ("+", "-"):
+        raise ValueError(f"{name} must be '+' or '-'")
 
 
 def dressed_basis(truncation):

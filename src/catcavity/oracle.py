@@ -47,9 +47,9 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
-from .dressed import _require_resonance, dressed_annihilation, dressed_basis
+from .dressed import (_check_outcome, _require_resonance, dressed_annihilation,
+                      dressed_basis)
 from .errors import ConsistencyError, DegenerateCatError, TruncationError
-from .observables import _check_outcome
 from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution, _log_poisson
 
 #: Trace drift beyond 10 * DEFAULT_TOL raises ConsistencyError.

@@ -10,8 +10,10 @@ from catcavity import (
     ExperimentConfig,
     JCParams,
     PRESETS,
+    TruncationError,
     UnsupportedRegimeError,
     ValidityWarning,
+    cat_distribution,
     coherent_distribution,
     conditioned_field,
     decoherence_time,
@@ -217,6 +219,55 @@ def test_p_excited_rejects_non_finite_time(benson_config, t):
         p_excited(benson_config, t)
 
 
+_GRID = np.full((2, 2), 1e-5)
+
+
+@pytest.mark.parametrize("call, rule", [
+    (lambda c: p_excited(c, _GRID), "1-d"),
+    (lambda c: eta_correlation(c, _GRID), "1-d"),
+    (lambda c: revival_curves(c, _GRID), "1-d"),
+    (lambda c: p_joint(c, _GRID, 2e-5, "+", "+"), "1-d"),
+    (lambda c: conditioned_field(c, np.array([1e-5, 2e-5]), "+"), "one time"),
+], ids=["p_excited", "eta_correlation", "revival_curves", "p_joint",
+        "conditioned_field"])
+def test_times_beyond_the_accepted_shape_rejected(benson_config, call, rule):
+    with pytest.raises(ValueError, match=rule):
+        call(benson_config)
+
+
+@pytest.mark.parametrize("truncation", [-3, 40.5, True, "40"])
+def test_malformed_truncation_rejected(benson_config, truncation):
+    with pytest.raises(ValueError, match="truncation must be 0"):
+        dataclasses.replace(benson_config, truncation=truncation)
+
+
+def test_truncation_accepts_numpy_integers_and_checks_mass_at_build(
+        benson_config):
+    config = dataclasses.replace(benson_config, truncation=np.int64(60))
+    assert config.truncation == config.distribution().truncation == 60
+    with pytest.raises(TruncationError):
+        dataclasses.replace(benson_config, truncation=10)
+
+
+def test_cat_distribution_built_once_per_config(monkeypatch, benson_config):
+    calls = []
+
+    def counted(spec, truncation=None):
+        calls.append(truncation)
+        return cat_distribution(spec, truncation)
+
+    monkeypatch.setattr(observables, "cat_distribution", counted)
+    config = dataclasses.replace(benson_config)
+    ts = np.array([1e-5, 2e-4])
+    p_excited(config, ts)
+    eta_correlation(config, ts)
+    revival_curves(config, ts)
+    assert calls == [config.truncation]
+    # the stored distribution is not a field: ==, hash and repr ignore it
+    assert config == benson_config and hash(config) == hash(benson_config)
+    assert "_distribution" not in repr(config)
+
+
 @pytest.fixture(scope="module")
 def fig1_grid():
     """The fig1 cat configuration (nbar = 49, n_b = 0.1) and its time axis."""
@@ -266,9 +317,12 @@ def test_p_joint_rejects_reversed_times_in_array(benson_config):
 
 
 def _per_passage_rates(configs):
-    """Passages with alpha_n (from `rate_arrays`), sqrt(n+1) and F*_n
+    """`_passages` with alpha_n (from `rate_arrays`), sqrt(n+1) and F*_n
     rebuilt for every row of every passage, as before they were computed
-    once per call and the F*_n operator once per time for the stack."""
+    once per call and the F*_n operator once per time for the stack; each
+    config is its own stack."""
+    if isinstance(configs, ExperimentConfig):
+        configs = [configs]
     damping, g = configs[0].damping, configs[0].jc.g
 
     def run(fields, t):
@@ -282,7 +336,9 @@ def _per_passage_rates(configs):
         f, osc, ground = (np.array(part) for part in zip(*rows))
         return observables._Passage(fields, f, osc, ground)
 
-    return np.array([config.distribution().probs for config in configs]), run
+    return len(configs), [
+        (np.array([row]), np.array([config.distribution().probs]), run)
+        for row, config in enumerate(configs)]
 
 
 @pytest.mark.parametrize("nb", [0.0, 0.13])
@@ -329,13 +385,17 @@ def _figure_pair(preset, nb, truncations=(0, 0)):
 
 
 def _assert_rows_equal_single_calls(configs, ts):
-    p_plus, p_plusplus = revival_curves(configs, ts)
-    eta = eta_correlation(configs, ts)
-    assert p_plus.shape == p_plusplus.shape == eta.shape == (2, ts.size)
+    def curves(config):
+        return (*revival_curves(config, ts), eta_correlation(config, ts),
+                p_excited(config, ts),
+                *(p_joint(config, ts, 2.0 * ts, s1, s2)
+                  for s1, s2 in (("+", "-"), ("-", "+"))))
+
+    stacked = curves(configs)
+    assert all(rows.shape == (2, ts.size) for rows in stacked)
     for row, config in enumerate(configs):
-        single = (*revival_curves(config, ts), eta_correlation(config, ts))
-        for stacked, alone in zip((p_plus, p_plusplus, eta), single):
-            assert np.array_equal(stacked[row], alone, equal_nan=True)
+        for rows, alone in zip(stacked, curves(config)):
+            assert np.array_equal(rows[row], alone, equal_nan=True)
 
 
 @pytest.mark.filterwarnings("ignore::catcavity.ValidityWarning")
@@ -369,7 +429,7 @@ def test_stacked_scalar_time_gives_one_value_per_config():
 def test_stacked_configs_must_share_jc_and_damping(other):
     configs, ts = _figure_pair(PRESETS["benson97"], 0.1)
     configs[1] = dataclasses.replace(configs[1], **other)
-    for call in (revival_curves, eta_correlation):
+    for call in (revival_curves, eta_correlation, p_excited):
         with pytest.raises(ValueError):
             call(configs, ts[:3])
 
@@ -396,7 +456,8 @@ def test_one_operator_build_per_time(monkeypatch, fig1_grid):
                            (lambda: eta_correlation([coherent, config], ts),
                             1),
                            (lambda: revival_curves([coherent, config], ts),
-                            1)):
+                            1),
+                           (lambda: p_excited([coherent, config], ts), 1)):
         builds.clear()
         call()
         assert len(builds) == per_time * ts.size

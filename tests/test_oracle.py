@@ -1,5 +1,7 @@
+import ast
 import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -494,3 +496,17 @@ def test_branch_coherence_decays_faster_than_energy():
                                              [0.0, t_half, 4.0 * t_half], 32)
     assert coh[1] < 0.8 * coh[0]
     assert coh[2] < 0.1 * coh[0]
+
+
+def test_oracle_imports_no_closed_form_module():
+    # the oracle checks the closed form, so it must not share its code
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    assert not imported & {"observables", "damping", "resummation"}
