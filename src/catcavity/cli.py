@@ -29,6 +29,11 @@ try:
 except PackageNotFoundError:
     VERSION = "0.dev"
 
+#: The settings a figure's config-file section or flags may set: text, then
+#: numbers.
+TEXT_KEYS = ("preset", "out")
+NUMBER_KEYS = ("nbar", "phi", "nb", "gt_max", "gt_step")
+
 #: The presets each figure writes unless a preset is given.
 FIGURE_PRESETS = {
     "fig1": ("benson97",),
@@ -77,10 +82,16 @@ def _merge_settings(args, figure_id):
                 "gt_step": 0.1, "nb": None, "out": ".", "si_times": False}
     if args.config:
         raw = _load_config_section(args.config, figure_id)
-        for key in ("preset", "out"):
+        unknown = sorted(set(raw) - {*TEXT_KEYS, *NUMBER_KEYS})
+        if unknown:
+            raise ConfigurationError(
+                f"unknown key(s) {', '.join(unknown)} in [{figure_id}] of "
+                f"{args.config}; accepted keys: "
+                + ", ".join(TEXT_KEYS + NUMBER_KEYS))
+        for key in TEXT_KEYS:
             if key in raw:
                 settings[key] = raw[key]
-        for key in ("nbar", "phi", "nb", "gt_max", "gt_step"):
+        for key in NUMBER_KEYS:
             if key in raw:
                 try:
                     settings[key] = float(raw[key])
@@ -88,7 +99,7 @@ def _merge_settings(args, figure_id):
                     raise ConfigurationError(
                         f"{key} = {raw[key]!r} in {args.config} is not a "
                         "number") from None
-    for key in ("preset", "nbar", "phi", "nb", "gt_max", "gt_step", "out"):
+    for key in TEXT_KEYS + NUMBER_KEYS:
         value = getattr(args, key)
         if value is not None:
             settings[key] = value
@@ -101,8 +112,7 @@ def _merge_settings(args, figure_id):
             "(0 for zero temperature, e.g. 0.1 for a cold microwave cavity) "
             "or set nb in the config file"
         )
-    _check_numbers({key: settings[key]
-                    for key in ("nbar", "phi", "nb", "gt_max", "gt_step")})
+    _check_numbers({key: settings[key] for key in NUMBER_KEYS})
     if settings["preset"] is not None and settings["preset"] not in PRESETS:
         raise ConfigurationError(
             f"unknown preset {settings['preset']!r}; choose one of "

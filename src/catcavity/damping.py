@@ -86,9 +86,13 @@ def doublet_decay_rate(damping, n):
 
 
 def _probs_of(p0):
+    """p0 as a 1-d float array of finite entries, else `ValueError`."""
     if isinstance(p0, PhotonDistribution):
         return p0.probs
-    return np.asarray(p0, dtype=float)
+    probs = np.asarray(p0, dtype=float)
+    if probs.ndim != 1 or not np.all(np.isfinite(probs)):
+        raise ValueError("p0 must be a 1-d array of finite probabilities")
+    return probs
 
 
 #: (log G(j+3/2) - log G(n+3/2), log (j-n)!, j - n) over n <= j < N_max,

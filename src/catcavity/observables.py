@@ -12,17 +12,17 @@ Every observable takes one path.  An `ExperimentConfig` builds its photon
 distribution once, when it is made.  `_passages` is the one entry: one
 config, or a sequence that shares jc and damping (the coherent field and
 the cat of a figure), becomes (F, N) stacks of fields of equal truncation,
-one row per config.  `_table` is the one loop over times: it hands each
-observable's read the first atom's passage and the second atom's joint.
+one row per config.  `_table` is the one loop over times and returns one
+table of (configs, times) arrays: P_+ of the first atom's passage and, for
+each first outcome asked for, its weight and its joint weight with a "+"
+of the second atom.  Each observable is an array expression on that table.
 Every passage over a time t applies one time-t operator, the F*_n kernel of
-`damping.f_star_operator` plus the oscillation factor; within one call it is
-built once per time and truncation and shared by every row of the stack and
-by the passages at that time (the two of a P_++(t, 2t) point, the three of
-an eta(t) point).  At most one operator per truncation is alive per call,
-and each row keeps its own kernel-vector product.
+`damping.f_star_operator` plus the oscillation factor; it is built once per
+time and truncation, shared by every row of the stack, and reused by the
+second atom's passage when the delay equals t (a P_++(t, 2t) or eta(t)
+point).  Each row keeps its own kernel-vector product.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -100,50 +100,27 @@ class ExperimentConfig:
         return cat_mean_photons(self.initial_field)
 
 
-@dataclass(frozen=True)
-class _Passage:
-    """One atom passage of duration t through an (F, N) stack of fields p,
-    one row per config.
-
-    f is F*_n(t) of each row, osc the oscillation term and ground the
-    clamped unitarity value F*_{-1}(t) of each row, as `_runner` makes
-    them.  Every observable is built from these, one value per row.
-    """
-
-    probs: np.ndarray
-    f: np.ndarray
-    osc: np.ndarray
-    ground: np.ndarray
-
-    def p_plus(self):
-        """P_+ of each row, for normalized input fields."""
-        return 0.5 - 0.25 * self.ground + 0.5 * self.osc.sum(axis=1)
-
-    def joint_plus(self):
-        """Weight of a "+" detection in each row, clipped to [0, sum_n p_n]."""
-        value = 0.5 * self.f.sum(axis=1) + 0.5 * self.osc.sum(axis=1)
-        return np.minimum(np.maximum(value, 0.0), self.probs.sum(axis=1))
-
-    def conditioned(self, outcome):
-        """Unnormalized field distributions after detecting `outcome`."""
-        if outcome == "+":
-            dist = 0.5 * (self.f + self.osc)
-        else:
-            dist = np.empty_like(self.f)
-            dist[:, 0] = 0.5 * self.ground
-            dist[:, 1:] = 0.5 * (self.f[:, :-1] - self.osc[:, :-1])
-        if dist.min() < -1e-10:
-            raise ConsistencyError(
-                f"conditioned distribution entry {dist.min():.3e} below -1e-10"
-            )
-        return np.clip(dist, 0.0, None)
+def _conditioned(f, osc, ground, outcome):
+    """Unnormalized field distributions after detecting `outcome`, one row
+    per row of F*_n = f, the oscillation term osc and F*_{-1} = ground."""
+    if outcome == "+":
+        dist = 0.5 * (f + osc)
+    else:
+        dist = np.empty_like(f)
+        dist[:, 0] = 0.5 * ground
+        dist[:, 1:] = 0.5 * (f[:, :-1] - osc[:, :-1])
+    if dist.min() < -1e-10:
+        raise ConsistencyError(
+            f"conditioned distribution entry {dist.min():.3e} below -1e-10"
+        )
+    return np.clip(dist, 0.0, None)
 
 
 def _passages(configs):
-    """(count, [(rows, probs, run)]) for one config or a sequence of configs
-    that share jc and damping, grouped by truncation: each group is the
-    (F, N) stack `probs` of the rows `rows` of the sequence, with its own
-    `_runner`.  A field is never re-truncated.
+    """(count, [(rows, probs, operator)]) for one config or a sequence of
+    configs that share jc and damping, grouped by truncation: each group is
+    the (F, N) stack `probs` of the rows `rows` of the sequence, with the
+    `_operator` of its size.  A field is never re-truncated.
     """
     configs = ([configs] if isinstance(configs, ExperimentConfig)
                else list(configs))
@@ -159,62 +136,61 @@ def _passages(configs):
     return len(configs), [
         (np.array(rows),
          np.array([configs[r].distribution().probs for r in rows]),
-         _runner(jc, damping, truncation + 1))
+         _operator(jc, damping, truncation + 1))
         for truncation, rows in groups.items()]
 
 
-def _runner(jc, damping, size):
-    """run(fields, t): one passage of duration t through a stack of fields
-    with `size` levels.
+def _operator(jc, damping, size):
+    """operator(t): the passage of duration t through fields of `size`
+    levels, a function of an (F, size) stack of fields -> (F*_n(t), the
+    oscillation term e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n), row by row.
 
-    The time-t operator, the F* kernel (`f_star_operator`) and the factor
-    e^{-alpha_n t} cos(2 g t sqrt(n+1)) of the oscillation term, is built
-    once for the whole stack and reused while consecutive passages share t,
-    as the passages of one P_++(t, 2t) or eta(t) point do; only the latest
-    one is kept.
+    Each call builds the time-t F* kernel (`f_star_operator`) and the
+    oscillation factor once, for every stack it is then applied to.
     """
     n = np.arange(size)
     alpha = doublet_decay_rate(damping, n)
     root = np.sqrt(n + 1.0)
-    latest = {}
 
-    def run(fields, t):
-        if t not in latest:
-            latest.clear()
-            latest[t] = (
-                f_star_operator(size, damping, t),
-                np.exp(-alpha * t) * np.cos(2.0 * jc.g * t * root))
-        f_star_at, factor = latest[t]
-        f = f_star_at(fields)
-        return _Passage(fields, f, factor * fields, unitarity_ground(fields, f))
+    def operator(t):
+        f_star_at = f_star_operator(size, damping, t)
+        factor = np.exp(-alpha * t) * np.cos(2.0 * jc.g * t * root)
+        return lambda fields: (f_star_at(fields), factor * fields)
 
-    return run
+    return operator
 
 
-def _joint(passage, run, tau, s1, s2):
-    """P(s1, s2) of each row from the first atom's passage and the delay tau."""
-    cond = passage.conditioned(s1)
-    weight = cond.sum(axis=1)
-    joint_plus = run(cond, tau).joint_plus()
-    return joint_plus if s2 == "+" else weight - joint_plus
+def _table(configs, t_a, tau, outcomes=()):
+    """(P_+, weights, joints): P_+ and, keyed by s1, weight and joint, each
+    a (configs, times) array; the one loop over times of every observable.
 
-
-def _table(configs, t_a, tau, read, width=1):
-    """The (width, configs, times) array of read(passage, joint), the one
-    loop over times of every observable.
-
-    At each first-passage time t_a[i], `read` gets the first atom's passage
-    and joint(s1, s2), the joint probability of each row with the second
-    atom's passage run over the delay tau[i].
+    P_+ is that of the first atom's passage over t_a[i].  For each first
+    outcome s1 in `outcomes`, weight is sum_n M_s1 p, the probability of s1,
+    and joint the weight of (s1, +): the conditioned field after the second
+    atom's passage over the delay tau[i], clipped to [0, weight].  Each time
+    builds the t_a operator once; the second passage reuses it when tau
+    equals t_a and builds the tau operator only if some outcome is asked for.
     """
     count, stacks = _passages(configs)
-    out = np.empty((width, count, t_a.size))
-    for rows, probs, run in stacks:
+    p_plus = np.empty((count, t_a.size))
+    weights = {s1: np.empty_like(p_plus) for s1 in outcomes}
+    joints = {s1: np.empty_like(p_plus) for s1 in outcomes}
+    for rows, probs, operator in stacks:
         for i, (ta, delay) in enumerate(zip(t_a, tau)):
-            passage = run(probs, ta)
-            out[:, rows, i] = read(
-                passage, functools.partial(_joint, passage, run, delay))
-    return out
+            first = operator(ta)
+            f, osc = first(probs)
+            ground = unitarity_ground(probs, f)
+            p_plus[rows, i] = 0.5 - 0.25 * ground + 0.5 * osc.sum(axis=1)
+            if outcomes:
+                second = first if delay == ta else operator(delay)
+            for s1 in outcomes:
+                cond = _conditioned(f, osc, ground, s1)
+                weight = cond.sum(axis=1)
+                f_b, osc_b = second(cond)
+                value = 0.5 * f_b.sum(axis=1) + 0.5 * osc_b.sum(axis=1)
+                weights[s1][rows, i] = weight
+                joints[s1][rows, i] = np.minimum(np.maximum(value, 0.0), weight)
+    return p_plus, weights, joints
 
 
 def _shaped(out, configs, *t):
@@ -245,8 +221,7 @@ def p_excited(configs, t):
     jc and damping gives one row per config.
     """
     times = _times(t)
-    out = _table(configs, times, times, lambda passage, joint: passage.p_plus())
-    return _shaped(out[0], configs, t)
+    return _shaped(_table(configs, times, times)[0], configs, t)
 
 
 def conditioned_field(config, t_a, outcome):
@@ -262,8 +237,9 @@ def conditioned_field(config, t_a, outcome):
     times = _times(t_a)
     if times.size != 1:
         raise ValueError("conditioned_field takes one time t_a")
-    _, [(_, probs, run)] = _passages([config])
-    return run(probs, times[0]).conditioned(outcome)[0]
+    _, [(_, probs, operator)] = _passages([config])
+    f, osc = operator(times[0])(probs)
+    return _conditioned(f, osc, unitarity_ground(probs, f), outcome)[0]
 
 
 def p_joint(configs, t_a, t_b, s1, s2):
@@ -281,9 +257,9 @@ def p_joint(configs, t_a, t_b, s1, s2):
     t_a_arr, t_b_arr = np.broadcast_arrays(_times(t_a), _times(t_b))
     if not np.all(t_a_arr <= t_b_arr):
         raise ValueError("need 0 <= t_A <= t_B < inf")
-    out = _table(configs, t_a_arr, t_b_arr - t_a_arr,
-                 lambda passage, joint: joint(s1, s2))
-    return _shaped(out[0], configs, t_a, t_b)
+    _, weights, joints = _table(configs, t_a_arr, t_b_arr - t_a_arr, (s1,))
+    joint = joints[s1] if s2 == "+" else weights[s1] - joints[s1]
+    return _shaped(joint, configs, t_a, t_b)
 
 
 def revival_curves(configs, t):
@@ -297,22 +273,8 @@ def revival_curves(configs, t):
     time's operator is built once for all of them.
     """
     times = _times(t)
-    out = _table(configs, times, times, lambda passage, joint: (
-        passage.p_plus(), joint("+", "+")), width=2)
-    return _shaped(out[0], configs, t), _shaped(out[1], configs, t)
-
-
-def _eta(passage, joint):
-    """eta of each row from the first passage, NaN where undefined; the
-    joint passages run only if some row is defined."""
-    p_plus = passage.p_plus()
-    p_minus = 1.0 - p_plus
-    defined = ~((p_plus < ETA_EPSILON) | (p_minus < ETA_EPSILON))
-    eta = np.full(p_plus.shape, np.nan)
-    if defined.any():
-        eta[defined] = (joint("+", "+")[defined] / p_plus[defined]
-                        - joint("-", "+")[defined] / p_minus[defined])
-    return eta
+    p_plus, _, joints = _table(configs, times, times, ("+",))
+    return _shaped(p_plus, configs, t), _shaped(joints["+"], configs, t)
 
 
 def eta_correlation(configs, t):
@@ -325,7 +287,13 @@ def eta_correlation(configs, t):
     undefined), and each time's operator is built once for all of them.
     """
     times = _times(t)
-    eta = _shaped(_table(configs, times, times, _eta)[0], configs, t)
+    p_plus, _, joints = _table(configs, times, times, ("+", "-"))
+    p_minus = 1.0 - p_plus
+    defined = ~((p_plus < ETA_EPSILON) | (p_minus < ETA_EPSILON))
+    eta = np.full(p_plus.shape, np.nan)
+    eta[defined] = (joints["+"][defined] / p_plus[defined]
+                    - joints["-"][defined] / p_minus[defined])
+    eta = _shaped(eta, configs, t)
     return None if isinstance(eta, float) and math.isnan(eta) else eta
 
 

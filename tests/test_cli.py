@@ -215,3 +215,15 @@ def test_malformed_number_is_an_input_error(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_config_key_is_an_input_error(tmp_path, capsys):
+    config = tmp_path / "c.ini"
+    config.write_text("[fig1]\nnb = 0.1\ngt-step = 5\nnbarr = 4\n")
+    out = tmp_path / "out"
+    assert main(["figure", "fig1", "--config", str(config),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown key(s) gt-step, nbarr in [fig1]")
+    assert "accepted keys: preset, out, nbar, phi, nb, gt_max, gt_step" in err
+    assert not out.exists()

@@ -253,3 +253,11 @@ def test_mass_never_exceeds_input(intensity, n_thermal, kt):
 def test_damping_params_reject_non_finite(kwargs):
     with pytest.raises(ValueError):
         DampingParams(**kwargs)
+
+
+@pytest.mark.parametrize("p0", [[0.5, math.nan, 0.5], [0.5, math.inf],
+                                [[0.5, 0.5], [0.5, 0.5]], 0.5])
+@pytest.mark.parametrize("helper", [f_star, f_star_ground, offdiag_decay])
+def test_closed_form_helpers_reject_malformed_fields(helper, p0):
+    with pytest.raises(ValueError):
+        helper(np.array(p0), DampingParams(kappa=1.0), 0.1)

@@ -24,7 +24,7 @@ from catcavity import (
     revival_curves,
 )
 from catcavity import observables
-from catcavity.damping import f_star, f_star_operator, unitarity_ground
+from catcavity.damping import f_star, f_star_operator
 from references import rate_arrays
 
 
@@ -325,19 +325,21 @@ def _per_passage_rates(configs):
         configs = [configs]
     damping, g = configs[0].damping, configs[0].jc.g
 
-    def run(fields, t):
-        rows = []
-        for probs in fields:
-            n = np.arange(probs.size)
-            alpha, _, _ = rate_arrays(damping, probs.size - 1)
-            osc = np.exp(-alpha * t) * np.cos(2.0 * g * t * np.sqrt(n + 1.0))
-            f = f_star(probs, damping, t)
-            rows.append((f, osc * probs, unitarity_ground(probs, f)))
-        f, osc, ground = (np.array(part) for part in zip(*rows))
-        return observables._Passage(fields, f, osc, ground)
+    def operator(t):
+        def run(fields):
+            rows = []
+            for probs in fields:
+                n = np.arange(probs.size)
+                alpha, _, _ = rate_arrays(damping, probs.size - 1)
+                osc = (np.exp(-alpha * t)
+                       * np.cos(2.0 * g * t * np.sqrt(n + 1.0)))
+                rows.append((f_star(probs, damping, t), osc * probs))
+            return tuple(np.array(part) for part in zip(*rows))
+
+        return run
 
     return len(configs), [
-        (np.array([row]), np.array([config.distribution().probs]), run)
+        (np.array([row]), np.array([config.distribution().probs]), operator)
         for row, config in enumerate(configs)]
 
 
