@@ -38,7 +38,7 @@ class JCParams:
             raise ValueError("coupling g must be positive")
 
 
-# kept only as the entry point benchmarks/workloads.py calls; ROADMAP item 4
+# kept only as the entry point benchmarks/workloads.py calls; ROADMAP item 2
 # deletes it with the benchmark's next change
 def build_dressed_frame(jc, truncation):
     """`jc` itself, the whole dressed frame at resonance, once truncation

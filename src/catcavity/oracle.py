@@ -6,8 +6,9 @@ that removes omega (a* a + sigma_z / 2): at resonance the remaining
 Hamiltonian is the bare coupling g (a sigma_+ + a* sigma_-), and the
 (unspecified) optical frequency cancels from every observable.  The
 Liouvillian is assembled once as a sparse matrix acting on the row-major
-vectorization of rho, with the dissipator written once as a sum over its two
-jumps; jc=None switches the coupling off and damping=None the dissipator.
+vectorization of rho, from (row, col, value) index triplets, with the
+dissipator written once as a sum over its two jumps; jc=None switches the
+coupling off and damping=None the dissipator.
 
 The coupling, the detuning and both dissipators conserve the coherence order
 k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
@@ -17,6 +18,19 @@ block-diagonal with blocks of at most 4 N + 2 states.  Each block whose
 initial vector is non-zero is scattered straight from the Liouvillian's
 non-zeros into a dense array and propagated exactly with `scipy.linalg.expm`
 (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009).
+
+The blocks are propagated in the atom-phase frame rho' = S* rho S with
+S = 1_field x diag(1, i), where vec(rho') = d * vec(rho) and every
+d_(i,j) = conj(s_i) s_j is 1, i or -i.  The coupling links |n, +> only with
+|n+1, ->, so S turns g (a sigma_+ + a* sigma_-) into i times a real
+antisymmetric matrix and i [rho, H'] into a real map; a and a* act on the
+field alone and commute with S, so both dissipators stay real.  At
+resonance every block is therefore a real matrix, and its expm and
+mat-vecs run in real arithmetic on the real and imaginary parts of rho'
+side by side.  Multiplying by 1 or +/-i only moves and negates floats, so
+the rotated entries are exactly those of `liouvillian`.  A detuning adds
+i (H'_jj - H'_ii) on the diagonal, which no diagonal S removes, and such a
+block stays complex.
 
 Populations, P_+, P(s1, s2) and the dressed doublets live in k = 0; the
 Fock coherences of a cat fill k != 0.  The k = 0 block is closed under
@@ -43,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 # unused here: benchmarks/run.py --trace 1 wraps this name to count nfev;
-# delete it when the benchmark replaces that counter (ROADMAP item 4)
+# delete it when the benchmark replaces that counter (ROADMAP item 2)
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
@@ -152,34 +166,49 @@ def liouvillian(jc, damping, truncation):
 
     with H' = (detuning/2) sigma_z + g (a sigma_+ + a* sigma_-) and the jumps
     (rate, J) = (kappa (n_b + 1), a) and (kappa n_b, a*).  Under row-major
-    vectorization the sandwich A rho B is kron(A, B^T).  jc=None drops H'
-    (field-only decay, for pure-decoherence runs) and damping=None drops the
-    dissipator (the undamped limit, which DampingParams itself excludes).
+    vectorization entry (i, j) of A rho B reads A_ik B_lj from entry (k, l),
+    so each term is written as (row, col, value) triplets: the diagonal
+    i (H'_jj - H'_ii) - sum rate ((J*J)_ii + (J*J)_jj), the coupling once
+    from each side of the commutator, and each jump's sandwich shifted one
+    photon along both indices.  jc=None drops H' (field-only decay, for
+    pure-decoherence runs) and damping=None drops the dissipator (the
+    undamped limit, which DampingParams itself excludes).
     """
     dim = 2 * (truncation + 1)
-    a_f = np.diag(np.sqrt(np.arange(1, truncation + 1)), 1)
-    eye = np.eye(dim)
-
-    def sandwich(left, right):
-        return sp.kron(sp.csr_matrix(left), sp.csr_matrix(right.T),
-                       format="csr")
-
-    lind = sp.csr_matrix((dim * dim,) * 2, dtype=complex)
+    every = np.arange(dim)
+    vec = every[:, None] * dim + every[None, :]  # position of (i, j)
+    diag = np.zeros((dim, dim), dtype=complex)
+    rows, cols, vals = [vec.ravel()], [vec.ravel()], []
+    lo = np.arange(2 * truncation)  # |n, s> with n < N; a takes lo + 2 to lo
+    root = np.sqrt(lo // 2 + 1.0)
     if jc is not None:
-        sigma_p = np.array([[0.0, 1.0], [0.0, 0.0]])
-        h = jc.g * (np.kron(a_f, sigma_p) + np.kron(a_f.T, sigma_p.T))
-        h = h + 0.5 * jc.detuning * np.kron(np.eye(truncation + 1),
-                                            np.diag([1.0, -1.0]))
-        lind = lind + 1j * (sandwich(eye, h) - sandwich(h, eye))
-    if damping is None:
-        return lind
-    a = np.kron(a_f, np.eye(2))  # real, so a* = a^T
-    k, nb = damping.kappa, damping.n_thermal
-    for rate, jump in ((k * (nb + 1.0), a), (k * nb, a.T)):
-        if rate > 0:
-            number = jump.T @ jump
-            lind = lind - rate * (sandwich(number, eye) + sandwich(eye, number)
-                                  - 2.0 * sandwich(jump, jump.T))
+        energy = 0.5 * jc.detuning * np.where(every % 2, -1.0, 1.0)
+        diag += 1j * (energy[None, :] - energy[:, None])
+        # g sqrt(n + 1) between |n, +> and |n + 1, ->, both ways
+        plus = lo[0::2]
+        h_row = np.r_[plus, plus + 3]
+        h_col = np.r_[plus + 3, plus]
+        h_val = 1j * jc.g * np.tile(root[0::2], 2)
+        rows += [vec[:, h_col].ravel(), vec[h_row, :].ravel()]
+        cols += [vec[:, h_row].ravel(), vec[h_col, :].ravel()]
+        vals += [np.tile(h_val, dim), -np.repeat(h_val, dim)]
+    if damping is not None:
+        k, nb = damping.kappa, damping.n_thermal
+        for rate, left, right in ((k * (nb + 1.0), lo, lo + 2),
+                                  (k * nb, lo + 2, lo)):
+            if rate > 0:
+                # J = sum root |left><right|, so J*J = diag(root^2) on right
+                number = np.zeros(dim)
+                number[right] = root ** 2
+                diag -= rate * (number[:, None] + number[None, :])
+                rows.append(vec[np.ix_(left, left)].ravel())
+                cols.append(vec[np.ix_(right, right)].ravel())
+                vals.append((2.0 * rate * np.outer(root, root)).ravel())
+    vals.insert(0, diag.ravel())
+    lind = sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(dim * dim,) * 2)
+    lind.eliminate_zeros()
     return lind
 
 
@@ -215,13 +244,24 @@ def dephased(rho):
     return DensityMatrix(matrix=np.where(keep, rho.matrix, 0.0), time=rho.time)
 
 
-def _filled_blocks(lind, label, v0):
+def _atom_phases(truncation):
+    """d with vec(S* rho S) = d * vec(rho) for S = 1_field x diag(1, i):
+    d_(i,j) = conj(s_i) s_j, each exactly 1, i or -i."""
+    s = np.tile([1.0, 1j], truncation + 1)
+    return np.outer(s.conj(), s).ravel()
+
+
+def _filled_blocks(lind, label, phase, v0):
     """Each block with label >= 0 whose part of v0 is non-zero, as
     (indices, generator).
 
     `indices` are the block's vec(rho) positions in ascending order, and
-    `generator` is the dense block of `lind` on them, scattered directly from
-    the non-zeros of `lind` (no sparse slicing of the full Liouvillian).
+    `generator` is the dense block of `lind` on them in the atom-phase frame
+    vec(S* rho S) = phase * vec(rho) (see `_atom_phases`), scattered directly
+    from the non-zeros of `lind` (no sparse slicing of the full
+    Liouvillian).  The rotation multiplies by 1 or +/-i, which is exact; a
+    generator whose rotated entries are all real is scattered into a float
+    array.
     """
     order = np.argsort(label, kind="stable")
     upper = order[label[order] >= 0]
@@ -238,12 +278,17 @@ def _filled_blocks(lind, label, v0):
     keep = np.flatnonzero(which >= 0)
     keep = keep[np.argsort(which[keep], kind="stable")]
     edges = np.searchsorted(which[keep], np.arange(len(blocks) + 1))
-    rows, cols, data = local[coo.row[keep]], local[coo.col[keep]], coo.data[keep]
+    row, col = coo.row[keep], coo.col[keep]
+    rows, cols = local[row], local[col]
+    data = coo.data[keep] * phase[row] * phase[col].conj()
     for i, b in enumerate(blocks):
         nz = slice(edges[i], edges[i + 1])
-        gen = np.zeros((b.size, b.size), dtype=complex)
-        gen[rows[nz], cols[nz]] = data[nz]
-        yield b, gen
+        gen = data[nz]
+        if not gen.imag.any():
+            gen = gen.real
+        dense = np.zeros((b.size, b.size), dtype=gen.dtype)
+        dense[rows[nz], cols[nz]] = gen
+        yield b, dense
 
 
 def _step_groups(steps):
@@ -265,8 +310,12 @@ def integrate_trajectory(rho0, jc, damping, times):
     vec(rho) is split into blocks (see `_block_labels`).  Only the blocks
     with k >= 0 whose initial vector is non-zero are propagated; block -k is
     filled as the conjugate transpose, which needs rho0 to be Hermitian.
-    Each block gets one `scipy.linalg.expm` per distinct step length and one
-    mat-vec per sample.  Trace drift beyond 10*DEFAULT_TOL raises.
+    Each block runs in the atom-phase frame (see `_filled_blocks`) and gets
+    one `scipy.linalg.expm` per distinct step length and one product per
+    sample; a real block carries the real and imaginary parts of its vector
+    as two columns.  The INFO log names each block's size and arithmetic
+    and the number of expm builds.  Trace drift beyond 10*DEFAULT_TOL
+    raises.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
@@ -282,20 +331,28 @@ def integrate_trajectory(rho0, jc, damping, times):
     lind = liouvillian(jc, damping, trunc)
     levels, step_index = _step_groups(np.diff(np.r_[rho0.time, times]))
 
+    phase = _atom_phases(trunc)
     v0 = m0.reshape(-1)
     out = np.zeros((times.size, dim * dim), dtype=complex)
-    sizes = []
-    for idx, gen in _filled_blocks(lind, label, v0):
+    sizes, kinds = [], []
+    for idx, gen in _filled_blocks(lind, label, phase, v0):
+        real = gen.dtype.kind == "f"
         props = expm(levels[:, None, None] * gen)
-        v = v0[idx]
-        block = np.empty((times.size, idx.size), dtype=complex)
+        v = v0[idx] * phase[idx]
+        if real:  # the real and imaginary parts as two columns
+            v = v.view(float).reshape(idx.size, 2)
+        block = np.empty((times.size,) + v.shape, dtype=v.dtype)
         for i, j in enumerate(step_index):
             if j >= 0:
                 v = props[j] @ v
             block[i] = v
-        out[:, idx] = block
+        rotated = block.view(complex).reshape(times.size, idx.size)
+        out[:, idx] = rotated * phase[idx].conj()
         sizes.append(idx.size)
-    _LOG.info("oracle: truncation %d, propagated block sizes %s", trunc, sizes)
+        kinds.append("real" if real else "complex")
+    _LOG.info("oracle: truncation %d, propagated block sizes %s, arithmetic "
+              "[%s], expm builds %d", trunc, sizes, ", ".join(kinds),
+              len(sizes) * levels.size)
     out = out.reshape(times.size, dim, dim)
     lower = (label < 0).reshape(dim, dim)
     out[:, lower] = out.transpose(0, 2, 1).conj()[:, lower]

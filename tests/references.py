@@ -3,14 +3,17 @@
 Independent evaluations the library itself does not need: the rates of the
 F*_n recurrence, the alternating double-sum form of F*_{-1},
 finite-difference residuals of the F*_n recurrence, the matrix of the
-creation operator in the dressed basis, and a density-matrix sanity check.
+creation operator in the dressed basis, a density-matrix sanity check, and
+the oracle's propagation by complex matrix exponentials of its blocks.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.special import gammaln
 
+from catcavity import oracle
 from catcavity.damping import f_star, f_star_ground
 from catcavity.errors import ConsistencyError
 
@@ -134,3 +137,33 @@ def validate_density_matrix(rho):
         raise ConsistencyError("density matrix trace drifted")
     if np.linalg.eigvalsh(m).min() < -1e-8:
         raise ConsistencyError("density matrix not positive")
+
+
+def complex_block_trajectory(rho0, jc, damping, times):
+    """rho at each time as one (times, dim, dim) array, from one complex
+    `scipy.linalg.expm` per distinct step of each filled block of
+    `oracle.liouvillian` with k >= 0, sliced from the sparse matrix in the
+    bare basis; block -k is the conjugate transpose of block k.
+    """
+    trunc = rho0.truncation
+    dim = 2 * (trunc + 1)
+    label = oracle._block_labels(trunc, jc)
+    lind = oracle.liouvillian(jc, damping, trunc)
+    levels, step_index = oracle._step_groups(np.diff(np.r_[rho0.time, times]))
+    v0 = rho0.matrix.reshape(-1)
+    out = np.zeros((len(times), dim * dim), dtype=complex)
+    for value in np.unique(label[label >= 0]):
+        idx = np.flatnonzero(label == value)
+        if not v0[idx].any():
+            continue
+        gen = lind[idx][:, idx].toarray()
+        props = expm(levels[:, None, None] * gen)
+        v = v0[idx]
+        for i, j in enumerate(step_index):
+            if j >= 0:
+                v = props[j] @ v
+            out[i, idx] = v
+    out = out.reshape(len(times), dim, dim)
+    lower = (label < 0).reshape(dim, dim)
+    out[:, lower] = out.transpose(0, 2, 1).conj()[:, lower]
+    return out

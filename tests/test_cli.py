@@ -184,9 +184,11 @@ def test_oracle_logs_truncation_and_k0_block(tmp_path, caplog):
     trunc = default_truncation(1.0)
     records = [r.getMessage() for r in caplog.records
                if r.name == "catcavity"]
-    # one propagated block: k = 0, with 4 N + 2 states
+    # one propagated block: k = 0, with 4 N + 2 states, real at resonance,
+    # and one expm for the two equal steps
     assert records == [f"oracle: truncation {trunc}, propagated block "
-                       f"sizes [{4 * trunc + 2}]"]
+                       f"sizes [{4 * trunc + 2}], arithmetic [real], "
+                       f"expm builds 1"]
 
 
 def test_oracle_requires_nb(capsys):

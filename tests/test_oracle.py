@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from catcavity import (
@@ -21,7 +23,7 @@ from catcavity.cli import main
 from catcavity.damping import f_star, offdiag_decay
 from catcavity.dressed import dressed_annihilation, dressed_basis
 from catcavity.presets import PRESETS
-from references import validate_density_matrix
+from references import complex_block_trajectory, validate_density_matrix
 
 
 def _dense_rhs(rho, jc, damping, trunc):
@@ -95,6 +97,62 @@ def test_block_propagator_matches_dop853(include_coupling):
     expected = _dop853_reference(rho0, jc, damping, times)
     assert [rho.time for rho in traj] == list(times)
     assert np.abs(got - expected).max() < 1e-9
+
+
+@given(g=st.floats(min_value=0.01, max_value=1e5),
+       kappa=st.floats(min_value=1e-3, max_value=1e4),
+       n_b=st.floats(min_value=0.0, max_value=0.5),
+       trunc=st.integers(min_value=1, max_value=6),
+       coupled=st.booleans(), damped=st.booleans(),
+       detuning=st.floats(min_value=1e-3, max_value=1e5))
+@settings(max_examples=60, deadline=None)
+def test_atom_phases_make_resonant_liouvillian_real(g, kappa, n_b, trunc,
+                                                    coupled, damped,
+                                                    detuning):
+    # vec(S* rho S) = d * vec(rho) with S = 1_field x diag(1, i) turns every
+    # resonant Liouvillian real; a detuning keeps an imaginary diagonal
+    s = np.tile([1.0, 1j], trunc + 1)
+    d = np.outer(s.conj(), s).ravel()
+    assert np.array_equal(oracle._atom_phases(trunc), d)
+    jc = JCParams(g=g) if coupled else None
+    damping = (DampingParams(kappa=kappa, n_thermal=n_b)
+               if damped or jc is None else None)
+    lind = oracle.liouvillian(jc, damping, trunc).tocoo()
+    rotated = lind.data * d[lind.row] * d[lind.col].conj()
+    assert lind.nnz > 0
+    assert not rotated.imag.any()
+    # each entry is real or imaginary, and the rotation only moves its part
+    assert np.array_equal(np.abs(rotated.real),
+                          np.abs(lind.data.real) + np.abs(lind.data.imag))
+    detuned = oracle.liouvillian(JCParams(g=g, detuning=detuning), damping,
+                                 trunc).tocoo()
+    rotated = detuned.data * d[detuned.row] * d[detuned.col].conj()
+    assert rotated.imag.any()
+
+
+@pytest.mark.parametrize("nbar, trunc, n_b, dephase", [
+    (4.0, 32, 0.0, False), (4.0, 32, 0.1, False), (16.0, 64, 0.1, True)])
+def test_real_propagation_matches_complex_reference(caplog, nbar, trunc, n_b,
+                                                    dephase):
+    # the benchmark's phi != 0 cat at N = 32 with every block filled, and a
+    # dephased cat at N = 64: the real propagation agrees with one complex
+    # expm per block of the bare-basis Liouvillian
+    preset = PRESETS["benson97"]
+    jc = preset.jc()
+    damping = DampingParams(kappa=preset.kappa, n_thermal=n_b)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=nbar, phase=1.0),
+                                      trunc)
+    if dephase:
+        rho0 = oracle.dephased(rho0)
+    times = np.linspace(0.0, 50.0 / jc.g, 21)
+    caplog.set_level(logging.INFO, logger="catcavity")
+    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+    got = np.array([rho.matrix for rho in traj])
+    expected = complex_block_trajectory(rho0, jc, damping, times)
+    assert np.abs(got - expected).max() < 1e-13
+    assert np.abs(expected[-1] - expected[0]).max() > 1e-2
+    [message] = [r.getMessage() for r in caplog.records]
+    assert "real" in message and "complex" not in message
 
 
 def test_liouvillian_is_block_diagonal_in_coherence_order():
@@ -441,10 +499,11 @@ def test_joint_probability_oracle_matches_full_blocks(caplog):
                                                   s1, s2)
             assert abs(got - expected) < 1e-12
             assert 0.01 < got < 1.0
-            # one block, k = 0, of 4 N + 2 states per leg
+            # one block, k = 0, of 4 N + 2 states per leg, one expm each;
+            # the detuning keeps it complex
             assert [r.getMessage() for r in caplog.records] == [
                 f"oracle: truncation {trunc}, propagated block sizes "
-                f"[{4 * trunc + 2}]"] * 2
+                f"[{4 * trunc + 2}], arithmetic [complex], expm builds 1"] * 2
 
 
 def test_oracle_command_matches_full_block_observables(tmp_path):
