@@ -16,11 +16,16 @@ one row per config.  `_table` is the one loop over times and returns one
 table of (configs, times) arrays: P_+ of the first atom's passage and, for
 each first outcome asked for, its weight and its joint weight with a "+"
 of the second atom.  Each observable is an array expression on that table.
-Every passage over a time t applies one time-t operator, the F*_n kernel of
-`damping.f_star_operator` plus the oscillation factor; it is built once per
-time and truncation, shared by every row of the stack, and reused by the
-second atom's passage when the delay equals t (a P_++(t, 2t) or eta(t)
-point).  Each row keeps its own kernel-vector product.
+The loop runs a chunk of consecutive times at a time (at most
+`damping.KERNEL_CHUNK` kernel entries, 1 MiB, so the chunk's kernels stay
+in L2 cache).  Every passage over a time t applies one time-t operator, the
+F*_n kernel of `damping.f_star_operator` plus the oscillation factor; each
+chunk builds its operators once, shares them with every row of the stack,
+and the second atom's passage reuses them when every delay equals its t (a
+P_++(t, 2t) or eta(t) curve).  The fields conditioned on each first outcome
+go through the second passage as one stack.  Each row keeps its own
+kernel-vector product per time, so no result depends on the chunk, the
+stack or the other outcomes.
 """
 
 import math
@@ -100,20 +105,26 @@ class ExperimentConfig:
         return cat_mean_photons(self.initial_field)
 
 
-def _conditioned(f, osc, ground, outcome):
-    """Unnormalized field distributions after detecting `outcome`, one row
-    per row of F*_n = f, the oscillation term osc and F*_{-1} = ground."""
-    if outcome == "+":
-        dist = 0.5 * (f + osc)
-    else:
-        dist = np.empty_like(f)
-        dist[:, 0] = 0.5 * ground
-        dist[:, 1:] = 0.5 * (f[:, :-1] - osc[:, :-1])
+def _conditioned(f, osc, ground, outcomes):
+    """Unnormalized field distributions after detecting each of `outcomes`,
+    from the (C, F, N) stacks F*_n = f and the oscillation term osc and the
+    (C, F) F*_{-1} = ground: one (C, F, N) block per outcome, in order, of
+    a (C, len(outcomes) F, N) stack."""
+    rows = f.shape[1]
+    dist = np.empty((f.shape[0], len(outcomes) * rows, f.shape[2]))
+    for i, outcome in enumerate(outcomes):
+        block = dist[:, i * rows:(i + 1) * rows]
+        if outcome == "+":
+            np.add(f, osc, out=block)
+        else:
+            block[..., 0] = ground
+            np.subtract(f[..., :-1], osc[..., :-1], out=block[..., 1:])
+    dist *= 0.5
     if dist.min() < -1e-10:
         raise ConsistencyError(
             f"conditioned distribution entry {dist.min():.3e} below -1e-10"
         )
-    return np.clip(dist, 0.0, None)
+    return dist.clip(0.0, None, out=dist)
 
 
 def _passages(configs):
@@ -141,21 +152,29 @@ def _passages(configs):
 
 
 def _operator(jc, damping, size):
-    """operator(t): the passage of duration t through fields of `size`
-    levels, a function of an (F, size) stack of fields -> (F*_n(t), the
-    oscillation term e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n), row by row.
+    """operator(times): the passages of durations `times` through fields of
+    `size` levels, one chunk of times at a time (`f_star_operator`): an
+    iterator of (chunk, passage), where passage maps an (F, size) stack of
+    fields, or a (C, F, size) stack per time, to the (C, F, size) stacks
+    (F*_n(t), the oscillation term e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n).
 
-    Each call builds the time-t F* kernel (`f_star_operator`) and the
-    oscillation factor once, for every stack it is then applied to.
+    Each chunk builds its F* kernels and oscillation factors once, for every
+    stack it is then applied to; a passage is valid until the next chunk.
     """
     n = np.arange(size)
-    alpha = doublet_decay_rate(damping, n)
+    alpha = -doublet_decay_rate(damping, n)
     root = np.sqrt(n + 1.0)
+    two_g = 2.0 * jc.g
 
-    def operator(t):
-        f_star_at = f_star_operator(size, damping, t)
-        factor = np.exp(-alpha * t) * np.cos(2.0 * jc.g * t * root)
-        return lambda fields: (f_star_at(fields), factor * fields)
+    def operator(times):
+        for chunk, f_star_at in f_star_operator(size, damping, times):
+            t = times[chunk, None, None]
+            factor = np.exp(alpha * t) * np.cos(two_g * t * root)
+
+            def passage(fields):
+                return f_star_at(fields), factor * fields
+
+            yield chunk, passage
 
     return operator
 
@@ -167,29 +186,35 @@ def _table(configs, t_a, tau, outcomes=()):
     P_+ is that of the first atom's passage over t_a[i].  For each first
     outcome s1 in `outcomes`, weight is sum_n M_s1 p, the probability of s1,
     and joint the weight of (s1, +): the conditioned field after the second
-    atom's passage over the delay tau[i], clipped to [0, weight].  Each time
-    builds the t_a operator once; the second passage reuses it when tau
-    equals t_a and builds the tau operator only if some outcome is asked for.
+    atom's passage over the delay tau[i], clipped to [0, weight].  The loop
+    runs a chunk of times at a time and builds each chunk's t_a operator
+    once; the second passage reuses it when every delay equals its t_a and
+    builds the tau operator only if some outcome is asked for.
     """
     count, stacks = _passages(configs)
     p_plus = np.empty((count, t_a.size))
     weights = {s1: np.empty_like(p_plus) for s1 in outcomes}
     joints = {s1: np.empty_like(p_plus) for s1 in outcomes}
+    shared = not outcomes or tau is t_a or np.array_equal(tau, t_a)
     for rows, probs, operator in stacks:
-        for i, (ta, delay) in enumerate(zip(t_a, tau)):
-            first = operator(ta)
+        seconds = None if shared else operator(tau)
+        for chunk, first in operator(t_a):
             f, osc = first(probs)
             ground = unitarity_ground(probs, f)
-            p_plus[rows, i] = 0.5 - 0.25 * ground + 0.5 * osc.sum(axis=1)
-            if outcomes:
-                second = first if delay == ta else operator(delay)
-            for s1 in outcomes:
-                cond = _conditioned(f, osc, ground, s1)
-                weight = cond.sum(axis=1)
-                f_b, osc_b = second(cond)
-                value = 0.5 * f_b.sum(axis=1) + 0.5 * osc_b.sum(axis=1)
-                weights[s1][rows, i] = weight
-                joints[s1][rows, i] = np.minimum(np.maximum(value, 0.0), weight)
+            p_plus[rows, chunk] = (0.5 - 0.25 * ground
+                                   + 0.5 * osc.sum(axis=2)).T
+            if not outcomes:
+                continue
+            second = first if shared else next(seconds)[1]
+            cond = _conditioned(f, osc, ground, outcomes)
+            weight = cond.sum(axis=2)
+            f_b, osc_b = second(cond)
+            value = 0.5 * f_b.sum(axis=2) + 0.5 * osc_b.sum(axis=2)
+            joint = np.minimum(np.maximum(value, 0.0), weight)
+            for i, s1 in enumerate(outcomes):
+                block = slice(i * rows.size, (i + 1) * rows.size)
+                weights[s1][rows, chunk] = weight[:, block].T
+                joints[s1][rows, chunk] = joint[:, block].T
     return p_plus, weights, joints
 
 
@@ -209,7 +234,7 @@ def _times(t):
     times = np.atleast_1d(np.asarray(t, dtype=float))
     if times.ndim > 1:
         raise ValueError("times must be a scalar or a 1-d array")
-    if not np.all((times >= 0) & (times < math.inf)):
+    if not ((times >= 0.0) & (times < math.inf)).all():
         raise ValueError("time must be finite and non-negative")
     return times
 
@@ -238,8 +263,9 @@ def conditioned_field(config, t_a, outcome):
     if times.size != 1:
         raise ValueError("conditioned_field takes one time t_a")
     _, [(_, probs, operator)] = _passages([config])
-    f, osc = operator(times[0])(probs)
-    return _conditioned(f, osc, unitarity_ground(probs, f), outcome)[0]
+    [(_, passage)] = operator(times)
+    f, osc = passage(probs)
+    return _conditioned(f, osc, unitarity_ground(probs, f), (outcome,))[0, 0]
 
 
 def p_joint(configs, t_a, t_b, s1, s2):
@@ -289,10 +315,11 @@ def eta_correlation(configs, t):
     times = _times(t)
     p_plus, _, joints = _table(configs, times, times, ("+", "-"))
     p_minus = 1.0 - p_plus
-    defined = ~((p_plus < ETA_EPSILON) | (p_minus < ETA_EPSILON))
-    eta = np.full(p_plus.shape, np.nan)
-    eta[defined] = (joints["+"][defined] / p_plus[defined]
-                    - joints["-"][defined] / p_minus[defined])
+    defined = (p_plus >= ETA_EPSILON) & (p_minus >= ETA_EPSILON)
+    eta = np.full_like(p_plus, np.nan)
+    np.divide(joints["+"], p_plus, out=eta, where=defined)
+    eta -= np.divide(joints["-"], p_minus, out=np.zeros_like(p_plus),
+                     where=defined)
     eta = _shaped(eta, configs, t)
     return None if isinstance(eta, float) and math.isnan(eta) else eta
 

@@ -33,8 +33,11 @@ class ResumParams:
             raise ValueError("nbar, phase and g must be finite")
         if self.nbar <= 0:
             raise ValueError("nbar must be positive")
-        if self.max_order < 1:
-            raise ValueError("max_order must be at least 1")
+        if (isinstance(self.max_order, bool)
+                or not isinstance(self.max_order, (int, np.integer))
+                or self.max_order < 1):
+            raise ValueError(
+                f"max_order must be an integer >= 1, got {self.max_order!r}")
         if self.g <= 0:
             raise ValueError("coupling g must be positive")
         if self.nbar < 10:

@@ -2,9 +2,11 @@
 
 Independent evaluations the library itself does not need: the rates of the
 F*_n recurrence, the alternating double-sum form of F*_{-1},
-finite-difference residuals of the F*_n recurrence, the matrix of the
-creation operator in the dressed basis, a density-matrix sanity check, and
-the oracle's propagation by complex matrix exponentials of its blocks.
+finite-difference residuals of the F*_n recurrence, the two atom passages
+of the closed-form observables as a loop over times and fields, the matrix
+of the creation operator in the dressed basis, a density-matrix sanity
+check, and the oracle's propagation by complex matrix exponentials of its
+blocks.
 """
 
 import math
@@ -14,8 +16,10 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from catcavity import oracle
-from catcavity.damping import f_star, f_star_ground
+from catcavity.damping import (doublet_decay_rate, f_star, f_star_ground,
+                               unitarity_ground)
 from catcavity.errors import ConsistencyError
+from catcavity.observables import ETA_EPSILON
 
 
 def rate_arrays(damping, truncation):
@@ -101,6 +105,51 @@ def residual_diagnostics(p0, damping, t, dt):
         - 4.0 * damping.kappa * damping.n_thermal
     )
     return float(np.abs(residual).max()), float(ground_residual)
+
+
+def _passage(config, field, t):
+    """(F*_n(t), e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n) of one field."""
+    n = np.arange(field.size)
+    alpha = doublet_decay_rate(config.damping, n)
+    factor = np.exp(-alpha * t) * np.cos(2.0 * config.jc.g * t
+                                         * np.sqrt(n + 1.0))
+    return f_star(field, config.damping, t), factor * field
+
+
+def passage_reference(config, t_a, t_b):
+    """(P_+(t_a), {s1: (P(s1), P(s1, +))}) for a second atom at t_b, from
+    one `f_star` per passage of one field at one time.
+
+    The arithmetic of the closed-form observables, written out per time
+    and field in the same expression order, so that their arrays must equal
+    it bit for bit.
+    """
+    probs = config.distribution().probs
+    f, osc = _passage(config, probs, t_a)
+    ground = unitarity_ground(probs, f)
+    p_plus = 0.5 - 0.25 * ground + 0.5 * osc.sum()
+    outcomes = {}
+    for s1 in "+-":
+        if s1 == "+":
+            cond = 0.5 * (f + osc)
+        else:
+            cond = np.empty_like(f)
+            cond[0] = 0.5 * ground
+            cond[1:] = 0.5 * (f[:-1] - osc[:-1])
+        cond = np.clip(cond, 0.0, None)
+        weight = cond.sum()
+        f_b, osc_b = _passage(config, cond, t_b - t_a)
+        value = 0.5 * f_b.sum() + 0.5 * osc_b.sum()
+        outcomes[s1] = weight, np.minimum(np.maximum(value, 0.0), weight)
+    return p_plus, outcomes
+
+
+def eta_reference(p_plus, joint_plus, joint_minus):
+    """eta = P_++/P_+ - P_-+/P_-, NaN where P_+ or P_- is below ETA_EPSILON."""
+    p_minus = 1.0 - p_plus
+    if p_plus < ETA_EPSILON or p_minus < ETA_EPSILON:
+        return math.nan
+    return joint_plus / p_plus - joint_minus / p_minus
 
 
 def dressed_creation(truncation):

@@ -15,7 +15,8 @@ from catcavity import (
     offdiag_decay,
 )
 from catcavity import damping as damping_module
-from catcavity.damping import NEGATIVE_CLIP, f_star_ground
+from catcavity.damping import (KERNEL_CHUNK, NEGATIVE_CLIP, f_star_ground,
+                               f_star_operator)
 from catcavity.presets import PRESETS
 from references import (
     f_star_ground_double_sum,
@@ -219,6 +220,49 @@ def test_residuals_bounded_by_model_error_term():
     rec, ground = residual_diagnostics(p, d, t, 1e-6)
     assert rec < 1e-5 * d.kappa
     assert ground < 1e-5 * d.kappa
+
+
+@pytest.mark.parametrize("kappa", [8.33, 0.1])
+def test_f_star_operator_chunks_equal_single_time_calls(kappa):
+    # three chunks at 121 levels, with t = 0 and t = 5e-324 (whose x rounds
+    # to 0 at kappa = 0.1) in the second; fields shared by every time, and
+    # a different stack per time
+    d = DampingParams(kappa=kappa, n_thermal=0.13)
+    size = 121
+    step = KERNEL_CHUNK // size**2
+    ts = np.arange(1.0, 2 * step + 4.0) * 0.7 / 36000.0
+    ts[step + 1], ts[step + 2] = 0.0, 5e-324
+    fields = np.array([coherent_distribution(nbar, size - 1).probs
+                       for nbar in (49.0, 30.0)])
+    per_time = fields * np.linspace(0.5, 1.0, ts.size)[:, None, None]
+    bounds = []
+    for chunk, apply in f_star_operator(size, d, ts):  # one chunk at a time
+        bounds.append(chunk.indices(ts.size)[:2])
+        shared, own = apply(fields), apply(per_time[chunk])
+        assert shared.shape == own.shape == (ts[chunk].size, 2, size)
+        for c, t in enumerate(ts[chunk]):
+            for row in range(2):
+                assert np.array_equal(shared[c, row],
+                                      f_star(fields[row], d, t))
+                assert np.array_equal(own[c, row],
+                                      f_star(per_time[chunk][c, row], d, t))
+    assert bounds == [(0, step), (step, 2 * step), (2 * step, 2 * step + 3)]
+
+
+def test_f_star_operator_apply_refuses_after_next_chunk():
+    chunks = f_star_operator(121, DampingParams(kappa=8.33),
+                             np.arange(1.0, 10.0) / 36000.0)
+    _, apply = next(chunks)
+    next(chunks)  # overwrites the slab
+    with pytest.raises(RuntimeError):
+        apply(coherent_distribution(49.0, 120).probs[None])
+
+
+@pytest.mark.parametrize("times", [[[0.1]], [0.1, -1.0], [math.nan],
+                                   [math.inf]])
+def test_f_star_operator_rejects_bad_times(times):
+    with pytest.raises(ValueError):
+        f_star_operator(5, DampingParams(kappa=1.0), times)
 
 
 def test_high_thermal_occupation_warns():

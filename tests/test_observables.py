@@ -24,8 +24,8 @@ from catcavity import (
     revival_curves,
 )
 from catcavity import observables
-from catcavity.damping import f_star, f_star_operator
-from references import rate_arrays
+from catcavity.damping import KERNEL_CHUNK, f_star, f_star_operator
+from references import eta_reference, passage_reference, rate_arrays
 
 
 @pytest.fixture
@@ -318,25 +318,26 @@ def test_p_joint_rejects_reversed_times_in_array(benson_config):
 
 def _per_passage_rates(configs):
     """`_passages` with alpha_n (from `rate_arrays`), sqrt(n+1) and F*_n
-    rebuilt for every row of every passage, as before they were computed
-    once per call and the F*_n operator once per time for the stack; each
-    config is its own stack."""
+    rebuilt for every row of every passage, one time per chunk, as before
+    they were computed once per call and the F*_n kernels once per chunk
+    of times for the stack; each config is its own stack."""
     if isinstance(configs, ExperimentConfig):
         configs = [configs]
     damping, g = configs[0].damping, configs[0].jc.g
 
-    def operator(t):
-        def run(fields):
-            rows = []
-            for probs in fields:
-                n = np.arange(probs.size)
-                alpha, _, _ = rate_arrays(damping, probs.size - 1)
-                osc = (np.exp(-alpha * t)
-                       * np.cos(2.0 * g * t * np.sqrt(n + 1.0)))
-                rows.append((f_star(probs, damping, t), osc * probs))
-            return tuple(np.array(part) for part in zip(*rows))
+    def operator(times):
+        for i, t in enumerate(times.tolist()):
+            def run(fields, t=t):
+                rows = []
+                for probs in fields.reshape(-1, fields.shape[-1]):
+                    n = np.arange(probs.size)
+                    alpha, _, _ = rate_arrays(damping, probs.size - 1)
+                    osc = (np.exp(-alpha * t)
+                           * np.cos(2.0 * g * t * np.sqrt(n + 1.0)))
+                    rows.append((f_star(probs, damping, t), osc * probs))
+                return tuple(np.array(part)[None] for part in zip(*rows))
 
-        return run
+            yield slice(i, i + 1), run
 
     return len(configs), [
         (np.array([row]), np.array([config.distribution().probs]), operator)
@@ -384,6 +385,38 @@ def _figure_pair(preset, nb, truncations=(0, 0)):
                for field, trunc in zip(fields, truncations)]
     ts = np.arange(0.0, preset.gt_max + 0.05, 0.1) / preset.g
     return configs, ts
+
+
+@pytest.mark.filterwarnings("ignore::catcavity.ValidityWarning")
+@pytest.mark.parametrize("nb", [0.0, 0.13])
+@pytest.mark.parametrize("name", ["benson97", "brune96"])
+def test_observables_bit_identical_to_loop_reference(name, nb):
+    # the fig1 (benson97) and fig3 (both presets) grids and fields, against
+    # one f_star per passage, time and field (tests/references.py)
+    configs, ts = _figure_pair(PRESETS[name], nb)
+    for config in configs:
+        refs = {k: [passage_reference(config, t, k * t) for t in ts]
+                for k in (2.0, 3.0)}
+        p_plus = np.array([p for p, _ in refs[2.0]])
+
+        def joint(k, s1, s2):
+            weight, plus = np.array([o[s1] for _, o in refs[k]]).T
+            return plus if s2 == "+" else weight - plus
+
+        eta = np.array([eta_reference(p, o["+"][1], o["-"][1])
+                        for p, o in refs[2.0]])
+        assert np.array_equal(p_excited(config, ts), p_plus)
+        for k in (2.0, 3.0):
+            for s1 in "+-":
+                for s2 in "+-":
+                    assert np.array_equal(
+                        p_joint(config, ts, k * ts, s1, s2),
+                        joint(k, s1, s2))
+        p_plus_rc, p_plusplus_rc = revival_curves(config, ts)
+        assert np.array_equal(p_plus_rc, p_plus)
+        assert np.array_equal(p_plusplus_rc, joint(2.0, "+", "+"))
+        assert np.array_equal(eta_correlation(config, ts), eta,
+                              equal_nan=True)
 
 
 def _assert_rows_equal_single_calls(configs, ts):
@@ -438,15 +471,17 @@ def test_stacked_configs_must_share_jc_and_damping(other):
 
 def test_one_operator_build_per_time(monkeypatch, fig1_grid):
     config, ts = fig1_grid
-    # 20 odd multiples of the step: no delay 3t - t equals the next time
+    # 20 odd multiples of the step, three chunks at 121 levels: no delay
+    # 3t - t equals its t
     ts = ts[1:41:2]
     coherent = dataclasses.replace(
         config, initial_field=coherent_distribution(49.0, config.truncation))
     builds = []
 
-    def counted(size, damping, t):
-        builds.append(t)
-        return f_star_operator(size, damping, t)
+    def counted(size, damping, times):
+        for chunk, apply in f_star_operator(size, damping, times):
+            builds.extend(times[chunk].tolist())  # one kernel per time
+            yield chunk, apply
 
     monkeypatch.setattr(observables, "f_star_operator", counted)
     for call, per_time in ((lambda: eta_correlation(config, ts), 1),
@@ -462,4 +497,46 @@ def test_one_operator_build_per_time(monkeypatch, fig1_grid):
                            (lambda: p_excited([coherent, config], ts), 1)):
         builds.clear()
         call()
-        assert len(builds) == per_time * ts.size
+        assert len(builds) == len(set(builds)) == per_time * ts.size
+
+
+def _assert_rows_equal_single_time_calls(configs, ts):
+    def curves(configs, t):
+        return (*revival_curves(configs, t), eta_correlation(configs, t),
+                p_excited(configs, t),
+                p_joint(configs, t, 2.0 * t, "-", "+"),
+                p_joint(configs, t, 3.0 * t, "+", "-"))
+
+    stacked = curves(configs, ts)
+    for row, config in enumerate(configs):
+        for i, t in enumerate(ts):
+            for rows, alone in zip(stacked, curves(config, t)):
+                alone = math.nan if alone is None else alone
+                assert np.array_equal(rows[row, i], alone, equal_nan=True)
+
+
+def _chunked_grid(*sizes):
+    """More than two chunks of times at the largest of `sizes`, with t = 0
+    and t = 5e-324 side by side inside a chunk of every size."""
+    step = min(KERNEL_CHUNK // size**2 for size in sizes)
+    ts = np.arange(1.0, 2 * step + 4.0) * 0.7 / 36000.0
+    ts[step + 1], ts[step + 2] = 0.0, 5e-324
+    return ts
+
+
+@pytest.mark.parametrize("kappa", [8.33, 0.1])
+@pytest.mark.parametrize("nbar, size", [(49.0, 121), (100.0, 202)])
+def test_chunked_rows_equal_single_time_calls(nbar, size, kappa):
+    # at kappa = 0.1, 2 kappa (n_b + 1) 5e-324 rounds to 0: that time's
+    # passage is the identity; at 8.33 its kernel is built
+    config = ExperimentConfig(
+        jc=JCParams(g=36000.0),
+        damping=DampingParams(kappa=kappa, n_thermal=0.13),
+        initial_field=CatSpec(intensity=nbar, phase=1.7))
+    assert config.truncation + 1 == size
+    _assert_rows_equal_single_time_calls([config], _chunked_grid(size))
+
+
+def test_chunked_stack_of_two_truncations_equals_single_time_calls():
+    configs, _ = _figure_pair(PRESETS["benson97"], 0.1, (120, 150))
+    _assert_rows_equal_single_time_calls(configs, _chunked_grid(121, 151))

@@ -158,3 +158,16 @@ def test_resum_params_reject_non_finite(field, value):
 def test_resummed_p_excited_rejects_non_finite_time(t):
     with pytest.raises(ValueError):
         resummed_p_excited(_params(), t)
+
+
+@pytest.mark.parametrize("order", [2.5, 3.0, math.nan, math.inf, True, 0,
+                                   -1, np.int64(0), "3"])
+def test_resum_params_reject_non_integer_or_small_order(order):
+    with pytest.raises(ValueError):
+        _params(max_order=order)
+
+
+def test_resum_params_accept_numpy_integer_order():
+    ts = np.linspace(0.0, 50.0, 7) / BENSON["g"]
+    assert np.array_equal(resummed_p_excited(_params(max_order=np.int64(3)), ts),
+                          resummed_p_excited(_params(max_order=3), ts))
