@@ -5,19 +5,20 @@ The density matrix lives on basis states |n, s> with s in {+, -}, index
 that removes omega (a* a + sigma_z / 2): at resonance the remaining
 Hamiltonian is the bare coupling g (a sigma_+ + a* sigma_-), and the
 (unspecified) optical frequency cancels from every observable.  The
-Liouvillian is assembled once as a sparse matrix acting on the row-major
-vectorization of rho, from (row, col, value) index triplets, with the
-dissipator written once as a sum over its two jumps; jc=None switches the
+Liouvillian on the row-major vectorization of rho is written once, as
+(row, col, value) index triplets with the dissipator a sum over its two
+jumps; `liouvillian` returns them as a sparse matrix.  jc=None switches the
 coupling off and damping=None the dissipator.
 
 The coupling, the detuning and both dissipators conserve the coherence order
 k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
 (Buca & Prosen, NJP 14, 073007, 2012); with the coupling off the atom pair
 (s_i, s_j) is conserved as well.  Sorted by these labels, the Liouvillian is
-block-diagonal with blocks of at most 4 N + 2 states.  Each block whose
-initial vector is non-zero is scattered straight from the Liouvillian's
-non-zeros into a dense array and propagated exactly with `scipy.linalg.expm`
-(Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 970, 2009).
+block-diagonal with blocks of at most 4 N + 2 states.  Each block with
+k >= 0 whose initial vector is non-zero is built as a dense array straight
+from the index triplets (no sparse matrix) and propagated exactly with one
+`scipy.linalg.expm` per distinct step length (Al-Mohy & Higham, SIAM J.
+Matrix Anal. Appl. 31, 970, 2009).
 
 The blocks are propagated in the atom-phase frame rho' = S* rho S with
 S = 1_field x diag(1, i), where vec(rho') = d * vec(rho) and every
@@ -32,13 +33,24 @@ the rotated entries are exactly those of `liouvillian`.  A detuning adds
 i (H'_jj - H'_ii) on the diagonal, which no diagonal S removes, and such a
 block stays complex.
 
+`integrate_trajectory` returns a `Trajectory`: the propagated block vectors
+of every sample with their vec(rho) positions, rotated back to the bare
+basis.  Readers take the entries they need from it with
+`Trajectory.entries`: `oracle_observables` the populations and the k = 0
+doublet coherences, `condition_on_atom` the field block of one atom outcome
+and `branch_coherence_trajectory` the field.  A sample's dense
+`DensityMatrix`, with the k < 0 blocks filled as conjugate transposes, is
+built only when `traj[i]` or iteration asks for it (`to_w_frame`,
+`w_equation_residuals`).
+
 Populations, P_+, P(s1, s2) and the dressed doublets live in k = 0; the
 Fock coherences of a cat fill k != 0.  The k = 0 block is closed under
 conditioning on an atom outcome and re-injecting an excited atom, so
 `joint_probability_oracle` and the `catcavity oracle` command start from
-`dephased(rho0)` and propagate only that block.  `integrate_trajectory`
-itself propagates every filled block, and `branch_coherence_trajectory`
-(jc=None) the filled (k, +, +) blocks.
+`dephased(rho0)` and propagate only that block.  The joint builds the block
+once and shares its propagators between its two passages, so P(t, 2t) costs
+a single expm.  `integrate_trajectory` itself propagates every filled block,
+and `branch_coherence_trajectory` (jc=None) the filled (k, +, +) blocks.
 
 The resonant dressed frame, fixed by the JCParams `jc`, is the two arrays of
 `dressed`: `dressed_basis` and `dressed_annihilation`.  `to_w_frame` rotates
@@ -52,6 +64,7 @@ ladder relations, with a dissipator of its own that does not share code with
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -159,20 +172,11 @@ def build_initial_state(fieldspec, truncation):
 # Liouvillian and integration
 # ---------------------------------------------------------------------------
 
-def liouvillian(jc, damping, truncation):
-    """Sparse interaction-picture Liouvillian on vec(rho).
+def _liouvillian_triplets(jc, damping, truncation):
+    """The Liouvillian of `liouvillian` as (rows, cols, values) arrays.
 
-    drho/dt = i [rho, H'] + sum_(rate, J) rate (2 J rho J* - J*J rho - rho J*J)
-
-    with H' = (detuning/2) sigma_z + g (a sigma_+ + a* sigma_-) and the jumps
-    (rate, J) = (kappa (n_b + 1), a) and (kappa n_b, a*).  Under row-major
-    vectorization entry (i, j) of A rho B reads A_ik B_lj from entry (k, l),
-    so each term is written as (row, col, value) triplets: the diagonal
-    i (H'_jj - H'_ii) - sum rate ((J*J)_ii + (J*J)_jj), the coupling once
-    from each side of the commutator, and each jump's sandwich shifted one
-    photon along both indices.  jc=None drops H' (field-only decay, for
-    pure-decoherence runs) and damping=None drops the dissipator (the
-    undamped limit, which DampingParams itself excludes).
+    No (row, col) pair appears twice, so no entry is a sum; a value may be
+    zero, where the diagonal has nothing to add.
     """
     dim = 2 * (truncation + 1)
     every = np.arange(dim)
@@ -205,9 +209,28 @@ def liouvillian(jc, damping, truncation):
                 cols.append(vec[np.ix_(right, right)].ravel())
                 vals.append((2.0 * rate * np.outer(root, root)).ravel())
     vals.insert(0, diag.ravel())
-    lind = sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(dim * dim,) * 2)
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def liouvillian(jc, damping, truncation):
+    """Sparse interaction-picture Liouvillian on vec(rho).
+
+    drho/dt = i [rho, H'] + sum_(rate, J) rate (2 J rho J* - J*J rho - rho J*J)
+
+    with H' = (detuning/2) sigma_z + g (a sigma_+ + a* sigma_-) and the jumps
+    (rate, J) = (kappa (n_b + 1), a) and (kappa n_b, a*).  Under row-major
+    vectorization entry (i, j) of A rho B reads A_ik B_lj from entry (k, l),
+    so each term is written as (row, col, value) triplets: the diagonal
+    i (H'_jj - H'_ii) - sum rate ((J*J)_ii + (J*J)_jj), the coupling once
+    from each side of the commutator, and each jump's sandwich shifted one
+    photon along both indices.  jc=None drops H' (field-only decay, for
+    pure-decoherence runs) and damping=None drops the dissipator (the
+    undamped limit, which DampingParams itself excludes).  The propagation
+    reads the same triplets without building this matrix.
+    """
+    rows, cols, vals = _liouvillian_triplets(jc, damping, truncation)
+    dim = 2 * (truncation + 1)
+    lind = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim,) * 2)
     lind.eliminate_zeros()
     return lind
 
@@ -231,6 +254,11 @@ def _block_labels(truncation, jc):
     return (4 * k + 2 * s[:, None] + s[None, :]).ravel()
 
 
+def _k0(truncation):
+    """Where vec(rho) has coherence order k = 0."""
+    return _block_labels(truncation, None) // 4 == 0
+
+
 def dephased(rho):
     """rho with every entry of coherence order k != 0 set to zero.
 
@@ -239,8 +267,7 @@ def dephased(rho):
     else gets the same numbers from the dephased state while propagating
     one block instead of all of them.
     """
-    k = _block_labels(rho.truncation, None) // 4
-    keep = (k == 0).reshape(rho.matrix.shape)
+    keep = _k0(rho.truncation).reshape(rho.matrix.shape)
     return DensityMatrix(matrix=np.where(keep, rho.matrix, 0.0), time=rho.time)
 
 
@@ -251,17 +278,16 @@ def _atom_phases(truncation):
     return np.outer(s.conj(), s).ravel()
 
 
-def _filled_blocks(lind, label, phase, v0):
+def _filled_blocks(triplets, label, phase, v0):
     """Each block with label >= 0 whose part of v0 is non-zero, as
     (indices, generator).
 
     `indices` are the block's vec(rho) positions in ascending order, and
-    `generator` is the dense block of `lind` on them in the atom-phase frame
-    vec(S* rho S) = phase * vec(rho) (see `_atom_phases`), scattered directly
-    from the non-zeros of `lind` (no sparse slicing of the full
-    Liouvillian).  The rotation multiplies by 1 or +/-i, which is exact; a
-    generator whose rotated entries are all real is scattered into a float
-    array.
+    `generator` is the dense block of the Liouvillian on them in the
+    atom-phase frame vec(S* rho S) = phase * vec(rho) (see `_atom_phases`),
+    scattered directly from its (rows, cols, values) `triplets`.  The
+    rotation multiplies by 1 or +/-i, which is exact; a generator whose
+    rotated entries are all real is scattered into a float array.
     """
     order = np.argsort(label, kind="stable")
     upper = order[label[order] >= 0]
@@ -272,15 +298,14 @@ def _filled_blocks(lind, label, phase, v0):
     for i, b in enumerate(blocks):
         owner[b] = i
         local[b] = np.arange(b.size)
-    coo = lind.tocoo()
-    coo.sum_duplicates()
-    which = owner[coo.row]
-    keep = np.flatnonzero(which >= 0)
+    row, col, val = triplets
+    which = owner[row]
+    keep = np.flatnonzero((which >= 0) & (val != 0))
     keep = keep[np.argsort(which[keep], kind="stable")]
     edges = np.searchsorted(which[keep], np.arange(len(blocks) + 1))
-    row, col = coo.row[keep], coo.col[keep]
+    row, col = row[keep], col[keep]
     rows, cols = local[row], local[col]
-    data = coo.data[keep] * phase[row] * phase[col].conj()
+    data = val[keep] * phase[row] * phase[col].conj()
     for i, b in enumerate(blocks):
         nz = slice(edges[i], edges[i + 1])
         gen = data[nz]
@@ -302,70 +327,164 @@ def _step_groups(steps):
     return ranked[new], index
 
 
-def integrate_trajectory(rho0, jc, damping, times):
-    """Propagate the master equation exactly, returning a DensityMatrix at
-    each time; jc=None or damping=None drops the coupling or the dissipator
-    (see `liouvillian`).
-
-    vec(rho) is split into blocks (see `_block_labels`).  Only the blocks
-    with k >= 0 whose initial vector is non-zero are propagated; block -k is
-    filled as the conjugate transpose, which needs rho0 to be Hermitian.
-    Each block runs in the atom-phase frame (see `_filled_blocks`) and gets
-    one `scipy.linalg.expm` per distinct step length and one product per
-    sample; a real block carries the real and imaginary parts of its vector
-    as two columns.  The INFO log names each block's size and arithmetic
-    and the number of expm builds.  Trace drift beyond 10*DEFAULT_TOL
-    raises.
-    """
-    times = np.asarray(times, dtype=float)
+def _check_times(times, start):
+    times = np.array(times, dtype=float)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise ValueError("times must be a non-empty 1-D array of finite values")
-    if times[0] < rho0.time or np.any(np.diff(times) < 0):
+    if times[0] < start or np.any(np.diff(times) < 0):
         raise ValueError("times must be non-decreasing and not before rho0")
-    m0 = rho0.matrix
-    if np.abs(m0 - m0.conj().T).max() > HERMITIAN_TOL:
+    return times
+
+
+def _check_hermitian(m):
+    if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
         raise ConsistencyError("initial density matrix is not Hermitian")
-    trunc = rho0.truncation
-    dim = 2 * (trunc + 1)
-    label = _block_labels(trunc, jc)
-    lind = liouvillian(jc, damping, trunc)
-    levels, step_index = _step_groups(np.diff(np.r_[rho0.time, times]))
 
-    phase = _atom_phases(trunc)
-    v0 = m0.reshape(-1)
-    out = np.zeros((times.size, dim * dim), dtype=complex)
-    sizes, kinds = [], []
-    for idx, gen in _filled_blocks(lind, label, phase, v0):
-        real = gen.dtype.kind == "f"
-        props = expm(levels[:, None, None] * gen)
-        v = v0[idx] * phase[idx]
-        if real:  # the real and imaginary parts as two columns
-            v = v.view(float).reshape(idx.size, 2)
-        block = np.empty((times.size,) + v.shape, dtype=v.dtype)
-        for i, j in enumerate(step_index):
-            if j >= 0:
-                v = props[j] @ v
-            block[i] = v
-        rotated = block.view(complex).reshape(times.size, idx.size)
-        out[:, idx] = rotated * phase[idx].conj()
-        sizes.append(idx.size)
-        kinds.append("real" if real else "complex")
-    _LOG.info("oracle: truncation %d, propagated block sizes %s, arithmetic "
-              "[%s], expm builds %d", trunc, sizes, ", ".join(kinds),
-              len(sizes) * levels.size)
-    out = out.reshape(times.size, dim, dim)
-    lower = (label < 0).reshape(dim, dim)
-    out[:, lower] = out.transpose(0, 2, 1).conj()[:, lower]
 
-    trace0 = np.trace(m0).real
-    traj = []
-    for m, t in zip(out, times):
-        drift = np.trace(m).real - trace0
-        if not abs(drift) <= 10.0 * DEFAULT_TOL:  # NaN drift fails too
+class Trajectory(Sequence):
+    """The samples of one oracle run, as a read-only sequence; what
+    `integrate_trajectory` returns.
+
+    It holds the propagated block vectors, not density matrices: for each
+    sample, the entries of vec(rho) at every position of every propagated
+    block (all of coherence order k >= 0), in the bare basis.  `entries`
+    reads any rho_ij of every sample from them.  `traj[i]` and iteration
+    build a sample's dense DensityMatrix on request, with the k < 0 blocks
+    filled as conjugate transposes; nothing keeps it.
+    """
+
+    def __init__(self, times, truncation, label, index, values):
+        self.times = times
+        self.truncation = truncation
+        self._label = label
+        self._index = index
+        self._values = values  # (samples, index.size + 1), last column 0
+        self._slot = np.full(label.size, index.size)
+        self._slot[index] = np.arange(index.size)
+        for array in (times, values):
+            array.flags.writeable = False
+
+    def __len__(self):
+        return self.times.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]
+        dim = 2 * (self.truncation + 1)
+        m = np.zeros(dim * dim, dtype=complex)
+        m[self._index] = self._values[i, :-1]
+        m = m.reshape(dim, dim)
+        lower = (self._label < 0).reshape(dim, dim)
+        m[lower] = m.T.conj()[lower]
+        return DensityMatrix(matrix=m, time=float(self.times[i]))
+
+    def entries(self, rows, cols):
+        """rho_(rows, cols) of every sample, with shape (len(self),) + the
+        broadcast shape of the two index arrays.  An entry of a block that
+        was never propagated is zero, and one of coherence order k < 0 is
+        the conjugate of its transpose."""
+        dim = 2 * (self.truncation + 1)
+        rows, cols = np.broadcast_arrays(rows, cols)
+        if not (np.all((0 <= rows) & (rows < dim))
+                and np.all((0 <= cols) & (cols < dim))):
+            raise IndexError(f"entries lie outside the {dim} x {dim} matrix")
+        pos = rows * dim + cols
+        lower = self._label[pos] < 0
+        # np.take keeps the result C-ordered, so that a sum over the entries
+        # of each sample runs in the same order as over a dense matrix
+        out = np.take(self._values,
+                      self._slot[np.where(lower, cols * dim + rows, pos)],
+                      axis=1)
+        if lower.any():
+            out[:, lower] = out[:, lower].conj()
+        return out
+
+
+class _BlockPropagator:
+    """The filled blocks of one Liouvillian, with each block's propagator
+    built once per distinct step length and kept for later runs."""
+
+    def __init__(self, jc, damping, truncation, v0):
+        self.truncation = truncation
+        self.label = _block_labels(truncation, jc)
+        self.phase = _atom_phases(truncation)
+        self.blocks = list(_filled_blocks(
+            _liouvillian_triplets(jc, damping, truncation), self.label,
+            self.phase, v0))
+        self._props = {}  # (block number, step length) -> expm
+
+    def run(self, v0, start, times):
+        """Trajectory of vec(rho) = v0 at `start` over the sorted `times`.
+
+        Only the filled blocks, all of k >= 0, are propagated: v0 on
+        k < 0 is read as the conjugate transpose of its k > 0 part, and
+        v0 must vanish in every other block.  Each block runs in the
+        atom-phase frame (see `_filled_blocks`) with one product per
+        sample; a real block carries the real and imaginary parts of its
+        vector as two columns.  The INFO log names each block's size and
+        arithmetic and the number of expm builds this run added.  Trace
+        drift beyond 10*DEFAULT_TOL, read from the populations, raises.
+        """
+        levels, step_index = _step_groups(np.diff(np.r_[start, times]))
+        used = levels[np.unique(step_index[step_index >= 0])]
+        phase = self.phase
+        index = np.concatenate([idx for idx, _ in self.blocks]
+                               + [np.zeros(0, dtype=int)])
+        values = np.zeros((times.size, index.size + 1), dtype=complex)
+        first, builds, kinds = 0, 0, []
+        for b, (idx, gen) in enumerate(self.blocks):
+            for level in used:
+                if (b, level) not in self._props:
+                    self._props[b, level] = expm(level * gen)
+                    builds += 1
+            real = gen.dtype.kind == "f"
+            v = v0[idx] * phase[idx]
+            if real:  # the real and imaginary parts as two columns
+                v = v.view(float).reshape(idx.size, 2)
+            block = np.empty((times.size,) + v.shape, dtype=v.dtype)
+            for i, j in enumerate(step_index):
+                if j >= 0:
+                    v = self._props[b, levels[j]] @ v
+                block[i] = v
+            rotated = block.view(complex).reshape(times.size, idx.size)
+            np.multiply(rotated, phase[idx].conj(),
+                        out=values[:, first:first + idx.size])
+            first += idx.size
+            kinds.append("real" if real else "complex")
+        _LOG.info("oracle: truncation %d, propagated block sizes %s, "
+                  "arithmetic [%s], expm builds %d", self.truncation,
+                  [idx.size for idx, _ in self.blocks], ", ".join(kinds),
+                  builds)
+        traj = Trajectory(times, self.truncation, self.label, index, values)
+        every = np.arange(2 * (self.truncation + 1))
+        drift = (traj.entries(every, every).real.sum(axis=1)
+                 - v0[every * every.size + every].real.sum())
+        bad = np.flatnonzero(~(np.abs(drift) <= 10.0 * DEFAULT_TOL))
+        if bad.size:  # NaN drift fails too
             raise ConsistencyError(
-                f"trace drift {drift:.3e} beyond 10*DEFAULT_TOL")
-        traj.append(DensityMatrix(matrix=m, time=float(t)))
-    return traj
+                f"trace drift {drift[bad[0]]:.3e} beyond 10*DEFAULT_TOL")
+        return traj
+
+
+def integrate_trajectory(rho0, jc, damping, times):
+    """Propagate the master equation exactly to each time, as a
+    `Trajectory`; jc=None or damping=None drops the coupling or the
+    dissipator (see `liouvillian`).
+
+    vec(rho) is split into blocks (see `_block_labels`).  Every block with
+    k >= 0 whose initial vector is non-zero is propagated, with one
+    `scipy.linalg.expm` per distinct step length; block -k is the conjugate
+    transpose of block k, which needs rho0 to be Hermitian.  The samples'
+    dense density matrices are built only on request (see `Trajectory`).
+    The INFO log names each block's size and arithmetic and the number of
+    expm builds.  Trace drift beyond 10*DEFAULT_TOL raises.
+    """
+    times = _check_times(times, rho0.time)
+    _check_hermitian(rho0.matrix)
+    v0 = rho0.matrix.reshape(-1)
+    prop = _BlockPropagator(jc, damping, rho0.truncation, v0)
+    return prop.run(v0, rho0.time, times)
 
 
 # ---------------------------------------------------------------------------
@@ -408,39 +527,52 @@ class OracleObservables:
 
 def oracle_observables(trajectory, jc):
     """P_+, dressed F_n, F_{-1} and off-diagonals per sample, read from the
-    bare density matrix.  With a = |n, +>, b = |n+1, -> and
+    bare entries of a `Trajectory`.  With a = |n, +>, b = |n+1, -> and
     psi_n^{+/-} = (a +/- b) / sqrt(2): F_n = rho_aa + rho_bb,
     F_{-1} = 2 rho(|0, ->), P_+ = sum_n rho(|n, +>) and <psi_n^+|W|psi_n^->
     = (1/2) e^{2 i g sqrt(n+1) t} (rho_aa - rho_bb + rho_ba - rho_ab).
+    Every one of these entries has coherence order k = 0.
     """
     _require_resonance(jc)
-    trunc = trajectory[0].truncation
-    times = np.array([r.time for r in trajectory])
-    rho = np.stack([r.matrix for r in trajectory])
-    diag = np.diagonal(rho, axis1=1, axis2=2).real
+    trunc = trajectory.truncation
+    times = np.array(trajectory.times)
+    every = np.arange(2 * (trunc + 1))
+    diag = trajectory.entries(every, every).real
     a = 2 * np.arange(trunc)  # |n, +>
     b = a + 3                 # |n+1, ->
     rho_aa, rho_bb = diag[:, a], diag[:, b]
     phases = np.exp(2j * jc.g * np.sqrt(np.arange(1.0, trunc + 1.0))
                     * times[:, None])
-    offd = 0.5 * phases * (rho_aa - rho_bb + rho[:, b, a] - rho[:, a, b])
+    offd = 0.5 * phases * (rho_aa - rho_bb + trajectory.entries(b, a)
+                           - trajectory.entries(a, b))
     return OracleObservables(times=times, p_plus=diag[:, 0::2].sum(axis=1),
                              f=rho_aa + rho_bb, f_ground=2.0 * diag[:, 1],
                              offdiag=offd)
 
 
 def condition_on_atom(rho, outcome):
-    """Unnormalized field matrix <s|rho|s> and its weight after detection."""
+    """Unnormalized field matrix <s|rho|s> and its weight after detection.
+
+    `rho` is a DensityMatrix, or a `Trajectory`, whose samples are all
+    conditioned: then the fields come stacked, (samples, N + 1, N + 1),
+    with an array of weights.
+    """
     _check_outcome(outcome)
     s = 0 if outcome == "+" else 1
+    if isinstance(rho, Trajectory):
+        sector = 2 * np.arange(rho.truncation + 1) + s
+        block = rho.entries(sector[:, None], sector[None, :])
+        return block, np.trace(block, axis1=1, axis2=2).real
     block = rho.matrix[s::2, s::2]
     return block, float(np.trace(block).real)
 
 
+_EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
 def reinject_excited(field_matrix, time):
     """Re-tensor a fresh excited atom onto an (unnormalized) field matrix."""
-    excited = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    return DensityMatrix(matrix=np.kron(field_matrix, excited), time=time)
+    return DensityMatrix(matrix=np.kron(field_matrix, _EXCITED), time=time)
 
 
 def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
@@ -450,18 +582,25 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
     the unnormalized weight); a fresh excited atom then evolves with the
     conditioned field to t_B, where s2 is read off.  Only the k = 0 part of
     rho0 can reach that trace through conditioning and re-injection, so the
-    run starts from `dephased(rho0)` and propagates that block alone.
+    run starts from `dephased(rho0)` and propagates that block alone.  Both
+    passages share its generator and one expm per distinct step length:
+    t_B = 2 t_A from rho0 at time 0 takes a single expm.  Neither builds a
+    dense density matrix.
     """
     _check_outcome(s1, "s1")
     _check_outcome(s2, "s2")
-    rho_a = integrate_trajectory(dephased(rho0), jc, damping, [t_a])[-1]
-    field, weight = condition_on_atom(rho_a, s1)
-    if weight <= 0.0:
+    t_a, t_b = _check_times([t_a, t_b], rho0.time)
+    trunc = rho0.truncation
+    v0 = np.where(_k0(trunc), rho0.matrix.reshape(-1), 0.0)
+    _check_hermitian(v0.reshape(rho0.matrix.shape))
+    prop = _BlockPropagator(jc, damping, trunc, v0)
+    traj_a = prop.run(v0, rho0.time, np.array([t_a]))
+    fields, weights = condition_on_atom(traj_a, s1)
+    if weights[-1] <= 0.0:
         return 0.0
-    rho_b0 = reinject_excited(field, rho_a.time)
-    rho_b = integrate_trajectory(rho_b0, jc, damping, [t_b])[-1]
-    _, joint = condition_on_atom(rho_b, s2)
-    return joint
+    v_b = np.kron(fields[-1], _EXCITED).reshape(-1)
+    traj_b = prop.run(v_b, t_a, np.array([t_b]))
+    return float(condition_on_atom(traj_b, s2)[1][-1])
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +611,8 @@ def w_equation_residuals(window, jc, damping, dt):
     """Largest residual of the dressed-frame equations of motion on a window
     of samples, and the largest |W| entry it saw.
 
-    `window` is a list of DensityMatrix samples at uniform spacing dt with
-    dt * g < 0.1, as `integrate_trajectory` returns them; each is rotated by
+    `window` is a sequence of DensityMatrix samples at uniform spacing dt
+    with dt * g < 0.1, such as a `Trajectory`; each is rotated by
     `to_w_frame`.  Time derivatives use a fourth-order centered stencil, so
     residuals exist at interior samples 2..len-3.  The right-hand side is the
     dissipator conjugated into the rotating dressed frame, assembled from
@@ -486,6 +625,7 @@ def w_equation_residuals(window, jc, damping, dt):
 
     Returns (largest absolute residual, largest absolute W entry).
     """
+    window = list(window)
     if len(window) < 5:
         raise ValueError("need at least 5 uniformly spaced samples")
     trunc = window[0].truncation
@@ -544,9 +684,7 @@ def branch_coherence_trajectory(spec, damping, times, truncation):
     """
     rho0 = build_initial_state(spec, truncation)
     traj = integrate_trajectory(rho0, None, damping, times)
-    out = np.empty(len(traj))
-    for i, rho in enumerate(traj):
-        field = rho.matrix[0::2, 0::2] + rho.matrix[1::2, 1::2]
-        out[i] = branch_coherence(field, spec.intensity, truncation, rho.time,
-                                  damping.kappa)
-    return out
+    field = condition_on_atom(traj, "+")[0] + condition_on_atom(traj, "-")[0]
+    return np.array([branch_coherence(f, spec.intensity, truncation, float(t),
+                                      damping.kappa)
+                     for f, t in zip(field, traj.times)])

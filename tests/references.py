@@ -5,8 +5,9 @@ F*_n recurrence, the alternating double-sum form of F*_{-1},
 finite-difference residuals of the F*_n recurrence, the two atom passages
 of the closed-form observables as a loop over times and fields, the matrix
 of the creation operator in the dressed basis, a density-matrix sanity
-check, and the oracle's propagation by complex matrix exponentials of its
-blocks.
+check, the oracle's propagation by complex matrix exponentials of its
+blocks, and its earlier dense assembly of every sample and dense read of
+the observables.
 """
 
 import math
@@ -216,3 +217,65 @@ def complex_block_trajectory(rho0, jc, damping, times):
     lower = (label < 0).reshape(dim, dim)
     out[:, lower] = out.transpose(0, 2, 1).conj()[:, lower]
     return out
+
+
+def dense_trajectory(rho0, jc, damping, times):
+    """rho at each time as one (times, dim, dim) array, assembled densely:
+    each filled block with k >= 0 scattered from the sparse
+    `oracle.liouvillian` (through COO) into a dense generator in the
+    atom-phase frame, one batched expm per block over the distinct steps,
+    every propagated block scattered into a dense complex matrix per
+    sample, and the k < 0 half filled as the conjugate transpose.
+    """
+    trunc = rho0.truncation
+    dim = 2 * (trunc + 1)
+    label = oracle._block_labels(trunc, jc)
+    phase = oracle._atom_phases(trunc)
+    levels, step_index = oracle._step_groups(np.diff(np.r_[rho0.time, times]))
+    coo = oracle.liouvillian(jc, damping, trunc).tocoo()
+    coo.sum_duplicates()
+    v0 = rho0.matrix.reshape(-1)
+    out = np.zeros((len(times), dim * dim), dtype=complex)
+    for value in np.unique(label[label >= 0]):
+        idx = np.flatnonzero(label == value)
+        if not v0[idx].any():
+            continue
+        local = np.full(label.size, -1)
+        local[idx] = np.arange(idx.size)
+        nz = local[coo.row] >= 0
+        row, col = coo.row[nz], coo.col[nz]
+        gen = coo.data[nz] * phase[row] * phase[col].conj()
+        if not gen.imag.any():
+            gen = gen.real
+        dense = np.zeros((idx.size, idx.size), dtype=gen.dtype)
+        dense[local[row], local[col]] = gen
+        props = expm(levels[:, None, None] * dense)
+        v = v0[idx] * phase[idx]
+        if gen.dtype.kind == "f":
+            v = v.view(float).reshape(idx.size, 2)
+        block = np.empty((len(times),) + v.shape, dtype=v.dtype)
+        for i, j in enumerate(step_index):
+            if j >= 0:
+                v = props[j] @ v
+            block[i] = v
+        rotated = block.view(complex).reshape(len(times), idx.size)
+        out[:, idx] = rotated * phase[idx].conj()
+    out = out.reshape(len(times), dim, dim)
+    lower = (label < 0).reshape(dim, dim)
+    out[:, lower] = out.transpose(0, 2, 1).conj()[:, lower]
+    return out
+
+
+def dense_observables(rho, times, jc):
+    """(p_plus, f, f_ground, offdiag) read from a (times, dim, dim) stack of
+    dense density matrices, in the expression order of
+    `oracle.oracle_observables`."""
+    trunc = rho.shape[1] // 2 - 1
+    diag = np.diagonal(rho, axis1=1, axis2=2).real
+    a = 2 * np.arange(trunc)
+    b = a + 3
+    rho_aa, rho_bb = diag[:, a], diag[:, b]
+    phases = np.exp(2j * jc.g * np.sqrt(np.arange(1.0, trunc + 1.0))
+                    * times[:, None])
+    offd = 0.5 * phases * (rho_aa - rho_bb + rho[:, b, a] - rho[:, a, b])
+    return diag[:, 0::2].sum(axis=1), rho_aa + rho_bb, 2.0 * diag[:, 1], offd

@@ -23,7 +23,8 @@ from catcavity.cli import main
 from catcavity.damping import f_star, offdiag_decay
 from catcavity.dressed import dressed_annihilation, dressed_basis
 from catcavity.presets import PRESETS
-from references import complex_block_trajectory, validate_density_matrix
+from references import (complex_block_trajectory, dense_observables,
+                        dense_trajectory, validate_density_matrix)
 
 
 def _dense_rhs(rho, jc, damping, trunc):
@@ -153,6 +154,126 @@ def test_real_propagation_matches_complex_reference(caplog, nbar, trunc, n_b,
     assert np.abs(expected[-1] - expected[0]).max() > 1e-2
     [message] = [r.getMessage() for r in caplog.records]
     assert "real" in message and "complex" not in message
+
+
+@pytest.mark.parametrize("case", ["cat", "dephased", "uncoupled"])
+def test_samples_bit_identical_to_dense_assembly(case):
+    # a phi = 1 cat (cut at N = 8 and renormalized) fills every block; the
+    # dense matrices built on request and the observables read from the
+    # block vectors keep every bit of the dense assembly and the dense read
+    preset = PRESETS["benson97"]
+    trunc = 8
+    jc = None if case == "uncoupled" else preset.jc()
+    damping = DampingParams(kappa=preset.kappa, n_thermal=0.13)
+    base = oracle.coherent_state_vector(2.0, trunc)
+    amp = base * (1.0 + np.exp(1j) * (-1.0) ** np.arange(trunc + 1))
+    rho0 = oracle.build_initial_state(amp / np.linalg.norm(amp), trunc)
+    if case == "dephased":
+        rho0 = oracle.dephased(rho0)
+    times = np.linspace(0.0, 30.0 / preset.g, 7)
+    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+    expected = dense_trajectory(rho0, jc, damping, times)
+    assert np.array_equal([rho.matrix for rho in traj], expected)
+    assert [rho.time for rho in traj] == list(times)
+    assert np.abs(expected[-1] - expected[0]).max() > 1e-2
+    if jc is not None:
+        obs = oracle.oracle_observables(traj, jc)
+        got = (obs.p_plus, obs.f, obs.f_ground, obs.offdiag)
+        for a, b in zip(got, dense_observables(expected, times, jc)):
+            assert np.array_equal(a, b)
+
+
+def test_trajectory_entries_and_indexing():
+    trunc = 8
+    jc = JCParams(g=2.0)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=0.3, phase=0.7),
+                                      trunc)
+    traj = oracle.integrate_trajectory(rho0, jc, DampingParams(kappa=0.3),
+                                       [0.0, 0.2, 0.5])
+    dense = np.array([rho.matrix for rho in traj])
+    every = np.arange(2 * (trunc + 1))
+    # k < 0 entries come back as conjugate transposes, like the dense fill
+    assert np.array_equal(traj.entries(every[:, None], every[None, :]), dense)
+    assert [r.time for r in traj[1:]] == [0.2, 0.5]
+    assert np.array_equal(traj[-1].matrix, dense[2])
+    with pytest.raises(IndexError):
+        traj[3]
+    with pytest.raises(IndexError):
+        traj.entries(0, 2 * (trunc + 1))
+    with pytest.raises(ValueError):
+        traj.times[0] = 1.0
+
+
+def _count_dense(monkeypatch):
+    """A list that gains an entry per DensityMatrix built."""
+    built = []
+    post_init = oracle.DensityMatrix.__post_init__
+
+    def counted(self):
+        built.append(self.time)
+        post_init(self)
+
+    monkeypatch.setattr(oracle.DensityMatrix, "__post_init__", counted)
+    return built
+
+
+def test_readers_build_no_dense_sample(monkeypatch, tmp_path):
+    preset = PRESETS["benson97"]
+    jc = preset.jc()
+    damping = DampingParams(kappa=preset.kappa, n_thermal=0.1)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), 16)
+    times = np.linspace(0.0, 30.0 / jc.g, 5)
+    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+    built = _count_dense(monkeypatch)
+    oracle.oracle_observables(traj, jc)
+    oracle.condition_on_atom(traj, "+")
+    oracle.joint_probability_oracle(rho0, jc, damping, times[1], times[3],
+                                    "+", "+")
+    assert built == []
+    # the command builds its initial state and that state's k = 0 part only
+    assert main(["oracle", "--nbar", "2", "--nb", "0.1", "--t-max", "0.002",
+                 "--samples", "9", "--out", str(tmp_path)]) == 0
+    assert built == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("ratio, expm_calls", [(2.0, 1), (2.5, 2)])
+def test_joint_shares_one_propagator_per_step(monkeypatch, ratio, expm_calls):
+    # t_B = 2 t_A repeats the first step, so both passages use one expm
+    trunc = 16
+    jc = JCParams(g=24000.0)
+    damping = DampingParams(kappa=2500.0, n_thermal=0.1)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
+    t_a = 5.0 / jc.g
+    t_b = ratio * t_a
+    expected = {(s1, s2): _joint_full_blocks(rho0, jc, damping, t_a, t_b,
+                                             s1, s2)[0]
+                for s1 in "+-" for s2 in "+-"}
+    calls = []
+    expm = oracle.expm
+    monkeypatch.setattr(oracle, "expm", lambda a: calls.append(1) or expm(a))
+    for (s1, s2), value in expected.items():
+        calls.clear()
+        got = oracle.joint_probability_oracle(rho0, jc, damping, t_a, t_b,
+                                              s1, s2)
+        assert len(calls) == expm_calls
+        assert abs(got - value) < 1e-13
+        assert 0.01 < got < 1.0
+
+
+@pytest.mark.parametrize("jc, damping", [
+    (JCParams(g=3.0), DampingParams(kappa=0.4, n_thermal=0.3)),
+    (JCParams(g=3.0, detuning=0.7), DampingParams(kappa=0.4)),
+    (None, DampingParams(kappa=0.4, n_thermal=0.3)),
+    (JCParams(g=3.0), None)])
+def test_liouvillian_triplets_never_repeat_an_entry(jc, damping):
+    # the block generators are scattered from the triplets, which is only
+    # right if no (row, col) pair needs a sum
+    trunc = 5
+    rows, cols, vals = oracle._liouvillian_triplets(jc, damping, trunc)
+    pairs = rows * 4 * (trunc + 1) ** 2 + cols
+    assert np.unique(pairs).size == pairs.size
+    lind = oracle.liouvillian(jc, damping, trunc)
+    assert lind.nnz == np.count_nonzero(vals)
 
 
 def test_liouvillian_is_block_diagonal_in_coherence_order():
