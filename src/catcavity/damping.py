@@ -20,23 +20,23 @@ table's order, so one masked assignment scatters a build.  The table
 keeps 3 N_max (N_max + 1) / 2 8-byte floats and N_max^2 bytes (about 0.53 MB
 at N_max = 202).
 
-`f_star_operator(size, damping, times)` builds the kernels a chunk of times
+`_f_star_operator(size, damping, times)` builds the kernels a chunk of times
 at a time and hands out, per chunk, the function that applies them to a
-stack of fields, one kernel-vector product per time and row; `f_star` is
-the case of one time and one row.  The kernels do not depend on the field,
-so a caller that propagates several fields over one t (the atom passages of
-`observables`) builds each once.  A chunk evaluates exp(ratio + (j-n) log x
-- fact) on the triangles of all its times in one pass, with log x taken per
-time by `math.log`, and scatters each time's triangle through the 2-D mask
-into its own N x N matrix of one (C, N, N) slab.  The slab is allocated
-once per call and reused by every chunk: only upper triangles are written,
-so the zero lower triangles are never re-zeroed.  A chunk holds at most
-KERNEL_CHUNK = 2**17 kernel entries (1 MiB), so that its kernels stay in a
-2 MiB L2 cache while the fields pass through them: 8 times at N = 121, 3 at
-N = 202, a whole figure axis at N = 33; 4 MiB chunks measured slower at
-N = 121.  The scatter stays one 2-D masked assignment per time, with the
-table's mask: a (C, N, N) mask over the slab measured no faster and would
-be one more array per size.
+stack of fields, one kernel-vector product per time and row; `f_star` is the
+case of one time and one row.  Its callers check the times.  The kernels do
+not depend on the field, so a caller that propagates several fields over one
+t (the atom passages of `observables`) builds each once.  A chunk evaluates
+exp(ratio + (j-n) log x - fact) on the triangles of all its times in one
+pass, with log x taken per time by `math.log`, and scatters each time's
+triangle through the 2-D mask into its own N x N matrix of one (C, N, N)
+slab.  The slab is allocated once per call and reused by every chunk: only
+upper triangles are written, so the zero lower triangles are never
+re-zeroed.  A chunk holds at most KERNEL_CHUNK = 2**17 kernel entries
+(1 MiB), so that its kernels stay in a 2 MiB L2 cache while the fields pass
+through them: 8 times at N = 121, 3 at N = 202, a whole figure axis at
+N = 33; 4 MiB chunks measured slower at N = 121.  The scatter stays one 2-D
+masked assignment per time, with the table's mask: a (C, N, N) mask over
+the slab measured no faster and would be one more array per size.
 
 F*_{-1} comes from unitarity, 2 (1 - sum_n F*_n), and not from its
 alternating double-sum form, which loses ~15 digits near N = 120 (the test
@@ -53,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConsistencyError, ValidityWarning
+from .errors import (ConsistencyError, ValidityWarning, _nonnegative,
+                     _parameter, _probabilities, _times)
 from .states import PhotonDistribution
 
 #: Negative values of F*_n larger than this (in magnitude) are treated as bugs.
@@ -73,12 +74,8 @@ class DampingParams:
     n_thermal: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.kappa) and math.isfinite(self.n_thermal)):
-            raise ValueError("kappa and n_thermal must be finite")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.n_thermal < 0:
-            raise ValueError("n_thermal must be non-negative")
+        _parameter(self.kappa, "kappa", 0.0)
+        _nonnegative(self.n_thermal, "n_thermal")
         if self.n_thermal > 0.5:
             warnings.warn(
                 "n_thermal > 0.5 is outside the small-n_b regime of the "
@@ -101,13 +98,10 @@ def doublet_decay_rate(damping, n):
 
 
 def _probs_of(p0):
-    """p0 as a 1-d float array of finite entries, else `ValueError`."""
+    """The probabilities of a PhotonDistribution, or p0 checked."""
     if isinstance(p0, PhotonDistribution):
         return p0.probs
-    probs = np.asarray(p0, dtype=float)
-    if probs.ndim != 1 or not np.all(np.isfinite(probs)):
-        raise ValueError("p0 must be a 1-d array of finite probabilities")
-    return probs
+    return _probabilities(p0, "p0")
 
 
 #: (log G(j+3/2) - log G(n+3/2), log (j-n)!, j - n) over n <= j < N_max,
@@ -133,12 +127,12 @@ def _packed_table(size):
     return (*(part[:count] for part in table[:3]), table[3][:size, :size])
 
 
-def f_star_operator(size, damping, times):
-    """F*(t) on `size` levels at each time of the 1-d array `times`, a chunk
-    of times at a time: an iterator of (chunk, apply), where `chunk` slices
-    `times` and apply(stack) -> the (C, F, size) stack of F*_n(t), one
-    (F, size) block per time of the chunk.  `stack` is (F, size), the same
-    fields at every time, or (C, F, size), one stack per time.
+def _f_star_operator(size, damping, times):
+    """F*(t) on `size` levels at each checked time of the 1-d array `times`,
+    a chunk of times at a time: an iterator of (chunk, apply), where `chunk`
+    slices `times` and apply(stack) -> the (C, F, size) stack of F*_n(t),
+    one (F, size) block per time of the chunk.  `stack` is (F, size), the
+    same fields at every time, or (C, F, size), one stack per time.
 
     Each chunk builds its decay_n and kernels once, for every stack it is
     then applied to, the kernels into the one slab of the call, so an
@@ -148,11 +142,6 @@ def f_star_operator(size, damping, times):
     decay_n exactly 1: no kernel is built and that time's block is a copy of
     its fields.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("times must be a 1-d array")
-    if not all(0.0 <= t < math.inf for t in times.tolist()):
-        raise ValueError("time must be finite and non-negative")
     k, nb = damping.kappa, damping.n_thermal
     # x = 1 - exp(-2 kappa (n_b + 1) t); log x only where x is not 0
     xs = [-x for x in np.expm1(-2.0 * k * (nb + 1.0) * times).tolist()]
@@ -212,7 +201,8 @@ def f_star_operator(size, damping, times):
 def f_star(p0, damping, t):
     """Closed-form F*_n(t) for initial distribution p0 (may be unnormalized)."""
     probs = _probs_of(p0)
-    [(_, apply)] = f_star_operator(probs.size, damping, [t])
+    times = _times(t, one=True).reshape(1)
+    [(_, apply)] = _f_star_operator(probs.size, damping, times)
     return apply(probs[None])[0, 0]
 
 
@@ -235,7 +225,5 @@ def f_star_ground(p0, damping, t):
 def offdiag_decay(p0, damping, t):
     """Intra-doublet amplitudes <psi_n^+|W|psi_n^-> = (1/2) e^{-alpha_n t} p_n."""
     probs = _probs_of(p0)
-    if not 0.0 <= t < math.inf:
-        raise ValueError("time must be finite and non-negative")
     alpha = doublet_decay_rate(damping, np.arange(probs.size))
-    return 0.5 * np.exp(-alpha * t) * probs
+    return 0.5 * np.exp(-alpha * _times(t, one=True)) * probs

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError
+from .errors import UnsupportedRegimeError, _count, _parameter
 
 
 @dataclass(frozen=True)
@@ -32,19 +32,15 @@ class JCParams:
     detuning: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.g) and math.isfinite(self.detuning)):
-            raise ValueError("g and detuning must be finite")
-        if self.g <= 0:
-            raise ValueError("coupling g must be positive")
+        _parameter(self.g, "g", 0.0)
+        _parameter(self.detuning, "detuning")
 
 
 # kept only as the entry point benchmarks/workloads.py calls; ROADMAP item 2
 # deletes it with the benchmark's next change
 def build_dressed_frame(jc, truncation):
-    """`jc` itself, the whole dressed frame at resonance, once truncation
-    is checked to be at least 1."""
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
+    """`jc`, the whole dressed frame at resonance; checks the truncation."""
+    _count(truncation, "truncation", 1)
     return jc
 
 
@@ -73,7 +69,7 @@ def dressed_basis(truncation):
     interaction-picture eigenvalue of each column in units of g: 0, then
     +sqrt(n+1) and -sqrt(n+1), then 0.
     """
-    dim = 2 * (truncation + 1)
+    dim = 2 * (_count(truncation, "truncation", 0) + 1)
     n = np.arange(truncation)
     plus, minus = 1 + 2 * n, 2 + 2 * n
     r = 1.0 / math.sqrt(2.0)
@@ -101,9 +97,7 @@ def dressed_annihilation(jc, truncation):
     and a |0, -> = 0.
     """
     _require_resonance(jc)
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    dim = 2 * (truncation + 1)
+    dim = 2 * (_count(truncation, "truncation", 1) + 1)
     a_d = np.zeros((dim, dim))
     r = 1.0 / math.sqrt(2.0)
     a_d[0, 1], a_d[0, 2] = r, -r

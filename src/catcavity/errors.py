@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the five
+rules on outside input that every public entry of both routes calls."""
+
+import math
+
+import numpy as np
 
 
 class CatCavityError(Exception):
@@ -28,3 +33,50 @@ class ConfigurationError(CatCavityError):
 class ValidityWarning(UserWarning):
     """Parameters are outside the regime where the analytic solution is argued
     to be accurate; results are still computed."""
+
+
+def _nonnegative(value, name):
+    """`value`, numbers (not text), as a float array of finite entries >= 0."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "biuf" or not (
+            0.0 <= float(array) < math.inf if array.ndim == 0
+            else ((array >= 0.0) & (array < math.inf)).all()):
+        raise ValueError(f"{name} must be finite and non-negative")
+    return array.astype(float, copy=False)
+
+
+def _times(t, one=False):
+    """`t`, a scalar or (unless `one`) a 1-d array, of finite times >= 0."""
+    times = _nonnegative(t, "time")
+    if times.ndim > (0 if one else 1):
+        raise ValueError("expected one time" if one else
+                         "times must be a scalar or a 1-d array")
+    return times
+
+
+def _count(value, name, low):
+    """`value` if it is an int or a NumPy integer, not a bool, and >= `low`."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low):
+        raise ValueError(
+            f"{name} must be {low} or a larger integer, got {value!r}")
+    return value
+
+
+def _probabilities(p, name):
+    """`p`, numbers (not text), as a 1-d float array of finite entries."""
+    probs = np.asarray(p)
+    if (probs.dtype.kind not in "biuf" or probs.ndim != 1
+            or not np.isfinite(probs).all()):
+        raise ValueError(f"{name} must be a 1-d array of finite values")
+    return probs.astype(float, copy=False)
+
+
+def _parameter(value, name, above=-math.inf):
+    """`value` if it is a finite real number above `above`."""
+    if not (isinstance(value, (int, float, np.integer, np.floating))
+            and math.isfinite(value) and value > above):
+        bound = f" above {above:g}" if above > -math.inf else ""
+        raise ValueError(
+            f"{name} must be a finite number{bound}, got {value!r}")
+    return value

@@ -19,7 +19,7 @@ of the second atom.  Each observable is an array expression on that table.
 The loop runs a chunk of consecutive times at a time (at most
 `damping.KERNEL_CHUNK` kernel entries, 1 MiB, so the chunk's kernels stay
 in L2 cache).  Every passage over a time t applies one time-t operator, the
-F*_n kernel of `damping.f_star_operator` plus the oscillation factor; each
+F*_n kernel of `damping._f_star_operator` plus the oscillation factor; each
 chunk builds its operators once, shares them with every row of the stack,
 and the second atom's passage reuses them when every delay equals its t (a
 P_++(t, 2t) or eta(t) curve).  The fields conditioned on each first outcome
@@ -35,10 +35,10 @@ from typing import Union
 
 import numpy as np
 
-from .damping import (DampingParams, doublet_decay_rate, f_star_operator,
+from .damping import (DampingParams, _f_star_operator, doublet_decay_rate,
                       unitarity_ground)
 from .dressed import JCParams, _check_outcome, _require_resonance
-from .errors import ConsistencyError, ValidityWarning
+from .errors import ConsistencyError, ValidityWarning, _count, _times
 from .states import (
     CatSpec,
     PhotonDistribution,
@@ -69,12 +69,7 @@ class ExperimentConfig:
     truncation: int = 0
 
     def __post_init__(self):
-        if (isinstance(self.truncation, bool)
-                or not isinstance(self.truncation, (int, np.integer))
-                or self.truncation < 0):
-            raise ValueError(
-                f"truncation must be 0 (resolved from the field) or a "
-                f"positive integer, got {self.truncation!r}")
+        _count(self.truncation, "truncation", 0)
         dist = self.initial_field
         if not isinstance(dist, PhotonDistribution):
             dist = cat_distribution(dist, self.truncation or default_truncation(
@@ -153,7 +148,7 @@ def _passages(configs):
 
 def _operator(jc, damping, size):
     """operator(times): the passages of durations `times` through fields of
-    `size` levels, one chunk of times at a time (`f_star_operator`): an
+    `size` levels, one chunk of times at a time (`_f_star_operator`): an
     iterator of (chunk, passage), where passage maps an (F, size) stack of
     fields, or a (C, F, size) stack per time, to the (C, F, size) stacks
     (F*_n(t), the oscillation term e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n).
@@ -167,7 +162,7 @@ def _operator(jc, damping, size):
     two_g = 2.0 * jc.g
 
     def operator(times):
-        for chunk, f_star_at in f_star_operator(size, damping, times):
+        for chunk, f_star_at in _f_star_operator(size, damping, times):
             t = times[chunk, None, None]
             factor = np.exp(alpha * t) * np.cos(two_g * t * root)
 
@@ -182,6 +177,7 @@ def _operator(jc, damping, size):
 def _table(configs, t_a, tau, outcomes=()):
     """(P_+, weights, joints): P_+ and, keyed by s1, weight and joint, each
     a (configs, times) array; the one loop over times of every observable.
+    t_a and tau are checked times, a scalar counting as one.
 
     P_+ is that of the first atom's passage over t_a[i].  For each first
     outcome s1 in `outcomes`, weight is sum_n M_s1 p, the probability of s1,
@@ -191,6 +187,7 @@ def _table(configs, t_a, tau, outcomes=()):
     once; the second passage reuses it when every delay equals its t_a and
     builds the tau operator only if some outcome is asked for.
     """
+    t_a, tau = np.atleast_1d(t_a), np.atleast_1d(tau)
     count, stacks = _passages(configs)
     p_plus = np.empty((count, t_a.size))
     weights = {s1: np.empty_like(p_plus) for s1 in outcomes}
@@ -228,17 +225,6 @@ def _shaped(out, configs, *t):
     return float(out) if out.ndim == 0 else out
 
 
-def _times(t):
-    """t as a 1-d float array, checked finite and non-negative; a scalar or
-    a 1-d array of times, nothing of more dimensions."""
-    times = np.atleast_1d(np.asarray(t, dtype=float))
-    if times.ndim > 1:
-        raise ValueError("times must be a scalar or a 1-d array")
-    if not ((times >= 0.0) & (times < math.inf)).all():
-        raise ValueError("time must be finite and non-negative")
-    return times
-
-
 def p_excited(configs, t):
     """Probability P_+(t) of finding the probe atom still excited at time t.
 
@@ -259,11 +245,8 @@ def conditioned_field(config, t_a, outcome):
     vacuum entry fed by the ground sector F*_{-1}.  t_a is one time.
     """
     _check_outcome(outcome)
-    times = _times(t_a)
-    if times.size != 1:
-        raise ValueError("conditioned_field takes one time t_a")
     _, [(_, probs, operator)] = _passages([config])
-    [(_, passage)] = operator(times)
+    [(_, passage)] = operator(_times(t_a, one=True).reshape(1))
     f, osc = passage(probs)
     return _conditioned(f, osc, unitarity_ground(probs, f), (outcome,))[0, 0]
 
@@ -282,7 +265,7 @@ def p_joint(configs, t_a, t_b, s1, s2):
     _check_outcome(s2, "s2")
     t_a_arr, t_b_arr = np.broadcast_arrays(_times(t_a), _times(t_b))
     if not np.all(t_a_arr <= t_b_arr):
-        raise ValueError("need 0 <= t_A <= t_B < inf")
+        raise ValueError("need t_A <= t_B")
     _, weights, joints = _table(configs, t_a_arr, t_b_arr - t_a_arr, (s1,))
     joint = joints[s1] if s2 == "+" else weights[s1] - joints[s1]
     return _shaped(joint, configs, t_a, t_b)

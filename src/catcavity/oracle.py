@@ -76,7 +76,8 @@ from scipy.linalg import expm
 
 from .dressed import (_check_outcome, _require_resonance, dressed_annihilation,
                       dressed_basis)
-from .errors import ConsistencyError, DegenerateCatError, TruncationError
+from .errors import (ConsistencyError, DegenerateCatError, TruncationError,
+                     _count, _nonnegative, _parameter, _times)
 from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution, _log_poisson
 
 #: Trace drift beyond 10 * DEFAULT_TOL raises ConsistencyError.
@@ -103,8 +104,9 @@ class DensityMatrix:
         dim = m.shape[0] if m.ndim == 2 else 0
         if m.shape != (dim, dim) or dim < 2 or dim % 2:
             raise ValueError("matrix must be square with an even dimension")
-        if not (math.isfinite(self.time) and np.all(np.isfinite(m))):
-            raise ValueError("time and matrix entries must be finite")
+        _times(self.time, one=True)
+        if not np.isfinite(m).all():
+            raise ValueError("matrix entries must be finite")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -120,8 +122,9 @@ class DensityMatrix:
 
 def coherent_state_vector(intensity, truncation):
     """Fock amplitudes of |z> with z = sqrt(intensity) (real)."""
-    log_amp = 0.5 * _log_poisson(intensity, np.arange(truncation + 1))
-    return np.exp(log_amp).astype(complex)
+    _nonnegative(intensity, "intensity")
+    n = np.arange(_count(truncation, "truncation", 1) + 1)
+    return np.exp(0.5 * _log_poisson(intensity, n)).astype(complex)
 
 
 def cat_state_vector(spec, truncation):
@@ -149,6 +152,7 @@ def build_initial_state(fieldspec, truncation):
     squared norm is one to MASS_TOLERANCE), or a PhotonDistribution
     (diagonal mixture -- what the analytic path sees).
     """
+    _count(truncation, "truncation", 1)
     if isinstance(fieldspec, CatSpec):
         amp = cat_state_vector(fieldspec, truncation)
         rho_c = np.outer(amp, amp.conj())
@@ -160,10 +164,9 @@ def build_initial_state(fieldspec, truncation):
         amp = np.asarray(fieldspec, dtype=complex)
         if amp.shape != (truncation + 1,):
             raise ValueError("amplitude vector length mismatch")
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("amplitudes must be finite")
-        if abs(np.vdot(amp, amp).real - 1.0) > MASS_TOLERANCE:
-            raise ValueError("amplitude vector must have unit norm")
+        # a NaN or infinite amplitude makes the norm NaN or infinite
+        if not abs(np.vdot(amp, amp).real - 1.0) <= MASS_TOLERANCE:
+            raise ValueError("amplitudes must be finite, of unit norm")
         rho_c = np.outer(amp, amp.conj())
     return reinject_excited(rho_c, 0.0)
 
@@ -228,6 +231,7 @@ def liouvillian(jc, damping, truncation):
     undamped limit, which DampingParams itself excludes).  The propagation
     reads the same triplets without building this matrix.
     """
+    _count(truncation, "truncation", 0)
     rows, cols, vals = _liouvillian_triplets(jc, damping, truncation)
     dim = 2 * (truncation + 1)
     lind = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim,) * 2)
@@ -254,11 +258,6 @@ def _block_labels(truncation, jc):
     return (4 * k + 2 * s[:, None] + s[None, :]).ravel()
 
 
-def _k0(truncation):
-    """Where vec(rho) has coherence order k = 0."""
-    return _block_labels(truncation, None) // 4 == 0
-
-
 def dephased(rho):
     """rho with every entry of coherence order k != 0 set to zero.
 
@@ -267,7 +266,8 @@ def dephased(rho):
     else gets the same numbers from the dephased state while propagating
     one block instead of all of them.
     """
-    keep = _k0(rho.truncation).reshape(rho.matrix.shape)
+    keep = (_block_labels(rho.truncation, None) // 4 == 0).reshape(
+        rho.matrix.shape)
     return DensityMatrix(matrix=np.where(keep, rho.matrix, 0.0), time=rho.time)
 
 
@@ -328,11 +328,11 @@ def _step_groups(steps):
 
 
 def _check_times(times, start):
-    times = np.array(times, dtype=float)
-    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
-        raise ValueError("times must be a non-empty 1-D array of finite values")
-    if times[0] < start or np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-decreasing and not before rho0")
+    times = np.array(_times(times))
+    if (times.ndim != 1 or not times.size or times[0] < start
+            or np.any(np.diff(times) < 0)):
+        raise ValueError("times must be a non-empty 1-D array, "
+                         "non-decreasing and not before rho0")
     return times
 
 
@@ -590,10 +590,10 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
     _check_outcome(s1, "s1")
     _check_outcome(s2, "s2")
     t_a, t_b = _check_times([t_a, t_b], rho0.time)
-    trunc = rho0.truncation
-    v0 = np.where(_k0(trunc), rho0.matrix.reshape(-1), 0.0)
-    _check_hermitian(v0.reshape(rho0.matrix.shape))
-    prop = _BlockPropagator(jc, damping, trunc, v0)
+    rho0 = dephased(rho0)
+    _check_hermitian(rho0.matrix)
+    v0 = rho0.matrix.reshape(-1)
+    prop = _BlockPropagator(jc, damping, rho0.truncation, v0)
     traj_a = prop.run(v0, rho0.time, np.array([t_a]))
     fields, weights = condition_on_atom(traj_a, s1)
     if weights[-1] <= 0.0:
@@ -629,7 +629,7 @@ def w_equation_residuals(window, jc, damping, dt):
     if len(window) < 5:
         raise ValueError("need at least 5 uniformly spaced samples")
     trunc = window[0].truncation
-    if dt * jc.g >= 0.1:
+    if _parameter(dt, "dt", 0.0) * jc.g >= 0.1:
         raise ValueError("dt*g must be below 0.1 for the secular part")
     _, rabi = dressed_basis(trunc)
     lam = jc.g * rabi
@@ -664,27 +664,20 @@ def w_equation_residuals(window, jc, damping, dt):
 # decoherence surrogate
 # ---------------------------------------------------------------------------
 
-def branch_coherence(rho_field, intensity, truncation, time, kappa):
-    """|<z e^{-kappa t}| rho_C |-z e^{-kappa t}>| for a field density matrix.
-
-    The probe coherent states follow the decaying branch amplitude so that
-    plain energy decay does not masquerade as decoherence.
-    """
-    z2 = intensity * math.exp(-2.0 * kappa * time)
-    probe = coherent_state_vector(z2, truncation)
-    signs = (-1.0) ** np.arange(truncation + 1)
-    return abs(np.vdot(probe, rho_field @ (probe * signs)))
-
-
 def branch_coherence_trajectory(spec, damping, times, truncation):
-    """Cat branch coherence under pure cavity decay (coupling off).
+    """Cat branch coherence |<z e^{-kappa t}| rho_C |-z e^{-kappa t}>| of
+    the field rho_C under pure cavity decay (coupling off).
 
     Runs the oracle master equation with the atom uncoupled, so the decay of
-    the cross-branch overlap isolates environment-induced decoherence.
+    the cross-branch overlap isolates environment-induced decoherence.  The
+    probe coherent states follow the decaying branch amplitude so that plain
+    energy decay does not masquerade as decoherence.
     """
     rho0 = build_initial_state(spec, truncation)
     traj = integrate_trajectory(rho0, None, damping, times)
     field = condition_on_atom(traj, "+")[0] + condition_on_atom(traj, "-")[0]
-    return np.array([branch_coherence(f, spec.intensity, truncation, float(t),
-                                      damping.kappa)
-                     for f, t in zip(field, traj.times)])
+    signs = (-1.0) ** np.arange(truncation + 1)
+    probes = [coherent_state_vector(spec.intensity * math.exp(
+        -2.0 * damping.kappa * t), truncation) for t in traj.times.tolist()]
+    return np.array([abs(np.vdot(probe, rho_c @ (probe * signs)))
+                     for probe, rho_c in zip(probes, field)])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .damping import DampingParams, doublet_decay_rate
-from .errors import ValidityWarning
+from .errors import ValidityWarning, _count, _nonnegative, _parameter, _times
 from .states import _log_poisson
 
 
@@ -29,17 +29,10 @@ class ResumParams:
     g: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.nbar, self.phase, self.g))):
-            raise ValueError("nbar, phase and g must be finite")
-        if self.nbar <= 0:
-            raise ValueError("nbar must be positive")
-        if (isinstance(self.max_order, bool)
-                or not isinstance(self.max_order, (int, np.integer))
-                or self.max_order < 1):
-            raise ValueError(
-                f"max_order must be an integer >= 1, got {self.max_order!r}")
-        if self.g <= 0:
-            raise ValueError("coupling g must be positive")
+        _parameter(self.nbar, "nbar", 0.0)
+        _parameter(self.phase, "phase")
+        _count(self.max_order, "max_order", 1)
+        _parameter(self.g, "g", 0.0)
         if self.nbar < 10:
             warnings.warn(
                 "Poisson resummation is an nbar >> 1 asymptotic; "
@@ -51,17 +44,14 @@ class ResumParams:
 
 def fractional_poisson(nbar, x):
     """Poisson weight nbar^x e^{-nbar} / Gamma(x+1) at real argument x >= 0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("argument must be non-negative")
-    out = np.exp(_log_poisson(nbar, x))
+    _nonnegative(nbar, "nbar")
+    out = np.exp(_log_poisson(nbar, _nonnegative(x, "argument")))
     return float(out) if out.ndim == 0 else out
 
 
 def collapse_wave(params, t):
     """nu = 0 wave: the initial collapse e^{-g^2 t^2 / 2} cos(2 g t sqrt(nbar))."""
-    gt = params.g * np.asarray(t, dtype=float)
-    return np.exp(-gt * gt / 2.0) * np.cos(2.0 * gt * math.sqrt(params.nbar))
+    return _collapse(params, params.g * _times(t))
 
 
 def revival_wave(params, nu, t):
@@ -70,11 +60,19 @@ def revival_wave(params, nu, t):
     The Poisson envelope peaks where g^2 t^2 / (4 pi^2 nu^2) = nbar, i.e. at
     gt = 2 pi nu sqrt(nbar).
     """
-    if nu <= 0:
-        raise ValueError("nu must be positive; the nu = 0 wave is collapse_wave")
-    gt = params.g * np.asarray(t, dtype=float)
+    _parameter(nu, "nu", 0.0)
+    return _revival(params, nu, params.g * _times(t))
+
+
+def _collapse(params, gt):
+    """`collapse_wave` at the checked products gt = g t."""
+    return np.exp(-gt * gt / 2.0) * np.cos(2.0 * gt * math.sqrt(params.nbar))
+
+
+def _revival(params, nu, gt):
+    """`revival_wave` at the checked products gt = g t."""
     argument = gt * gt / (4.0 * math.pi**2 * nu**2)
-    envelope = fractional_poisson(params.nbar, argument) * gt / (
+    envelope = np.exp(_log_poisson(params.nbar, argument)) * gt / (
         math.pi * math.sqrt(2.0 * nu**3)
     )
     return envelope * np.cos(gt * gt / (2.0 * math.pi * nu) - math.pi / 4.0)
@@ -86,9 +84,7 @@ def resummed_p_excited(params, t):
     Depends on the cat phase only through cos(phase).  Warns when the
     validity condition alpha_nbar << g is violated.
     """
-    t = np.asarray(t, dtype=float)
-    if not np.all((t >= 0) & (t < math.inf)):
-        raise ValueError("time must be finite and non-negative")
+    t = _times(t)
     alpha_nbar = doublet_decay_rate(params.damping, params.nbar)
     if alpha_nbar > 0.1 * params.g:
         warnings.warn(
@@ -98,10 +94,11 @@ def resummed_p_excited(params, t):
             stacklevel=2,
         )
     cos_phi = math.cos(params.phase)
-    waves = collapse_wave(params, t)
+    gt = params.g * t
+    waves = _collapse(params, gt)
     for nu in range(1, params.max_order + 1):
-        waves = waves + revival_wave(params, nu, t)
-        waves = waves - cos_phi * revival_wave(params, nu - 0.5, t)
+        waves = waves + _revival(params, nu, gt)
+        waves = waves - cos_phi * _revival(params, nu - 0.5, gt)
     ground = 0.5 * np.exp(-2.0 * params.damping.kappa
                           * params.damping.n_thermal * t)
     out = ground + 0.5 * np.exp(-alpha_nbar * t) * waves

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DegenerateCatError, TruncationError
+from .errors import (DegenerateCatError, TruncationError, _count,
+                     _nonnegative, _parameter, _probabilities)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -29,6 +30,7 @@ _DEGENERATE_NORM = 4.0 * np.finfo(float).eps / _SUM_SLACK
 
 def default_truncation(nbar):
     """Fock cutoff keeping at least 1 - 1e-10 of the photon mass at mean nbar."""
+    _nonnegative(nbar, "nbar")
     return max(32, int(math.ceil(nbar + 10.0 * math.sqrt(nbar + 1.0))))
 
 
@@ -44,10 +46,8 @@ class CatSpec:
     phase: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.intensity) and math.isfinite(self.phase)):
-            raise ValueError("intensity and phase must be finite")
-        if self.intensity < 0:
-            raise ValueError("intensity must be non-negative")
+        _nonnegative(self.intensity, "intensity")
+        _parameter(self.phase, "phase")
         object.__setattr__(self, "phase", float(self.phase) % _TWO_PI)
 
     @property
@@ -79,9 +79,7 @@ class PhotonDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        if probs.ndim != 1 or not np.all(np.isfinite(probs)):
-            raise ValueError("probabilities must be a 1-D array of finite values")
+        probs = _probabilities(self.probs, "probabilities")
         if np.any(probs < 0.0) or np.any(probs > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         total = probs.sum()
@@ -118,13 +116,9 @@ def _log_poisson(intensity, n):
 
 def coherent_distribution(intensity, truncation):
     """Photon distribution of a coherent state: Poisson with mean |z|^2."""
-    if intensity < 0:
-        raise ValueError("intensity must be non-negative")
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
-    n = np.arange(truncation + 1)
-    probs = np.exp(_log_poisson(intensity, n))
-    return PhotonDistribution(probs)
+    _nonnegative(intensity, "intensity")
+    n = np.arange(_count(truncation, "truncation", 1) + 1)
+    return PhotonDistribution(np.exp(_log_poisson(intensity, n)))
 
 
 def cat_distribution(spec, truncation=None):
@@ -136,13 +130,11 @@ def cat_distribution(spec, truncation=None):
     """
     if truncation is None:
         truncation = default_truncation(spec.intensity)
-    if truncation < 1:
-        raise ValueError("truncation must be at least 1")
     if spec.is_degenerate:
         raise DegenerateCatError(
             "cat normalization vanishes for this (intensity, phase)"
         )
-    n = np.arange(truncation + 1)
+    n = np.arange(_count(truncation, "truncation", 1) + 1)
     parity = 1.0 + math.cos(spec.phase) * (-1.0) ** n
     weights = 2.0 * parity / spec.normalization
     probs = np.exp(_log_poisson(spec.intensity, n)) * weights
@@ -162,6 +154,5 @@ def cat_mean_photons(spec):
 
 def branch_overlap(intensity):
     """Overlap probability |<z|-z>|^2 = exp(-2 |z|^2) of the two branches."""
-    if intensity < 0:
-        raise ValueError("intensity must be non-negative")
+    _nonnegative(intensity, "intensity")
     return math.exp(-2.0 * intensity)

@@ -17,8 +17,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from catcavity import oracle
-from catcavity.damping import (doublet_decay_rate, f_star, f_star_ground,
-                               unitarity_ground)
+from catcavity.damping import f_star, f_star_ground, unitarity_ground
 from catcavity.errors import ConsistencyError
 from catcavity.observables import ETA_EPSILON
 
@@ -109,9 +108,10 @@ def residual_diagnostics(p0, damping, t, dt):
 
 
 def _passage(config, field, t):
-    """(F*_n(t), e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n) of one field."""
+    """(F*_n(t), e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n) of one field, with
+    alpha_n from `rate_arrays`, not from the library."""
     n = np.arange(field.size)
-    alpha = doublet_decay_rate(config.damping, n)
+    alpha = rate_arrays(config.damping, field.size - 1)[0]
     factor = np.exp(-alpha * t) * np.cos(2.0 * config.jc.g * t
                                          * np.sqrt(n + 1.0))
     return f_star(field, config.damping, t), factor * field

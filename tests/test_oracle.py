@@ -227,9 +227,12 @@ def test_readers_build_no_dense_sample(monkeypatch, tmp_path):
     built = _count_dense(monkeypatch)
     oracle.oracle_observables(traj, jc)
     oracle.condition_on_atom(traj, "+")
+    assert built == []
+    # the joint builds its start, the k = 0 part of rho0, and no sample
     oracle.joint_probability_oracle(rho0, jc, damping, times[1], times[3],
                                     "+", "+")
-    assert built == []
+    assert built == [0.0]
+    built.clear()
     # the command builds its initial state and that state's k = 0 part only
     assert main(["oracle", "--nbar", "2", "--nb", "0.1", "--t-max", "0.002",
                  "--samples", "9", "--out", str(tmp_path)]) == 0
