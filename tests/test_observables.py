@@ -24,8 +24,8 @@ from catcavity import (
     revival_curves,
 )
 from catcavity import observables
-from catcavity.damping import KERNEL_CHUNK, _f_star_operator
-from references import eta_reference, passage_reference
+from catcavity.damping import KERNEL_CHUNK, _f_star_operator, f_star
+from references import eta_reference, passage_reference, rate_arrays
 
 
 @pytest.fixture
@@ -314,6 +314,64 @@ def test_p_joint_broadcasts_scalar_first_passage(benson_config):
 def test_p_joint_rejects_reversed_times_in_array(benson_config):
     with pytest.raises(ValueError):
         p_joint(benson_config, np.array([1e-5, 1e-4]), 5e-5, "+", "+")
+
+
+def _per_passage_rates(configs):
+    """`_passages` with alpha_n (from `rate_arrays`), sqrt(n+1) and F*_n
+    rebuilt for every row of every passage, one time per chunk, as before
+    they were computed once per call and the F*_n kernels once per chunk
+    of times for the stack; each config is its own stack."""
+    if isinstance(configs, ExperimentConfig):
+        configs = [configs]
+    damping, g = configs[0].damping, configs[0].jc.g
+
+    def operator(times):
+        for i, t in enumerate(times.tolist()):
+            def run(fields, t=t):
+                rows = []
+                for probs in fields.reshape(-1, fields.shape[-1]):
+                    n = np.arange(probs.size)
+                    alpha, _, _ = rate_arrays(damping, probs.size - 1)
+                    osc = (np.exp(-alpha * t)
+                           * np.cos(2.0 * g * t * np.sqrt(n + 1.0)))
+                    rows.append((f_star(probs, damping, t), osc * probs))
+                return tuple(np.array(part)[None] for part in zip(*rows))
+
+            yield slice(i, i + 1), run
+
+    return len(configs), [
+        (np.array([row]), np.array([config.distribution().probs]), operator)
+        for row, config in enumerate(configs)]
+
+
+@pytest.mark.parametrize("nb", [0.0, 0.13])
+def test_passage_bit_identical_to_per_passage_rates(monkeypatch, nb):
+    # the fig1 grid and fields: the figure CSVs stay byte-identical
+    preset = PRESETS["benson97"]
+    ts = np.arange(0.0, 50.0 + 0.05, 0.1) / preset.g
+    damping = DampingParams(kappa=preset.kappa, n_thermal=nb)
+    configs = [ExperimentConfig(jc=preset.jc(), damping=damping,
+                                initial_field=field)
+               for field in (coherent_distribution(49.0,
+                                                   default_truncation(49.0)),
+                             CatSpec(intensity=49.0, phase=1.7))]
+
+    def curves(config):
+        return (p_excited(config, ts),
+                p_joint(config, ts, 2.0 * ts, "+", "+"),
+                eta_correlation(config, ts),
+                *revival_curves(config, ts))
+
+    for config in configs:
+        got = curves(config)
+        with monkeypatch.context() as patch:
+            patch.setattr(observables, "_passages", _per_passage_rates)
+            expected = curves(config)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b, equal_nan=True)
+        # revival_curves is (p_excited, p_joint(t, 2t, "+", "+"))
+        assert np.array_equal(got[3], expected[0])
+        assert np.array_equal(got[4], expected[1])
 
 
 def _figure_pair(preset, nb, truncations=(0, 0)):
