@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oracle
 from .damping import DampingParams
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DegenerateCatError
 from .observables import ExperimentConfig, eta_correlation, revival_curves
 from .presets import PRESETS
 from .states import CatSpec, coherent_distribution, default_truncation
@@ -70,10 +70,10 @@ def _check_numbers(values):
 
 def _check_cat(nbar, phi):
     """Raise ConfigurationError if the cat at (nbar, phi) is degenerate."""
-    if CatSpec(intensity=nbar, phase=phi).is_degenerate:
-        raise ConfigurationError(
-            f"nbar = {nbar:g} and phi = {phi:g} give a degenerate cat: its "
-            "normalization 2 + 2 cos(phi) exp(-2 nbar) is too close to zero")
+    try:
+        CatSpec(intensity=nbar, phase=phi).refuse_degenerate()
+    except DegenerateCatError as err:
+        raise ConfigurationError(str(err)) from None
 
 
 def _merge_settings(args, figure_id):

@@ -20,23 +20,23 @@ table's order, so one masked assignment scatters a build.  The table
 keeps 3 N_max (N_max + 1) / 2 8-byte floats and N_max^2 bytes (about 0.53 MB
 at N_max = 202).
 
-`_f_star_operator(size, damping, times)` builds the kernels a chunk of times
-at a time and hands out, per chunk, the function that applies them to a
-stack of fields, one kernel-vector product per time and row; `f_star` is the
-case of one time and one row.  Its callers check the times.  The kernels do
-not depend on the field, so a caller that propagates several fields over one
-t (the atom passages of `observables`) builds each once.  A chunk evaluates
-exp(ratio + (j-n) log x - fact) on the triangles of all its times in one
-pass, with log x taken per time by `math.log`, and scatters each time's
-triangle through the 2-D mask into its own N x N matrix of one (C, N, N)
-slab.  The slab is allocated once per call and reused by every chunk: only
-upper triangles are written, so the zero lower triangles are never
-re-zeroed.  A chunk holds at most KERNEL_CHUNK = 2**17 kernel entries
-(1 MiB), so that its kernels stay in a 2 MiB L2 cache while the fields pass
-through them: 8 times at N = 121, 3 at N = 202, a whole figure axis at
-N = 33; 4 MiB chunks measured slower at N = 121.  The scatter stays one 2-D
-masked assignment per time, with the table's mask: a (C, N, N) mask over
-the slab measured no faster and would be one more array per size.
+`_f_star_chunks(size, damping, times)` yields the kernels as plain arrays,
+a chunk of times at a time, and `_f_star_apply(kernels, decay, stack)`
+applies a chunk's kernels to a stack of fields, one kernel-vector product
+per time and row; `f_star` is the case of one time and one row.  Callers
+check the times.  The kernels do not depend on the field, so a caller that
+propagates several fields over one t (the atom passages of `observables`)
+builds each once.  A chunk evaluates exp(ratio + (j-n) log x - fact) on
+the triangles of all its times in one pass, with log x taken per time by
+`math.log`, and scatters each time's triangle (the identity's where x is
+0) through the 2-D mask into its own N x N matrix of one (C, N, N) slab.
+Slab and values buffer are allocated once per call and reused by every
+chunk: only upper triangles are written, so the zero lower triangles are
+never re-zeroed.  A chunk holds at most KERNEL_CHUNK = 2**17 kernel
+entries (1 MiB), so that its kernels stay in a 2 MiB L2 cache while the
+fields pass through them: 8 times at N = 121, 3 at N = 202, a whole figure
+axis at N = 33; 4 MiB chunks measured slower at N = 121.  A (C, N, N) mask
+over the slab measured no faster than one 2-D masked assignment per time.
 
 F*_{-1} comes from unitarity, 2 (1 - sum_n F*_n), and not from its
 alternating double-sum form, which loses ~15 digits near N = 120 (the test
@@ -127,86 +127,69 @@ def _packed_table(size):
     return (*(part[:count] for part in table[:3]), table[3][:size, :size])
 
 
-def _f_star_operator(size, damping, times):
-    """F*(t) on `size` levels at each checked time of the 1-d array `times`,
-    a chunk of times at a time: an iterator of (chunk, apply), where `chunk`
-    slices `times` and apply(stack) -> the (C, F, size) stack of F*_n(t),
-    one (F, size) block per time of the chunk.  `stack` is (F, size), the
-    same fields at every time, or (C, F, size), one stack per time.
-
-    Each chunk builds its decay_n and kernels once, for every stack it is
-    then applied to, the kernels into the one slab of the call, so an
-    `apply` is valid until the next chunk is built and raises
-    `RuntimeError` after.  Where 2 kappa (n_b + 1) t is 0 in floating point
-    (t = 0, or t so small that it underflows) the kernel is the identity and
-    decay_n exactly 1: no kernel is built and that time's block is a copy of
-    its fields.
+def _f_star_chunks(size, damping, times):
+    """The F* kernels on `size` levels at each checked time of the 1-d array
+    `times`, a chunk of times at a time: an iterator of (chunk, kernels,
+    decay), where `chunk` slices `times`, `kernels` is the (C, size, size)
+    stack and `decay` the (C, 1, size) decay_n of the chunk's C times.
+    `kernels` is a view of the one slab of the call, valid until the next
+    chunk.  Where 2 kappa (n_b + 1) t is 0 in floating point (t = 0, or t
+    so small that it underflows) the kernel is the identity and decay_n
+    exactly 1, so that time's F*_n is its field bit for bit.
     """
     k, nb = damping.kappa, damping.n_thermal
     # x = 1 - exp(-2 kappa (n_b + 1) t); log x only where x is not 0
     xs = [-x for x in np.expm1(-2.0 * k * (nb + 1.0) * times).tolist()]
     logs = [math.log(x) if x else 0.0 for x in xs]
-    identity = [i for i, x in enumerate(xs) if not x]  # kernel not built
     scaled = (-2.0 * k * times)[:, None, None]
     level = np.arange(0.5, size) * (nb + 1.0) + nb
     ratio, fact, diff, lower = _packed_table(size)
     step = max(1, KERNEL_CHUNK // (size * size))
-    slab, current = None, None
+    # reused by every chunk: values allocated per chunk, held over the
+    # yield, would fault in fresh pages each time
+    values = np.empty((min(step, times.size), diff.size))
+    slab = np.zeros((min(step, times.size), size, size))
+    for start in range(0, times.size, step):
+        chunk = slice(start, start + step)
+        part = np.multiply.outer(logs[chunk], diff,
+                                 out=values[:len(logs[chunk])])
+        part += ratio
+        part -= fact
+        np.exp(part, out=part)
+        kernels = slab[:len(part)]
+        for kernel, x, row in zip(kernels, xs[chunk], part):
+            kernel.T[lower] = row if x else diff == 0
+        yield chunk, kernels, np.exp(scaled[chunk] * level)
 
-    def build(start):
-        nonlocal slab, current
-        chunk = current = slice(start, start + step)
-        copies = [i - start for i in identity if start <= i < start + step]
-        values = np.multiply.outer(logs[chunk], diff)
-        values += ratio
-        values -= fact
-        np.exp(values, out=values)
-        if slab is None:
-            # zeroed after the values, so that the scatter finds it in cache
-            slab = np.zeros((min(step, times.size), size, size))
-        for c, row in enumerate(values):
-            if c not in copies:
-                slab[c].T[lower] = row
-        decay = np.exp(scaled[chunk] * level)
 
-        def apply(stack):
-            if current is not chunk:
-                raise RuntimeError("the slab holds a later chunk's kernels")
-            # one matrix-vector product per time and row: a matrix product
-            # over times or rows would let BLAS pick a summation order by
-            # their number
-            out = np.empty(decay.shape[:1] + stack.shape[-2:])
-            fields = stack if stack.ndim == 3 else (stack,) * len(out)
-            for c, (kernel, block, rows) in enumerate(zip(slab, out, fields)):
-                if c in copies:
-                    block[...] = 0.0
-                    continue
-                for row, field in zip(block, rows):
-                    np.matmul(kernel, field, out=row)
-            out *= decay
-            if (out < -NEGATIVE_CLIP).any():
-                raise ConsistencyError(
-                    f"F*_n went negative beyond roundoff: min {out.min():.3e}"
-                )
-            out.clip(0.0, None, out=out)
-            for c in copies:
-                out[c] = fields[c]
-            return out
-
-        return chunk, apply
-
-    return map(build, range(0, times.size, step))
+def _f_star_apply(kernels, decay, stack):
+    """The (C, F, size) stack of F*_n(t) = decay_n (kernel @ field) for a
+    chunk of `_f_star_chunks`, clipped at 0.  `stack` is (F, size), the same
+    fields at every time, or (C, F, size), one stack per time."""
+    # one matrix-vector product per time and row: a matrix product over
+    # times or rows would let BLAS pick a summation order by their number
+    out = np.empty(decay.shape[:1] + stack.shape[-2:])
+    fields = stack if stack.ndim == 3 else (stack,) * len(out)
+    for kernel, block, rows in zip(kernels, out, fields):
+        for row, field in zip(block, rows):
+            np.matmul(kernel, field, out=row)
+    out *= decay
+    if (out < -NEGATIVE_CLIP).any():
+        raise ConsistencyError(
+            f"F*_n went negative beyond roundoff: min {out.min():.3e}"
+        )
+    return out.clip(0.0, None, out=out)
 
 
 def f_star(p0, damping, t):
     """Closed-form F*_n(t) for initial distribution p0 (may be unnormalized)."""
     probs = _probs_of(p0)
     times = _times(t, one=True).reshape(1)
-    [(_, apply)] = _f_star_operator(probs.size, damping, times)
-    return apply(probs[None])[0, 0]
+    [(_, kernels, decay)] = _f_star_chunks(probs.size, damping, times)
+    return _f_star_apply(kernels, decay, probs[None])[0, 0]
 
 
-def unitarity_ground(probs, f):
+def _unitarity_ground(probs, f):
     """F*_{-1} = 2 (sum_n p_n - sum_n F*_n) for F*_n = f, clamped to [0, 2];
     one value per row of a stack."""
     value = 2.0 * (probs.sum(axis=-1) - f.sum(axis=-1))
@@ -219,7 +202,7 @@ def f_star_ground(p0, damping, t):
     For an unnormalized input the role of 1 is played by the input mass.
     """
     probs = _probs_of(p0)
-    return unitarity_ground(probs, f_star(probs, damping, t))
+    return _unitarity_ground(probs, f_star(probs, damping, t))
 
 
 def offdiag_decay(p0, damping, t):

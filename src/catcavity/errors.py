@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, and the five
-rules on outside input that every public entry of both routes calls."""
+"""Exception and warning types shared across the package, and the rules
+on outside input that the public entries of both routes call."""
 
 import math
 
@@ -79,4 +79,12 @@ def _parameter(value, name, above=-math.inf):
         bound = f" above {above:g}" if above > -math.inf else ""
         raise ValueError(
             f"{name} must be a finite number{bound}, got {value!r}")
+    return value
+
+
+def _instance(value, name, *kinds):
+    """`value` if it is an instance of one of the classes `kinds`."""
+    if not isinstance(value, kinds):
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{name} must be a {names}, got {type(value).__name__}")
     return value

@@ -18,14 +18,14 @@ each first outcome asked for, its weight and its joint weight with a "+"
 of the second atom.  Each observable is an array expression on that table.
 The loop runs a chunk of consecutive times at a time (at most
 `damping.KERNEL_CHUNK` kernel entries, 1 MiB, so the chunk's kernels stay
-in L2 cache).  Every passage over a time t applies one time-t operator, the
-F*_n kernel of `damping._f_star_operator` plus the oscillation factor; each
-chunk builds its operators once, shares them with every row of the stack,
-and the second atom's passage reuses them when every delay equals its t (a
-P_++(t, 2t) or eta(t) curve).  The fields conditioned on each first outcome
-go through the second passage as one stack.  Each row keeps its own
-kernel-vector product per time, so no result depends on the chunk, the
-stack or the other outcomes.
+in L2 cache).  `_operators` yields each chunk's passage operators as plain
+arrays (the F*_n kernels and decay of `damping._f_star_chunks` and the
+oscillation factors), built once and shared by every row of the stack,
+and `_passage` applies them.  The second atom's passage reuses them when
+every delay equals its t (a P_++(t, 2t) or eta(t) curve).  The fields
+conditioned on each first outcome go through the second passage as one
+stack.  Each row keeps its own kernel-vector product per time, so no
+result depends on the chunk, the stack or the other outcomes.
 """
 
 import math
@@ -35,10 +35,11 @@ from typing import Union
 
 import numpy as np
 
-from .damping import (DampingParams, _f_star_operator, doublet_decay_rate,
-                      unitarity_ground)
+from .damping import (DampingParams, _f_star_apply, _f_star_chunks,
+                      _unitarity_ground, doublet_decay_rate)
 from .dressed import JCParams, _check_outcome, _require_resonance
-from .errors import ConsistencyError, ValidityWarning, _count, _times
+from .errors import (ConsistencyError, ValidityWarning, _count, _instance,
+                     _times)
 from .states import (
     CatSpec,
     PhotonDistribution,
@@ -69,6 +70,10 @@ class ExperimentConfig:
     truncation: int = 0
 
     def __post_init__(self):
+        _instance(self.jc, "jc", JCParams)
+        _instance(self.damping, "damping", DampingParams)
+        _instance(self.initial_field, "initial_field", CatSpec,
+                  PhotonDistribution)
         _count(self.truncation, "truncation", 0)
         dist = self.initial_field
         if not isinstance(dist, PhotonDistribution):
@@ -123,10 +128,10 @@ def _conditioned(f, osc, ground, outcomes):
 
 
 def _passages(configs):
-    """(count, [(rows, probs, operator)]) for one config or a sequence of
-    configs that share jc and damping, grouped by truncation: each group is
-    the (F, N) stack `probs` of the rows `rows` of the sequence, with the
-    `_operator` of its size.  A field is never re-truncated.
+    """(count, jc, damping, [(rows, probs)]) for one config or a sequence
+    of configs that share jc and damping, grouped by truncation: each group
+    is the (F, N) stack `probs` of the rows `rows` of the sequence.  A field
+    is never re-truncated.
     """
     configs = ([configs] if isinstance(configs, ExperimentConfig)
                else list(configs))
@@ -139,39 +144,33 @@ def _passages(configs):
     groups = {}
     for row, config in enumerate(configs):
         groups.setdefault(config.truncation, []).append(row)
-    return len(configs), [
-        (np.array(rows),
-         np.array([configs[r].distribution().probs for r in rows]),
-         _operator(jc, damping, truncation + 1))
-        for truncation, rows in groups.items()]
+    return len(configs), jc, damping, [
+        (np.array(rows), np.array([configs[r].distribution().probs
+                                   for r in rows]))
+        for rows in groups.values()]
 
 
-def _operator(jc, damping, size):
-    """operator(times): the passages of durations `times` through fields of
-    `size` levels, one chunk of times at a time (`_f_star_operator`): an
-    iterator of (chunk, passage), where passage maps an (F, size) stack of
-    fields, or a (C, F, size) stack per time, to the (C, F, size) stacks
-    (F*_n(t), the oscillation term e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n).
-
-    Each chunk builds its F* kernels and oscillation factors once, for every
-    stack it is then applied to; a passage is valid until the next chunk.
-    """
+def _operators(jc, damping, size, times):
+    """(chunk, op) per chunk of `damping._f_star_chunks`: op is the chunk's
+    F* kernels and decay_n and the (C, 1, size) oscillation factors
+    e^{-alpha_n t} cos(2 g t sqrt(n+1)) of its times, valid until the next
+    chunk."""
     n = np.arange(size)
     alpha = -doublet_decay_rate(damping, n)
     root = np.sqrt(n + 1.0)
-    two_g = 2.0 * jc.g
+    for chunk, kernels, decay in _f_star_chunks(size, damping, times):
+        t = times[chunk, None, None]
+        yield chunk, (kernels, decay,
+                      np.exp(alpha * t) * np.cos(2.0 * jc.g * t * root))
 
-    def operator(times):
-        for chunk, f_star_at in _f_star_operator(size, damping, times):
-            t = times[chunk, None, None]
-            factor = np.exp(alpha * t) * np.cos(two_g * t * root)
 
-            def passage(fields):
-                return f_star_at(fields), factor * fields
-
-            yield chunk, passage
-
-    return operator
+def _passage(op, fields):
+    """The (C, F, size) stacks (F*_n(t), the oscillation term
+    e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n) of the passages of one chunk
+    `op` of `_operators` through an (F, size) stack of fields, the same at
+    every time, or a (C, F, size) stack per time."""
+    kernels, decay, factor = op
+    return _f_star_apply(kernels, decay, fields), factor * fields
 
 
 def _table(configs, t_a, tau, outcomes=()):
@@ -188,16 +187,17 @@ def _table(configs, t_a, tau, outcomes=()):
     builds the tau operator only if some outcome is asked for.
     """
     t_a, tau = np.atleast_1d(t_a), np.atleast_1d(tau)
-    count, stacks = _passages(configs)
+    count, jc, damping, stacks = _passages(configs)
     p_plus = np.empty((count, t_a.size))
     weights = {s1: np.empty_like(p_plus) for s1 in outcomes}
     joints = {s1: np.empty_like(p_plus) for s1 in outcomes}
     shared = not outcomes or tau is t_a or np.array_equal(tau, t_a)
-    for rows, probs, operator in stacks:
-        seconds = None if shared else operator(tau)
-        for chunk, first in operator(t_a):
-            f, osc = first(probs)
-            ground = unitarity_ground(probs, f)
+    for rows, probs in stacks:
+        size = probs.shape[1]
+        seconds = None if shared else _operators(jc, damping, size, tau)
+        for chunk, first in _operators(jc, damping, size, t_a):
+            f, osc = _passage(first, probs)
+            ground = _unitarity_ground(probs, f)
             p_plus[rows, chunk] = (0.5 - 0.25 * ground
                                    + 0.5 * osc.sum(axis=2)).T
             if not outcomes:
@@ -205,7 +205,7 @@ def _table(configs, t_a, tau, outcomes=()):
             second = first if shared else next(seconds)[1]
             cond = _conditioned(f, osc, ground, outcomes)
             weight = cond.sum(axis=2)
-            f_b, osc_b = second(cond)
+            f_b, osc_b = _passage(second, cond)
             value = 0.5 * f_b.sum(axis=2) + 0.5 * osc_b.sum(axis=2)
             joint = np.minimum(np.maximum(value, 0.0), weight)
             for i, s1 in enumerate(outcomes):
@@ -245,10 +245,11 @@ def conditioned_field(config, t_a, outcome):
     vacuum entry fed by the ground sector F*_{-1}.  t_a is one time.
     """
     _check_outcome(outcome)
-    _, [(_, probs, operator)] = _passages([config])
-    [(_, passage)] = operator(_times(t_a, one=True).reshape(1))
-    f, osc = passage(probs)
-    return _conditioned(f, osc, unitarity_ground(probs, f), (outcome,))[0, 0]
+    _, jc, damping, [(_, probs)] = _passages(config)
+    [(_, op)] = _operators(jc, damping, probs.shape[1],
+                           _times(t_a, one=True).reshape(1))
+    f, osc = _passage(op, probs)
+    return _conditioned(f, osc, _unitarity_ground(probs, f), (outcome,))[0, 0]
 
 
 def p_joint(configs, t_a, t_b, s1, s2):

@@ -76,8 +76,8 @@ from scipy.linalg import expm
 
 from .dressed import (_check_outcome, _require_resonance, dressed_annihilation,
                       dressed_basis)
-from .errors import (ConsistencyError, DegenerateCatError, TruncationError,
-                     _count, _nonnegative, _parameter, _times)
+from .errors import (ConsistencyError, TruncationError, _count, _nonnegative,
+                     _parameter, _times)
 from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution, _log_poisson
 
 #: Trace drift beyond 10 * DEFAULT_TOL raises ConsistencyError.
@@ -129,8 +129,7 @@ def coherent_state_vector(intensity, truncation):
 
 def cat_state_vector(spec, truncation):
     """Fock amplitudes of the normalized cat |z; phi>, coherences included."""
-    if spec.is_degenerate:
-        raise DegenerateCatError("cannot build a state vector for a null cat")
+    spec.refuse_degenerate()
     base = coherent_state_vector(spec.intensity, truncation)
     signs = (-1.0) ** np.arange(truncation + 1)
     amp = (base + np.exp(1j * spec.phase) * base * signs) / math.sqrt(

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .damping import DampingParams, doublet_decay_rate
-from .errors import ValidityWarning, _count, _nonnegative, _parameter, _times
+from .errors import (ValidityWarning, _count, _instance, _nonnegative,
+                     _parameter, _times)
 from .states import _log_poisson
 
 
@@ -32,6 +33,7 @@ class ResumParams:
         _parameter(self.nbar, "nbar", 0.0)
         _parameter(self.phase, "phase")
         _count(self.max_order, "max_order", 1)
+        _instance(self.damping, "damping", DampingParams)
         _parameter(self.g, "g", 0.0)
         if self.nbar < 10:
             warnings.warn(

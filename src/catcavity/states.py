@@ -24,7 +24,7 @@ MASS_TOLERANCE = 1e-10
 #: Largest admissible excess of the total probability over one (round-off).
 _SUM_SLACK = 1e-12
 
-#: Cat normalizations at or below this are refused (see CatSpec.is_degenerate).
+#: Cat normalizations at or below this are refused (see CatSpec.refuse_degenerate).
 _DEGENERATE_NORM = 4.0 * np.finfo(float).eps / _SUM_SLACK
 
 
@@ -55,9 +55,9 @@ class CatSpec:
         """Squared norm 2 + 2 cos(phi) exp(-2|z|^2) of the unnormalized cat."""
         return 2.0 + 2.0 * math.cos(self.phase) * math.exp(-2.0 * self.intensity)
 
-    @property
-    def is_degenerate(self):
-        """True where rounding alone could break the cat's unit total.
+    def refuse_degenerate(self):
+        """Raise DegenerateCatError where rounding alone could break the
+        cat's unit total.
 
         Near phi = pi and small |z|^2 the normalization 2 + 2 cos(phi)
         e^{-2|z|^2} and the parity weights it divides are differences of
@@ -69,7 +69,11 @@ class CatSpec:
         eps / 1e-12 = 2.2e-4 can fail by rounding; the threshold keeps a
         factor of four, 4 eps / 1e-12 = 8.9e-4.
         """
-        return self.normalization <= _DEGENERATE_NORM
+        if self.normalization <= _DEGENERATE_NORM:
+            raise DegenerateCatError(
+                f"the cat at intensity {self.intensity:g} and phase "
+                f"{self.phase:g} is degenerate: its normalization 2 + 2 "
+                "cos(phi) exp(-2 |z|^2) is too close to zero")
 
 
 @dataclass(frozen=True)
@@ -130,10 +134,7 @@ def cat_distribution(spec, truncation=None):
     """
     if truncation is None:
         truncation = default_truncation(spec.intensity)
-    if spec.is_degenerate:
-        raise DegenerateCatError(
-            "cat normalization vanishes for this (intensity, phase)"
-        )
+    spec.refuse_degenerate()
     n = np.arange(_count(truncation, "truncation", 1) + 1)
     parity = 1.0 + math.cos(spec.phase) * (-1.0) ** n
     weights = 2.0 * parity / spec.normalization
@@ -146,8 +147,7 @@ def cat_mean_photons(spec):
 
     For phi = 0 this reduces to |z|^2 tanh(|z|^2).
     """
-    if spec.is_degenerate:
-        raise DegenerateCatError("mean photon number undefined for degenerate cat")
+    spec.refuse_degenerate()
     c = math.cos(spec.phase) * math.exp(-2.0 * spec.intensity)
     return spec.intensity * (1.0 - c) / (1.0 + c)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .damping import DampingParams, f_star, unitarity_ground
+from .damping import DampingParams, _unitarity_ground, f_star
 from .errors import ValidityWarning
 from .observables import ExperimentConfig, p_excited, p_joint
 from .presets import PRESETS
@@ -63,7 +63,7 @@ def check_mass_conservation():
     for p0, damping, times in runs:
         for t in times:
             f = f_star(p0, damping, t)
-            total = f.sum() + 0.5 * unitarity_ground(p0.probs, f)
+            total = f.sum() + 0.5 * _unitarity_ground(p0.probs, f)
             worst = max(worst, abs(total - 1.0))
     return _result("mass-conservation", worst < 1e-10,
                    f"max |mass - 1| = {worst:.1e} (< 1e-10)")

@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from scipy.special import gammaln
 
 from catcavity import oracle
-from catcavity.damping import f_star, f_star_ground, unitarity_ground
+from catcavity.damping import _unitarity_ground, f_star, f_star_ground
 from catcavity.errors import ConsistencyError
 from catcavity.observables import ETA_EPSILON
 
@@ -127,7 +127,7 @@ def passage_reference(config, t_a, t_b):
     """
     probs = config.distribution().probs
     f, osc = _passage(config, probs, t_a)
-    ground = unitarity_ground(probs, f)
+    ground = _unitarity_ground(probs, f)
     p_plus = 0.5 - 0.25 * ground + 0.5 * osc.sum()
     outcomes = {}
     for s1 in "+-":

@@ -8,15 +8,17 @@ from scipy.integrate import solve_ivp
 from scipy.special import gammaln
 
 from catcavity import (
+    CatSpec,
     DampingParams,
     ValidityWarning,
+    cat_distribution,
     coherent_distribution,
     f_star,
     offdiag_decay,
 )
 from catcavity import damping as damping_module
-from catcavity.damping import (KERNEL_CHUNK, NEGATIVE_CLIP, _f_star_operator,
-                               f_star_ground)
+from catcavity.damping import (KERNEL_CHUNK, NEGATIVE_CLIP, _f_star_apply,
+                               _f_star_chunks, f_star_ground)
 from catcavity.presets import PRESETS
 from references import (
     f_star_ground_double_sum,
@@ -236,9 +238,10 @@ def test_f_star_operator_chunks_equal_single_time_calls(kappa):
                        for nbar in (49.0, 30.0)])
     per_time = fields * np.linspace(0.5, 1.0, ts.size)[:, None, None]
     bounds = []
-    for chunk, apply in _f_star_operator(size, d, ts):  # one chunk at a time
+    for chunk, kernels, decay in _f_star_chunks(size, d, ts):
         bounds.append(chunk.indices(ts.size)[:2])
-        shared, own = apply(fields), apply(per_time[chunk])
+        shared = _f_star_apply(kernels, decay, fields)
+        own = _f_star_apply(kernels, decay, per_time[chunk])
         assert shared.shape == own.shape == (ts[chunk].size, 2, size)
         for c, t in enumerate(ts[chunk]):
             for row in range(2):
@@ -249,13 +252,16 @@ def test_f_star_operator_chunks_equal_single_time_calls(kappa):
     assert bounds == [(0, step), (step, 2 * step), (2 * step, 2 * step + 3)]
 
 
-def test_f_star_operator_apply_refuses_after_next_chunk():
-    chunks = _f_star_operator(121, DampingParams(kappa=8.33),
-                              np.arange(1.0, 10.0) / 36000.0)
-    _, apply = next(chunks)
-    next(chunks)  # overwrites the slab
-    with pytest.raises(RuntimeError):
-        apply(coherent_distribution(49.0, 120).probs[None])
+@pytest.mark.parametrize("t", [0.0, 5e-324])
+def test_identity_kernel_returns_the_field_bit_for_bit(t):
+    # at kappa = 0.1, 2 kappa (n_b + 1) t rounds to 0 at both times: the
+    # kernel is the identity and decay_n exactly 1, and the exact zeros of
+    # the even cat at odd n stay +0.0
+    p = cat_distribution(CatSpec(intensity=4.0), 32).probs
+    assert (p[1::2] == 0.0).all()
+    out = f_star(p, DampingParams(kappa=0.1, n_thermal=0.13), t)
+    assert out.tobytes() == p.tobytes()
+    assert not np.signbit(out).any()
 
 
 def test_high_thermal_occupation_warns():

@@ -13,11 +13,13 @@ import pytest
 from catcavity import (
     CatSpec,
     DampingParams,
+    DegenerateCatError,
     ExperimentConfig,
     JCParams,
     PhotonDistribution,
     branch_overlap,
     cat_distribution,
+    cat_mean_photons,
     coherent_distribution,
     conditioned_field,
     default_truncation,
@@ -190,6 +192,31 @@ ENTRIES = {
 def test_malformed_input_rejected(call, value, rule):
     with pytest.raises(ValueError, match=rule):
         call(value)
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: dataclasses.replace(CONFIG, jc=None), "jc"),
+    (lambda: dataclasses.replace(CONFIG, damping=None), "damping"),
+    (lambda: dataclasses.replace(CONFIG, initial_field=[0.5, 0.5]),
+     "initial_field"),
+    (lambda: dataclasses.replace(RESUM, damping=None), "damping"),
+], ids=["config-jc", "config-damping", "config-initial_field",
+        "resum-damping"])
+def test_compound_input_of_wrong_type_rejected(call, field):
+    with pytest.raises(TypeError, match=f"^{field} must be a "):
+        call()
+
+
+def test_degenerate_cat_refused_alike_by_every_entry():
+    spec = CatSpec(intensity=1e-9, phase=math.pi)
+    errors = []
+    for call in (lambda: cat_distribution(spec, 32),
+                 lambda: cat_mean_photons(spec),
+                 lambda: oracle.cat_state_vector(spec, 32)):
+        with pytest.raises(DegenerateCatError) as info:
+            call()
+        errors.append((type(info.value), str(info.value)))
+    assert errors == [errors[0]] * 3
 
 
 #: A fragment of each rule's message -> the one function that raises it.

@@ -24,7 +24,7 @@ from catcavity import (
     revival_curves,
 )
 from catcavity import observables
-from catcavity.damping import KERNEL_CHUNK, _f_star_operator, f_star
+from catcavity.damping import KERNEL_CHUNK, _f_star_chunks
 from references import eta_reference, passage_reference, rate_arrays
 
 
@@ -316,32 +316,17 @@ def test_p_joint_rejects_reversed_times_in_array(benson_config):
         p_joint(benson_config, np.array([1e-5, 1e-4]), 5e-5, "+", "+")
 
 
-def _per_passage_rates(configs):
-    """`_passages` with alpha_n (from `rate_arrays`), sqrt(n+1) and F*_n
-    rebuilt for every row of every passage, one time per chunk, as before
-    they were computed once per call and the F*_n kernels once per chunk
-    of times for the stack; each config is its own stack."""
-    if isinstance(configs, ExperimentConfig):
-        configs = [configs]
-    damping, g = configs[0].damping, configs[0].jc.g
-
-    def operator(times):
-        for i, t in enumerate(times.tolist()):
-            def run(fields, t=t):
-                rows = []
-                for probs in fields.reshape(-1, fields.shape[-1]):
-                    n = np.arange(probs.size)
-                    alpha, _, _ = rate_arrays(damping, probs.size - 1)
-                    osc = (np.exp(-alpha * t)
-                           * np.cos(2.0 * g * t * np.sqrt(n + 1.0)))
-                    rows.append((f_star(probs, damping, t), osc * probs))
-                return tuple(np.array(part)[None] for part in zip(*rows))
-
-            yield slice(i, i + 1), run
-
-    return len(configs), [
-        (np.array([row]), np.array([config.distribution().probs]), operator)
-        for row, config in enumerate(configs)]
+def _per_passage_rates(jc, damping, size, times):
+    """`_operators` one time per chunk, with alpha_n (from `rate_arrays`),
+    sqrt(n+1) and the F*_n kernel rebuilt for every time, where
+    `_operators` builds the rates once per call and the kernels once per
+    chunk of times."""
+    for i, t in enumerate(times.tolist()):
+        n = np.arange(size)
+        alpha, _, _ = rate_arrays(damping, size - 1)
+        osc = np.exp(-alpha * t) * np.cos(2.0 * jc.g * t * np.sqrt(n + 1.0))
+        [(_, kernels, decay)] = _f_star_chunks(size, damping, times[i:i + 1])
+        yield slice(i, i + 1), (kernels, decay, osc[None, None])
 
 
 @pytest.mark.parametrize("nb", [0.0, 0.13])
@@ -365,7 +350,7 @@ def test_passage_bit_identical_to_per_passage_rates(monkeypatch, nb):
     for config in configs:
         got = curves(config)
         with monkeypatch.context() as patch:
-            patch.setattr(observables, "_passages", _per_passage_rates)
+            patch.setattr(observables, "_operators", _per_passage_rates)
             expected = curves(config)
         for a, b in zip(got, expected):
             assert np.array_equal(a, b, equal_nan=True)
@@ -480,11 +465,11 @@ def test_one_operator_build_per_time(monkeypatch, fig1_grid):
     builds = []
 
     def counted(size, damping, times):
-        for chunk, apply in _f_star_operator(size, damping, times):
+        for chunk, kernels, decay in _f_star_chunks(size, damping, times):
             builds.extend(times[chunk].tolist())  # one kernel per time
-            yield chunk, apply
+            yield chunk, kernels, decay
 
-    monkeypatch.setattr(observables, "_f_star_operator", counted)
+    monkeypatch.setattr(observables, "_f_star_chunks", counted)
     for call, per_time in ((lambda: eta_correlation(config, ts), 1),
                            (lambda: revival_curves(config, ts), 1),
                            (lambda: p_joint(config, ts, 3.0 * ts, "+", "-"),

@@ -135,7 +135,9 @@ def test_distribution_is_read_only():
 @settings(max_examples=60, deadline=None)
 def test_cat_distribution_properties(intensity, phase):
     spec = CatSpec(intensity=intensity, phase=phase)
-    if spec.is_degenerate:
+    try:
+        spec.refuse_degenerate()
+    except DegenerateCatError:
         return
     d = cat_distribution(spec, default_truncation(intensity))
     assert np.all(d.probs >= 0.0)
