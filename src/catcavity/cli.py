@@ -18,7 +18,8 @@ import numpy as np
 
 from . import oracle
 from .damping import DampingParams
-from .errors import ConfigurationError, DegenerateCatError
+from .errors import (ConfigurationError, DegenerateCatError, _count,
+                     _nonnegative, _parameter)
 from .observables import ExperimentConfig, eta_correlation, revival_curves
 from .presets import PRESETS
 from .states import CatSpec, coherent_distribution, default_truncation
@@ -33,6 +34,12 @@ except PackageNotFoundError:
 #: numbers.
 TEXT_KEYS = ("preset", "out")
 NUMBER_KEYS = ("nbar", "phi", "nb", "gt_max", "gt_step")
+
+#: The rule of `errors`, and its bound, that checks each number setting.
+NUMBER_RULES = {"nbar": (_parameter, 0.0), "gt_step": (_parameter, 0.0),
+                "phi": (_parameter,), "nb": (_nonnegative,),
+                "gt_max": (_nonnegative,), "t_max": (_nonnegative,),
+                "samples": (_count, 1)}
 
 #: The presets each figure writes unless a preset is given.
 FIGURE_PRESETS = {
@@ -53,27 +60,29 @@ def _load_config_section(path, section):
     return dict(parser[section])
 
 
-def _check_numbers(values):
-    """Raise ConfigurationError unless each value set is finite and above
-    its lower bound (a closed bound is itself legal)."""
-    lows = {"nbar": (0.0, False), "nb": (0.0, True), "gt_max": (0.0, True),
-            "gt_step": (0.0, False), "t_max": (0.0, True),
-            "samples": (1, True)}
-    for name, value in values.items():
-        low, closed = lows.get(name, (-math.inf, True))
-        if value is None or (math.isfinite(value) and (
-                value >= low if closed else value > low)):
-            continue
-        rule = f" and {'>=' if closed else '>'} {low:g}" if name in lows else ""
-        raise ConfigurationError(f"{name} must be finite{rule}, got {value!r}")
-
-
-def _check_cat(nbar, phi):
-    """Raise ConfigurationError if the cat at (nbar, phi) is degenerate."""
+def _as_configuration_error(check, *args):
+    """`check(*args)`, a check of the library's own; the ValueError or
+    DegenerateCatError it raises becomes the exit-2 ConfigurationError."""
     try:
-        CatSpec(intensity=nbar, phase=phi).refuse_degenerate()
-    except DegenerateCatError as err:
+        return check(*args)
+    except (ValueError, DegenerateCatError) as err:
         raise ConfigurationError(str(err)) from None
+
+
+def _check_numbers(values):
+    """Check each number setting given by the rule of `errors` that the
+    library applies to the same value; nb has no default, so it must be
+    given."""
+    if values["nb"] is None:
+        raise ConfigurationError(
+            "thermal occupation nb is required and has no default: the "
+            "published operating points do not pin it down, so pass --nb "
+            "(0 for zero temperature, e.g. 0.1 for a cold microwave cavity)"
+            " or set nb in a figure's config file")
+    for name, value in values.items():
+        if value is not None:
+            rule, *bound = NUMBER_RULES[name]
+            _as_configuration_error(rule, value, name, *bound)
 
 
 def _merge_settings(args, figure_id):
@@ -105,13 +114,6 @@ def _merge_settings(args, figure_id):
             settings[key] = value
     if args.si_times:
         settings["si_times"] = True
-    if settings["nb"] is None:
-        raise ConfigurationError(
-            "thermal occupation nb is required and has no default: the "
-            "published operating points do not pin it down, so pass --nb "
-            "(0 for zero temperature, e.g. 0.1 for a cold microwave cavity) "
-            "or set nb in the config file"
-        )
     _check_numbers({key: settings[key] for key in NUMBER_KEYS})
     if settings["preset"] is not None and settings["preset"] not in PRESETS:
         raise ConfigurationError(
@@ -212,7 +214,8 @@ def run_figure(figure_id, args):
         for key in ("nbar", "gt_max"):
             if local[key] is None:
                 local[key] = getattr(PRESETS[name], key)
-        _check_cat(local["nbar"], local["phi"])
+        _as_configuration_error(CatSpec(
+            intensity=local["nbar"], phase=local["phi"]).refuse_degenerate)
         runs.append((PRESETS[name], local))
     out_dir = Path(settings["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -242,15 +245,12 @@ def run_oracle(args):
     The `catcavity` logger records the truncation and the size of the one
     block propagated (see `oracle.integrate_trajectory`).
     """
-    if args.nb is None:
-        raise ConfigurationError(
-            "thermal occupation nb is required and has no default; pass --nb"
-        )
     _check_numbers({"nbar": args.nbar, "phi": args.phi, "nb": args.nb,
                     "t_max": args.t_max, "samples": args.samples})
     preset = PRESETS[args.preset]
     nbar = args.nbar if args.nbar is not None else 4.0
-    _check_cat(nbar, args.phi)
+    _as_configuration_error(
+        CatSpec(intensity=nbar, phase=args.phi).refuse_degenerate)
     trunc = default_truncation(nbar)
     t_max = args.t_max if args.t_max is not None else 0.5 / preset.kappa
     damping = DampingParams(kappa=preset.kappa, n_thermal=args.nb)

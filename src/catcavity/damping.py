@@ -1,49 +1,17 @@
 """Closed-form approximate solution of the damped field in the dressed frame.
 
-Core objects are the dressed-diagonal sums F*_n(t), the ground-sector value
-F*_{-1}(t) and the intra-doublet off-diagonal amplitudes.  F*_n is evaluated
-directly from its closed form
+F*_n(t), the dressed-diagonal sum at level n, is evaluated directly from its
+closed form
 
     F*_n(t) = exp(-2 kappa t [(n + 1/2)(n_b + 1) + n_b])
               * sum_{j>=n} G(j+3/2)/G(n+3/2) x^{j-n}/(j-n)! p_j,
 
 with x = 1 - exp(-2 kappa (n_b + 1) t) and all gamma-function ratios kept in
-log space (every term is non-negative, so the sum is stable).  The kernel is
-upper triangular: exactly 1 on the diagonal and 0 below it.  The parts of its
-log that do not depend on time, log G(j+3/2) - log G(n+3/2), log (j-n)! and
-j - n, live in one module-level table packed over the upper triangle n <= j,
-column by column, so the size-N triangle is the first N (N + 1) / 2 entries
-of the table for the largest truncation N_max seen.  With it goes the
-N_max x N_max boolean lower triangle: its top-left N x N corner, read row by
-row, selects the entries (j, n), n <= j, of the transposed kernel in the
-table's order, so one masked assignment scatters a build.  The table
-keeps 3 N_max (N_max + 1) / 2 8-byte floats and N_max^2 bytes (about 0.53 MB
-at N_max = 202).
-
-`_f_star_chunks(size, damping, times)` yields the kernels as plain arrays,
-a chunk of times at a time, and `_f_star_apply(kernels, decay, stack)`
-applies a chunk's kernels to a stack of fields, one kernel-vector product
-per time and row; `f_star` is the case of one time and one row.  Callers
-check the times.  The kernels do not depend on the field, so a caller that
-propagates several fields over one t (the atom passages of `observables`)
-builds each once.  A chunk evaluates exp(ratio + (j-n) log x - fact) on
-the triangles of all its times in one pass, with log x taken per time by
-`math.log`, and scatters each time's triangle (the identity's where x is
-0) through the 2-D mask into its own N x N matrix of one (C, N, N) slab.
-Slab and values buffer are allocated once per call and reused by every
-chunk: only upper triangles are written, so the zero lower triangles are
-never re-zeroed.  A chunk holds at most KERNEL_CHUNK = 2**17 kernel
-entries (1 MiB), so that its kernels stay in a 2 MiB L2 cache while the
-fields pass through them: 8 times at N = 121, 3 at N = 202, a whole figure
-axis at N = 33; 4 MiB chunks measured slower at N = 121.  A (C, N, N) mask
-over the slab measured no faster than one 2-D masked assignment per time.
+log space (every term is non-negative, so the sum is stable).
 
 F*_{-1} comes from unitarity, 2 (1 - sum_n F*_n), and not from its
 alternating double-sum form, which loses ~15 digits near N = 120 (the test
 suite keeps that form as a small-truncation cross-check).
-
-The intra-doublet amplitudes decay as e^{-alpha_n t}; `doublet_decay_rate`
-is the one place alpha_n is written, for `observables` and `resummation` too.
 """
 
 import math

@@ -10,10 +10,6 @@ relations (Barnett & Knight, PRA 33, 2444, 1986), not by rotating the bare
 operator, so the oracle's equation-of-motion check against it stays
 independent; its squared coefficients reduce to
 Gamma_{+/-, n} = (sqrt(n+1) +/- sqrt(n))^2 / 4.
-
-The input guards that the closed form and the oracle share, the resonance
-check and the atom-outcome check, are written here too, so the oracle
-imports nothing from the closed-form modules.
 """
 
 import math
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedRegimeError, _count, _parameter
+from .errors import _count, _parameter, _require_resonance
 
 
 @dataclass(frozen=True)
@@ -42,21 +38,6 @@ def build_dressed_frame(jc, truncation):
     """`jc`, the whole dressed frame at resonance; checks the truncation."""
     _count(truncation, "truncation", 1)
     return jc
-
-
-def _require_resonance(jc):
-    """The one resonance guard of the dressed-state formulas."""
-    if jc.detuning != 0.0:
-        raise UnsupportedRegimeError(
-            "the dressed-state formulas are defined at resonance only; "
-            "use the master-equation oracle for detuned runs"
-        )
-
-
-def _check_outcome(outcome, name="outcome"):
-    """The one check of an atom outcome, "+" or "-", for both routes."""
-    if outcome not in ("+", "-"):
-        raise ValueError(f"{name} must be '+' or '-'")
 
 
 def dressed_basis(truncation):

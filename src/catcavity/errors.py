@@ -1,5 +1,6 @@
 """Exception and warning types shared across the package, and the rules
-on outside input that the public entries of both routes call."""
+on outside input that the public entries of both routes and the command
+line call."""
 
 import math
 
@@ -36,9 +37,10 @@ class ValidityWarning(UserWarning):
 
 
 def _nonnegative(value, name):
-    """`value`, numbers (not text), as a float array of finite entries >= 0."""
+    """`value`, numbers (not text or bools), as a float array of finite
+    entries >= 0."""
     array = np.asarray(value)
-    if array.dtype.kind not in "biuf" or not (
+    if array.dtype.kind not in "iuf" or not (
             0.0 <= float(array) < math.inf if array.ndim == 0
             else ((array >= 0.0) & (array < math.inf)).all()):
         raise ValueError(f"{name} must be finite and non-negative")
@@ -64,18 +66,20 @@ def _count(value, name, low):
 
 
 def _probabilities(p, name):
-    """`p`, numbers (not text), as a 1-d float array of finite entries."""
+    """`p`, numbers (not text or bools), as a 1-d float array of finite
+    entries."""
     probs = np.asarray(p)
-    if (probs.dtype.kind not in "biuf" or probs.ndim != 1
+    if (probs.dtype.kind not in "iuf" or probs.ndim != 1
             or not np.isfinite(probs).all()):
         raise ValueError(f"{name} must be a 1-d array of finite values")
     return probs.astype(float, copy=False)
 
 
 def _parameter(value, name, above=-math.inf):
-    """`value` if it is a finite real number above `above`."""
-    if not (isinstance(value, (int, float, np.integer, np.floating))
-            and math.isfinite(value) and value > above):
+    """`value` if it is a finite real number, not a bool, above `above`."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (math.isfinite(value) and value > above)):
         bound = f" above {above:g}" if above > -math.inf else ""
         raise ValueError(
             f"{name} must be a finite number{bound}, got {value!r}")
@@ -88,3 +92,18 @@ def _instance(value, name, *kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise TypeError(f"{name} must be a {names}, got {type(value).__name__}")
     return value
+
+
+def _require_resonance(jc):
+    """The one resonance guard of the dressed-state formulas."""
+    if jc.detuning != 0.0:
+        raise UnsupportedRegimeError(
+            "the dressed-state formulas are defined at resonance only; "
+            "use the master-equation oracle for detuned runs"
+        )
+
+
+def _check_outcome(outcome, name="outcome"):
+    """The one check of an atom outcome, "+" or "-", for both routes."""
+    if outcome not in ("+", "-"):
+        raise ValueError(f"{name} must be '+' or '-'")

@@ -4,28 +4,8 @@ All operations here use the analytic dressed-frame solution; they require
 resonance.  Two-atom joint probabilities propagate the unnormalized
 conditioned field distribution through the elapsed time t_B - t_A, so
 P(s1, s2) summed over s2 recovers the single-atom probability P(s1)
-exactly (the formulas are a joint-probability decomposition).
-`conditioned_field` returns that distribution as a plain array whose sum is
-the probability of the outcome.
-
-Every observable takes one path.  An `ExperimentConfig` builds its photon
-distribution once, when it is made.  `_passages` is the one entry: one
-config, or a sequence that shares jc and damping (the coherent field and
-the cat of a figure), becomes (F, N) stacks of fields of equal truncation,
-one row per config.  `_table` is the one loop over times and returns one
-table of (configs, times) arrays: P_+ of the first atom's passage and, for
-each first outcome asked for, its weight and its joint weight with a "+"
-of the second atom.  Each observable is an array expression on that table.
-The loop runs a chunk of consecutive times at a time (at most
-`damping.KERNEL_CHUNK` kernel entries, 1 MiB, so the chunk's kernels stay
-in L2 cache).  `_operators` yields each chunk's passage operators as plain
-arrays (the F*_n kernels and decay of `damping._f_star_chunks` and the
-oscillation factors), built once and shared by every row of the stack,
-and `_passage` applies them.  The second atom's passage reuses them when
-every delay equals its t (a P_++(t, 2t) or eta(t) curve).  The fields
-conditioned on each first outcome go through the second passage as one
-stack.  Each row keeps its own kernel-vector product per time, so no
-result depends on the chunk, the stack or the other outcomes.
+exactly (the formulas are a joint-probability decomposition).  Every
+observable is an array expression on the one table that `_table` returns.
 """
 
 import math
@@ -37,9 +17,9 @@ import numpy as np
 
 from .damping import (DampingParams, _f_star_apply, _f_star_chunks,
                       _unitarity_ground, doublet_decay_rate)
-from .dressed import JCParams, _check_outcome, _require_resonance
-from .errors import (ConsistencyError, ValidityWarning, _count, _instance,
-                     _times)
+from .dressed import JCParams
+from .errors import (ConsistencyError, ValidityWarning, _check_outcome,
+                     _count, _instance, _require_resonance, _times)
 from .states import (
     CatSpec,
     PhotonDistribution,

@@ -1,65 +1,27 @@
 """Brute-force master-equation oracle in a truncated atom x field basis.
 
 The density matrix lives on basis states |n, s> with s in {+, -}, index
-2 n + (0 for +, 1 for -).  Propagation happens in the interaction picture
-that removes omega (a* a + sigma_z / 2): at resonance the remaining
-Hamiltonian is the bare coupling g (a sigma_+ + a* sigma_-), and the
-(unspecified) optical frequency cancels from every observable.  The
-Liouvillian on the row-major vectorization of rho is written once, as
-(row, col, value) index triplets with the dissipator a sum over its two
-jumps; `liouvillian` returns them as a sparse matrix.  jc=None switches the
-coupling off and damping=None the dissipator.
+2 n + (0 for +, 1 for -), in the interaction picture that removes
+omega (a* a + sigma_z / 2): at resonance the remaining Hamiltonian is the
+bare coupling g (a sigma_+ + a* sigma_-), and the (unspecified) optical
+frequency cancels from every observable.
 
 The coupling, the detuning and both dissipators conserve the coherence order
 k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
-(Buca & Prosen, NJP 14, 073007, 2012); with the coupling off the atom pair
-(s_i, s_j) is conserved as well.  Sorted by these labels, the Liouvillian is
-block-diagonal with blocks of at most 4 N + 2 states.  Each block with
-k >= 0 whose initial vector is non-zero is built as a dense array straight
-from the index triplets (no sparse matrix) and propagated exactly with one
-`scipy.linalg.expm` per distinct step length (Al-Mohy & Higham, SIAM J.
-Matrix Anal. Appl. 31, 970, 2009).
+(Buca & Prosen, NJP 14, 073007, 2012), so the Liouvillian is block-diagonal
+with blocks of at most 4 N + 2 states.  Each block is propagated exactly
+with `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+970, 2009).
 
 The blocks are propagated in the atom-phase frame rho' = S* rho S with
-S = 1_field x diag(1, i), where vec(rho') = d * vec(rho) and every
-d_(i,j) = conj(s_i) s_j is 1, i or -i.  The coupling links |n, +> only with
-|n+1, ->, so S turns g (a sigma_+ + a* sigma_-) into i times a real
-antisymmetric matrix and i [rho, H'] into a real map; a and a* act on the
-field alone and commute with S, so both dissipators stay real.  At
-resonance every block is therefore a real matrix, and its expm and
-mat-vecs run in real arithmetic on the real and imaginary parts of rho'
-side by side.  Multiplying by 1 or +/-i only moves and negates floats, so
-the rotated entries are exactly those of `liouvillian`.  A detuning adds
-i (H'_jj - H'_ii) on the diagonal, which no diagonal S removes, and such a
-block stays complex.
-
-`integrate_trajectory` returns a `Trajectory`: the propagated block vectors
-of every sample with their vec(rho) positions, rotated back to the bare
-basis.  Readers take the entries they need from it with
-`Trajectory.entries`: `oracle_observables` the populations and the k = 0
-doublet coherences, `condition_on_atom` the field block of one atom outcome
-and `branch_coherence_trajectory` the field.  A sample's dense
-`DensityMatrix`, with the k < 0 blocks filled as conjugate transposes, is
-built only when `traj[i]` or iteration asks for it (`to_w_frame`,
-`w_equation_residuals`).
-
-Populations, P_+, P(s1, s2) and the dressed doublets live in k = 0; the
-Fock coherences of a cat fill k != 0.  The k = 0 block is closed under
-conditioning on an atom outcome and re-injecting an excited atom, so
-`joint_probability_oracle` and the `catcavity oracle` command start from
-`dephased(rho0)` and propagate only that block.  The joint builds the block
-once and shares its propagators between its two passages, so P(t, 2t) costs
-a single expm.  `integrate_trajectory` itself propagates every filled block,
-and `branch_coherence_trajectory` (jc=None) the filled (k, +, +) blocks.
-
-The resonant dressed frame, fixed by the JCParams `jc`, is the two arrays of
-`dressed`: `dressed_basis` and `dressed_annihilation`.  `to_w_frame` rotates
-a density matrix into the array W(t) = e^{iHt} rho e^{-iHt} (up to the common
-free phase) in that basis, where only damping drives the dynamics;
-`w_equation_residuals` checks the appendix equations of motion on a window of
-samples against the matrix of a that `dressed_annihilation` builds from the
-ladder relations, with a dissipator of its own that does not share code with
-`liouvillian`.
+S = 1_field x diag(1, i).  The coupling links |n, +> only with |n+1, ->, so
+S turns g (a sigma_+ + a* sigma_-) into i times a real antisymmetric matrix
+and i [rho, H'] into a real map; a and a* act on the field alone and commute
+with S, so both dissipators stay real.  At resonance every block is
+therefore a real matrix.  Multiplying by 1 or +/-i only moves and negates
+floats, so the rotated entries are exactly those of `liouvillian`.  A
+detuning adds i (H'_jj - H'_ii) on the diagonal, which no diagonal S
+removes, and such a block stays complex.
 """
 
 import logging
@@ -74,27 +36,30 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
-from .dressed import (_check_outcome, _require_resonance, dressed_annihilation,
-                      dressed_basis)
-from .errors import (ConsistencyError, TruncationError, _count, _nonnegative,
-                     _parameter, _times)
+from .dressed import dressed_annihilation, dressed_basis
+from .errors import (ConsistencyError, TruncationError, _check_outcome, _count,
+                     _nonnegative, _require_resonance, _times)
 from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution, _log_poisson
 
 #: Trace drift beyond 10 * DEFAULT_TOL raises ConsistencyError.
 DEFAULT_TOL = 1e-8
 
-#: Largest |rho0 - rho0^dagger| entry accepted before filling k < 0 blocks.
+#: Largest |rho - rho^dagger| entry a DensityMatrix accepts.
 HERMITIAN_TOL = 1e-10
 
 #: Step lengths equal to this relative tolerance share one propagator.
 STEP_RTOL = 1e-12
+
+#: Largest relative deviation of a residual window's steps from their mean.
+SPACING_RTOL = 1e-9
 
 _LOG = logging.getLogger("catcavity")
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Atom x field density operator, basis |n, s>, at a given time."""
+    """Atom x field density operator, basis |n, s>, at a given time.  A
+    matrix that is not Hermitian to HERMITIAN_TOL raises ConsistencyError."""
 
     matrix: np.ndarray
     time: float
@@ -107,6 +72,8 @@ class DensityMatrix:
         _times(self.time, one=True)
         if not np.isfinite(m).all():
             raise ValueError("matrix entries must be finite")
+        if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
+            raise ConsistencyError("density matrix is not Hermitian")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -335,11 +302,6 @@ def _check_times(times, start):
     return times
 
 
-def _check_hermitian(m):
-    if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
-        raise ConsistencyError("initial density matrix is not Hermitian")
-
-
 class Trajectory(Sequence):
     """The samples of one oracle run, as a read-only sequence; what
     `integrate_trajectory` returns.
@@ -469,18 +431,9 @@ class _BlockPropagator:
 def integrate_trajectory(rho0, jc, damping, times):
     """Propagate the master equation exactly to each time, as a
     `Trajectory`; jc=None or damping=None drops the coupling or the
-    dissipator (see `liouvillian`).
-
-    vec(rho) is split into blocks (see `_block_labels`).  Every block with
-    k >= 0 whose initial vector is non-zero is propagated, with one
-    `scipy.linalg.expm` per distinct step length; block -k is the conjugate
-    transpose of block k, which needs rho0 to be Hermitian.  The samples'
-    dense density matrices are built only on request (see `Trajectory`).
-    The INFO log names each block's size and arithmetic and the number of
-    expm builds.  Trace drift beyond 10*DEFAULT_TOL raises.
-    """
+    dissipator (see `liouvillian`).  Every block whose initial vector is
+    non-zero is propagated (see `_BlockPropagator.run`)."""
     times = _check_times(times, rho0.time)
-    _check_hermitian(rho0.matrix)
     v0 = rho0.matrix.reshape(-1)
     prop = _BlockPropagator(jc, damping, rho0.truncation, v0)
     return prop.run(v0, rho0.time, times)
@@ -588,9 +541,9 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
     """
     _check_outcome(s1, "s1")
     _check_outcome(s2, "s2")
-    t_a, t_b = _check_times([t_a, t_b], rho0.time)
+    t_a, t_b = _check_times([_times(t, one=True) for t in (t_a, t_b)],
+                            rho0.time)
     rho0 = dephased(rho0)
-    _check_hermitian(rho0.matrix)
     v0 = rho0.matrix.reshape(-1)
     prop = _BlockPropagator(jc, damping, rho0.truncation, v0)
     traj_a = prop.run(v0, rho0.time, np.array([t_a]))
@@ -606,17 +559,20 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
 # appendix equation residuals
 # ---------------------------------------------------------------------------
 
-def w_equation_residuals(window, jc, damping, dt):
+def w_equation_residuals(window, jc, damping):
     """Largest residual of the dressed-frame equations of motion on a window
     of samples, and the largest |W| entry it saw.
 
-    `window` is a sequence of DensityMatrix samples at uniform spacing dt
-    with dt * g < 0.1, such as a `Trajectory`; each is rotated by
-    `to_w_frame`.  Time derivatives use a fourth-order centered stencil, so
-    residuals exist at interior samples 2..len-3.  The right-hand side is the
+    `window` is a sequence of DensityMatrix samples, such as a `Trajectory`,
+    at strictly increasing times whose steps equal their mean
+    dt = (t_last - t_first) / (len - 1) to SPACING_RTOL relative, with
+    dt * g < 0.1; each is rotated by `to_w_frame`.  Time derivatives use a
+    fourth-order centered stencil, so residuals exist at interior samples
+    2..len-3.  The right-hand side is the
     dissipator conjugated into the rotating dressed frame, assembled from
     `dressed.dressed_annihilation` and the explicit oscillatory phase
-    factors.  The residual is read on the doublet diagonals, the
+    factors; it shares no code with `liouvillian`, so the check stays
+    independent of the propagation.  The residual is read on the doublet diagonals, the
     intra-doublet off-diagonals <psi_n^+|W|psi_n^-> and the ground sector.
     All of these, and the largest |W| entry (a diagonal one, since W is a
     density matrix), have coherence order k = 0, so a window propagated from
@@ -627,9 +583,15 @@ def w_equation_residuals(window, jc, damping, dt):
     window = list(window)
     if len(window) < 5:
         raise ValueError("need at least 5 uniformly spaced samples")
+    times = np.array([rho.time for rho in window])
+    dt = (times[-1] - times[0]) / (times.size - 1)
+    if not (dt > 0.0 and np.all(
+            np.abs(np.diff(times) - dt) <= SPACING_RTOL * dt)):
+        raise ValueError("window times must increase at a uniform spacing")
+    if dt * jc.g >= 0.1:
+        raise ValueError("the window spacing times g must be below 0.1 for "
+                         "the secular part")
     trunc = window[0].truncation
-    if _parameter(dt, "dt", 0.0) * jc.g >= 0.1:
-        raise ValueError("dt*g must be below 0.1 for the secular part")
     _, rabi = dressed_basis(trunc)
     lam = jc.g * rabi
     a_base = dressed_annihilation(jc, trunc)

@@ -189,7 +189,7 @@ def check_w_residuals():
     for center in (20.0 / jc.g, 300.0 / jc.g):
         window = oracle.integrate_trajectory(
             rho0, jc, damping, center + dt * np.arange(-2.0, 3.0))
-        residual, norm = oracle.w_equation_residuals(window, jc, damping, dt)
+        residual, norm = oracle.w_equation_residuals(window, jc, damping)
         worst, w_norm = max(worst, residual), max(w_norm, norm)
     bound = 1e-3 * damping.kappa * w_norm
     return _result("w-equation-residuals", worst < bound,

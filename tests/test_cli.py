@@ -197,25 +197,38 @@ def test_oracle_requires_nb(capsys):
     assert "nb" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["figure", "fig1", "--nb", "0.1", "--gt-step", "0"],
-    ["figure", "fig1", "--nb", "0.1", "--gt-step", "-1"],
-    ["figure", "fig2", "--nb", "0.1", "--nbar", "-1"],
-    ["figure", "fig2", "--nb", "0.1", "--phi", "inf"],
-    ["figure", "fig2", "--config", "bad.ini"],
-    ["oracle", "--nb", "0.1", "--samples", "0"],
-    ["oracle", "--nb", "0.1", "--t-max", "-1"],
-    ["oracle", "--nb", "-0.1"],
-    ["oracle", "--nb", "nan"],
-    ["figure", "fig2", "--nb", "0.1", "--nbar", "1e-9",
-     "--phi", "3.141592653589793"],
-    ["oracle", "--nb", "0.1", "--nbar", "1e-9", "--phi", "3.141592653589793"],
-])
-def test_malformed_number_is_an_input_error(tmp_path, capsys, argv):
+#: (argv, the start of the refusal on stderr): each number is refused with
+#: the text of the library's own rule for it.
+MALFORMED = [
+    (["figure", "fig1", "--nb", "0.1", "--gt-step", "0"],
+     "gt_step must be a finite number above 0, got 0.0"),
+    (["figure", "fig1", "--nb", "0.1", "--gt-step", "-1"],
+     "gt_step must be a finite number above 0, got -1.0"),
+    (["figure", "fig2", "--nb", "0.1", "--nbar", "-1"],
+     "nbar must be a finite number above 0, got -1.0"),
+    (["figure", "fig2", "--nb", "0.1", "--phi", "inf"],
+     "phi must be a finite number, got inf"),
+    (["figure", "fig2", "--config", "bad.ini"], "gt_step = '0.1.2' in "),
+    (["oracle", "--nb", "0.1", "--samples", "0"],
+     "samples must be 1 or a larger integer, got 0"),
+    (["oracle", "--nb", "0.1", "--t-max", "-1"],
+     "t_max must be finite and non-negative"),
+    (["oracle", "--nb", "-0.1"], "nb must be finite and non-negative"),
+    (["oracle", "--nb", "nan"], "nb must be finite and non-negative"),
+    (["figure", "fig2", "--nb", "0.1", "--nbar", "1e-9",
+      "--phi", "3.141592653589793"], "the cat at intensity 1e-09 and phase "),
+    (["oracle", "--nb", "0.1", "--nbar", "1e-9", "--phi", "3.141592653589793"],
+     "the cat at intensity 1e-09 and phase "),
+]
+
+
+@pytest.mark.parametrize("argv, refusal", MALFORMED,
+                         ids=[f"argv{i}" for i in range(len(MALFORMED))])
+def test_malformed_number_is_an_input_error(tmp_path, capsys, argv, refusal):
     (tmp_path / "bad.ini").write_text("[fig2]\nnb = 0.1\ngt_step = 0.1.2\n")
     argv = [str(tmp_path / a) if a == "bad.ini" else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {refusal}")
     assert not (tmp_path / "out").exists()
 
 

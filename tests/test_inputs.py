@@ -47,18 +47,22 @@ COUNT = "must be -?[0-9]+ or a larger integer"
 INTENSITY = "must be finite and non-negative"
 PROBS = "must be a 1-d array of finite values"
 PARAMETER = "must be a finite number"
+SPACING = "window times must increase at a uniform spacing"
 
 BAD_TIMES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-             "negative": -1e-6, "text": "1e-4"}
+             "negative": -1e-6, "text": "1e-4", "bool": True}
+#: A bool among floats becomes a float in `np.asarray`, so the entries that
+#: take a list of times see no bool.
+BAD_LISTED_TIMES = {k: v for k, v in BAD_TIMES.items() if k != "bool"}
 BAD_COUNTS = {"negative": -1, "non-integer": 40.5, "bool": True,
               "nan": math.nan, "inf": math.inf}
 BAD_INTENSITIES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-                   "negative": -1.0, "text": "2.0"}
+                   "negative": -1.0, "text": "2.0", "bool": True}
 BAD_PROBS = {"nan": [0.5, math.nan, 0.5], "inf": [0.5, math.inf],
              "2-d": [[0.5, 0.5], [0.5, 0.5]], "scalar": 0.5,
-             "text": ["0.5", "0.5"]}
+             "text": ["0.5", "0.5"], "bool": [True, False]}
 BAD_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-              "text": "1.0"}
+              "text": "1.0", "bool": True}
 BAD_POSITIVE = dict(BAD_FINITE, zero=0.0, negative=-1.0)
 
 JC = JCParams(g=36000.0)
@@ -69,6 +73,16 @@ RHO0 = oracle.build_initial_state(SPEC, 16)
 CONFIG = ExperimentConfig(jc=JC, damping=DAMPING, initial_field=SPEC)
 RESUM = ResumParams(nbar=49.0, phase=0.0, max_order=3, damping=DAMPING,
                     g=JC.g)
+
+
+def _window(times):
+    """Samples of RHO0 at `times`, a window for `w_equation_residuals`."""
+    return [oracle.DensityMatrix(RHO0.matrix, t) for t in times]
+
+
+BAD_WINDOWS = {"zero-spaced": _window([1e-4] * 5),
+               "reversed": _window(1e-4 - 1e-6 * np.arange(5.0)),
+               "non-uniform": _window(1e-4 + 1e-6 * np.r_[0.0, 1, 2, 3.5, 4])}
 
 #: entry -> (call of the bad value, bad values, message)
 ENTRIES = {
@@ -94,14 +108,15 @@ ENTRIES = {
     "revival_wave-t": (lambda v: revival_wave(RESUM, 1.0, v), BAD_TIMES,
                        TIME),
     "integrate_trajectory": (lambda v: oracle.integrate_trajectory(
-        RHO0, JC, DAMPING, [0.0, v]), BAD_TIMES, TIME),
+        RHO0, JC, DAMPING, [0.0, v]), BAD_LISTED_TIMES, TIME),
     "joint_probability_oracle-t_a": (lambda v: oracle.joint_probability_oracle(
         RHO0, JC, DAMPING, v, 1e-4, "+", "+"), BAD_TIMES, TIME),
     "joint_probability_oracle-t_b": (lambda v: oracle.joint_probability_oracle(
         RHO0, JC, DAMPING, 1e-5, v, "+", "+"), BAD_TIMES, TIME),
     "branch_coherence_trajectory-times": (
         lambda v: oracle.branch_coherence_trajectory(SPEC, DAMPING, [0.0, v],
-                                                     16), BAD_TIMES, TIME),
+                                                     16),
+        BAD_LISTED_TIMES, TIME),
     "DensityMatrix-time": (lambda v: oracle.DensityMatrix(RHO0.matrix, v),
                            BAD_TIMES, TIME),
     # one time, not an array
@@ -180,8 +195,9 @@ ENTRIES = {
                       PARAMETER),
     "revival_wave-nu": (lambda v: revival_wave(RESUM, v, 1e-4), BAD_POSITIVE,
                         PARAMETER),
-    "w_equation_residuals-dt": (lambda v: oracle.w_equation_residuals(
-        [RHO0] * 5, JC, DAMPING, v), BAD_POSITIVE, PARAMETER),
+    # the spacing of a residual window, read from its samples' times
+    "w_equation_residuals-window": (lambda v: oracle.w_equation_residuals(
+        v, JC, DAMPING), BAD_WINDOWS, SPACING),
 }
 
 
@@ -227,10 +243,13 @@ RULE_RAISERS = {
     "or a larger integer": "errors._count",
     "1-d array of finite values": "errors._probabilities",
     "must be a finite number": "errors._parameter",
+    "must be '+' or '-'": "errors._check_outcome",
+    "defined at resonance only": "errors._require_resonance",
 }
 
-#: ValueErrors outside the helpers that may still speak of these words:
-#: the oracle's checks of complex matrices and amplitudes.
+#: ValueErrors and ConfigurationErrors outside the helpers that may still
+#: speak of these words: the oracle's checks of complex matrices and
+#: amplitudes.
 OWN_CHECKS = {"oracle.DensityMatrix.__post_init__",
               "oracle.build_initial_state"}
 
@@ -264,7 +283,8 @@ def test_each_rule_raised_from_one_helper():
         assert {f for f, _, text in texts if fragment in text} == {helper}, \
             fragment
     copies = {f for f, error, text in texts
-              if error == "ValueError" and not f.startswith("errors.")
+              if error in ("ValueError", "ConfigurationError")
+              and not f.startswith("errors.")
               and f not in OWN_CHECKS
               and any(word in text for word in ("finite", "negative",
                                                 "positive", "integer"))}

@@ -305,9 +305,8 @@ def test_non_hermitian_initial_state_rejected():
                                       trunc)
     skewed = rho0.matrix.copy()
     skewed[0, 2] = 0.1
-    bad = oracle.DensityMatrix(matrix=skewed, time=0.0)
-    with pytest.raises(ConsistencyError):
-        oracle.integrate_trajectory(bad, JCParams(g=1.0), None, [0.0, 1.0])
+    with pytest.raises(ConsistencyError, match="not Hermitian"):
+        oracle.DensityMatrix(matrix=skewed, time=0.0)
 
 
 @pytest.mark.parametrize("times", [[], [math.nan], [0.0, math.inf],
@@ -339,7 +338,8 @@ def test_density_matrix_truncation_follows_shape():
 def test_density_matrix_rejects_non_finite(entry, time):
     m = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     m[3, 3] = entry
-    with pytest.raises(ValueError):
+    # finiteness is checked before Hermiticity, which a NaN would also fail
+    with pytest.raises(ValueError, match="must be finite"):
         oracle.DensityMatrix(matrix=m, time=time)
 
 
@@ -545,7 +545,7 @@ def test_w_equation_residuals_small_on_trajectory(kappa_scale):
     window = oracle.integrate_trajectory(
         rho0, jc, DampingParams(kappa=8.33 * kappa_scale, n_thermal=0.1),
         40.0 / jc.g + dt * np.arange(-2.0, 3.0))
-    residual, w_norm = oracle.w_equation_residuals(window, jc, damping, dt)
+    residual, w_norm = oracle.w_equation_residuals(window, jc, damping)
     assert (residual < 1e-3 * damping.kappa * w_norm) == (kappa_scale == 1.0)
 
 
@@ -561,10 +561,33 @@ def test_w_equation_residuals_read_only_coherence_order_zero():
     full, dephased = (
         oracle.w_equation_residuals(
             oracle.integrate_trajectory(start, jc, damping, times), jc,
-            damping, dt)
+            damping)
         for start in (rho0, oracle.dephased(rho0)))
     assert full == dephased
     assert full[0] > 0.0
+
+
+def test_w_equation_residuals_spacing_tolerance():
+    # the steps of a center + dt * arange(-2, 3) window late in a run differ
+    # from dt by rounding, about 3e-13 relative here, and the window passes;
+    # a middle sample moved by 0.1 SPACING_RTOL dt passes too, and one moved
+    # by 10 SPACING_RTOL dt is refused
+    jc = JCParams(g=36000.0)
+    damping = DampingParams(kappa=8.33, n_thermal=0.1)
+    rho = oracle.build_initial_state(CatSpec(intensity=2.0), 16)
+    dt = 0.04 / jc.g
+    late = 300.0 / jc.g + dt * np.arange(-2.0, 3.0)
+    rounding = np.abs(np.diff(late) - dt).max() / dt
+    assert 1e-14 < rounding < 1e-3 * oracle.SPACING_RTOL
+    for shift, accepted in ((0.0, True), (0.1, True), (10.0, False)):
+        times = late.copy()
+        times[2] += shift * oracle.SPACING_RTOL * dt
+        window = [oracle.DensityMatrix(rho.matrix, t) for t in times]
+        if accepted:
+            oracle.w_equation_residuals(window, jc, damping)
+        else:
+            with pytest.raises(ValueError, match="uniform spacing"):
+                oracle.w_equation_residuals(window, jc, damping)
 
 
 def test_joint_probability_oracle_consistency():
