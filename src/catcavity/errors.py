@@ -38,9 +38,13 @@ class ValidityWarning(UserWarning):
 
 def _nonnegative(value, name):
     """`value`, numbers (not text or bools), as a float array of finite
-    entries >= 0."""
+    entries >= 0.  A bool among the numbers of a list or tuple is refused
+    too, which `np.asarray` would make 0.0 or 1.0."""
     array = np.asarray(value)
-    if array.dtype.kind not in "iuf" or not (
+    listed_bool = isinstance(value, (list, tuple)) and any(
+        isinstance(entry, (bool, np.bool_))
+        for entry in np.asarray(value, dtype=object).ravel())
+    if listed_bool or array.dtype.kind not in "iuf" or not (
             0.0 <= float(array) < math.inf if array.ndim == 0
             else ((array >= 0.0) & (array < math.inf)).all()):
         raise ValueError(f"{name} must be finite and non-negative")

@@ -11,7 +11,11 @@ k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
 (Buca & Prosen, NJP 14, 073007, 2012), so the Liouvillian is block-diagonal
 with blocks of at most 4 N + 2 states.  Each block is propagated exactly
 with `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-970, 2009).
+970, 2009), and only when it is read: `integrate_trajectory` propagates the
+blocks that hold the populations, and a `Trajectory` propagates any other
+block, with its generator, the first time a read touches it.  A reader of
+P_+, F_n or any other k = 0 entry thus pays for the k = 0 block alone,
+whatever the initial state.
 
 The blocks are propagated in the atom-phase frame rho' = S* rho S with
 S = 1_field x diag(1, i).  The coupling links |n, +> only with |n+1, ->, so
@@ -229,8 +233,11 @@ def dephased(rho):
 
     Populations, P_+, P(s1, s2) and the dressed doublets read only k = 0,
     and the k = 0 block evolves on its own, so a run that reads nothing
-    else gets the same numbers from the dephased state while propagating
-    one block instead of all of them.
+    else gets the same numbers from the dephased state.  A `Trajectory`
+    read through `entries` propagates only the blocks it reads anyway; the
+    dephased start is for the readers that build dense samples or condition
+    the field, which touch every block: `joint_probability_oracle` and the
+    equation-of-motion check `validation.check_w_residuals`.
     """
     keep = (_block_labels(rho.truncation, None) // 4 == 0).reshape(
         rho.matrix.shape)
@@ -244,42 +251,13 @@ def _atom_phases(truncation):
     return np.outer(s.conj(), s).ravel()
 
 
-def _filled_blocks(triplets, label, phase, v0):
-    """Each block with label >= 0 whose part of v0 is non-zero, as
-    (indices, generator).
-
-    `indices` are the block's vec(rho) positions in ascending order, and
-    `generator` is the dense block of the Liouvillian on them in the
-    atom-phase frame vec(S* rho S) = phase * vec(rho) (see `_atom_phases`),
-    scattered directly from its (rows, cols, values) `triplets`.  The
-    rotation multiplies by 1 or +/-i, which is exact; a generator whose
-    rotated entries are all real is scattered into a float array.
-    """
+def _filled_blocks(label, v0):
+    """The vec(rho) positions, each in ascending order, of every block with
+    label >= 0 whose part of v0 is non-zero, in ascending label order."""
     order = np.argsort(label, kind="stable")
     upper = order[label[order] >= 0]
     cuts = np.flatnonzero(np.diff(label[upper])) + 1
-    blocks = [b for b in np.split(upper, cuts) if v0[b].any()]
-    owner = np.full(label.size, -1)
-    local = np.zeros(label.size, dtype=int)
-    for i, b in enumerate(blocks):
-        owner[b] = i
-        local[b] = np.arange(b.size)
-    row, col, val = triplets
-    which = owner[row]
-    keep = np.flatnonzero((which >= 0) & (val != 0))
-    keep = keep[np.argsort(which[keep], kind="stable")]
-    edges = np.searchsorted(which[keep], np.arange(len(blocks) + 1))
-    row, col = row[keep], col[keep]
-    rows, cols = local[row], local[col]
-    data = val[keep] * phase[row] * phase[col].conj()
-    for i, b in enumerate(blocks):
-        nz = slice(edges[i], edges[i + 1])
-        gen = data[nz]
-        if not gen.imag.any():
-            gen = gen.real
-        dense = np.zeros((b.size, b.size), dtype=gen.dtype)
-        dense[rows[nz], cols[nz]] = gen
-        yield b, dense
+    return [b for b in np.split(upper, cuts) if v0[b].any()]
 
 
 def _step_groups(steps):
@@ -306,24 +284,50 @@ class Trajectory(Sequence):
     """The samples of one oracle run, as a read-only sequence; what
     `integrate_trajectory` returns.
 
-    It holds the propagated block vectors, not density matrices: for each
-    sample, the entries of vec(rho) at every position of every propagated
-    block (all of coherence order k >= 0), in the bare basis.  `entries`
-    reads any rho_ij of every sample from them.  `traj[i]` and iteration
-    build a sample's dense DensityMatrix on request, with the k < 0 blocks
-    filled as conjugate transposes; nothing keeps it.
+    It holds propagated block vectors, not density matrices: for each
+    sample, the entries of vec(rho) at the positions of a filled block (of
+    coherence order k >= 0), in the bare basis.  A filled block is
+    propagated when a read first touches one of its positions, so a
+    trajectory costs what is read of it: `entries` reads any rho_ij of
+    every sample and propagates only the blocks that hold them, while
+    `traj[i]` and iteration propagate every filled block and build a
+    sample's dense DensityMatrix, with the k < 0 blocks filled as conjugate
+    transposes; nothing keeps it.  Each block starts from the same initial
+    vector with the same propagators, so its values do not depend on the
+    order of the reads.  Once every filled block is stored, the trajectory
+    lets go of the generators, propagators and initial vector.
     """
 
-    def __init__(self, times, truncation, label, index, values):
+    def __init__(self, times, prop, v0, levels, step_index):
         self.times = times
-        self.truncation = truncation
-        self._label = label
-        self._index = index
-        self._values = values  # (samples, index.size + 1), last column 0
-        self._slot = np.full(label.size, index.size)
-        self._slot[index] = np.arange(index.size)
-        for array in (times, values):
-            array.flags.writeable = False
+        self.truncation = prop.truncation
+        self._label = prop.label
+        self._blocks = prop.blocks
+        self._owner, self._local = prop.owner, prop.local
+        self._values = [None] * len(prop.blocks)  # (samples, size) each
+        self._propagate = lambda b: prop.propagate(b, v0, levels, step_index)
+        times.flags.writeable = False
+
+    def _fill(self, blocks, level=logging.DEBUG):
+        """Propagate each of the block numbers `blocks` (-1, no block, is
+        skipped) that is not stored yet, and log the sizes, arithmetic and
+        expm builds of those propagated, at `level` (at DEBUG only when
+        there are any)."""
+        sizes, kinds, builds = [], [], 0
+        for b in np.unique(blocks):
+            if b >= 0 and self._values[b] is None:
+                values, kind, added = self._propagate(b)
+                values.flags.writeable = False
+                self._values[b] = values
+                sizes.append(values.shape[1])
+                kinds.append(kind)
+                builds += added
+        if all(values is not None for values in self._values):
+            self._propagate = None  # lets go of v0 and the propagator
+        if sizes or level > logging.DEBUG:
+            _LOG.log(level, "oracle: truncation %d, propagated block sizes "
+                     "%s, arithmetic [%s], expm builds %d", self.truncation,
+                     sizes, ", ".join(kinds), builds)
 
     def __len__(self):
         return self.times.size
@@ -332,9 +336,11 @@ class Trajectory(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
+        self._fill(np.arange(len(self._blocks)))
         dim = 2 * (self.truncation + 1)
         m = np.zeros(dim * dim, dtype=complex)
-        m[self._index] = self._values[i, :-1]
+        for idx, values in zip(self._blocks, self._values):
+            m[idx] = values[i]
         m = m.reshape(dim, dim)
         lower = (self._label < 0).reshape(dim, dim)
         m[lower] = m.T.conj()[lower]
@@ -343,84 +349,115 @@ class Trajectory(Sequence):
     def entries(self, rows, cols):
         """rho_(rows, cols) of every sample, with shape (len(self),) + the
         broadcast shape of the two index arrays.  An entry of a block that
-        was never propagated is zero, and one of coherence order k < 0 is
-        the conjugate of its transpose."""
+        is not filled is zero, and one of coherence order k < 0 is the
+        conjugate of its transpose."""
         dim = 2 * (self.truncation + 1)
         rows, cols = np.broadcast_arrays(rows, cols)
         if not (np.all((0 <= rows) & (rows < dim))
                 and np.all((0 <= cols) & (cols < dim))):
             raise IndexError(f"entries lie outside the {dim} x {dim} matrix")
-        pos = rows * dim + cols
+        pos = (rows * dim + cols).ravel()
         lower = self._label[pos] < 0
-        # np.take keeps the result C-ordered, so that a sum over the entries
-        # of each sample runs in the same order as over a dense matrix
-        out = np.take(self._values,
-                      self._slot[np.where(lower, cols * dim + rows, pos)],
-                      axis=1)
+        pos[lower] = (cols * dim + rows).ravel()[lower]
+        owner = self._owner[pos]
+        self._fill(owner)
+        # a C-ordered result, so that a sum over the entries of each sample
+        # runs in the same order as over a dense matrix
+        out = np.zeros((len(self), pos.size), dtype=complex)
+        for b in np.unique(owner[owner >= 0]):
+            here = owner == b
+            out[:, here] = self._values[b][:, self._local[pos[here]]]
         if lower.any():
             out[:, lower] = out[:, lower].conj()
-        return out
+        return out.reshape((len(self),) + rows.shape)
 
 
 class _BlockPropagator:
-    """The filled blocks of one Liouvillian, with each block's propagator
-    built once per distinct step length and kept for later runs."""
+    """The filled blocks of one Liouvillian.  A block's dense generator is
+    built when the block is first propagated, and its propagator once per
+    distinct step length; both are kept for later runs."""
 
     def __init__(self, jc, damping, truncation, v0):
         self.truncation = truncation
         self.label = _block_labels(truncation, jc)
         self.phase = _atom_phases(truncation)
-        self.blocks = list(_filled_blocks(
-            _liouvillian_triplets(jc, damping, truncation), self.label,
-            self.phase, v0))
+        self.triplets = _liouvillian_triplets(jc, damping, truncation)
+        self.blocks = _filled_blocks(self.label, v0)
+        self.owner = np.full(self.label.size, -1)  # block number, or -1
+        self.local = np.zeros(self.label.size, dtype=int)
+        for b, idx in enumerate(self.blocks):
+            self.owner[idx] = b
+            self.local[idx] = np.arange(idx.size)
+        self._generators = {}  # block number -> dense generator
         self._props = {}  # (block number, step length) -> expm
+
+    def _generator(self, b):
+        """The dense block `b` of the Liouvillian in the atom-phase frame
+        vec(S* rho S) = phase * vec(rho) (see `_atom_phases`), scattered
+        directly from its (rows, cols, values) triplets.  The rotation
+        multiplies by 1 or +/-i, which is exact; a generator whose rotated
+        entries are all real is scattered into a float array."""
+        if b not in self._generators:
+            row, col, val = self.triplets
+            keep = np.flatnonzero((self.owner[row] == b) & (val != 0))
+            row, col = row[keep], col[keep]
+            gen = val[keep] * self.phase[row] * self.phase[col].conj()
+            if not gen.imag.any():
+                gen = gen.real
+            size = self.blocks[b].size
+            dense = np.zeros((size, size), dtype=gen.dtype)
+            dense[self.local[row], self.local[col]] = gen
+            self._generators[b] = dense
+        return self._generators[b]
+
+    def propagate(self, b, v0, levels, step_index):
+        """Block `b` of vec(rho) = v0 at each sample, in the bare basis, as
+        a (samples, size) array; its arithmetic, "real" or "complex"; and
+        the number of expm builds it added.
+
+        Sample i is one step of length levels[step_index[i]] (none for
+        index -1) after sample i - 1.  The block runs in the atom-phase
+        frame with one product per sample; a real block carries the real
+        and imaginary parts of its vector as two columns.
+        """
+        gen = self._generator(b)
+        builds = 0
+        for level in levels[np.unique(step_index[step_index >= 0])]:
+            if (b, level) not in self._props:
+                self._props[b, level] = expm(level * gen)
+                builds += 1
+        real = gen.dtype.kind == "f"
+        phase = self.phase[self.blocks[b]]
+        v = v0[self.blocks[b]] * phase
+        if real:  # the real and imaginary parts as two columns
+            v = v.view(float).reshape(phase.size, 2)
+        block = np.empty((step_index.size,) + v.shape, dtype=v.dtype)
+        for i, j in enumerate(step_index):
+            if j >= 0:
+                v = self._props[b, levels[j]] @ v
+            block[i] = v
+        rotated = block.view(complex).reshape(step_index.size, phase.size)
+        return rotated * phase.conj(), "real" if real else "complex", builds
 
     def run(self, v0, start, times):
         """Trajectory of vec(rho) = v0 at `start` over the sorted `times`.
 
-        Only the filled blocks, all of k >= 0, are propagated: v0 on
-        k < 0 is read as the conjugate transpose of its k > 0 part, and
-        v0 must vanish in every other block.  Each block runs in the
-        atom-phase frame (see `_filled_blocks`) with one product per
-        sample; a real block carries the real and imaginary parts of its
-        vector as two columns.  The INFO log names each block's size and
-        arithmetic and the number of expm builds this run added.  Trace
-        drift beyond 10*DEFAULT_TOL, read from the populations, raises.
+        Only the filled blocks, all of k >= 0, are ever propagated: v0 on
+        k < 0 is read as the conjugate transpose of its k > 0 part, and v0
+        must vanish in every other block.  The blocks that hold the
+        populations are propagated here, for the trace drift, which raises
+        beyond 10*DEFAULT_TOL; the others when the trajectory is first read
+        there.  The INFO log names the size and arithmetic of each block
+        propagated here and the number of expm builds they added; each
+        later propagation logs the same at DEBUG.
         """
         levels, step_index = _step_groups(np.diff(np.r_[start, times]))
-        used = levels[np.unique(step_index[step_index >= 0])]
-        phase = self.phase
-        index = np.concatenate([idx for idx, _ in self.blocks]
-                               + [np.zeros(0, dtype=int)])
-        values = np.zeros((times.size, index.size + 1), dtype=complex)
-        first, builds, kinds = 0, 0, []
-        for b, (idx, gen) in enumerate(self.blocks):
-            for level in used:
-                if (b, level) not in self._props:
-                    self._props[b, level] = expm(level * gen)
-                    builds += 1
-            real = gen.dtype.kind == "f"
-            v = v0[idx] * phase[idx]
-            if real:  # the real and imaginary parts as two columns
-                v = v.view(float).reshape(idx.size, 2)
-            block = np.empty((times.size,) + v.shape, dtype=v.dtype)
-            for i, j in enumerate(step_index):
-                if j >= 0:
-                    v = self._props[b, levels[j]] @ v
-                block[i] = v
-            rotated = block.view(complex).reshape(times.size, idx.size)
-            np.multiply(rotated, phase[idx].conj(),
-                        out=values[:, first:first + idx.size])
-            first += idx.size
-            kinds.append("real" if real else "complex")
-        _LOG.info("oracle: truncation %d, propagated block sizes %s, "
-                  "arithmetic [%s], expm builds %d", self.truncation,
-                  [idx.size for idx, _ in self.blocks], ", ".join(kinds),
-                  builds)
-        traj = Trajectory(times, self.truncation, self.label, index, values)
+        traj = Trajectory(times, self, v0, levels, step_index)
         every = np.arange(2 * (self.truncation + 1))
+        diagonal = every * every.size + every
+        traj._fill(self.owner[diagonal], logging.INFO)
         drift = (traj.entries(every, every).real.sum(axis=1)
-                 - v0[every * every.size + every].real.sum())
+                 - v0[diagonal].real.sum())
         bad = np.flatnonzero(~(np.abs(drift) <= 10.0 * DEFAULT_TOL))
         if bad.size:  # NaN drift fails too
             raise ConsistencyError(
@@ -431,8 +468,11 @@ class _BlockPropagator:
 def integrate_trajectory(rho0, jc, damping, times):
     """Propagate the master equation exactly to each time, as a
     `Trajectory`; jc=None or damping=None drops the coupling or the
-    dissipator (see `liouvillian`).  Every block whose initial vector is
-    non-zero is propagated (see `_BlockPropagator.run`)."""
+    dissipator (see `liouvillian`).  The blocks that hold the populations
+    are propagated here; every other block whose initial vector is non-zero
+    is propagated when the trajectory is first read there (see
+    `_BlockPropagator.run`), so a reader of k = 0 entries (populations,
+    P_+, F_n) pays for the k = 0 block alone."""
     times = _check_times(times, rho0.time)
     v0 = rho0.matrix.reshape(-1)
     prop = _BlockPropagator(jc, damping, rho0.truncation, v0)

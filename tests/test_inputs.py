@@ -49,11 +49,10 @@ PROBS = "must be a 1-d array of finite values"
 PARAMETER = "must be a finite number"
 SPACING = "window times must increase at a uniform spacing"
 
+#: Each is refused alone and also as an entry of a list of times, where
+#: `np.asarray` would make a bool 0.0 or 1.0.
 BAD_TIMES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
              "negative": -1e-6, "text": "1e-4", "bool": True}
-#: A bool among floats becomes a float in `np.asarray`, so the entries that
-#: take a list of times see no bool.
-BAD_LISTED_TIMES = {k: v for k, v in BAD_TIMES.items() if k != "bool"}
 BAD_COUNTS = {"negative": -1, "non-integer": 40.5, "bool": True,
               "nan": math.nan, "inf": math.inf}
 BAD_INTENSITIES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
@@ -88,6 +87,8 @@ BAD_WINDOWS = {"zero-spaced": _window([1e-4] * 5),
 ENTRIES = {
     # times
     "p_excited": (lambda v: p_excited(CONFIG, v), BAD_TIMES, TIME),
+    "p_excited-listed": (lambda v: p_excited(CONFIG, [0.0, v]), BAD_TIMES,
+                         TIME),
     "p_joint-t_a": (lambda v: p_joint(CONFIG, v, 1e-4, "+", "+"),
                     BAD_TIMES, TIME),
     "p_joint-t_b": (lambda v: p_joint(CONFIG, 1e-5, v, "+", "+"),
@@ -108,7 +109,7 @@ ENTRIES = {
     "revival_wave-t": (lambda v: revival_wave(RESUM, 1.0, v), BAD_TIMES,
                        TIME),
     "integrate_trajectory": (lambda v: oracle.integrate_trajectory(
-        RHO0, JC, DAMPING, [0.0, v]), BAD_LISTED_TIMES, TIME),
+        RHO0, JC, DAMPING, [0.0, v]), BAD_TIMES, TIME),
     "joint_probability_oracle-t_a": (lambda v: oracle.joint_probability_oracle(
         RHO0, JC, DAMPING, v, 1e-4, "+", "+"), BAD_TIMES, TIME),
     "joint_probability_oracle-t_b": (lambda v: oracle.joint_probability_oracle(
@@ -116,7 +117,7 @@ ENTRIES = {
     "branch_coherence_trajectory-times": (
         lambda v: oracle.branch_coherence_trajectory(SPEC, DAMPING, [0.0, v],
                                                      16),
-        BAD_LISTED_TIMES, TIME),
+        BAD_TIMES, TIME),
     "DensityMatrix-time": (lambda v: oracle.DensityMatrix(RHO0.matrix, v),
                            BAD_TIMES, TIME),
     # one time, not an array

@@ -183,6 +183,66 @@ def test_samples_bit_identical_to_dense_assembly(case):
             assert np.array_equal(a, b)
 
 
+def _benchmark_cat():
+    """The benchmark's phi != 0 cat at N = 32 (33 filled blocks, k = 0..32)
+    on a uniform grid, with the benson97 coupling at n_b = 0.1."""
+    preset = PRESETS["benson97"]
+    jc = preset.jc()
+    damping = DampingParams(kappa=preset.kappa, n_thermal=0.1)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=4.0, phase=1.1), 32)
+    return rho0, jc, damping, np.linspace(0.0, 50.0 / jc.g, 21)
+
+
+def test_trajectory_propagates_each_block_when_first_read(monkeypatch):
+    rho0, jc, damping, times = _benchmark_cat()
+    trunc = rho0.truncation
+    label = oracle._block_labels(trunc, jc)
+    filled = np.unique(label[(label >= 0) & (rho0.matrix.reshape(-1) != 0)])
+    assert filled.size == 33
+    built = []  # the size of each matrix given to expm
+    expm = oracle.expm
+    monkeypatch.setattr(oracle, "expm",
+                        lambda a: built.append(a.shape[0]) or expm(a))
+    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+    oracle.oracle_observables(traj, jc)
+    # one expm: the k = 0 block, one step length
+    assert built == [4 * trunc + 2]
+    built.clear()
+    # rho(|3, +>, |0, +>) has k = 4 - 1; its block alone is propagated
+    assert label[6 * 2 * (trunc + 1)] == 3
+    traj.entries(6, 0)
+    assert built == [np.count_nonzero(label == 3)]
+    built.clear()
+    assert traj._propagate is not None
+    list(traj)
+    assert sorted(built) == sorted(np.count_nonzero(label == k)
+                                   for k in filled if k not in (0, 3))
+    # every block is stored: the propagation state is let go
+    assert traj._propagate is None
+    built.clear()
+    traj[0]
+    traj.entries(6, 0)
+    assert built == []
+
+
+def test_read_order_keeps_every_bit():
+    # a k = 3 entry first and then every dense sample, and the reverse
+    # order: both keep every bit of the dense assembly
+    rho0, jc, damping, times = _benchmark_cat()
+    expected = dense_trajectory(rho0, jc, damping, times)
+    first = oracle.integrate_trajectory(rho0, jc, damping, times)
+    entry_first = first.entries(6, 0)
+    samples_first = [rho.matrix for rho in first]
+    last = oracle.integrate_trajectory(rho0, jc, damping, times)
+    samples_last = [last[i].matrix for i in reversed(range(len(last)))]
+    entry_last = last.entries(6, 0)
+    assert np.array_equal(samples_first, expected)
+    assert np.array_equal(samples_last[::-1], expected)
+    assert np.array_equal(entry_first, expected[:, 6, 0])
+    assert np.array_equal(entry_last, expected[:, 6, 0])
+    assert np.abs(expected[:, 6, 0]).min() > 1e-3
+
+
 def test_trajectory_entries_and_indexing():
     trunc = 8
     jc = JCParams(g=2.0)
