@@ -254,9 +254,8 @@ def run_oracle(args):
     trunc = default_truncation(nbar)
     t_max = args.t_max if args.t_max is not None else 0.5 / preset.kappa
     damping = DampingParams(kappa=preset.kappa, n_thermal=args.nb)
-    # every row below is a k = 0 read, so only that block is propagated
-    rho0 = oracle.dephased(oracle.build_initial_state(
-        CatSpec(intensity=nbar, phase=args.phi), trunc))
+    rho0 = oracle.build_initial_state(CatSpec(intensity=nbar, phase=args.phi),
+                                      trunc)
     times = np.linspace(0.0, t_max, args.samples)
     traj = oracle.integrate_trajectory(rho0, preset.jc(), damping, times)
     obs = oracle.oracle_observables(traj, preset.jc())

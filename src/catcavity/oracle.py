@@ -294,8 +294,10 @@ class Trajectory(Sequence):
     sample's dense DensityMatrix, with the k < 0 blocks filled as conjugate
     transposes; nothing keeps it.  Each block starts from the same initial
     vector with the same propagators, so its values do not depend on the
-    order of the reads.  Once every filled block is stored, the trajectory
-    lets go of the generators, propagators and initial vector.
+    order of the reads.  Until every filled block is stored, the trajectory
+    keeps its `_BlockPropagator` (the triplets of the filled blocks and the
+    generator and expm per step of each block propagated so far) and each
+    unstored block's part of the initial vector; then it lets go of them.
     """
 
     def __init__(self, times, prop, v0, levels, step_index):
@@ -305,7 +307,9 @@ class Trajectory(Sequence):
         self._blocks = prop.blocks
         self._owner, self._local = prop.owner, prop.local
         self._values = [None] * len(prop.blocks)  # (samples, size) each
-        self._propagate = lambda b: prop.propagate(b, v0, levels, step_index)
+        # until a block is stored: its part of v0, and what propagates it
+        self._start = [v0[idx] for idx in prop.blocks]
+        self._prop, self._steps = prop, (levels, step_index)
         times.flags.writeable = False
 
     def _fill(self, blocks, level=logging.DEBUG):
@@ -316,14 +320,15 @@ class Trajectory(Sequence):
         sizes, kinds, builds = [], [], 0
         for b in np.unique(blocks):
             if b >= 0 and self._values[b] is None:
-                values, kind, added = self._propagate(b)
+                values, kind, added = self._prop.propagate(
+                    b, self._start[b], *self._steps)
                 values.flags.writeable = False
-                self._values[b] = values
+                self._values[b], self._start[b] = values, None
                 sizes.append(values.shape[1])
                 kinds.append(kind)
                 builds += added
         if all(values is not None for values in self._values):
-            self._propagate = None  # lets go of v0 and the propagator
+            self._prop = self._steps = None  # lets go of the propagator
         if sizes or level > logging.DEBUG:
             _LOG.log(level, "oracle: truncation %d, propagated block sizes "
                      "%s, arithmetic [%s], expm builds %d", self.truncation,
@@ -381,39 +386,48 @@ class _BlockPropagator:
         self.truncation = truncation
         self.label = _block_labels(truncation, jc)
         self.phase = _atom_phases(truncation)
-        self.triplets = _liouvillian_triplets(jc, damping, truncation)
         self.blocks = _filled_blocks(self.label, v0)
         self.owner = np.full(self.label.size, -1)  # block number, or -1
         self.local = np.zeros(self.label.size, dtype=int)
         for b, idx in enumerate(self.blocks):
             self.owner[idx] = b
             self.local[idx] = np.arange(idx.size)
+        # the triplets of the filled blocks, sorted by block once and
+        # rotated into the atom-phase frame vec(S* rho S) = phase * vec(rho)
+        # (see `_atom_phases`); the rotation multiplies by 1 or +/-i, which
+        # is exact
+        row, col, val = _liouvillian_triplets(jc, damping, truncation)
+        which = self.owner[row]
+        keep = np.flatnonzero((which >= 0) & (val != 0))
+        keep = keep[np.argsort(which[keep], kind="stable")]
+        self._edges = np.searchsorted(which[keep],
+                                      np.arange(len(self.blocks) + 1))
+        row, col = row[keep], col[keep]
+        self._triplets = (self.local[row], self.local[col],
+                          val[keep] * self.phase[row] * self.phase[col].conj())
         self._generators = {}  # block number -> dense generator
         self._props = {}  # (block number, step length) -> expm
 
     def _generator(self, b):
-        """The dense block `b` of the Liouvillian in the atom-phase frame
-        vec(S* rho S) = phase * vec(rho) (see `_atom_phases`), scattered
-        directly from its (rows, cols, values) triplets.  The rotation
-        multiplies by 1 or +/-i, which is exact; a generator whose rotated
-        entries are all real is scattered into a float array."""
+        """The dense block `b` of the Liouvillian in the atom-phase frame,
+        scattered from its triplets; a generator whose rotated entries are
+        all real is scattered into a float array."""
         if b not in self._generators:
-            row, col, val = self.triplets
-            keep = np.flatnonzero((self.owner[row] == b) & (val != 0))
-            row, col = row[keep], col[keep]
-            gen = val[keep] * self.phase[row] * self.phase[col].conj()
+            nz = slice(self._edges[b], self._edges[b + 1])
+            rows, cols, gen = (a[nz] for a in self._triplets)
             if not gen.imag.any():
                 gen = gen.real
             size = self.blocks[b].size
             dense = np.zeros((size, size), dtype=gen.dtype)
-            dense[self.local[row], self.local[col]] = gen
+            dense[rows, cols] = gen
             self._generators[b] = dense
         return self._generators[b]
 
-    def propagate(self, b, v0, levels, step_index):
-        """Block `b` of vec(rho) = v0 at each sample, in the bare basis, as
-        a (samples, size) array; its arithmetic, "real" or "complex"; and
-        the number of expm builds it added.
+    def propagate(self, b, v, levels, step_index):
+        """Block `b` of vec(rho) at each sample, from its part `v` of the
+        initial vector, in the bare basis, as a (samples, size) array; its
+        arithmetic, "real" or "complex"; and the number of expm builds it
+        added.
 
         Sample i is one step of length levels[step_index[i]] (none for
         index -1) after sample i - 1.  The block runs in the atom-phase
@@ -428,7 +442,7 @@ class _BlockPropagator:
                 builds += 1
         real = gen.dtype.kind == "f"
         phase = self.phase[self.blocks[b]]
-        v = v0[self.blocks[b]] * phase
+        v = v * phase
         if real:  # the real and imaginary parts as two columns
             v = v.view(float).reshape(phase.size, 2)
         block = np.empty((step_index.size,) + v.shape, dtype=v.dtype)

@@ -213,12 +213,12 @@ def test_trajectory_propagates_each_block_when_first_read(monkeypatch):
     traj.entries(6, 0)
     assert built == [np.count_nonzero(label == 3)]
     built.clear()
-    assert traj._propagate is not None
+    assert traj._prop is not None
     list(traj)
     assert sorted(built) == sorted(np.count_nonzero(label == k)
                                    for k in filled if k not in (0, 3))
     # every block is stored: the propagation state is let go
-    assert traj._propagate is None
+    assert traj._prop is None
     built.clear()
     traj[0]
     traj.entries(6, 0)
@@ -293,10 +293,10 @@ def test_readers_build_no_dense_sample(monkeypatch, tmp_path):
                                     "+", "+")
     assert built == [0.0]
     built.clear()
-    # the command builds its initial state and that state's k = 0 part only
+    # the command builds its initial state only
     assert main(["oracle", "--nbar", "2", "--nb", "0.1", "--t-max", "0.002",
                  "--samples", "9", "--out", str(tmp_path)]) == 0
-    assert built == [0.0, 0.0]
+    assert built == [0.0]
 
 
 @pytest.mark.parametrize("ratio, expm_calls", [(2.0, 1), (2.5, 2)])
