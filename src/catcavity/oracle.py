@@ -13,9 +13,9 @@ with blocks of at most 4 N + 2 states.  Each block is propagated exactly
 with `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
 970, 2009), and only when it is read: `integrate_trajectory` propagates the
 blocks that hold the populations, and a `Trajectory` propagates any other
-block, with its generator, the first time a read touches it.  A reader of
-P_+, F_n or any other k = 0 entry thus pays for the k = 0 block alone,
-whatever the initial state.
+block the first time a read touches it, with a generator built then from
+the block's own positions.  A reader of P_+, F_n or any other k = 0 entry
+thus pays for the k = 0 block alone, whatever the initial state.
 
 The blocks are propagated in the atom-phase frame rho' = S* rho S with
 S = 1_field x diag(1, i).  The coupling links |n, +> only with |n+1, ->, so
@@ -23,9 +23,9 @@ S turns g (a sigma_+ + a* sigma_-) into i times a real antisymmetric matrix
 and i [rho, H'] into a real map; a and a* act on the field alone and commute
 with S, so both dissipators stay real.  At resonance every block is
 therefore a real matrix.  Multiplying by 1 or +/-i only moves and negates
-floats, so the rotated entries are exactly those of `liouvillian`.  A
-detuning adds i (H'_jj - H'_ii) on the diagonal, which no diagonal S
-removes, and such a block stays complex.
+floats, so a rotated block holds exactly the floats of `liouvillian` at
+its positions.  A detuning adds i (H'_jj - H'_ii) on the diagonal, which
+no diagonal S removes, and such a block stays complex.
 """
 
 import logging
@@ -145,44 +145,58 @@ def build_initial_state(fieldspec, truncation):
 # Liouvillian and integration
 # ---------------------------------------------------------------------------
 
-def _liouvillian_triplets(jc, damping, truncation):
-    """The Liouvillian of `liouvillian` as (rows, cols, values) arrays.
+def _triplets(jc, damping, truncation, positions):
+    """The Liouvillian of `liouvillian` on the ascending vec(rho)
+    `positions`, a set it maps into itself (a block, or every position), as
+    (rows, cols, values) arrays whose rows and cols index `positions`.
 
-    No (row, col) pair appears twice, so no entry is a sum; a value may be
-    zero, where the diagonal has nothing to add.
+    Under row-major vectorization entry (i, j) of A rho B reads A_ik B_lj
+    from entry (k, l), so the triplets are the non-zero diagonal
+    i (H'_jj - H'_ii) - sum rate ((J*J)_ii + (J*J)_jj), the coupling once
+    from each side of the commutator, and each jump's sandwich shifted one
+    photon along both indices.  No (row, col) pair appears twice.
     """
     dim = 2 * (truncation + 1)
+    i, j = np.divmod(positions, dim)
     every = np.arange(dim)
-    vec = every[:, None] * dim + every[None, :]  # position of (i, j)
-    diag = np.zeros((dim, dim), dtype=complex)
-    rows, cols, vals = [vec.ravel()], [vec.ravel()], []
-    lo = np.arange(2 * truncation)  # |n, s> with n < N; a takes lo + 2 to lo
-    root = np.sqrt(lo // 2 + 1.0)
+    root = np.sqrt(every // 2 + 1.0)  # a takes |n+1, s> to root |n, s>
+    diag = np.zeros(positions.size, dtype=complex)
+    rows, cols, vals = [], [], []
     if jc is not None:
         energy = 0.5 * jc.detuning * np.where(every % 2, -1.0, 1.0)
-        diag += 1j * (energy[None, :] - energy[:, None])
-        # g sqrt(n + 1) between |n, +> and |n + 1, ->, both ways
-        plus = lo[0::2]
-        h_row = np.r_[plus, plus + 3]
-        h_col = np.r_[plus + 3, plus]
-        h_val = 1j * jc.g * np.tile(root[0::2], 2)
-        rows += [vec[:, h_col].ravel(), vec[h_row, :].ravel()]
-        cols += [vec[:, h_row].ravel(), vec[h_col, :].ravel()]
-        vals += [np.tile(h_val, dim), -np.repeat(h_val, dim)]
+        diag += 1j * (energy[j] - energy[i])
+        # g sqrt(n + 1) between |n, +> and |n + 1, ->, both ways; i rho H'
+        # reads (i, partner of j), and -i H' rho (partner of i, j)
+        plus = every[0:-2:2]
+        partner, coupling = np.full(dim, -1), np.zeros(dim, dtype=complex)
+        partner[plus], partner[plus + 3] = plus + 3, plus
+        coupling[plus] = coupling[plus + 3] = 1j * jc.g * root[plus]
+        by_col, by_row = partner[j] >= 0, partner[i] >= 0
+        rows += [np.flatnonzero(by_col), np.flatnonzero(by_row)]
+        cols += [i[by_col] * dim + partner[j[by_col]],
+                 partner[i[by_row]] * dim + j[by_row]]
+        vals += [coupling[j[by_col]], -coupling[i[by_row]]]
     if damping is not None:
         k, nb = damping.kappa, damping.n_thermal
+        lo = every[:-2]  # |n, s> with n < N; a takes lo + 2 to lo
         for rate, left, right in ((k * (nb + 1.0), lo, lo + 2),
                                   (k * nb, lo + 2, lo)):
             if rate > 0:
                 # J = sum root |left><right|, so J*J = diag(root^2) on right
-                number = np.zeros(dim)
-                number[right] = root ** 2
-                diag -= rate * (number[:, None] + number[None, :])
-                rows.append(vec[np.ix_(left, left)].ravel())
-                cols.append(vec[np.ix_(right, right)].ravel())
-                vals.append((2.0 * rate * np.outer(root, root)).ravel())
-    vals.insert(0, diag.ravel())
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+                number, amp = np.zeros(dim), np.zeros(dim)
+                number[right], amp[left] = root[lo] ** 2, root[lo]
+                diag -= rate * (number[i] + number[j])
+                source = np.full(dim, -1)
+                source[left] = right
+                both = np.flatnonzero((source[i] >= 0) & (source[j] >= 0))
+                rows.append(both)
+                cols.append(source[i[both]] * dim + source[j[both]])
+                vals.append(2.0 * rate * (amp[i[both]] * amp[j[both]]))
+    nz = np.flatnonzero(diag)
+    rows, cols, vals = [nz] + rows, [positions[nz]] + cols, [diag[nz]] + vals
+    return (np.concatenate(rows),
+            np.searchsorted(positions, np.concatenate(cols)),
+            np.concatenate(vals))
 
 
 def liouvillian(jc, damping, truncation):
@@ -191,22 +205,16 @@ def liouvillian(jc, damping, truncation):
     drho/dt = i [rho, H'] + sum_(rate, J) rate (2 J rho J* - J*J rho - rho J*J)
 
     with H' = (detuning/2) sigma_z + g (a sigma_+ + a* sigma_-) and the jumps
-    (rate, J) = (kappa (n_b + 1), a) and (kappa n_b, a*).  Under row-major
-    vectorization entry (i, j) of A rho B reads A_ik B_lj from entry (k, l),
-    so each term is written as (row, col, value) triplets: the diagonal
-    i (H'_jj - H'_ii) - sum rate ((J*J)_ii + (J*J)_jj), the coupling once
-    from each side of the commutator, and each jump's sandwich shifted one
-    photon along both indices.  jc=None drops H' (field-only decay, for
+    (rate, J) = (kappa (n_b + 1), a) and (kappa n_b, a*), from `_triplets`
+    over every position; the propagation builds each block from those of
+    its own positions.  jc=None drops H' (field-only decay, for
     pure-decoherence runs) and damping=None drops the dissipator (the
-    undamped limit, which DampingParams itself excludes).  The propagation
-    reads the same triplets without building this matrix.
+    undamped limit, which DampingParams itself excludes).
     """
     _count(truncation, "truncation", 0)
-    rows, cols, vals = _liouvillian_triplets(jc, damping, truncation)
-    dim = 2 * (truncation + 1)
-    lind = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim,) * 2)
-    lind.eliminate_zeros()
-    return lind
+    size = 4 * (truncation + 1) ** 2
+    rows, cols, vals = _triplets(jc, damping, truncation, np.arange(size))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 
 def _block_labels(truncation, jc):
@@ -235,9 +243,9 @@ def dephased(rho):
     and the k = 0 block evolves on its own, so a run that reads nothing
     else gets the same numbers from the dephased state.  A `Trajectory`
     read through `entries` propagates only the blocks it reads anyway; the
-    dephased start is for the readers that build dense samples or condition
-    the field, which touch every block: `joint_probability_oracle` and the
-    equation-of-motion check `validation.check_w_residuals`.
+    dephased start is for a reader that builds dense samples, which touch
+    every block: the equation-of-motion check
+    `validation.check_w_residuals`.
     """
     keep = (_block_labels(rho.truncation, None) // 4 == 0).reshape(
         rho.matrix.shape)
@@ -295,7 +303,7 @@ class Trajectory(Sequence):
     transposes; nothing keeps it.  Each block starts from the same initial
     vector with the same propagators, so its values do not depend on the
     order of the reads.  Until every filled block is stored, the trajectory
-    keeps its `_BlockPropagator` (the triplets of the filled blocks and the
+    keeps its `_BlockPropagator` (the positions of the filled blocks and the
     generator and expm per step of each block propagated so far) and each
     unstored block's part of the initial vector; then it lets go of them.
     """
@@ -379,10 +387,11 @@ class Trajectory(Sequence):
 
 class _BlockPropagator:
     """The filled blocks of one Liouvillian.  A block's dense generator is
-    built when the block is first propagated, and its propagator once per
-    distinct step length; both are kept for later runs."""
+    built from its positions when the block is first propagated, and its
+    propagator once per distinct step length; both are kept for later runs."""
 
     def __init__(self, jc, damping, truncation, v0):
+        self.model = jc, damping, truncation
         self.truncation = truncation
         self.label = _block_labels(truncation, jc)
         self.phase = _atom_phases(truncation)
@@ -392,33 +401,21 @@ class _BlockPropagator:
         for b, idx in enumerate(self.blocks):
             self.owner[idx] = b
             self.local[idx] = np.arange(idx.size)
-        # the triplets of the filled blocks, sorted by block once and
-        # rotated into the atom-phase frame vec(S* rho S) = phase * vec(rho)
-        # (see `_atom_phases`); the rotation multiplies by 1 or +/-i, which
-        # is exact
-        row, col, val = _liouvillian_triplets(jc, damping, truncation)
-        which = self.owner[row]
-        keep = np.flatnonzero((which >= 0) & (val != 0))
-        keep = keep[np.argsort(which[keep], kind="stable")]
-        self._edges = np.searchsorted(which[keep],
-                                      np.arange(len(self.blocks) + 1))
-        row, col = row[keep], col[keep]
-        self._triplets = (self.local[row], self.local[col],
-                          val[keep] * self.phase[row] * self.phase[col].conj())
         self._generators = {}  # block number -> dense generator
         self._props = {}  # (block number, step length) -> expm
 
     def _generator(self, b):
-        """The dense block `b` of the Liouvillian in the atom-phase frame,
-        scattered from its triplets; a generator whose rotated entries are
-        all real is scattered into a float array."""
+        """The dense block `b` of the Liouvillian, built from its positions
+        and rotated into the atom-phase frame (see `_atom_phases`), which is
+        exact; a generator whose rotated entries are all real is scattered
+        into a float array."""
         if b not in self._generators:
-            nz = slice(self._edges[b], self._edges[b + 1])
-            rows, cols, gen = (a[nz] for a in self._triplets)
+            idx = self.blocks[b]
+            rows, cols, val = _triplets(*self.model, idx)
+            gen = val * self.phase[idx[rows]] * self.phase[idx[cols]].conj()
             if not gen.imag.any():
                 gen = gen.real
-            size = self.blocks[b].size
-            dense = np.zeros((size, size), dtype=gen.dtype)
+            dense = np.zeros((idx.size, idx.size), dtype=gen.dtype)
             dense[rows, cols] = gen
             self._generators[b] = dense
         return self._generators[b]
@@ -587,26 +584,29 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
     Atom 1 evolves with the field to t_A and is projected onto s1 (keeping
     the unnormalized weight); a fresh excited atom then evolves with the
     conditioned field to t_B, where s2 is read off.  Only the k = 0 part of
-    rho0 can reach that trace through conditioning and re-injection, so the
-    run starts from `dephased(rho0)` and propagates that block alone.  Both
-    passages share its generator and one expm per distinct step length:
-    t_B = 2 t_A from rho0 at time 0 takes a single expm.  Neither builds a
+    rho0 reaches that trace through conditioning and re-injection: each
+    passage reads just the atom sector's populations, so it propagates the
+    k = 0 block alone, and the second starts from their diagonal.  Both
+    share that block's generator and one expm per distinct step length, so
+    t_B = 2 t_A from rho0 at time 0 takes a single expm; neither builds a
     dense density matrix.
     """
     _check_outcome(s1, "s1")
     _check_outcome(s2, "s2")
     t_a, t_b = _check_times([_times(t, one=True) for t in (t_a, t_b)],
                             rho0.time)
-    rho0 = dephased(rho0)
     v0 = rho0.matrix.reshape(-1)
     prop = _BlockPropagator(jc, damping, rho0.truncation, v0)
-    traj_a = prop.run(v0, rho0.time, np.array([t_a]))
-    fields, weights = condition_on_atom(traj_a, s1)
-    if weights[-1] <= 0.0:
+
+    def populations(v, start, end, outcome):
+        sector = 2 * np.arange(rho0.truncation + 1) + (outcome == "-")
+        return prop.run(v, start, np.array([end])).entries(sector, sector)[-1]
+
+    field = populations(v0, rho0.time, t_a, s1)
+    if field.sum().real <= 0.0:
         return 0.0
-    v_b = np.kron(fields[-1], _EXCITED).reshape(-1)
-    traj_b = prop.run(v_b, t_a, np.array([t_b]))
-    return float(condition_on_atom(traj_b, s2)[1][-1])
+    v_b = np.kron(np.diag(field), _EXCITED).reshape(-1)
+    return float(populations(v_b, t_a, t_b, s2).sum().real)
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ F*_n recurrence, the alternating double-sum form of F*_{-1},
 finite-difference residuals of the F*_n recurrence, the two atom passages
 of the closed-form observables as a loop over times and fields, the matrix
 of the creation operator in the dressed basis, a density-matrix sanity
-check, the oracle's propagation by complex matrix exponentials of its
-blocks, and its earlier dense assembly of every sample and dense read of
-the observables.
+check, the oracle's Liouvillian as triplets of the whole matrix, its
+propagation by complex matrix exponentials of the blocks of that matrix,
+and its earlier dense assembly of every sample and dense read of the
+observables.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import expm
 from scipy.special import gammaln
 
@@ -189,16 +191,86 @@ def validate_density_matrix(rho):
         raise ConsistencyError("density matrix not positive")
 
 
+def liouvillian_triplets(jc, damping, truncation):
+    """The Liouvillian of `oracle.liouvillian` as (rows, cols, values)
+    arrays over the whole (2N + 2)^2 vec(rho), each term written for every
+    pair (i, j) at once; the library builds its triplets from the positions
+    instead, so the two constructions share no code.
+
+    No (row, col) pair appears twice, so no entry is a sum; a value may be
+    zero, where the diagonal has nothing to add.
+    """
+    dim = 2 * (truncation + 1)
+    every = np.arange(dim)
+    vec = every[:, None] * dim + every[None, :]  # position of (i, j)
+    diag = np.zeros((dim, dim), dtype=complex)
+    rows, cols, vals = [vec.ravel()], [vec.ravel()], []
+    lo = np.arange(2 * truncation)  # |n, s> with n < N; a takes lo + 2 to lo
+    root = np.sqrt(lo // 2 + 1.0)
+    if jc is not None:
+        energy = 0.5 * jc.detuning * np.where(every % 2, -1.0, 1.0)
+        diag += 1j * (energy[None, :] - energy[:, None])
+        # g sqrt(n + 1) between |n, +> and |n + 1, ->, both ways
+        plus = lo[0::2]
+        h_row = np.r_[plus, plus + 3]
+        h_col = np.r_[plus + 3, plus]
+        h_val = 1j * jc.g * np.tile(root[0::2], 2)
+        rows += [vec[:, h_col].ravel(), vec[h_row, :].ravel()]
+        cols += [vec[:, h_row].ravel(), vec[h_col, :].ravel()]
+        vals += [np.tile(h_val, dim), -np.repeat(h_val, dim)]
+    if damping is not None:
+        k, nb = damping.kappa, damping.n_thermal
+        for rate, left, right in ((k * (nb + 1.0), lo, lo + 2),
+                                  (k * nb, lo + 2, lo)):
+            if rate > 0:
+                # J = sum root |left><right|, so J*J = diag(root^2) on right
+                number = np.zeros(dim)
+                number[right] = root ** 2
+                diag -= rate * (number[:, None] + number[None, :])
+                rows.append(vec[np.ix_(left, left)].ravel())
+                cols.append(vec[np.ix_(right, right)].ravel())
+                vals.append((2.0 * rate * np.outer(root, root)).ravel())
+    vals.insert(0, diag.ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def liouvillian(jc, damping, truncation):
+    """`liouvillian_triplets` as a CSR matrix without stored zeros, the
+    form `oracle.liouvillian` returns."""
+    rows, cols, vals = liouvillian_triplets(jc, damping, truncation)
+    dim = 2 * (truncation + 1)
+    lind = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim,) * 2)
+    lind.eliminate_zeros()
+    return lind
+
+
+def block_generator(coo, phase, idx):
+    """The dense block at the ascending vec(rho) positions `idx` of the
+    COO Liouvillian `coo`, rotated into the atom-phase frame by `phase`
+    (`oracle._atom_phases`); a float array where every rotated entry is
+    real."""
+    local = np.full(phase.size, -1)
+    local[idx] = np.arange(idx.size)
+    nz = local[coo.row] >= 0
+    row, col = coo.row[nz], coo.col[nz]
+    gen = coo.data[nz] * phase[row] * phase[col].conj()
+    if not gen.imag.any():
+        gen = gen.real
+    dense = np.zeros((idx.size, idx.size), dtype=gen.dtype)
+    dense[local[row], local[col]] = gen
+    return dense
+
+
 def complex_block_trajectory(rho0, jc, damping, times):
     """rho at each time as one (times, dim, dim) array, from one complex
     `scipy.linalg.expm` per distinct step of each filled block of
-    `oracle.liouvillian` with k >= 0, sliced from the sparse matrix in the
-    bare basis; block -k is the conjugate transpose of block k.
+    `liouvillian` with k >= 0, sliced from the sparse matrix in the bare
+    basis; block -k is the conjugate transpose of block k.
     """
     trunc = rho0.truncation
     dim = 2 * (trunc + 1)
     label = oracle._block_labels(trunc, jc)
-    lind = oracle.liouvillian(jc, damping, trunc)
+    lind = liouvillian(jc, damping, trunc)
     levels, step_index = oracle._step_groups(np.diff(np.r_[rho0.time, times]))
     v0 = rho0.matrix.reshape(-1)
     out = np.zeros((len(times), dim * dim), dtype=complex)
@@ -221,10 +293,10 @@ def complex_block_trajectory(rho0, jc, damping, times):
 
 def dense_trajectory(rho0, jc, damping, times):
     """rho at each time as one (times, dim, dim) array, assembled densely:
-    each filled block with k >= 0 scattered from the sparse
-    `oracle.liouvillian` (through COO) into a dense generator in the
-    atom-phase frame, one batched expm per block over the distinct steps,
-    every propagated block scattered into a dense complex matrix per
+    each filled block with k >= 0 scattered from the sparse `liouvillian`
+    (through COO) into a dense generator in the atom-phase frame
+    (`block_generator`), one batched expm per block over the distinct
+    steps, every propagated block scattered into a dense complex matrix per
     sample, and the k < 0 half filled as the conjugate transpose.
     """
     trunc = rho0.truncation
@@ -232,7 +304,7 @@ def dense_trajectory(rho0, jc, damping, times):
     label = oracle._block_labels(trunc, jc)
     phase = oracle._atom_phases(trunc)
     levels, step_index = oracle._step_groups(np.diff(np.r_[rho0.time, times]))
-    coo = oracle.liouvillian(jc, damping, trunc).tocoo()
+    coo = liouvillian(jc, damping, trunc).tocoo()
     coo.sum_duplicates()
     v0 = rho0.matrix.reshape(-1)
     out = np.zeros((len(times), dim * dim), dtype=complex)
@@ -240,18 +312,10 @@ def dense_trajectory(rho0, jc, damping, times):
         idx = np.flatnonzero(label == value)
         if not v0[idx].any():
             continue
-        local = np.full(label.size, -1)
-        local[idx] = np.arange(idx.size)
-        nz = local[coo.row] >= 0
-        row, col = coo.row[nz], coo.col[nz]
-        gen = coo.data[nz] * phase[row] * phase[col].conj()
-        if not gen.imag.any():
-            gen = gen.real
-        dense = np.zeros((idx.size, idx.size), dtype=gen.dtype)
-        dense[local[row], local[col]] = gen
+        dense = block_generator(coo, phase, idx)
         props = expm(levels[:, None, None] * dense)
         v = v0[idx] * phase[idx]
-        if gen.dtype.kind == "f":
+        if dense.dtype.kind == "f":
             v = v.view(float).reshape(idx.size, 2)
         block = np.empty((len(times),) + v.shape, dtype=v.dtype)
         for i, j in enumerate(step_index):

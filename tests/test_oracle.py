@@ -23,8 +23,10 @@ from catcavity.cli import main
 from catcavity.damping import f_star, offdiag_decay
 from catcavity.dressed import dressed_annihilation, dressed_basis
 from catcavity.presets import PRESETS
-from references import (complex_block_trajectory, dense_observables,
-                        dense_trajectory, validate_density_matrix)
+from references import (block_generator, complex_block_trajectory,
+                        dense_observables, dense_trajectory,
+                        validate_density_matrix)
+from references import liouvillian as liouvillian_reference
 
 
 def _dense_rhs(rho, jc, damping, trunc):
@@ -288,11 +290,10 @@ def test_readers_build_no_dense_sample(monkeypatch, tmp_path):
     oracle.oracle_observables(traj, jc)
     oracle.condition_on_atom(traj, "+")
     assert built == []
-    # the joint builds its start, the k = 0 part of rho0, and no sample
+    # the joint reads populations and builds no density matrix
     oracle.joint_probability_oracle(rho0, jc, damping, times[1], times[3],
                                     "+", "+")
-    assert built == [0.0]
-    built.clear()
+    assert built == []
     # the command builds its initial state only
     assert main(["oracle", "--nbar", "2", "--nb", "0.1", "--t-max", "0.002",
                  "--samples", "9", "--out", str(tmp_path)]) == 0
@@ -323,6 +324,39 @@ def test_joint_shares_one_propagator_per_step(monkeypatch, ratio, expm_calls):
         assert 0.01 < got < 1.0
 
 
+_GENERATOR_CASES = {
+    "resonant": (JCParams(g=3.0), DampingParams(kappa=0.4)),
+    "thermal": (JCParams(g=3.0), DampingParams(kappa=0.4, n_thermal=0.3)),
+    "detuned": (JCParams(g=3.0, detuning=0.7),
+                DampingParams(kappa=0.4, n_thermal=0.3)),
+    "uncoupled": (None, DampingParams(kappa=0.4, n_thermal=0.3)),
+    "undamped": (JCParams(g=3.0), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GENERATOR_CASES))
+def test_block_generators_match_reference(case):
+    # every filled block of a phi = 1.1 cat, built from its own positions,
+    # equals the block scattered from the whole-matrix triplets of the
+    # reference, bit for bit and in dtype; so does the sparse Liouvillian
+    jc, damping = _GENERATOR_CASES[case]
+    trunc = 16
+    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
+    prop = oracle._BlockPropagator(jc, damping, trunc, rho0.matrix.reshape(-1))
+    coo = liouvillian_reference(jc, damping, trunc).tocoo()
+    assert len(prop.blocks) > trunc
+    for b, idx in enumerate(prop.blocks):
+        want = block_generator(coo, prop.phase, idx)
+        got = prop._generator(b)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    for n in (1, 2, trunc):
+        want = liouvillian_reference(jc, damping, n)
+        got = oracle.liouvillian(jc, damping, n)
+        assert got.nnz == want.nnz and got.dtype == want.dtype
+        assert (got != want).nnz == 0
+
+
 @pytest.mark.parametrize("jc, damping", [
     (JCParams(g=3.0), DampingParams(kappa=0.4, n_thermal=0.3)),
     (JCParams(g=3.0, detuning=0.7), DampingParams(kappa=0.4)),
@@ -330,13 +364,18 @@ def test_joint_shares_one_propagator_per_step(monkeypatch, ratio, expm_calls):
     (JCParams(g=3.0), None)])
 def test_liouvillian_triplets_never_repeat_an_entry(jc, damping):
     # the block generators are scattered from the triplets, which is only
-    # right if no (row, col) pair needs a sum
+    # right if no (row, col) pair needs a sum, over every position and over
+    # one block alike; no triplet holds a zero
     trunc = 5
-    rows, cols, vals = oracle._liouvillian_triplets(jc, damping, trunc)
-    pairs = rows * 4 * (trunc + 1) ** 2 + cols
-    assert np.unique(pairs).size == pairs.size
+    label = oracle._block_labels(trunc, jc)
+    every = np.arange(label.size)
+    for positions in (every, np.flatnonzero(label == 1)):
+        rows, cols, vals = oracle._triplets(jc, damping, trunc, positions)
+        pairs = rows * positions.size + cols
+        assert np.unique(pairs).size == pairs.size
+        assert np.count_nonzero(vals) == vals.size
     lind = oracle.liouvillian(jc, damping, trunc)
-    assert lind.nnz == np.count_nonzero(vals)
+    assert lind.nnz == oracle._triplets(jc, damping, trunc, every)[2].size
 
 
 def test_liouvillian_is_block_diagonal_in_coherence_order():
