@@ -13,9 +13,10 @@ with blocks of at most 4 N + 2 states.  Each block is propagated exactly
 with `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
 970, 2009), and only when it is read: `integrate_trajectory` propagates the
 blocks that hold the populations, and a `Trajectory` propagates any other
-block the first time a read touches it, with a generator built then from
-the block's own positions.  A reader of P_+, F_n or any other k = 0 entry
-thus pays for the k = 0 block alone, whatever the initial state.
+block the first time a read touches it, with the generators of the blocks
+one read propagates built together from their positions.  A reader of P_+,
+F_n or any other k = 0 entry thus pays for the k = 0 block alone, whatever
+the initial state.
 
 The blocks are propagated in the atom-phase frame rho' = S* rho S with
 S = 1_field x diag(1, i).  The coupling links |n, +> only with |n+1, ->, so
@@ -206,8 +207,8 @@ def liouvillian(jc, damping, truncation):
 
     with H' = (detuning/2) sigma_z + g (a sigma_+ + a* sigma_-) and the jumps
     (rate, J) = (kappa (n_b + 1), a) and (kappa n_b, a*), from `_triplets`
-    over every position; the propagation builds each block from those of
-    its own positions.  jc=None drops H' (field-only decay, for
+    over every position; the propagation builds the blocks it propagates
+    from those of their positions.  jc=None drops H' (field-only decay, for
     pure-decoherence runs) and damping=None drops the dissipator (the
     undamped limit, which DampingParams itself excludes).
     """
@@ -259,18 +260,10 @@ def _atom_phases(truncation):
     return np.outer(s.conj(), s).ravel()
 
 
-def _filled_blocks(label, v0):
-    """The vec(rho) positions, each in ascending order, of every block with
-    label >= 0 whose part of v0 is non-zero, in ascending label order."""
-    order = np.argsort(label, kind="stable")
-    upper = order[label[order] >= 0]
-    cuts = np.flatnonzero(np.diff(label[upper])) + 1
-    return [b for b in np.split(upper, cuts) if v0[b].any()]
-
-
 def _step_groups(steps):
-    """Distinct non-zero step lengths (equal to STEP_RTOL relative) and each
-    step's index into them; zero steps get index -1."""
+    """Distinct non-zero step lengths (equal to STEP_RTOL relative), each
+    the length of some step, and each step's index into them; zero steps get
+    index -1."""
     order = np.argsort(steps, kind="stable")
     ranked = steps[order]
     new = np.r_[ranked[0] > 0, np.diff(ranked) > STEP_RTOL * ranked[1:]]
@@ -322,19 +315,23 @@ class Trajectory(Sequence):
 
     def _fill(self, blocks, level=logging.DEBUG):
         """Propagate each of the block numbers `blocks` (-1, no block, is
-        skipped) that is not stored yet, and log the sizes, arithmetic and
-        expm builds of those propagated, at `level` (at DEBUG only when
+        skipped) that is not stored yet, with the generators of all of them
+        built by one `_BlockPropagator.build`, and log the sizes, arithmetic
+        and expm builds of those propagated, at `level` (at DEBUG only when
         there are any)."""
+        new = [b for b in np.unique(blocks).tolist()
+               if b >= 0 and self._values[b] is None]
         sizes, kinds, builds = [], [], 0
-        for b in np.unique(blocks):
-            if b >= 0 and self._values[b] is None:
-                values, kind, added = self._prop.propagate(
-                    b, self._start[b], *self._steps)
-                values.flags.writeable = False
-                self._values[b], self._start[b] = values, None
-                sizes.append(values.shape[1])
-                kinds.append(kind)
-                builds += added
+        if new:
+            self._prop.build(new)
+        for b in new:
+            values, kind, added = self._prop.propagate(b, self._start[b],
+                                                       *self._steps)
+            values.flags.writeable = False
+            self._values[b], self._start[b] = values, None
+            sizes.append(values.shape[1])
+            kinds.append(kind)
+            builds += added
         if all(values is not None for values in self._values):
             self._prop = self._steps = None  # lets go of the propagator
         if sizes or level > logging.DEBUG:
@@ -385,39 +382,73 @@ class Trajectory(Sequence):
         return out.reshape((len(self),) + rows.shape)
 
 
+def _by_block(owner, count):
+    """The stable order that groups the block numbers `owner`, all below
+    `count`, by block, and where each block's group starts in it and its
+    size.  On keys of 16 bits or fewer NumPy's stable sort is a radix sort,
+    linear in the number of keys."""
+    sizes = np.bincount(owner, minlength=count)
+    order = np.argsort(owner.astype(np.min_scalar_type(count)), kind="stable")
+    return order, np.cumsum(sizes) - sizes, sizes
+
+
 class _BlockPropagator:
-    """The filled blocks of one Liouvillian.  A block's dense generator is
-    built from its positions when the block is first propagated, and its
-    propagator once per distinct step length; both are kept for later runs."""
+    """The filled blocks of one Liouvillian.  The dense generators of the
+    blocks one read propagates are built together, from the union of their
+    positions, and each block's propagator once per distinct step length;
+    both are kept for later runs."""
 
     def __init__(self, jc, damping, truncation, v0):
         self.model = jc, damping, truncation
         self.truncation = truncation
         self.label = _block_labels(truncation, jc)
         self.phase = _atom_phases(truncation)
-        self.blocks = _filled_blocks(self.label, v0)
+        # the labels >= 0 with a non-zero part of v0, numbered in order
+        upper = self.label >= 0
+        filled = np.bincount(self.label[upper], weights=v0[upper] != 0) > 0
+        number = np.where(filled, np.cumsum(filled) - 1, -1)
         self.owner = np.full(self.label.size, -1)  # block number, or -1
+        self.owner[upper] = number[self.label[upper]]
+        kept = np.flatnonzero(self.owner >= 0)
+        order, starts, sizes = _by_block(self.owner[kept], number.max() + 1)
+        grouped = kept[order]  # each block's positions, ascending
         self.local = np.zeros(self.label.size, dtype=int)
-        for b, idx in enumerate(self.blocks):
-            self.owner[idx] = b
-            self.local[idx] = np.arange(idx.size)
+        self.local[grouped] = (np.arange(grouped.size)
+                               - np.repeat(starts, sizes))
+        self.blocks = [grouped[a:a + n]
+                       for a, n in zip(starts.tolist(), sizes.tolist())]
         self._generators = {}  # block number -> dense generator
         self._props = {}  # (block number, step length) -> expm
 
-    def _generator(self, b):
-        """The dense block `b` of the Liouvillian, built from its positions
-        and rotated into the atom-phase frame (see `_atom_phases`), which is
-        exact; a generator whose rotated entries are all real is scattered
-        into a float array."""
-        if b not in self._generators:
-            idx = self.blocks[b]
-            rows, cols, val = _triplets(*self.model, idx)
-            gen = val * self.phase[idx[rows]] * self.phase[idx[cols]].conj()
-            if not gen.imag.any():
-                gen = gen.real
-            dense = np.zeros((idx.size, idx.size), dtype=gen.dtype)
-            dense[rows, cols] = gen
+    def build(self, blocks):
+        """Build the dense generator of each of the distinct block numbers
+        `blocks` that has none yet, all from one `_triplets` call over the
+        sorted union of their positions, rotated into the atom-phase frame
+        (see `_atom_phases`), which is exact.  Each triplet's value depends
+        on its own (row, col) alone, so a block's slice of the union holds
+        exactly the triplets of its own positions; a generator whose rotated
+        entries are all real is scattered into a float array."""
+        new = [b for b in blocks if b not in self._generators]
+        if not new:
+            return
+        union = np.sort(np.concatenate([self.blocks[b] for b in new]))
+        rows, cols, val = _triplets(*self.model, union)
+        rows, cols = union[rows], union[cols]
+        gen = val * self.phase[rows] * self.phase[cols].conj()
+        order, start, count = _by_block(self.owner[rows], len(self.blocks))
+        for b in new:
+            part = order[start[b]:start[b] + count[b]]
+            block = gen[part]
+            if not block.imag.any():
+                block = block.real
+            dense = np.zeros((self.blocks[b].size,) * 2, dtype=block.dtype)
+            dense[self.local[rows[part]], self.local[cols[part]]] = block
             self._generators[b] = dense
+
+    def _generator(self, b):
+        """The dense generator of block `b`, built alone if no `build` has
+        built it."""
+        self.build([b])
         return self._generators[b]
 
     def propagate(self, b, v, levels, step_index):
@@ -433,7 +464,7 @@ class _BlockPropagator:
         """
         gen = self._generator(b)
         builds = 0
-        for level in levels[np.unique(step_index[step_index >= 0])]:
+        for level in levels:
             if (b, level) not in self._props:
                 self._props[b, level] = expm(level * gen)
                 builds += 1

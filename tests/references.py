@@ -5,10 +5,10 @@ F*_n recurrence, the alternating double-sum form of F*_{-1},
 finite-difference residuals of the F*_n recurrence, the two atom passages
 of the closed-form observables as a loop over times and fields, the matrix
 of the creation operator in the dressed basis, a density-matrix sanity
-check, the oracle's Liouvillian as triplets of the whole matrix, its
-propagation by complex matrix exponentials of the blocks of that matrix,
-and its earlier dense assembly of every sample and dense read of the
-observables.
+check, the oracle's Liouvillian as triplets of the whole matrix, its split
+into filled blocks by one sort of the labels, its propagation by complex
+matrix exponentials of the blocks of that matrix, and its earlier dense
+assembly of every sample and dense read of the observables.
 """
 
 import math
@@ -242,6 +242,16 @@ def liouvillian(jc, damping, truncation):
     lind = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim,) * 2)
     lind.eliminate_zeros()
     return lind
+
+
+def filled_blocks(label, v0):
+    """The vec(rho) positions, each in ascending order, of every block with
+    label >= 0 whose part of v0 is non-zero, in ascending label order, from
+    one stable sort of every label."""
+    order = np.argsort(label, kind="stable")
+    upper = order[label[order] >= 0]
+    cuts = np.flatnonzero(np.diff(label[upper])) + 1
+    return [b for b in np.split(upper, cuts) if v0[b].any()]
 
 
 def block_generator(coo, phase, idx):

@@ -24,7 +24,7 @@ from catcavity.damping import f_star, offdiag_decay
 from catcavity.dressed import dressed_annihilation, dressed_basis
 from catcavity.presets import PRESETS
 from references import (block_generator, complex_block_trajectory,
-                        dense_observables, dense_trajectory,
+                        dense_observables, dense_trajectory, filled_blocks,
                         validate_density_matrix)
 from references import liouvillian as liouvillian_reference
 
@@ -355,6 +355,107 @@ def test_block_generators_match_reference(case):
         got = oracle.liouvillian(jc, damping, n)
         assert got.nnz == want.nnz and got.dtype == want.dtype
         assert (got != want).nnz == 0
+
+
+def _cut_cat(trunc):
+    """Amplitudes of the phi = 1.1 cat of intensity 2, cut at `trunc` and
+    renormalized, so that any truncation holds it."""
+    base = oracle.coherent_state_vector(2.0, trunc)
+    amp = base * (1.0 + np.exp(1.1j) * (-1.0) ** np.arange(trunc + 1))
+    return amp / np.linalg.norm(amp)
+
+
+@pytest.mark.parametrize("trunc", [1, 4, 32])
+@pytest.mark.parametrize("jc", [None, JCParams(g=3.0)],
+                         ids=["uncoupled", "resonant"])
+@pytest.mark.parametrize("field", ["cat", "distribution", "vacuum"])
+def test_block_split_matches_sorted_labels(field, jc, trunc):
+    # the filled blocks, each position's block number and its place in the
+    # block equal those of one stable sort of every label
+    fields = {"cat": _cut_cat(trunc),
+              "distribution": PhotonDistribution(
+                  np.full(trunc + 1, 1.0 / (trunc + 1))),
+              "vacuum": np.eye(trunc + 1)[0]}
+    v0 = oracle.build_initial_state(fields[field], trunc).matrix.reshape(-1)
+    prop = oracle._BlockPropagator(jc, DampingParams(kappa=0.4), trunc, v0)
+    want = filled_blocks(prop.label, v0)
+    owner = np.full(prop.label.size, -1)
+    local = np.zeros(prop.label.size, dtype=int)
+    assert len(prop.blocks) == len(want)
+    for b, (got, idx) in enumerate(zip(prop.blocks, want)):
+        assert np.array_equal(got, idx)
+        owner[idx] = b
+        local[idx] = np.arange(idx.size)
+    assert np.array_equal(prop.owner, owner)
+    assert np.array_equal(prop.local, local)
+
+
+@pytest.mark.parametrize("n_b", [0.0, 0.13])
+@pytest.mark.parametrize("jc", [None, JCParams(g=3.0)],
+                         ids=["uncoupled", "resonant"])
+def test_union_builds_match_single_block_builds(jc, n_b):
+    # the generators of every other block, built by one call over the union
+    # of their positions, and then of the rest, equal each block built
+    # alone, bit for bit and in dtype
+    trunc = 16
+    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
+    v0 = rho0.matrix.reshape(-1)
+    damping = DampingParams(kappa=0.4, n_thermal=n_b)
+    together = oracle._BlockPropagator(jc, damping, trunc, v0)
+    alone = oracle._BlockPropagator(jc, damping, trunc, v0)
+    count = len(together.blocks)
+    assert count > trunc
+    together.build(range(0, count, 2))
+    together.build(range(count))
+    for b in range(count):
+        got, want = together._generator(b), alone._generator(b)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_fill_order_keeps_every_bit():
+    # every filled block at once, one by one, or one by one in reverse:
+    # the entries and the dense samples keep every bit
+    rho0, jc, damping, times = _benchmark_cat()
+    trajs = [oracle.integrate_trajectory(rho0, jc, damping, times)
+             for _ in range(3)]
+    count = len(trajs[0]._blocks)
+    trajs[0]._fill(np.arange(count))
+    for b in range(count):
+        trajs[1]._fill([b])
+        trajs[2]._fill([count - 1 - b])
+    every = np.arange(2 * (rho0.truncation + 1))
+    entries, samples = zip(*(
+        (traj.entries(every[:, None], every[None, :]),
+         [rho.matrix for rho in traj]) for traj in trajs))
+    for i in (1, 2):
+        assert np.array_equal(entries[i], entries[0])
+        assert np.array_equal(samples[i], samples[0])
+    assert np.array_equal(samples[0], entries[0])
+
+
+def test_one_builder_call_per_fill(monkeypatch):
+    # the 33 filled blocks of the uncoupled phi != 0 cat at N = 32: the
+    # trace check fills the k = 0 block, reading the atom's + sector the
+    # other 32, one builder call each; a k = 0 read of the coupled run
+    # builds its k = 0 block alone
+    trunc = 32
+    calls = []  # the number of positions given to each builder call
+    triplets = oracle._triplets
+    monkeypatch.setattr(oracle, "_triplets", lambda *args: calls.append(
+        args[3].size) or triplets(*args))
+    preset = PRESETS["benson97"]
+    damping = DampingParams(kappa=preset.kappa, n_thermal=0.1)
+    spec = CatSpec(intensity=4.0, phase=1.1)
+    oracle.branch_coherence_trajectory(
+        spec, damping, np.linspace(0.0, damping.t_cav, 11), trunc)
+    assert calls == [trunc + 1, (trunc + 1) * trunc // 2]
+    calls.clear()
+    jc = preset.jc()
+    rho0 = oracle.build_initial_state(spec, trunc)
+    oracle.oracle_observables(oracle.integrate_trajectory(
+        rho0, jc, damping, np.linspace(0.0, 50.0 / jc.g, 5)), jc)
+    assert calls == [4 * trunc + 2]
 
 
 @pytest.mark.parametrize("jc, damping", [
