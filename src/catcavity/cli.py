@@ -242,8 +242,10 @@ def run_validate(level):
 def run_oracle(args):
     """Integrate the master equation and dump observables in long format.
 
-    The `catcavity` logger records the truncation and the size of the one
-    block propagated (see `oracle.integrate_trajectory`).
+    The `catcavity` logger records the truncation, the size of the one
+    block propagated, k = 0 with 4 N + 2 states, and the size of each
+    matrix exponentiated, 3 N + 2 on its Hermitian closure (see
+    `oracle.integrate_trajectory`).
     """
     _check_numbers({"nbar": args.nbar, "phi": args.phi, "nb": args.nb,
                     "t_max": args.t_max, "samples": args.samples})

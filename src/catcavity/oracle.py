@@ -11,7 +11,9 @@ k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
 (Buca & Prosen, NJP 14, 073007, 2012), so the Liouvillian is block-diagonal
 with blocks of at most 4 N + 2 states.  Each block is propagated exactly
 with `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-970, 2009), and only when it is read: `integrate_trajectory` propagates the
+970, 2009), the k = 0 block at resonance on its Hermitian closure of
+3 N + 2 real variables (and N more for an imaginary part, see below), and
+only when it is read: `integrate_trajectory` propagates the
 blocks that hold the populations, and a `Trajectory` propagates any other
 block the first time a read touches it, with the generators of the blocks
 one read propagates built together from their positions.  A reader of P_+,
@@ -27,6 +29,14 @@ therefore a real matrix.  Multiplying by 1 or +/-i only moves and negates
 floats, so a rotated block holds exactly the floats of `liouvillian` at
 its positions.  A detuning adds i (H'_jj - H'_ii) on the diagonal, which
 no diagonal S removes, and such a block stays complex.
+
+A real block that holds the transpose (j, i) of each of its positions
+(i, j), the k = 0 block at resonance, commutes with that transposition, and
+rho' stays Hermitian.  Its real part, symmetric, and its imaginary part,
+antisymmetric, then evolve apart (Puri & Agarwal, PRA 33, 3610, 1986): on
+the 3 N + 2 positions with i <= j and on the N with i < j.  Each runs on its
+own generator, the second only when the start has an imaginary part, which
+no cat or photon distribution has.
 """
 
 import logging
@@ -253,11 +263,30 @@ def dephased(rho):
     return DensityMatrix(matrix=np.where(keep, rho.matrix, 0.0), time=rho.time)
 
 
-def _atom_phases(truncation):
-    """d with vec(S* rho S) = d * vec(rho) for S = 1_field x diag(1, i):
-    d_(i,j) = conj(s_i) s_j, each exactly 1, i or -i."""
-    s = np.tile([1.0, 1j], truncation + 1)
-    return np.outer(s.conj(), s).ravel()
+_ATOM = np.array([1.0, 1j])  # s of |n, +> and |n, ->
+
+
+def _atom_phases(positions, truncation):
+    """d at the vec(rho) `positions`, where vec(S* rho S) = d * vec(rho) for
+    S = 1_field x diag(1, i): d_(i,j) = conj(s_i) s_j, each exactly 1, i or
+    -i."""
+    i, j = np.divmod(positions, 2 * (truncation + 1))
+    return _ATOM.conj()[i % 2] * _ATOM[j % 2]
+
+
+def _fold(dense, upper, twin):
+    """The generators of a real block closed under (i, j) -> (j, i) on its
+    Hermitian closure: the symmetric one on the real parts at the local
+    positions `upper` (each (i, j) with i <= j), whose column for a pair is
+    G[:, a] + G[:, twin(a)] and for a diagonal position G[:, a], and the
+    antisymmetric one on the imaginary parts at the off-diagonal ones, whose
+    column is G[:, a] - G[:, twin(a)]; both read the rows at `upper`."""
+    pair = upper != twin
+    rows = dense[upper]
+    sym = rows[:, upper]
+    sym[:, pair] += rows[:, twin[pair]]
+    rows = rows[pair]
+    return sym, rows[:, upper[pair]] - rows[:, twin[pair]]
 
 
 def _step_groups(steps):
@@ -293,12 +322,15 @@ class Trajectory(Sequence):
     every sample and propagates only the blocks that hold them, while
     `traj[i]` and iteration propagate every filled block and build a
     sample's dense DensityMatrix, with the k < 0 blocks filled as conjugate
-    transposes; nothing keeps it.  Each block starts from the same initial
-    vector with the same propagators, so its values do not depend on the
-    order of the reads.  Until every filled block is stored, the trajectory
-    keeps its `_BlockPropagator` (the positions of the filled blocks and the
-    generator and expm per step of each block propagated so far) and each
-    unstored block's part of the initial vector; then it lets go of them.
+    transposes; nothing keeps it.  A block propagated on its Hermitian
+    closure is stored expanded to every one of its positions, each entry
+    the exact conjugate of its transpose's.  Each block starts from the same
+    initial vector with the same propagators, so its values do not depend
+    on the order of the reads.  Until every filled block is stored, the
+    trajectory keeps its `_BlockPropagator` (the positions of the filled
+    blocks and the generators and expm per step of each block propagated so
+    far) and each unstored block's part of the initial vector; then it lets
+    go of them.
     """
 
     def __init__(self, times, prop, v0, levels, step_index):
@@ -317,27 +349,28 @@ class Trajectory(Sequence):
         """Propagate each of the block numbers `blocks` (-1, no block, is
         skipped) that is not stored yet, with the generators of all of them
         built by one `_BlockPropagator.build`, and log the sizes, arithmetic
-        and expm builds of those propagated, at `level` (at DEBUG only when
-        there are any)."""
+        and expm builds of those propagated, with the size of each matrix
+        exponentiated, at `level` (at DEBUG only when there are any)."""
         new = [b for b in np.unique(blocks).tolist()
                if b >= 0 and self._values[b] is None]
-        sizes, kinds, builds = [], [], 0
+        sizes, kinds, expms = [], [], []
         if new:
             self._prop.build(new)
         for b in new:
-            values, kind, added = self._prop.propagate(b, self._start[b],
+            values, kind, built = self._prop.propagate(b, self._start[b],
                                                        *self._steps)
             values.flags.writeable = False
             self._values[b], self._start[b] = values, None
             sizes.append(values.shape[1])
             kinds.append(kind)
-            builds += added
+            expms += built
         if all(values is not None for values in self._values):
             self._prop = self._steps = None  # lets go of the propagator
         if sizes or level > logging.DEBUG:
             _LOG.log(level, "oracle: truncation %d, propagated block sizes "
-                     "%s, arithmetic [%s], expm builds %d", self.truncation,
-                     sizes, ", ".join(kinds), builds)
+                     "%s, arithmetic [%s], expm builds %d of sizes %s",
+                     self.truncation, sizes, ", ".join(kinds), len(expms),
+                     expms)
 
     def __len__(self):
         return self.times.size
@@ -395,14 +428,15 @@ def _by_block(owner, count):
 class _BlockPropagator:
     """The filled blocks of one Liouvillian.  The dense generators of the
     blocks one read propagates are built together, from the union of their
-    positions, and each block's propagator once per distinct step length;
-    both are kept for later runs."""
+    positions, and each block's propagators once per distinct step length;
+    both are kept for later runs.  A real block that holds the transpose
+    (j, i) of each of its (i, j), the k = 0 block at resonance, is kept as
+    the two generators of its Hermitian closure (see `_fold`) alone."""
 
     def __init__(self, jc, damping, truncation, v0):
         self.model = jc, damping, truncation
         self.truncation = truncation
         self.label = _block_labels(truncation, jc)
-        self.phase = _atom_phases(truncation)
         # the labels >= 0 with a non-zero part of v0, numbered in order
         upper = self.label >= 0
         filled = np.bincount(self.label[upper], weights=v0[upper] != 0) > 0
@@ -417,24 +451,39 @@ class _BlockPropagator:
                                - np.repeat(starts, sizes))
         self.blocks = [grouped[a:a + n]
                        for a, n in zip(starts.tolist(), sizes.tolist())]
-        self._generators = {}  # block number -> dense generator
-        self._props = {}  # (block number, step length) -> expm
+        self._generators = {}  # block number -> (closure, generators)
+        self._props = {}  # ((block number, part), step length) -> expm
+
+    def _closure(self, b):
+        """The local indices of the positions (i, j) of block `b` with
+        i <= j, ascending, and of their transposes (j, i); None unless the
+        block holds the transpose of each of its positions."""
+        dim = 2 * (self.truncation + 1)
+        i, j = np.divmod(self.blocks[b], dim)
+        twin = j * dim + i
+        if not np.all(self.owner[twin] == b):
+            return None
+        upper = np.flatnonzero(i <= j)
+        return upper, self.local[twin[upper]]
 
     def build(self, blocks):
-        """Build the dense generator of each of the distinct block numbers
+        """Build the generators of each of the distinct block numbers
         `blocks` that has none yet, all from one `_triplets` call over the
         sorted union of their positions, rotated into the atom-phase frame
         (see `_atom_phases`), which is exact.  Each triplet's value depends
         on its own (row, col) alone, so a block's slice of the union holds
         exactly the triplets of its own positions; a generator whose rotated
-        entries are all real is scattered into a float array."""
+        entries are all real is scattered into a float array, and folded
+        onto its Hermitian closure when the block is closed under
+        transposition."""
         new = [b for b in blocks if b not in self._generators]
         if not new:
             return
         union = np.sort(np.concatenate([self.blocks[b] for b in new]))
         rows, cols, val = _triplets(*self.model, union)
+        phase = _atom_phases(union, self.truncation)
+        gen = val * phase[rows] * phase[cols].conj()
         rows, cols = union[rows], union[cols]
-        gen = val * self.phase[rows] * self.phase[cols].conj()
         order, start, count = _by_block(self.owner[rows], len(self.blocks))
         for b in new:
             part = order[start[b]:start[b] + count[b]]
@@ -443,43 +492,73 @@ class _BlockPropagator:
                 block = block.real
             dense = np.zeros((self.blocks[b].size,) * 2, dtype=block.dtype)
             dense[self.local[rows[part]], self.local[cols[part]]] = block
-            self._generators[b] = dense
+            closure = self._closure(b) if dense.dtype.kind == "f" else None
+            self._generators[b] = closure, (
+                (dense,) if closure is None else _fold(dense, *closure))
 
     def _generator(self, b):
-        """The dense generator of block `b`, built alone if no `build` has
-        built it."""
+        """The closure of block `b` (see `_closure`, None for a block
+        propagated whole) and its generators, the dense one or the two of
+        `_fold`, built alone if no `build` has built them."""
         self.build([b])
         return self._generators[b]
+
+    def _advance(self, key, gen, v, levels, step_index):
+        """v after each sample's step under the generator `gen`, as a
+        (samples,) + v.shape array, with the expm of each distinct step
+        length kept under (key, level), and the size of each expm built."""
+        sizes = []
+        for level in levels:
+            if (key, level) not in self._props:
+                self._props[key, level] = expm(level * gen)
+                sizes.append(gen.shape[0])
+        out = np.empty((step_index.size,) + v.shape, dtype=v.dtype)
+        for i, j in enumerate(step_index):
+            if j >= 0:
+                v = self._props[key, levels[j]] @ v
+            out[i] = v
+        return out, sizes
 
     def propagate(self, b, v, levels, step_index):
         """Block `b` of vec(rho) at each sample, from its part `v` of the
         initial vector, in the bare basis, as a (samples, size) array; its
-        arithmetic, "real" or "complex"; and the number of expm builds it
-        added.
+        arithmetic, "real" or "complex"; and the size of each expm it built.
 
         Sample i is one step of length levels[step_index[i]] (none for
         index -1) after sample i - 1.  The block runs in the atom-phase
-        frame with one product per sample; a real block carries the real
-        and imaginary parts of its vector as two columns.
+        frame with one product per sample.  A real block closed under
+        transposition runs on its Hermitian closure: v is taken as its
+        Hermitian part, x = (x_a + x_twin) / 2 and y = (y_a - y_twin) / 2,
+        whose real part runs on the symmetric generator and whose imaginary
+        part, only when it is non-zero, on the antisymmetric one, and the
+        two are expanded back to every position.  Any other real block
+        carries the real and imaginary parts of its vector as two columns.
         """
-        gen = self._generator(b)
-        builds = 0
-        for level in levels:
-            if (b, level) not in self._props:
-                self._props[b, level] = expm(level * gen)
-                builds += 1
-        real = gen.dtype.kind == "f"
-        phase = self.phase[self.blocks[b]]
+        (closure, gens), samples = self._generator(b), step_index.size
+        phase = _atom_phases(self.blocks[b], self.truncation)
         v = v * phase
-        if real:  # the real and imaginary parts as two columns
-            v = v.view(float).reshape(phase.size, 2)
-        block = np.empty((step_index.size,) + v.shape, dtype=v.dtype)
-        for i, j in enumerate(step_index):
-            if j >= 0:
-                v = self._props[b, levels[j]] @ v
-            block[i] = v
-        rotated = block.view(complex).reshape(step_index.size, phase.size)
-        return rotated * phase.conj(), "real" if real else "complex", builds
+        real = gens[0].dtype.kind == "f"
+        if closure is None:
+            if real:  # the real and imaginary parts as two columns
+                v = v.view(float).reshape(phase.size, 2)
+            block, sizes = self._advance((b, 0), gens[0], v, levels,
+                                         step_index)
+            rotated = block.view(complex).reshape(samples, phase.size)
+        else:
+            upper, twin = closure
+            pair = upper != twin
+            rotated = np.zeros((samples, phase.size), dtype=complex)
+            x, sizes = self._advance((b, 0), gens[0],
+                                     0.5 * (v.real[upper] + v.real[twin]),
+                                     levels, step_index)
+            rotated.real[:, upper] = rotated.real[:, twin] = x
+            y = 0.5 * (v.imag[upper[pair]] - v.imag[twin[pair]])
+            if y.any():
+                y, more = self._advance((b, 1), gens[1], y, levels, step_index)
+                rotated.imag[:, upper[pair]] = y
+                rotated.imag[:, twin[pair]] = -y
+                sizes += more
+        return rotated * phase.conj(), "real" if real else "complex", sizes
 
     def run(self, v0, start, times):
         """Trajectory of vec(rho) = v0 at `start` over the sorted `times`.
@@ -490,8 +569,10 @@ class _BlockPropagator:
         populations are propagated here, for the trace drift, which raises
         beyond 10*DEFAULT_TOL; the others when the trajectory is first read
         there.  The INFO log names the size and arithmetic of each block
-        propagated here and the number of expm builds they added; each
-        later propagation logs the same at DEBUG.
+        propagated here, the number of expm builds they added and the size
+        of each matrix exponentiated (3 N + 2 for the real part of the k = 0
+        block at resonance); each later propagation logs the same at
+        DEBUG.
         """
         levels, step_index = _step_groups(np.diff(np.r_[start, times]))
         traj = Trajectory(times, self, v0, levels, step_index)
@@ -617,10 +698,12 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
     conditioned field to t_B, where s2 is read off.  Only the k = 0 part of
     rho0 reaches that trace through conditioning and re-injection: each
     passage reads just the atom sector's populations, so it propagates the
-    k = 0 block alone, and the second starts from their diagonal.  Both
-    share that block's generator and one expm per distinct step length, so
-    t_B = 2 t_A from rho0 at time 0 takes a single expm; neither builds a
-    dense density matrix.
+    k = 0 block alone, and the second starts from their diagonal.  At
+    resonance that block runs on the real part of its Hermitian closure,
+    3 N + 2 states, as the second's real start and any cat's k = 0 part
+    have no imaginary part.  Both share that block's generators and one
+    expm per distinct step length, so t_B = 2 t_A from rho0 at time 0 takes
+    a single expm; neither builds a dense density matrix.
     """
     _check_outcome(s1, "s1")
     _check_outcome(s2, "s2")

@@ -254,11 +254,18 @@ def filled_blocks(label, v0):
     return [b for b in np.split(upper, cuts) if v0[b].any()]
 
 
+def atom_phases(truncation):
+    """d with vec(S* rho S) = d * vec(rho) for S = 1_field x diag(1, i),
+    over every position: d_(i,j) = conj(s_i) s_j, each exactly 1, i or -i;
+    the library computes it at the positions it reads."""
+    s = np.tile([1.0, 1j], truncation + 1)
+    return np.outer(s.conj(), s).ravel()
+
+
 def block_generator(coo, phase, idx):
     """The dense block at the ascending vec(rho) positions `idx` of the
     COO Liouvillian `coo`, rotated into the atom-phase frame by `phase`
-    (`oracle._atom_phases`); a float array where every rotated entry is
-    real."""
+    (`atom_phases`); a float array where every rotated entry is real."""
     local = np.full(phase.size, -1)
     local[idx] = np.arange(idx.size)
     nz = local[coo.row] >= 0
@@ -269,6 +276,35 @@ def block_generator(coo, phase, idx):
     dense = np.zeros((idx.size, idx.size), dtype=gen.dtype)
     dense[local[row], local[col]] = gen
     return dense
+
+
+def hermitian_closure(idx, dim):
+    """For ascending vec(rho) positions `idx` that hold the transpose (j, i)
+    of each of their (i, j): the index into idx of each (i, j) with i <= j,
+    ascending, and of its transpose; None for any other set."""
+    i, j = idx // dim, idx % dim
+    twin = j * dim + i
+    if not np.isin(twin, idx).all():
+        return None
+    upper = np.flatnonzero(i <= j)
+    return upper, np.searchsorted(idx, twin[upper])
+
+
+def fold_block(dense, upper, twin):
+    """The real block `dense` on its Hermitian closure, one column at a
+    time: the symmetric generator, with column G[:, a] for a diagonal
+    position and G[:, a] + G[:, twin(a)] for a pair, on the rows `upper`;
+    the antisymmetric one, with column G[:, a] - G[:, twin(a)], on the rows
+    and columns of the pairs."""
+    sym = np.empty((upper.size, upper.size))
+    anti = []
+    for c, (a, t) in enumerate(zip(upper.tolist(), twin.tolist())):
+        sym[:, c] = dense[upper, a] if a == t else dense[upper, a] + dense[
+            upper, t]
+        if a != t:
+            anti.append(dense[upper, a] - dense[upper, t])
+    pair = upper != twin
+    return sym, np.array(anti).reshape(-1, upper.size).T[pair]
 
 
 def complex_block_trajectory(rho0, jc, damping, times):
@@ -301,18 +337,40 @@ def complex_block_trajectory(rho0, jc, damping, times):
     return out
 
 
+def _propagate(gen, v, levels, step_index):
+    """v after each step, from one batched expm of `gen` over the distinct
+    steps; a complex v under a real `gen` runs as two real columns.  A zero
+    v stays zero without an expm."""
+    if not v.any():
+        return np.zeros((step_index.size,) + v.shape, dtype=v.dtype)
+    props = expm(levels[:, None, None] * gen)
+    if gen.dtype.kind == "f" and v.dtype.kind == "c":
+        v = v.view(float).reshape(v.size, 2)
+    block = np.empty((step_index.size,) + v.shape, dtype=v.dtype)
+    for i, j in enumerate(step_index):
+        if j >= 0:
+            v = props[j] @ v
+        block[i] = v
+    if block.ndim == 3:
+        return block.view(complex).reshape(step_index.size, -1)
+    return block
+
+
 def dense_trajectory(rho0, jc, damping, times):
     """rho at each time as one (times, dim, dim) array, assembled densely:
     each filled block with k >= 0 scattered from the sparse `liouvillian`
     (through COO) into a dense generator in the atom-phase frame
     (`block_generator`), one batched expm per block over the distinct
     steps, every propagated block scattered into a dense complex matrix per
-    sample, and the k < 0 half filled as the conjugate transpose.
+    sample, and the k < 0 half filled as the conjugate transpose.  A real
+    block closed under transposition runs on its Hermitian closure
+    (`fold_block`): the real parts of its Hermitian part on the symmetric
+    generator, the imaginary parts on the antisymmetric one.
     """
     trunc = rho0.truncation
     dim = 2 * (trunc + 1)
     label = oracle._block_labels(trunc, jc)
-    phase = oracle._atom_phases(trunc)
+    phase = atom_phases(trunc)
     levels, step_index = oracle._step_groups(np.diff(np.r_[rho0.time, times]))
     coo = liouvillian(jc, damping, trunc).tocoo()
     coo.sum_duplicates()
@@ -323,16 +381,25 @@ def dense_trajectory(rho0, jc, damping, times):
         if not v0[idx].any():
             continue
         dense = block_generator(coo, phase, idx)
-        props = expm(levels[:, None, None] * dense)
         v = v0[idx] * phase[idx]
-        if dense.dtype.kind == "f":
-            v = v.view(float).reshape(idx.size, 2)
-        block = np.empty((len(times),) + v.shape, dtype=v.dtype)
-        for i, j in enumerate(step_index):
-            if j >= 0:
-                v = props[j] @ v
-            block[i] = v
-        rotated = block.view(complex).reshape(len(times), idx.size)
+        closure = (hermitian_closure(idx, dim) if dense.dtype.kind == "f"
+                   else None)
+        if closure is None:
+            rotated = _propagate(dense, v, levels, step_index)
+        else:
+            upper, twin = closure
+            pair = upper != twin
+            sym, anti = fold_block(dense, upper, twin)
+            x = _propagate(sym, 0.5 * (v.real[upper] + v.real[twin]),
+                           levels, step_index)
+            y = _propagate(anti, 0.5 * (v.imag[upper[pair]]
+                                        - v.imag[twin[pair]]),
+                           levels, step_index)
+            rotated = np.zeros((len(times), idx.size), dtype=complex)
+            rotated.real[:, upper] = x
+            rotated.real[:, twin] = x
+            rotated.imag[:, upper[pair]] = y
+            rotated.imag[:, twin[pair]] = -y
         out[:, idx] = rotated * phase[idx].conj()
     out = out.reshape(len(times), dim, dim)
     lower = (label < 0).reshape(dim, dim)

@@ -23,9 +23,10 @@ from catcavity.cli import main
 from catcavity.damping import f_star, offdiag_decay
 from catcavity.dressed import dressed_annihilation, dressed_basis
 from catcavity.presets import PRESETS
-from references import (block_generator, complex_block_trajectory,
-                        dense_observables, dense_trajectory, filled_blocks,
-                        validate_density_matrix)
+from references import (atom_phases, block_generator,
+                        complex_block_trajectory, dense_observables,
+                        dense_trajectory, filled_blocks, fold_block,
+                        hermitian_closure, validate_density_matrix)
 from references import liouvillian as liouvillian_reference
 
 
@@ -113,10 +114,14 @@ def test_atom_phases_make_resonant_liouvillian_real(g, kappa, n_b, trunc,
                                                     coupled, damped,
                                                     detuning):
     # vec(S* rho S) = d * vec(rho) with S = 1_field x diag(1, i) turns every
-    # resonant Liouvillian real; a detuning keeps an imaginary diagonal
-    s = np.tile([1.0, 1j], trunc + 1)
-    d = np.outer(s.conj(), s).ravel()
-    assert np.array_equal(oracle._atom_phases(trunc), d)
+    # resonant Liouvillian real; a detuning keeps an imaginary diagonal.  The
+    # library computes d at the positions it reads: every one, and a reversed
+    # subset
+    d = atom_phases(trunc)
+    every = np.arange(d.size)
+    assert np.array_equal(oracle._atom_phases(every, trunc), d)
+    assert np.array_equal(oracle._atom_phases(every[::-3], trunc),
+                          d[::-3])
     jc = JCParams(g=g) if coupled else None
     damping = (DampingParams(kappa=kappa, n_thermal=n_b)
                if damped or jc is None else None)
@@ -195,20 +200,27 @@ def _benchmark_cat():
     return rho0, jc, damping, np.linspace(0.0, 50.0 / jc.g, 21)
 
 
+def _expm_sizes(monkeypatch):
+    """A list that gains the size of each matrix given to expm."""
+    sizes = []
+    expm = oracle.expm
+    monkeypatch.setattr(oracle, "expm",
+                        lambda a: sizes.append(a.shape[0]) or expm(a))
+    return sizes
+
+
 def test_trajectory_propagates_each_block_when_first_read(monkeypatch):
     rho0, jc, damping, times = _benchmark_cat()
     trunc = rho0.truncation
     label = oracle._block_labels(trunc, jc)
     filled = np.unique(label[(label >= 0) & (rho0.matrix.reshape(-1) != 0)])
     assert filled.size == 33
-    built = []  # the size of each matrix given to expm
-    expm = oracle.expm
-    monkeypatch.setattr(oracle, "expm",
-                        lambda a: built.append(a.shape[0]) or expm(a))
+    built = _expm_sizes(monkeypatch)
     traj = oracle.integrate_trajectory(rho0, jc, damping, times)
     oracle.oracle_observables(traj, jc)
-    # one expm: the k = 0 block, one step length
-    assert built == [4 * trunc + 2]
+    # one expm: the k = 0 block on the real part of its Hermitian closure,
+    # one step length
+    assert built == [3 * trunc + 2]
     built.clear()
     # rho(|3, +>, |0, +>) has k = 4 - 1; its block alone is propagated
     assert label[6 * 2 * (trunc + 1)] == 3
@@ -338,18 +350,37 @@ _GENERATOR_CASES = {
 def test_block_generators_match_reference(case):
     # every filled block of a phi = 1.1 cat, built from its own positions,
     # equals the block scattered from the whole-matrix triplets of the
-    # reference, bit for bit and in dtype; so does the sparse Liouvillian
+    # reference, bit for bit and in dtype, and the one real block closed
+    # under transposition (k = 0 when coupled, its ++ part when not; the
+    # cat fills no -- entry) equals the reference's fold of it; so does the
+    # sparse Liouvillian
     jc, damping = _GENERATOR_CASES[case]
     trunc = 16
+    dim = 2 * (trunc + 1)
     rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
     prop = oracle._BlockPropagator(jc, damping, trunc, rho0.matrix.reshape(-1))
     coo = liouvillian_reference(jc, damping, trunc).tocoo()
+    phase = atom_phases(trunc)
     assert len(prop.blocks) > trunc
+    folded = 0
     for b, idx in enumerate(prop.blocks):
-        want = block_generator(coo, prop.phase, idx)
-        got = prop._generator(b)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        want = block_generator(coo, phase, idx)
+        closure, got = prop._generator(b)
+        want_closure = (hermitian_closure(idx, dim)
+                        if want.dtype.kind == "f" else None)
+        if want_closure is None:
+            assert closure is None
+            want = (want,)
+        else:
+            for a, w in zip(closure, want_closure):
+                assert np.array_equal(a, w)
+            want = fold_block(want, *want_closure)
+            folded += 1
+        assert len(got) == len(want)
+        for a, w in zip(got, want):
+            assert a.dtype == w.dtype
+            assert np.array_equal(a, w)
+    assert folded == (case != "detuned")
     for n in (1, 2, trunc):
         want = liouvillian_reference(jc, damping, n)
         got = oracle.liouvillian(jc, damping, n)
@@ -408,9 +439,97 @@ def test_union_builds_match_single_block_builds(jc, n_b):
     together.build(range(0, count, 2))
     together.build(range(count))
     for b in range(count):
-        got, want = together._generator(b), alone._generator(b)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
+        (closure, got), (_, want) = together._generator(b), alone._generator(b)
+        assert (closure is not None) == (b == 0)
+        assert len(got) == len(want)
+        for a, w in zip(got, want):
+            assert a.dtype == w.dtype
+            assert np.array_equal(a, w)
+
+
+def _imaginary_k0_start(trunc):
+    """An even mix of the phi = 1.1 cat with (|3, +> + |4, ->) / sqrt(2),
+    whose k = 0 block has a coherence between |3, +> and |4, -> that is
+    imaginary in the atom-phase frame (its phase there is i); the state
+    (|3, +> + i |4, ->) / sqrt(2) would be real there."""
+    cat = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
+    psi = np.zeros(2 * (trunc + 1), dtype=complex)
+    psi[[6, 9]] = 1.0 / math.sqrt(2.0)
+    return oracle.DensityMatrix(
+        matrix=0.5 * cat.matrix + 0.5 * np.outer(psi, psi.conj()), time=0.0)
+
+
+@pytest.mark.parametrize("start, sizes", [
+    ("real", lambda n: [3 * n + 2]),
+    ("imaginary", lambda n: [3 * n + 2, n]),
+    ("detuned", lambda n: [4 * n + 2])])
+def test_k0_block_expm_sizes(monkeypatch, caplog, start, sizes):
+    # at resonance the k = 0 block runs on its Hermitian closure: the real
+    # parts on 3 N + 2 states, and the imaginary parts on N only when the
+    # start has some; a detuned block stays complex and whole
+    trunc = 16
+    jc = JCParams(g=3.0, detuning=0.7 if start == "detuned" else 0.0)
+    rho0 = (_imaginary_k0_start(trunc) if start == "imaginary" else
+            oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1),
+                                       trunc))
+    built = _expm_sizes(monkeypatch)
+    caplog.set_level(logging.INFO, logger="catcavity")
+    oracle.integrate_trajectory(rho0, jc, DampingParams(kappa=0.4),
+                                np.linspace(0.0, 2.0, 5))
+    assert built == sizes(trunc)
+    kind = "complex" if start == "detuned" else "real"
+    assert [r.getMessage() for r in caplog.records] == [
+        f"oracle: truncation {trunc}, propagated block sizes "
+        f"[{4 * trunc + 2}], arithmetic [{kind}], expm builds {len(built)} "
+        f"of sizes {built}"]
+
+
+@pytest.mark.parametrize("n_b", [0.0, 0.13])
+def test_imaginary_k0_part_matches_complex_reference(n_b):
+    # the imaginary k = 0 coherence runs on the antisymmetric generator:
+    # every sample agrees with one complex expm per whole block and keeps
+    # every bit of the dense assembly, which folds the same way
+    preset = PRESETS["benson97"]
+    jc = preset.jc()
+    damping = DampingParams(kappa=preset.kappa, n_thermal=n_b)
+    rho0 = _imaginary_k0_start(16)
+    times = np.linspace(0.0, 30.0 / jc.g, 7)
+    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+    got = np.array([rho.matrix for rho in traj])
+    expected = complex_block_trajectory(rho0, jc, damping, times)
+    assert np.abs(got - expected).max() < 1e-13
+    assert np.array_equal(got, dense_trajectory(rho0, jc, damping, times))
+    # the atom-phase imaginary part, the bare real part of the coherence,
+    # decays from |3, +><4, -| into |2, +><3, -|, where it starts at zero
+    assert expected[0, 6, 9].real - expected[-1, 6, 9].real > 1e-2
+    assert expected[0, 4, 7] == 0.0
+    assert expected[-1, 4, 7].real > 1e-2
+
+
+def test_off_hermitian_k0_start_comes_back_hermitian():
+    # a start off Hermitian by 1e-12, inside HERMITIAN_TOL, in both the real
+    # and the imaginary part of the atom-phase frame, runs on its Hermitian
+    # part: every k = 0 entry is the exact conjugate of its transpose, every
+    # population is real, and all of them keep every bit of a run from
+    # (rho + rho^dagger) / 2
+    trunc = 16
+    jc, damping = JCParams(g=3.0), DampingParams(kappa=0.4, n_thermal=0.1)
+    times = np.linspace(0.0, 2.0, 5)
+    m = np.array(_imaginary_k0_start(trunc).matrix)
+    m[6, 9] += 1e-12 * (1.0 + 1.0j)
+    m[2, 2] += 1e-12j
+    label = oracle._block_labels(trunc, jc)
+    rows, cols = np.divmod(np.flatnonzero(label == 0), 2 * (trunc + 1))
+    assert rows.size == 4 * trunc + 2
+    got = []
+    for start in (m, 0.5 * (m + m.conj().T)):
+        traj = oracle.integrate_trajectory(
+            oracle.DensityMatrix(matrix=start, time=0.0), jc, damping, times)
+        got.append(traj.entries(rows, cols))
+        assert np.array_equal(got[-1], traj.entries(cols, rows).conj())
+    assert np.array_equal(*got)
+    assert not got[0][:, rows == cols].imag.any()
+    assert np.abs(got[0][:, (rows == 6) & (cols == 9)]).min() > 1e-3
 
 
 def test_fill_order_keeps_every_bit():
@@ -847,10 +966,11 @@ def test_joint_probability_oracle_matches_full_blocks(caplog):
             assert abs(got - expected) < 1e-12
             assert 0.01 < got < 1.0
             # one block, k = 0, of 4 N + 2 states per leg, one expm each;
-            # the detuning keeps it complex
+            # the detuning keeps it complex and whole
             assert [r.getMessage() for r in caplog.records] == [
                 f"oracle: truncation {trunc}, propagated block sizes "
-                f"[{4 * trunc + 2}], arithmetic [complex], expm builds 1"] * 2
+                f"[{4 * trunc + 2}], arithmetic [complex], expm builds 1 of "
+                f"sizes [{4 * trunc + 2}]"] * 2
 
 
 def test_oracle_command_matches_full_block_observables(tmp_path):
