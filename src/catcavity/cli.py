@@ -5,10 +5,15 @@ row preceded by one `#` metadata comment recording every parameter and the
 package version, so any file can be traced back to its configuration.  The
 thermal occupation has no physically blessed default and must be supplied
 per run, on the command line or in a config file.
+
+Each subcommand imports what it runs: `figure` the closed form alone,
+`validate --level fast` the closed-form checks, and only `validate --level
+full` and `oracle` the master-equation oracle with `scipy.linalg`.
 """
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from importlib.metadata import PackageNotFoundError, version
@@ -16,14 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import oracle
 from .damping import DampingParams
 from .errors import (ConfigurationError, DegenerateCatError, _count,
                      _nonnegative, _parameter)
 from .observables import ExperimentConfig, eta_correlation, revival_curves
 from .presets import PRESETS
 from .states import CatSpec, coherent_distribution, default_truncation
-from .validation import fast_checks, full_checks
 
 try:
     VERSION = version("catcavity")
@@ -141,7 +144,8 @@ def _metadata_line(figure_id, preset, settings, extra=""):
 
 
 def _fmt(value):
-    """Empty cell for undefined (NaN) entries, repr-exact float otherwise."""
+    """A text cell as it is, an empty cell for an undefined (NaN) entry, and
+    a number with 12 significant digits otherwise (`format(x, ".12g")`)."""
     if isinstance(value, str):
         return value
     if math.isnan(value):
@@ -150,11 +154,13 @@ def _fmt(value):
 
 
 def _write_csv(path, metadata, header, rows):
+    """Write the metadata line, the header and one line per row in one
+    call.  Rows of Python floats (`tolist()`) format faster than rows of
+    NumPy scalars, into the same text."""
+    lines = [metadata, ",".join(header)]
+    lines += [",".join(map(_fmt, row)) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(metadata + "\n")
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.write("\n".join(lines) + "\n")
     return path
 
 
@@ -183,7 +189,7 @@ def _revival_figure(figure_id, preset, settings, out_dir):
     configs = _field_configs(preset, settings)
     curves = revival_curves(configs.values(), times)
     for row, tag in enumerate(configs):
-        rows = zip(axis, *(curve[row] for curve in curves))
+        rows = zip(axis.tolist(), *(curve[row].tolist() for curve in curves))
         path = out_dir / f"{figure_id}_{tag}.csv"
         meta = _metadata_line(figure_id, preset, settings, extra=f"field={tag}")
         _write_csv(path, meta, (axis_name, "P_plus", "P_plusplus"), rows)
@@ -194,8 +200,8 @@ def _revival_figure(figure_id, preset, settings, out_dir):
 def _eta_figure(preset, settings, out_dir):
     configs = _field_configs(preset, settings)
     axis_name, axis, times = _time_axis(settings, preset)
-    rows = zip(axis, *eta_correlation(
-        [configs["coherent"], configs["cat"]], times))
+    rows = zip(axis.tolist(), *eta_correlation(
+        [configs["coherent"], configs["cat"]], times).tolist())
     path = out_dir / f"fig3_{preset.name}.csv"
     meta = _metadata_line("fig3", preset, settings)
     _write_csv(path, meta, (axis_name, "eta_coherent", "eta_cat"), rows)
@@ -229,6 +235,8 @@ def run_figure(figure_id, args):
 
 
 def run_validate(level):
+    from .validation import fast_checks, full_checks
+
     results = full_checks() if level == "full" else fast_checks()
     failed = 0
     for res in results:
@@ -247,6 +255,8 @@ def run_oracle(args):
     matrix exponentiated, 3 N + 2 on its Hermitian closure (see
     `oracle.integrate_trajectory`).
     """
+    from . import oracle
+
     _check_numbers({"nbar": args.nbar, "phi": args.phi, "nb": args.nb,
                     "t_max": args.t_max, "samples": args.samples})
     preset = PRESETS[args.preset]
@@ -320,9 +330,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser `main` reuses: a parse keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "figure":
             written = run_figure(args.id, args)

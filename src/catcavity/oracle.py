@@ -45,10 +45,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-# unused here: benchmarks/run.py --trace 1 wraps this name to count nfev;
-# delete it when the benchmark replaces that counter (ROADMAP item 2)
-from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import expm
 
 from .dressed import dressed_annihilation, dressed_basis
@@ -69,6 +65,18 @@ STEP_RTOL = 1e-12
 SPACING_RTOL = 1e-9
 
 _LOG = logging.getLogger("catcavity")
+
+
+def __getattr__(name):
+    """`oracle.solve_ivp`, imported on its first read (PEP 562), so that
+    importing the oracle does not load `scipy.integrate`.  Nothing here
+    calls it: `benchmarks/run.py --trace 1` wraps this name to count nfev.
+    Delete this when the benchmark replaces that counter (ROADMAP item 2).
+    """
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +230,8 @@ def liouvillian(jc, damping, truncation):
     pure-decoherence runs) and damping=None drops the dissipator (the
     undamped limit, which DampingParams itself excludes).
     """
+    import scipy.sparse as sp
+
     _count(truncation, "truncation", 0)
     size = 4 * (truncation + 1) ** 2
     rows, cols, vals = _triplets(jc, damping, truncation, np.arange(size))

@@ -5,7 +5,9 @@ report and exits nonzero if anything failed, and the acceptance tests assert
 the same checks.  The fast suite touches only the closed-form path and runs
 in seconds; the full suite adds master-equation propagations up to the
 paper's nbar = 49 and derivative residuals of the dressed-frame equations of
-motion, propagated on the coherence-order k = 0 block that they read.
+motion, propagated on the coherence-order k = 0 block that they read.  Only
+the full suite's checks import the oracle, so the fast suite loads neither it
+nor the SciPy modules it runs on.
 """
 
 import math
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import oracle
 from .damping import DampingParams, _unitarity_ground, f_star
 from .errors import ValidityWarning
 from .observables import ExperimentConfig, p_excited, p_joint
@@ -148,6 +149,8 @@ def check_oracle_f_star(nbar, kappa_scale=1.0):
     benson97 rates, zero temperature, coherent field.  kappa_scale perturbs
     the oracle's decay rate only, for the sensitivity counter-check.
     """
+    from . import oracle
+
     tol = 1e-3
     preset = PRESETS["benson97"]
     trunc = default_truncation(nbar)
@@ -174,6 +177,8 @@ def check_w_residuals():
     5-sample windows (gt = 20 and 300, spacing 0.04 / g) of an nbar = 4 cat
     at benson97 rates and n_b = 0.1, against 1e-3 kappa max |W|; the W frame
     and the matrix of a are the two arrays of `dressed`."""
+    from . import oracle
+
     nbar = 4.0
     preset = PRESETS["benson97"]
     trunc = default_truncation(nbar)

@@ -1,9 +1,17 @@
+import json
 import logging
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from catcavity import ValidityWarning, default_truncation, validation
+import catcavity
+from catcavity import (ValidityWarning, cli, default_truncation, oracle,
+                       validation)
 from catcavity.cli import main
 
 pytestmark = pytest.mark.filterwarnings("ignore::UserWarning")
@@ -243,3 +251,87 @@ def test_unknown_config_key_is_an_input_error(tmp_path, capsys):
     assert err.startswith("error: unknown key(s) gt-step, nbarr in [fig1]")
     assert "accepted keys: preset, out, nbar, phi, nb, gt_max, gt_step" in err
     assert not out.exists()
+
+
+#: Modules that only the master-equation oracle needs.
+ORACLE_ONLY = ("catcavity.oracle", "scipy.integrate", "scipy.linalg",
+               "scipy.sparse")
+
+
+def _loaded_in_fresh_interpreter(*stages):
+    """The modules of ORACLE_ONLY that a new interpreter holds after each of
+    `stages`, lines of code run one after another."""
+    report = (f"print('loaded', json.dumps([m for m in {ORACLE_ONLY!r} "
+              "if m in sys.modules]))")
+    script = "\n".join(["import json, sys, tempfile"]
+                       + [f"{stage}\n{report}" for stage in stages])
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(catcavity.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    return [json.loads(line.removeprefix("loaded "))
+            for line in run.stdout.splitlines() if line.startswith("loaded ")]
+
+
+def test_closed_form_commands_load_no_oracle_module():
+    loaded = _loaded_in_fresh_interpreter(
+        "import catcavity.cli, catcavity.validation",
+        "assert catcavity.cli.main(['figure', 'fig1', '--nb', '0', "
+        "'--gt-max', '2', '--gt-step', '1', '--out', tempfile.mkdtemp()]) "
+        "== 0",
+        "assert catcavity.cli.main(['validate', '--level', 'fast']) == 0")
+    assert loaded == [[], [], []]
+
+
+def test_oracle_import_defers_scipy_integrate_and_sparse():
+    [loaded] = _loaded_in_fresh_interpreter("import catcavity.oracle")
+    assert "scipy.integrate" not in loaded and "scipy.sparse" not in loaded
+    from scipy.integrate import solve_ivp
+    assert oracle.solve_ivp is solve_ivp
+    with pytest.raises(AttributeError, match="no attribute 'nosuch'"):
+        oracle.nosuch
+
+
+def test_main_reuses_one_parser_across_refusals(tmp_path, capsys,
+                                                monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda build=cli.build_parser: built.append(1)
+                        or build())
+    cli._parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as refused:
+            main(["figure", "fig9"])
+        assert refused.value.code == 2
+        # refused by the library's rule: nb has no default
+        assert main(["figure", "fig1", "--out", str(tmp_path / "x")]) == 2
+        fig1 = ["figure", "fig1", "--nb", "0.1", "--gt-max", "2",
+                "--gt-step", "0.5", "--out"]
+        assert main(fig1 + [str(tmp_path / "first")]) == 0
+        assert main(["figure", "fig1", "--nb", "0.1", "--preset", "brune96",
+                     "--phi", "1.7", "--si-times", "--gt-max", "2",
+                     "--out", str(tmp_path / "other")]) == 0
+        assert main(fig1 + [str(tmp_path / "again")]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    for tag in ("coherent", "cat"):
+        name = f"fig1_{tag}.csv"
+        assert ((tmp_path / "first" / name).read_bytes()
+                == (tmp_path / "again" / name).read_bytes())
+
+
+def test_write_csv_same_bytes_from_numpy_and_python_floats(tmp_path):
+    values = np.array([0.0, -0.0, 1.0 / 3.0, np.nan, 2.5e-13, -1.5e300])
+    header = ("x", "y", "label")
+    labels = [f"v{i}" for i in range(values.size)]
+    cli._write_csv(tmp_path / "numpy.csv", "# meta", header,
+                   zip(values, values[::-1], labels))
+    cli._write_csv(tmp_path / "python.csv", "# meta", header,
+                   zip(values.tolist(), values[::-1].tolist(), labels))
+    text = (tmp_path / "numpy.csv").read_bytes()
+    assert text == (tmp_path / "python.csv").read_bytes()
+    assert text.decode() == ("# meta\nx,y,label\n0,-1.5e+300,v0\n"
+                             "-0,2.5e-13,v1\n0.333333333333,,v2\n"
+                             ",0.333333333333,v3\n2.5e-13,-0,v4\n"
+                             "-1.5e+300,0,v5\n")
