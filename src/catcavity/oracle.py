@@ -16,9 +16,10 @@ with `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
 only when it is read: `integrate_trajectory` propagates the
 blocks that hold the populations, and a `Trajectory` propagates any other
 block the first time a read touches it, with the generators of the blocks
-one read propagates built together from their positions.  A reader of P_+,
-F_n or any other k = 0 entry thus pays for the k = 0 block alone, whatever
-the initial state.
+one read propagates built together from their positions.  Every reader
+here reads through `Trajectory.entries`, so a reader of P_+, F_n, the
+residuals of the W-frame equations or any other k = 0 entry pays for the
+k = 0 block alone, whatever the initial state.
 
 The blocks are propagated in the atom-phase frame rho' = S* rho S with
 S = 1_field x diag(1, i).  The coupling links |n, +> only with |n+1, ->, so
@@ -47,9 +48,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .dressed import dressed_annihilation, dressed_basis
+from . import DampingParams
+from .dressed import JCParams, dressed_annihilation, dressed_basis
 from .errors import (ConsistencyError, TruncationError, _check_outcome, _count,
-                     _nonnegative, _require_resonance, _times)
+                     _instance, _nonnegative, _require_resonance, _times)
 from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution, _log_poisson
 
 #: Trace drift beyond 10 * DEFAULT_TOL raises ConsistencyError.
@@ -110,6 +112,9 @@ class DensityMatrix:
 # state construction
 # ---------------------------------------------------------------------------
 
+_EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+
+
 def coherent_state_vector(intensity, truncation):
     """Fock amplitudes of |z> with z = sqrt(intensity) (real)."""
     _nonnegative(intensity, "intensity")
@@ -157,7 +162,7 @@ def build_initial_state(fieldspec, truncation):
         if not abs(np.vdot(amp, amp).real - 1.0) <= MASS_TOLERANCE:
             raise ValueError("amplitudes must be finite, of unit norm")
         rho_c = np.outer(amp, amp.conj())
-    return reinject_excited(rho_c, 0.0)
+    return DensityMatrix(matrix=np.kron(rho_c, _EXCITED), time=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +262,6 @@ def _block_labels(truncation, jc):
     return (4 * k + 2 * s[:, None] + s[None, :]).ravel()
 
 
-def dephased(rho):
-    """rho with every entry of coherence order k != 0 set to zero.
-
-    Populations, P_+, P(s1, s2) and the dressed doublets read only k = 0,
-    and the k = 0 block evolves on its own, so a run that reads nothing
-    else gets the same numbers from the dephased state.  A `Trajectory`
-    read through `entries` propagates only the blocks it reads anyway; the
-    dephased start is for a reader that builds dense samples, which touch
-    every block: the equation-of-motion check
-    `validation.check_w_residuals`.
-    """
-    keep = (_block_labels(rho.truncation, None) // 4 == 0).reshape(
-        rho.matrix.shape)
-    return DensityMatrix(matrix=np.where(keep, rho.matrix, 0.0), time=rho.time)
-
-
 _ATOM = np.array([1.0, 1j])  # s of |n, +> and |n, ->
 
 
@@ -329,18 +318,20 @@ class Trajectory(Sequence):
     coherence order k >= 0), in the bare basis.  A filled block is
     propagated when a read first touches one of its positions, so a
     trajectory costs what is read of it: `entries` reads any rho_ij of
-    every sample and propagates only the blocks that hold them, while
-    `traj[i]` and iteration propagate every filled block and build a
-    sample's dense DensityMatrix, with the k < 0 blocks filled as conjugate
-    transposes; nothing keeps it.  A block propagated on its Hermitian
-    closure is stored expanded to every one of its positions, each entry
-    the exact conjugate of its transpose's.  Each block starts from the same
-    initial vector with the same propagators, so its values do not depend
-    on the order of the reads.  Until every filled block is stored, the
-    trajectory keeps its `_BlockPropagator` (the positions of the filled
-    blocks and the generators and expm per step of each block propagated so
-    far) and each unstored block's part of the initial vector; then it lets
-    go of them.
+    every sample and propagates only the blocks that hold them.  Every
+    reader in this library reads through it.  `traj[i]` and iteration
+    propagate every filled block and build a sample's dense DensityMatrix,
+    with the k < 0 blocks filled as conjugate transposes; nothing keeps it.
+    They are a convenience that no library path uses, kept because the
+    oracle check of `benchmarks/workloads.py` iterates dense samples.  A
+    block propagated on its Hermitian closure is stored expanded to every
+    one of its positions, each entry the exact conjugate of its
+    transpose's.  Each block starts from the same initial vector with the
+    same propagators, so its values do not depend on the order of the
+    reads.  Until every filled block is stored, the trajectory keeps its
+    `_BlockPropagator` (the positions of the filled blocks and the
+    generators and expm per step of each block propagated so far) and each
+    unstored block's part of the initial vector; then it lets go of them.
     """
 
     def __init__(self, times, prop, v0, levels, step_index):
@@ -613,25 +604,6 @@ def integrate_trajectory(rho0, jc, damping, times):
 
 
 # ---------------------------------------------------------------------------
-# dressed frame
-# ---------------------------------------------------------------------------
-
-def to_w_frame(rho, jc):
-    """W(t) of rho(t) at t = rho.time, as an array in the dressed basis
-    (the column order of `dressed.dressed_basis`).
-
-    At resonance W(t) = e^{iHt} rho(t) e^{-iHt} reduces, in the interaction
-    picture, to conjugation by the diagonal phases e^{i g sqrt(n+1) t} of the
-    coupling Hamiltonian.
-    """
-    _require_resonance(jc)
-    u, rabi = dressed_basis(rho.truncation)
-    dressed = u.T @ rho.matrix @ u
-    phases = np.exp(1j * (jc.g * rabi) * rho.time)
-    return phases[:, None] * dressed * phases.conj()[None, :]
-
-
-# ---------------------------------------------------------------------------
 # observable extraction
 # ---------------------------------------------------------------------------
 
@@ -675,29 +647,15 @@ def oracle_observables(trajectory, jc):
                              offdiag=offd)
 
 
-def condition_on_atom(rho, outcome):
-    """Unnormalized field matrix <s|rho|s> and its weight after detection.
-
-    `rho` is a DensityMatrix, or a `Trajectory`, whose samples are all
-    conditioned: then the fields come stacked, (samples, N + 1, N + 1),
-    with an array of weights.
-    """
+def condition_on_atom(traj, outcome):
+    """Unnormalized field matrices <s|rho|s> of every sample of the
+    `Trajectory` traj after detection, stacked (samples, N + 1, N + 1),
+    and their weights.  It reads the atom sector's entries alone."""
     _check_outcome(outcome)
-    s = 0 if outcome == "+" else 1
-    if isinstance(rho, Trajectory):
-        sector = 2 * np.arange(rho.truncation + 1) + s
-        block = rho.entries(sector[:, None], sector[None, :])
-        return block, np.trace(block, axis1=1, axis2=2).real
-    block = rho.matrix[s::2, s::2]
-    return block, float(np.trace(block).real)
-
-
-_EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-
-
-def reinject_excited(field_matrix, time):
-    """Re-tensor a fresh excited atom onto an (unnormalized) field matrix."""
-    return DensityMatrix(matrix=np.kron(field_matrix, _EXCITED), time=time)
+    _instance(traj, "traj", Trajectory)
+    sector = 2 * np.arange(traj.truncation + 1) + (outcome == "-")
+    block = traj.entries(sector[:, None], sector[None, :])
+    return block, np.trace(block, axis1=1, axis2=2).real
 
 
 def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
@@ -741,27 +699,34 @@ def w_equation_residuals(window, jc, damping):
     """Largest residual of the dressed-frame equations of motion on a window
     of samples, and the largest |W| entry it saw.
 
-    `window` is a sequence of DensityMatrix samples, such as a `Trajectory`,
-    at strictly increasing times whose steps equal their mean
-    dt = (t_last - t_first) / (len - 1) to SPACING_RTOL relative, with
-    dt * g < 0.1; each is rotated by `to_w_frame`.  Time derivatives use a
-    fourth-order centered stencil, so residuals exist at interior samples
-    2..len-3.  The right-hand side is the
+    `window` is a `Trajectory` at strictly increasing times whose steps
+    equal their mean dt = (t_last - t_first) / (len - 1) to SPACING_RTOL
+    relative, with dt * g < 0.1, and `damping` the DampingParams the
+    equations assume.  At resonance W(t) = e^{iHt} rho(t) e^{-iHt} is, in
+    the interaction picture, rho in `dressed.dressed_basis` conjugated by
+    the diagonal phases e^{i g sqrt(n+1) t} of the coupling Hamiltonian.
+    Time derivatives use a fourth-order centered stencil, so residuals
+    exist at interior samples 2..len-3.  The right-hand side is the
     dissipator conjugated into the rotating dressed frame, assembled from
     `dressed.dressed_annihilation` and the explicit oscillatory phase
     factors; it shares no code with `liouvillian`, so the check stays
-    independent of the propagation.  The residual is read on the doublet diagonals, the
-    intra-doublet off-diagonals <psi_n^+|W|psi_n^-> and the ground sector.
-    All of these, and the largest |W| entry (a diagonal one, since W is a
-    density matrix), have coherence order k = 0, so a window propagated from
-    `dephased(rho0)` gives the same two numbers.
+    independent of the propagation.  The residual is read on the doublet
+    diagonals, the intra-doublet off-diagonals <psi_n^+|W|psi_n^-> and the
+    ground sector.  All of these, and the largest |W| entry (a diagonal
+    one, since W is a density matrix), have coherence order k = 0, and the
+    k = 0 part of W is closed under the equations: the dressed basis mixes
+    states of one excitation number, and a lowers it on both sides.  So W
+    is built from the window's k = 0 entries alone, read with `entries`,
+    and the window propagates its k = 0 block alone.
 
     Returns (largest absolute residual, largest absolute W entry).
     """
-    window = list(window)
+    _instance(window, "window", Trajectory)
+    _instance(jc, "jc", JCParams)
+    _instance(damping, "damping", DampingParams)
     if len(window) < 5:
         raise ValueError("need at least 5 uniformly spaced samples")
-    times = np.array([rho.time for rho in window])
+    times = window.times
     dt = (times[-1] - times[0]) / (times.size - 1)
     if not (dt > 0.0 and np.all(
             np.abs(np.diff(times) - dt) <= SPACING_RTOL * dt)):
@@ -769,12 +734,16 @@ def w_equation_residuals(window, jc, damping):
     if dt * jc.g >= 0.1:
         raise ValueError("the window spacing times g must be below 0.1 for "
                          "the secular part")
-    trunc = window[0].truncation
-    _, rabi = dressed_basis(trunc)
-    lam = jc.g * rabi
+    trunc = window.truncation
     a_base = dressed_annihilation(jc, trunc)
     k, nb = damping.kappa, damping.n_thermal
-    w = [to_w_frame(rho, jc) for rho in window]
+    dim = 2 * (trunc + 1)
+    k0 = np.divmod(np.flatnonzero(_block_labels(trunc, jc) == 0), dim)
+    w = np.zeros((len(window), dim, dim), dtype=complex)
+    w[:, k0[0], k0[1]] = window.entries(*k0)
+    u, rabi = dressed_basis(trunc)
+    phases = np.exp(1j * (jc.g * rabi) * times[:, None])
+    w = phases[:, :, None] * (u.T @ w @ u) * phases.conj()[:, None, :]
 
     n = np.arange(trunc)
     plus, minus = 1 + 2 * n, 2 + 2 * n  # columns of psi_n^+ and psi_n^-
@@ -783,8 +752,7 @@ def w_equation_residuals(window, jc, damping):
     worst = w_norm = 0.0
     for i in range(2, len(w) - 2):
         w_norm = max(w_norm, np.abs(w[i]).max())
-        phases = np.exp(1j * lam * window[i].time)
-        a_t = phases[:, None] * a_base * phases.conj()[None, :]
+        a_t = phases[i][:, None] * a_base * phases[i].conj()[None, :]
         a_t_dag = a_t.conj().T
         num_low = a_t_dag @ a_t
         rhs = -k * (nb + 1.0) * (num_low @ w[i] + w[i] @ num_low

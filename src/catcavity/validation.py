@@ -175,8 +175,9 @@ def check_oracle_f_star(nbar, kappa_scale=1.0):
 def check_w_residuals():
     """Largest equation-of-motion residual of the dressed W frame on two
     5-sample windows (gt = 20 and 300, spacing 0.04 / g) of an nbar = 4 cat
-    at benson97 rates and n_b = 0.1, against 1e-3 kappa max |W|; the W frame
-    and the matrix of a are the two arrays of `dressed`."""
+    at benson97 rates and n_b = 0.1, against 1e-3 kappa max |W|, propagated
+    from the full cat; the W frame and the matrix of a are the two arrays of
+    `dressed`."""
     from . import oracle
 
     nbar = 4.0
@@ -184,11 +185,9 @@ def check_w_residuals():
     trunc = default_truncation(nbar)
     jc = preset.jc()
     damping = preset.damping(0.1)
-    # the residual and max |W| read only coherence order k = 0, which the
-    # dissipator, the W rotation and U all preserve, so propagating the k = 0
-    # block alone gives the same two numbers
-    rho0 = oracle.dephased(oracle.build_initial_state(CatSpec(intensity=nbar),
-                                                      trunc))
+    # the residual and max |W| read only coherence order k = 0 entries, so
+    # each window propagates the k = 0 block of the full cat alone
+    rho0 = oracle.build_initial_state(CatSpec(intensity=nbar), trunc)
     dt = 0.04 / jc.g
     worst = w_norm = 0.0
     for center in (20.0 / jc.g, 300.0 / jc.g):

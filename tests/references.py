@@ -5,10 +5,11 @@ F*_n recurrence, the alternating double-sum form of F*_{-1},
 finite-difference residuals of the F*_n recurrence, the two atom passages
 of the closed-form observables as a loop over times and fields, the matrix
 of the creation operator in the dressed basis, a density-matrix sanity
-check, the oracle's Liouvillian as triplets of the whole matrix, its split
-into filled blocks by one sort of the labels, its propagation by complex
-matrix exponentials of the blocks of that matrix, and its earlier dense
-assembly of every sample and dense read of the observables.
+check, the k = 0 part of an oracle state and the dense W frame of one, the
+oracle's Liouvillian as triplets of the whole matrix, its split into filled
+blocks by one sort of the labels, its propagation by complex matrix
+exponentials of the blocks of that matrix, and its earlier dense assembly of
+every sample and dense read of the observables.
 """
 
 import math
@@ -20,6 +21,7 @@ from scipy.special import gammaln
 
 from catcavity import oracle
 from catcavity.damping import _unitarity_ground, f_star, f_star_ground
+from catcavity.dressed import dressed_basis
 from catcavity.errors import ConsistencyError
 from catcavity.observables import ETA_EPSILON
 
@@ -189,6 +191,26 @@ def validate_density_matrix(rho):
         raise ConsistencyError("density matrix trace drifted")
     if np.linalg.eigvalsh(m).min() < -1e-8:
         raise ConsistencyError("density matrix not positive")
+
+
+def dephased(rho):
+    """The `oracle.DensityMatrix` rho with every entry of coherence order
+    k != 0 set to zero: the start whose run the k = 0 reads of a full run
+    must equal, since the k = 0 block evolves on its own."""
+    keep = (oracle._block_labels(rho.truncation, None) // 4 == 0).reshape(
+        rho.matrix.shape)
+    return oracle.DensityMatrix(matrix=np.where(keep, rho.matrix, 0.0),
+                                time=rho.time)
+
+
+def to_w_frame(rho, jc):
+    """W(t) of the `oracle.DensityMatrix` rho at t = rho.time, as a dense
+    array in the column order of `dressed.dressed_basis`: at resonance,
+    rho in the dressed basis conjugated by the diagonal phases
+    e^{i g sqrt(n+1) t} of the coupling Hamiltonian."""
+    u, rabi = dressed_basis(rho.truncation)
+    phases = np.exp(1j * (jc.g * rabi) * rho.time)
+    return phases[:, None] * (u.T @ rho.matrix @ u) * phases.conj()[None, :]
 
 
 def liouvillian_triplets(jc, damping, truncation):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catcavity import JCParams, UnsupportedRegimeError, oracle
+from catcavity import (DampingParams, JCParams, UnsupportedRegimeError,
+                       oracle)
 from catcavity.dressed import dressed_annihilation, dressed_basis
 from references import dressed_creation
 
@@ -98,9 +99,11 @@ def test_ladder_rejected_off_resonance():
     jc = JCParams(g=1.0, detuning=0.5)
     with pytest.raises(UnsupportedRegimeError):
         dressed_annihilation(jc, 2)
-    rho = oracle.build_initial_state(np.eye(5)[0], 4)
+    # the W-frame residual meets the same guard on a valid window
+    rho0 = oracle.build_initial_state(np.eye(5)[0], 4)
+    window = oracle.integrate_trajectory(rho0, jc, None, 0.01 * np.arange(5.0))
     with pytest.raises(UnsupportedRegimeError):
-        oracle.to_w_frame(rho, jc)
+        oracle.w_equation_residuals(window, jc, DampingParams(kappa=0.1))
 
 
 def test_annihilation_needs_one_doublet(resonant_jc):

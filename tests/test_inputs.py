@@ -48,6 +48,7 @@ INTENSITY = "must be finite and non-negative"
 PROBS = "must be a 1-d array of finite values"
 PARAMETER = "must be a finite number"
 SPACING = "window times must increase at a uniform spacing"
+ORDER = "non-decreasing"
 
 #: Each is refused alone and also as an entry of a list of times, where
 #: `np.asarray` would make a bool 0.0 or 1.0.
@@ -75,12 +76,13 @@ RESUM = ResumParams(nbar=49.0, phase=0.0, max_order=3, damping=DAMPING,
 
 
 def _window(times):
-    """Samples of RHO0 at `times`, a window for `w_equation_residuals`."""
-    return [oracle.DensityMatrix(RHO0.matrix, t) for t in times]
+    """The trajectory of RHO0 at `times`, a window for
+    `w_equation_residuals`."""
+    return oracle.integrate_trajectory(RHO0, JC, DAMPING, times)
 
 
+WINDOW = _window(1e-4 + 1e-6 * np.arange(5.0))
 BAD_WINDOWS = {"zero-spaced": _window([1e-4] * 5),
-               "reversed": _window(1e-4 - 1e-6 * np.arange(5.0)),
                "non-uniform": _window(1e-4 + 1e-6 * np.r_[0.0, 1, 2, 3.5, 4])}
 
 #: entry -> (call of the bad value, bad values, message)
@@ -120,6 +122,10 @@ ENTRIES = {
         BAD_TIMES, TIME),
     "DensityMatrix-time": (lambda v: oracle.DensityMatrix(RHO0.matrix, v),
                            BAD_TIMES, TIME),
+    # a reversed window is refused before any residual can read it
+    "integrate_trajectory-order": (lambda v: oracle.integrate_trajectory(
+        RHO0, JC, DAMPING, v), {"reversed": 1e-4 - 1e-6 * np.arange(5.0)},
+        ORDER),
     # one time, not an array
     "f_star-shape": (lambda v: f_star(P0, DAMPING, v),
                      {"array": [[0.1]]}, ONE_TIME),
@@ -217,8 +223,15 @@ def test_malformed_input_rejected(call, value, rule):
     (lambda: dataclasses.replace(CONFIG, initial_field=[0.5, 0.5]),
      "initial_field"),
     (lambda: dataclasses.replace(RESUM, damping=None), "damping"),
+    (lambda: oracle.w_equation_residuals(list(WINDOW), JC, DAMPING),
+     "window"),
+    (lambda: oracle.w_equation_residuals(WINDOW, None, DAMPING), "jc"),
+    (lambda: oracle.w_equation_residuals(WINDOW, JC, None), "damping"),
+    (lambda: oracle.condition_on_atom(RHO0, "+"), "traj"),
 ], ids=["config-jc", "config-damping", "config-initial_field",
-        "resum-damping"])
+        "resum-damping", "w_equation_residuals-window",
+        "w_equation_residuals-jc", "w_equation_residuals-damping",
+        "condition_on_atom-traj"])
 def test_compound_input_of_wrong_type_rejected(call, field):
     with pytest.raises(TypeError, match=f"^{field} must be a "):
         call()

@@ -18,15 +18,16 @@ from catcavity import (
     coherent_distribution,
     default_truncation,
 )
-from catcavity import oracle
+from catcavity import oracle, validation
 from catcavity.cli import main
 from catcavity.damping import f_star, offdiag_decay
 from catcavity.dressed import dressed_annihilation, dressed_basis
 from catcavity.presets import PRESETS
 from references import (atom_phases, block_generator,
                         complex_block_trajectory, dense_observables,
-                        dense_trajectory, filled_blocks, fold_block,
-                        hermitian_closure, validate_density_matrix)
+                        dense_trajectory, dephased, filled_blocks, fold_block,
+                        hermitian_closure, to_w_frame,
+                        validate_density_matrix)
 from references import liouvillian as liouvillian_reference
 
 
@@ -151,7 +152,7 @@ def test_real_propagation_matches_complex_reference(caplog, nbar, trunc, n_b,
     rho0 = oracle.build_initial_state(CatSpec(intensity=nbar, phase=1.0),
                                       trunc)
     if dephase:
-        rho0 = oracle.dephased(rho0)
+        rho0 = dephased(rho0)
     times = np.linspace(0.0, 50.0 / jc.g, 21)
     caplog.set_level(logging.INFO, logger="catcavity")
     traj = oracle.integrate_trajectory(rho0, jc, damping, times)
@@ -176,7 +177,7 @@ def test_samples_bit_identical_to_dense_assembly(case):
     amp = base * (1.0 + np.exp(1j) * (-1.0) ** np.arange(trunc + 1))
     rho0 = oracle.build_initial_state(amp / np.linalg.norm(amp), trunc)
     if case == "dephased":
-        rho0 = oracle.dephased(rho0)
+        rho0 = dephased(rho0)
     times = np.linspace(0.0, 30.0 / preset.g, 7)
     traj = oracle.integrate_trajectory(rho0, jc, damping, times)
     expected = dense_trajectory(rho0, jc, damping, times)
@@ -306,6 +307,19 @@ def test_readers_build_no_dense_sample(monkeypatch, tmp_path):
     oracle.joint_probability_oracle(rho0, jc, damping, times[1], times[3],
                                     "+", "+")
     assert built == []
+    # the residual reads the k = 0 entries of a window into one W stack
+    window = oracle.integrate_trajectory(
+        rho0, jc, damping, 30.0 / jc.g + 0.04 / jc.g * np.arange(5.0))
+    oracle.w_equation_residuals(window, jc, damping)
+    assert built == []
+    # each of these builds its initial state only
+    validation.check_w_residuals()
+    assert built == [0.0]
+    built.clear()
+    oracle.branch_coherence_trajectory(CatSpec(intensity=2.0), damping,
+                                       times, 16)
+    assert built == [0.0]
+    built.clear()
     # the command builds its initial state only
     assert main(["oracle", "--nbar", "2", "--nb", "0.1", "--t-max", "0.002",
                  "--samples", "9", "--out", str(tmp_path)]) == 0
@@ -612,7 +626,7 @@ def test_liouvillian_is_block_diagonal_in_coherence_order():
         assert all(np.unique(k[label == value]).size == 1
                    for value in np.unique(label))
     assert np.unique(label).size > np.unique(k).size
-    assert np.array_equal(label // 4, k)  # how `dephased` reads k
+    assert np.array_equal(label // 4, k)  # how references.dephased reads k
     # the coupling moves weight between the atom sectors of one k
     coupled = oracle.liouvillian(JCParams(g=3.0), None, trunc).tocoo()
     assert not np.array_equal(label[coupled.row], label[coupled.col])
@@ -646,7 +660,7 @@ def test_initial_state_rejects_malformed_amplitudes(amp):
 def test_density_matrix_truncation_follows_shape():
     rho0 = oracle.build_initial_state(PhotonDistribution(np.eye(8)[1]), 7)
     assert rho0.truncation == 7
-    assert oracle.to_w_frame(rho0, JCParams(g=1.0)).shape == (16, 16)
+    assert to_w_frame(rho0, JCParams(g=1.0)).shape == (16, 16)
     for shape in ((3, 3), (4, 6), (4,)):
         with pytest.raises(ValueError):
             oracle.DensityMatrix(matrix=np.zeros(shape), time=0.0)
@@ -778,8 +792,8 @@ def test_w_frame_diagonal_matches_f_star_at_zero_temperature():
 
 
 def test_observables_match_w_frame_read():
-    # the bare-basis reads equal the dressed-frame elements of to_w_frame on
-    # a coupled, damped, thermal trajectory with Fock coherences
+    # the bare-basis reads equal the dressed-frame elements of the dense W
+    # frame on a coupled, damped, thermal trajectory with Fock coherences
     trunc = 16
     jc = JCParams(g=36000.0)
     damping = DampingParams(kappa=250.0, n_thermal=0.1)
@@ -792,7 +806,7 @@ def test_observables_match_w_frame_read():
     ground, edge = 0, 2 * trunc + 1
     _, rabi = dressed_basis(trunc)
     for i, rho in enumerate(traj):
-        w = oracle.to_w_frame(rho, jc)
+        w = to_w_frame(rho, jc)
         # undo the Rabi phases: |n, +> = (psi_n^+ + psi_n^-) / sqrt(2)
         ph = np.exp(1j * jc.g * rabi * rho.time)
         d = ph.conj()[:, None] * w * ph[None, :]
@@ -846,9 +860,9 @@ def test_w_constant_without_damping():
     rho0 = oracle.build_initial_state(CatSpec(intensity=2.0), trunc)
     times = [0.0, 0.013, 0.2]
     traj = oracle.integrate_trajectory(rho0, jc, None, times)
-    w0 = oracle.to_w_frame(traj[0], jc)
+    w0 = to_w_frame(traj[0], jc)
     for rho in traj[1:]:
-        w = oracle.to_w_frame(rho, jc)
+        w = to_w_frame(rho, jc)
         assert np.abs(w - w0).max() < 1e-8
 
 
@@ -868,21 +882,26 @@ def test_w_equation_residuals_small_on_trajectory(kappa_scale):
     assert (residual < 1e-3 * damping.kappa * w_norm) == (kappa_scale == 1.0)
 
 
-def test_w_equation_residuals_read_only_coherence_order_zero():
+def test_w_equation_residuals_read_only_coherence_order_zero(caplog):
     # a phi != 0 cat fills every coherence order, yet the residual and
-    # max |W| read k = 0 alone: a dephased start gives the same floats
+    # max |W| read k = 0 alone: a dephased start gives the same floats, and
+    # the residual propagates no block beyond the k = 0 one that the run
+    # propagated for its trace check
     jc = JCParams(g=36000.0)
     damping = DampingParams(kappa=8.33, n_thermal=0.1)
     trunc = 16
     rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
     dt = 0.04 / jc.g
     times = 40.0 / jc.g + dt * np.arange(-2.0, 3.0)
-    full, dephased = (
-        oracle.w_equation_residuals(
-            oracle.integrate_trajectory(start, jc, damping, times), jc,
-            damping)
-        for start in (rho0, oracle.dephased(rho0)))
-    assert full == dephased
+    caplog.set_level(logging.DEBUG, logger="catcavity")
+    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+    caplog.clear()
+    full = oracle.w_equation_residuals(traj, jc, damping)
+    assert caplog.records == []
+    k0 = oracle.w_equation_residuals(
+        oracle.integrate_trajectory(dephased(rho0), jc, damping, times), jc,
+        damping)
+    assert np.array_equal(full, k0)
     assert full[0] > 0.0
 
 
@@ -893,7 +912,7 @@ def test_w_equation_residuals_spacing_tolerance():
     # by 10 SPACING_RTOL dt is refused
     jc = JCParams(g=36000.0)
     damping = DampingParams(kappa=8.33, n_thermal=0.1)
-    rho = oracle.build_initial_state(CatSpec(intensity=2.0), 16)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0), 16)
     dt = 0.04 / jc.g
     late = 300.0 / jc.g + dt * np.arange(-2.0, 3.0)
     rounding = np.abs(np.diff(late) - dt).max() / dt
@@ -901,7 +920,7 @@ def test_w_equation_residuals_spacing_tolerance():
     for shift, accepted in ((0.0, True), (0.1, True), (10.0, False)):
         times = late.copy()
         times[2] += shift * oracle.SPACING_RTOL * dt
-        window = [oracle.DensityMatrix(rho.matrix, t) for t in times]
+        window = oracle.integrate_trajectory(rho0, jc, damping, times)
         if accepted:
             oracle.w_equation_residuals(window, jc, damping)
         else:
@@ -917,8 +936,8 @@ def test_joint_probability_oracle_consistency():
     damping = DampingParams(kappa=2500.0, n_thermal=0.1)
     rho0 = oracle.build_initial_state(CatSpec(intensity=3.3), trunc)
     t_a, t_b = 5.0 / jc.g, 12.0 / jc.g
-    rho_a = oracle.integrate_trajectory(rho0, jc, damping, [t_a])[-1]
-    _, weight = oracle.condition_on_atom(rho_a, "+")
+    traj = oracle.integrate_trajectory(rho0, jc, damping, [t_a])
+    weight = oracle.condition_on_atom(traj, "+")[1][-1]
     pp = oracle.joint_probability_oracle(rho0, jc, damping, t_a, t_b, "+", "+")
     pm = oracle.joint_probability_oracle(rho0, jc, damping, t_a, t_b, "+", "-")
     assert pp + pm == pytest.approx(weight, abs=1e-7)
@@ -928,8 +947,9 @@ def test_oracle_rejects_unknown_outcome():
     jc = JCParams(g=24000.0)
     damping = DampingParams(kappa=2500.0, n_thermal=0.1)
     rho0 = oracle.build_initial_state(PhotonDistribution(np.eye(9)[1]), 8)
+    traj = oracle.integrate_trajectory(rho0, jc, damping, [1e-4])
     with pytest.raises(ValueError):
-        oracle.condition_on_atom(rho0, "up")
+        oracle.condition_on_atom(traj, "up")
     for s1, s2 in (("+", "x"), ("x", "+")):
         with pytest.raises(ValueError):
             oracle.joint_probability_oracle(rho0, jc, damping, 1e-4, 2e-4,
@@ -937,12 +957,14 @@ def test_oracle_rejects_unknown_outcome():
 
 
 def _joint_full_blocks(rho0, jc, damping, t_a, t_b, s1, s2):
-    """Joint probability with every block of rho0 propagated."""
-    rho_a = oracle.integrate_trajectory(rho0, jc, damping, [t_a])[-1]
-    field, _ = oracle.condition_on_atom(rho_a, s1)
-    rho_b0 = oracle.reinject_excited(field, rho_a.time)
-    rho_b = oracle.integrate_trajectory(rho_b0, jc, damping, [t_b])[-1]
-    return oracle.condition_on_atom(rho_b, s2)[1], rho_b0
+    """Joint probability with every block of the atom sector propagated,
+    and the second passage's start with the whole conditioned field."""
+    traj_a = oracle.integrate_trajectory(rho0, jc, damping, [t_a])
+    field = oracle.condition_on_atom(traj_a, s1)[0][-1]
+    rho_b0 = oracle.DensityMatrix(matrix=np.kron(field, oracle._EXCITED),
+                                  time=t_a)
+    traj_b = oracle.integrate_trajectory(rho_b0, jc, damping, [t_b])
+    return oracle.condition_on_atom(traj_b, s2)[1][-1], rho_b0
 
 
 def test_joint_probability_oracle_matches_full_blocks(caplog):
