@@ -7,21 +7,13 @@ decay kernels; the oracle module integrates the full master equation in a
 truncated basis and exists to cross-check the closed forms.
 """
 
-from .damping import (
-    DampingParams,
-    doublet_decay_rate,
-    f_star,
-    f_star_ground,
-    offdiag_decay,
-)
-from .dressed import JCParams
+from .damping import doublet_decay_rate, f_star, f_star_ground, offdiag_decay
 from .errors import (
     CatCavityError,
     ConfigurationError,
     ConsistencyError,
     DegenerateCatError,
     TruncationError,
-    UnsupportedRegimeError,
     ValidityWarning,
 )
 from .observables import (
@@ -33,6 +25,7 @@ from .observables import (
     p_joint,
     revival_curves,
 )
+from .params import DampingParams, JCParams
 from .presets import PRESETS, ExperimentPreset
 from .resummation import ResumParams, resummed_p_excited
 from .states import (
@@ -59,7 +52,6 @@ __all__ = [
     "PhotonDistribution",
     "ResumParams",
     "TruncationError",
-    "UnsupportedRegimeError",
     "ValidityWarning",
     "branch_overlap",
     "cat_distribution",

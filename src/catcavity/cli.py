@@ -21,10 +21,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .damping import DampingParams
 from .errors import (ConfigurationError, DegenerateCatError, _count,
                      _nonnegative, _parameter)
 from .observables import ExperimentConfig, eta_correlation, revival_curves
+from .params import DampingParams
 from .presets import PRESETS
 from .states import CatSpec, coherent_distribution, default_truncation
 
@@ -251,9 +251,9 @@ def run_oracle(args):
     """Integrate the master equation and dump observables in long format.
 
     The `catcavity` logger records the truncation, the size of the one
-    block propagated, k = 0 with 4 N + 2 states, and the size of each
-    matrix exponentiated, 3 N + 2 on its Hermitian closure (see
-    `oracle.integrate_trajectory`).
+    block propagated, k = 0 with 4 N + 2 states, the number of expm builds
+    and the size of each matrix exponentiated, 3 N + 2 on its Hermitian
+    closure (see `oracle.integrate_trajectory`).
     """
     from . import oracle
 

@@ -15,14 +15,13 @@ suite keeps that form as a small-truncation cross-check).
 """
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import (ConsistencyError, ValidityWarning, _nonnegative,
-                     _parameter, _probabilities, _times)
+from .errors import ConsistencyError, _probabilities, _times
+# benchmarks/workloads.py reads damping.DampingParams
+from .params import DampingParams  # noqa: F401
 from .states import PhotonDistribution
 
 #: Negative values of F*_n larger than this (in magnitude) are treated as bugs.
@@ -32,30 +31,6 @@ NEGATIVE_CLIP = 1e-12
 #: that a chunk's kernels stay in a 2 MiB L2 cache while every field is
 #: propagated through them (8 times at 121 levels, 3 at 202, 120 at 33).
 KERNEL_CHUNK = 2 ** 17
-
-
-@dataclass(frozen=True)
-class DampingParams:
-    """Cavity decay rate kappa (s^-1) and thermal occupation n_b."""
-
-    kappa: float
-    n_thermal: float = 0.0
-
-    def __post_init__(self):
-        _parameter(self.kappa, "kappa", 0.0)
-        _nonnegative(self.n_thermal, "n_thermal")
-        if self.n_thermal > 0.5:
-            warnings.warn(
-                "n_thermal > 0.5 is outside the small-n_b regime of the "
-                "closed-form solution",
-                ValidityWarning,
-                stacklevel=3,  # the caller of the generated __init__
-            )
-
-    @property
-    def t_cav(self):
-        """Cavity field decay time 1/(2 kappa)."""
-        return 1.0 / (2.0 * self.kappa)
 
 
 def doublet_decay_rate(damping, n):

@@ -1,4 +1,4 @@
-"""Jaynes-Cummings parameters and the resonant dressed frame.
+"""The resonant dressed frame.
 
 The dressed doublet at level n mixes the bare states |n+1, -> and |n, +>
 through the mixing angle theta_n.  At resonance (theta = pi/4) the dressed
@@ -13,23 +13,10 @@ Gamma_{+/-, n} = (sqrt(n+1) +/- sqrt(n))^2 / 4.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _count, _parameter, _require_resonance
-
-
-@dataclass(frozen=True)
-class JCParams:
-    """Coupling g and detuning (omega_0 - omega), both s^-1."""
-
-    g: float
-    detuning: float = 0.0
-
-    def __post_init__(self):
-        _parameter(self.g, "g", 0.0)
-        _parameter(self.detuning, "detuning")
+from .errors import _count
 
 
 # kept only as the entry point benchmarks/workloads.py calls; ROADMAP item 2
@@ -66,7 +53,7 @@ def dressed_basis(truncation):
     return u, rabi
 
 
-def dressed_annihilation(jc, truncation):
+def dressed_annihilation(truncation):
     """Matrix of a in the column order of `dressed_basis`, from the resonant
     ladder relations
 
@@ -77,7 +64,6 @@ def dressed_annihilation(jc, truncation):
 
     and a |0, -> = 0.
     """
-    _require_resonance(jc)
     dim = 2 * (_count(truncation, "truncation", 1) + 1)
     a_d = np.zeros((dim, dim))
     r = 1.0 / math.sqrt(2.0)

@@ -19,10 +19,6 @@ class TruncationError(CatCavityError):
     """The Fock cutoff is too small to hold the requested photon mass."""
 
 
-class UnsupportedRegimeError(CatCavityError):
-    """An operation was requested outside the regime it is defined in."""
-
-
 class ConsistencyError(CatCavityError):
     """An internal quantity violated a bound that should hold by construction."""
 
@@ -96,15 +92,6 @@ def _instance(value, name, *kinds):
         names = " or ".join(kind.__name__ for kind in kinds)
         raise TypeError(f"{name} must be a {names}, got {type(value).__name__}")
     return value
-
-
-def _require_resonance(jc):
-    """The one resonance guard of the dressed-state formulas."""
-    if jc.detuning != 0.0:
-        raise UnsupportedRegimeError(
-            "the dressed-state formulas are defined at resonance only; "
-            "use the master-equation oracle for detuned runs"
-        )
 
 
 def _check_outcome(outcome, name="outcome"):

@@ -1,7 +1,7 @@
 """Atom-detection probabilities, two-atom joints, correlation and decoherence time.
 
-All operations here use the analytic dressed-frame solution; they require
-resonance.  Two-atom joint probabilities propagate the unnormalized
+All operations here use the analytic dressed-frame solution of the
+resonant model.  Two-atom joint probabilities propagate the unnormalized
 conditioned field distribution through the elapsed time t_B - t_A, so
 P(s1, s2) summed over s2 recovers the single-atom probability P(s1)
 exactly (the formulas are a joint-probability decomposition).  Every
@@ -15,11 +15,11 @@ from typing import Union
 
 import numpy as np
 
-from .damping import (DampingParams, _f_star_apply, _f_star_chunks,
-                      _unitarity_ground, doublet_decay_rate)
-from .dressed import JCParams
+from .damping import (_f_star_apply, _f_star_chunks, _unitarity_ground,
+                      doublet_decay_rate)
 from .errors import (ConsistencyError, ValidityWarning, _check_outcome,
-                     _count, _instance, _require_resonance, _times)
+                     _count, _instance, _times)
+from .params import DampingParams, JCParams
 from .states import (
     CatSpec,
     PhotonDistribution,
@@ -120,7 +120,6 @@ def _passages(configs):
     jc, damping = configs[0].jc, configs[0].damping
     if any(c.jc != jc or c.damping != damping for c in configs):
         raise ValueError("configs in one call must share jc and damping")
-    _require_resonance(jc)
     groups = {}
     for row, config in enumerate(configs):
         groups.setdefault(config.truncation, []).append(row)

@@ -2,21 +2,21 @@
 
 The density matrix lives on basis states |n, s> with s in {+, -}, index
 2 n + (0 for +, 1 for -), in the interaction picture that removes
-omega (a* a + sigma_z / 2): at resonance the remaining Hamiltonian is the
-bare coupling g (a sigma_+ + a* sigma_-), and the (unspecified) optical
-frequency cancels from every observable.
+omega (a* a + sigma_z / 2): the cavity is resonant with the atom, so the
+remaining Hamiltonian is the bare coupling g (a sigma_+ + a* sigma_-), and
+the (unspecified) optical frequency cancels from every observable.
 
-The coupling, the detuning and both dissipators conserve the coherence order
+The coupling and both dissipators conserve the coherence order
 k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
 (Buca & Prosen, NJP 14, 073007, 2012), so the Liouvillian is block-diagonal
 with blocks of at most 4 N + 2 states.  Each block is propagated exactly
 with `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-970, 2009), the k = 0 block at resonance on its Hermitian closure of
-3 N + 2 real variables (and N more for an imaginary part, see below), and
-only when it is read: `integrate_trajectory` propagates the
-blocks that hold the populations, and a `Trajectory` propagates any other
-block the first time a read touches it, with the generators of the blocks
-one read propagates built together from their positions.  Every reader
+970, 2009), the k = 0 block on its Hermitian closure of 3 N + 2 real
+variables (and N more for an imaginary part, see below), and only when it
+is read: `integrate_trajectory` propagates the blocks that hold the
+populations, and a `Trajectory` propagates any other block the first time a
+read touches it, with the generators of the blocks one read propagates
+built together from their positions.  Every reader
 here reads through `Trajectory.entries`, so a reader of P_+, F_n, the
 residuals of the W-frame equations or any other k = 0 entry pays for the
 k = 0 block alone, whatever the initial state.
@@ -25,15 +25,13 @@ The blocks are propagated in the atom-phase frame rho' = S* rho S with
 S = 1_field x diag(1, i).  The coupling links |n, +> only with |n+1, ->, so
 S turns g (a sigma_+ + a* sigma_-) into i times a real antisymmetric matrix
 and i [rho, H'] into a real map; a and a* act on the field alone and commute
-with S, so both dissipators stay real.  At resonance every block is
-therefore a real matrix.  Multiplying by 1 or +/-i only moves and negates
-floats, so a rotated block holds exactly the floats of `liouvillian` at
-its positions.  A detuning adds i (H'_jj - H'_ii) on the diagonal, which
-no diagonal S removes, and such a block stays complex.
+with S, so both dissipators stay real.  Every block is therefore a real
+matrix.  Multiplying by 1 or +/-i only moves and negates floats, so a
+rotated block holds exactly the floats of `liouvillian` at its positions.
 
-A real block that holds the transpose (j, i) of each of its positions
-(i, j), the k = 0 block at resonance, commutes with that transposition, and
-rho' stays Hermitian.  Its real part, symmetric, and its imaginary part,
+A block that holds the transpose (j, i) of each of its positions (i, j),
+the k = 0 block, commutes with that transposition, and rho' stays
+Hermitian.  Its real part, symmetric, and its imaginary part,
 antisymmetric, then evolve apart (Puri & Agarwal, PRA 33, 3610, 1986): on
 the 3 N + 2 positions with i <= j and on the N with i < j.  Each runs on its
 own generator, the second only when the start has an imaginary part, which
@@ -48,10 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from . import DampingParams
-from .dressed import JCParams, dressed_annihilation, dressed_basis
+from .dressed import dressed_annihilation, dressed_basis
 from .errors import (ConsistencyError, TruncationError, _check_outcome, _count,
-                     _instance, _nonnegative, _require_resonance, _times)
+                     _instance, _nonnegative, _times)
+from .params import DampingParams, JCParams
 from .states import MASS_TOLERANCE, CatSpec, PhotonDistribution, _log_poisson
 
 #: Trace drift beyond 10 * DEFAULT_TOL raises ConsistencyError.
@@ -176,19 +174,17 @@ def _triplets(jc, damping, truncation, positions):
 
     Under row-major vectorization entry (i, j) of A rho B reads A_ik B_lj
     from entry (k, l), so the triplets are the non-zero diagonal
-    i (H'_jj - H'_ii) - sum rate ((J*J)_ii + (J*J)_jj), the coupling once
-    from each side of the commutator, and each jump's sandwich shifted one
-    photon along both indices.  No (row, col) pair appears twice.
+    -sum rate ((J*J)_ii + (J*J)_jj), the coupling once from each side of
+    the commutator, and each jump's sandwich shifted one photon along both
+    indices.  No (row, col) pair appears twice.
     """
     dim = 2 * (truncation + 1)
     i, j = np.divmod(positions, dim)
     every = np.arange(dim)
     root = np.sqrt(every // 2 + 1.0)  # a takes |n+1, s> to root |n, s>
-    diag = np.zeros(positions.size, dtype=complex)
+    diag = np.zeros(positions.size)
     rows, cols, vals = [], [], []
     if jc is not None:
-        energy = 0.5 * jc.detuning * np.where(every % 2, -1.0, 1.0)
-        diag += 1j * (energy[j] - energy[i])
         # g sqrt(n + 1) between |n, +> and |n + 1, ->, both ways; i rho H'
         # reads (i, partner of j), and -i H' rho (partner of i, j)
         plus = every[0:-2:2]
@@ -200,22 +196,21 @@ def _triplets(jc, damping, truncation, positions):
         cols += [i[by_col] * dim + partner[j[by_col]],
                  partner[i[by_row]] * dim + j[by_row]]
         vals += [coupling[j[by_col]], -coupling[i[by_row]]]
-    if damping is not None:
-        k, nb = damping.kappa, damping.n_thermal
-        lo = every[:-2]  # |n, s> with n < N; a takes lo + 2 to lo
-        for rate, left, right in ((k * (nb + 1.0), lo, lo + 2),
-                                  (k * nb, lo + 2, lo)):
-            if rate > 0:
-                # J = sum root |left><right|, so J*J = diag(root^2) on right
-                number, amp = np.zeros(dim), np.zeros(dim)
-                number[right], amp[left] = root[lo] ** 2, root[lo]
-                diag -= rate * (number[i] + number[j])
-                source = np.full(dim, -1)
-                source[left] = right
-                both = np.flatnonzero((source[i] >= 0) & (source[j] >= 0))
-                rows.append(both)
-                cols.append(source[i[both]] * dim + source[j[both]])
-                vals.append(2.0 * rate * (amp[i[both]] * amp[j[both]]))
+    k, nb = damping.kappa, damping.n_thermal
+    lo = every[:-2]  # |n, s> with n < N; a takes lo + 2 to lo
+    for rate, left, right in ((k * (nb + 1.0), lo, lo + 2),
+                              (k * nb, lo + 2, lo)):
+        if rate > 0:
+            # J = sum root |left><right|, so J*J = diag(root^2) on right
+            number, amp = np.zeros(dim), np.zeros(dim)
+            number[right], amp[left] = root[lo] ** 2, root[lo]
+            diag -= rate * (number[i] + number[j])
+            source = np.full(dim, -1)
+            source[left] = right
+            both = np.flatnonzero((source[i] >= 0) & (source[j] >= 0))
+            rows.append(both)
+            cols.append(source[i[both]] * dim + source[j[both]])
+            vals.append(2.0 * rate * (amp[i[both]] * amp[j[both]]))
     nz = np.flatnonzero(diag)
     rows, cols, vals = [nz] + rows, [positions[nz]] + cols, [diag[nz]] + vals
     return (np.concatenate(rows),
@@ -228,12 +223,11 @@ def liouvillian(jc, damping, truncation):
 
     drho/dt = i [rho, H'] + sum_(rate, J) rate (2 J rho J* - J*J rho - rho J*J)
 
-    with H' = (detuning/2) sigma_z + g (a sigma_+ + a* sigma_-) and the jumps
-    (rate, J) = (kappa (n_b + 1), a) and (kappa n_b, a*), from `_triplets`
-    over every position; the propagation builds the blocks it propagates
-    from those of their positions.  jc=None drops H' (field-only decay, for
-    pure-decoherence runs) and damping=None drops the dissipator (the
-    undamped limit, which DampingParams itself excludes).
+    with H' = g (a sigma_+ + a* sigma_-) and the jumps (rate, J) =
+    (kappa (n_b + 1), a) and (kappa n_b, a*), from `_triplets` over every
+    position; the propagation builds the blocks it propagates from those of
+    their positions.  jc=None drops H' (field-only decay, for
+    pure-decoherence runs).
     """
     import scipy.sparse as sp
 
@@ -247,8 +241,8 @@ def _block_labels(truncation, jc):
     """Block label of each entry of row-major vec(rho).
 
     The label is the coherence order k = m_i - m_j of |n_i, s_i><n_j, s_j|,
-    with excitation number m = n + [s = +]; the coupling, the detuning and
-    both dissipators conserve it.  With the coupling off (jc=None) the atom
+    with excitation number m = n + [s = +]; the coupling and both
+    dissipators conserve it.  With the coupling off (jc=None) the atom
     states are conserved too, and the label is 4 k + 2 s_i + s_j (s = 0 for
     +, 1 for -), so label // 4 is k.  Either way label < 0 exactly where
     k < 0, and the Liouvillian is block-diagonal once vec(rho) is sorted by
@@ -349,29 +343,27 @@ class Trajectory(Sequence):
     def _fill(self, blocks, level=logging.DEBUG):
         """Propagate each of the block numbers `blocks` (-1, no block, is
         skipped) that is not stored yet, with the generators of all of them
-        built by one `_BlockPropagator.build`, and log the sizes, arithmetic
-        and expm builds of those propagated, with the size of each matrix
+        built by one `_BlockPropagator.build`, and log the sizes and expm
+        builds of those propagated, with the size of each matrix
         exponentiated, at `level` (at DEBUG only when there are any)."""
         new = [b for b in np.unique(blocks).tolist()
                if b >= 0 and self._values[b] is None]
-        sizes, kinds, expms = [], [], []
+        sizes, expms = [], []
         if new:
             self._prop.build(new)
         for b in new:
-            values, kind, built = self._prop.propagate(b, self._start[b],
-                                                       *self._steps)
+            values, built = self._prop.propagate(b, self._start[b],
+                                                 *self._steps)
             values.flags.writeable = False
             self._values[b], self._start[b] = values, None
             sizes.append(values.shape[1])
-            kinds.append(kind)
             expms += built
         if all(values is not None for values in self._values):
             self._prop = self._steps = None  # lets go of the propagator
         if sizes or level > logging.DEBUG:
             _LOG.log(level, "oracle: truncation %d, propagated block sizes "
-                     "%s, arithmetic [%s], expm builds %d of sizes %s",
-                     self.truncation, sizes, ", ".join(kinds), len(expms),
-                     expms)
+                     "%s, expm builds %d of sizes %s", self.truncation, sizes,
+                     len(expms), expms)
 
     def __len__(self):
         return self.times.size
@@ -430,9 +422,9 @@ class _BlockPropagator:
     """The filled blocks of one Liouvillian.  The dense generators of the
     blocks one read propagates are built together, from the union of their
     positions, and each block's propagators once per distinct step length;
-    both are kept for later runs.  A real block that holds the transpose
-    (j, i) of each of its (i, j), the k = 0 block at resonance, is kept as
-    the two generators of its Hermitian closure (see `_fold`) alone."""
+    both are kept for later runs.  A block that holds the transpose (j, i)
+    of each of its (i, j), the k = 0 block, is kept as the two generators
+    of its Hermitian closure (see `_fold`) alone."""
 
     def __init__(self, jc, damping, truncation, v0):
         self.model = jc, damping, truncation
@@ -471,11 +463,11 @@ class _BlockPropagator:
         """Build the generators of each of the distinct block numbers
         `blocks` that has none yet, all from one `_triplets` call over the
         sorted union of their positions, rotated into the atom-phase frame
-        (see `_atom_phases`), which is exact.  Each triplet's value depends
-        on its own (row, col) alone, so a block's slice of the union holds
-        exactly the triplets of its own positions; a generator whose rotated
-        entries are all real is scattered into a float array, and folded
-        onto its Hermitian closure when the block is closed under
+        (see `_atom_phases`), which is exact and leaves every entry real.
+        Each triplet's value depends on its own (row, col) alone, so a
+        block's slice of the union holds exactly the triplets of its own
+        positions; each generator is scattered into a float array, and
+        folded onto its Hermitian closure when the block is closed under
         transposition."""
         new = [b for b in blocks if b not in self._generators]
         if not new:
@@ -488,12 +480,10 @@ class _BlockPropagator:
         order, start, count = _by_block(self.owner[rows], len(self.blocks))
         for b in new:
             part = order[start[b]:start[b] + count[b]]
-            block = gen[part]
-            if not block.imag.any():
-                block = block.real
-            dense = np.zeros((self.blocks[b].size,) * 2, dtype=block.dtype)
-            dense[self.local[rows[part]], self.local[cols[part]]] = block
-            closure = self._closure(b) if dense.dtype.kind == "f" else None
+            dense = np.zeros((self.blocks[b].size,) * 2)
+            dense[self.local[rows[part]], self.local[cols[part]]] = (
+                gen[part].real)
+            closure = self._closure(b)
             self._generators[b] = closure, (
                 (dense,) if closure is None else _fold(dense, *closure))
 
@@ -522,28 +512,26 @@ class _BlockPropagator:
 
     def propagate(self, b, v, levels, step_index):
         """Block `b` of vec(rho) at each sample, from its part `v` of the
-        initial vector, in the bare basis, as a (samples, size) array; its
-        arithmetic, "real" or "complex"; and the size of each expm it built.
+        initial vector, in the bare basis, as a (samples, size) array, and
+        the size of each expm it built.
 
         Sample i is one step of length levels[step_index[i]] (none for
         index -1) after sample i - 1.  The block runs in the atom-phase
-        frame with one product per sample.  A real block closed under
+        frame with one product per sample.  A block closed under
         transposition runs on its Hermitian closure: v is taken as its
         Hermitian part, x = (x_a + x_twin) / 2 and y = (y_a - y_twin) / 2,
         whose real part runs on the symmetric generator and whose imaginary
         part, only when it is non-zero, on the antisymmetric one, and the
-        two are expanded back to every position.  Any other real block
-        carries the real and imaginary parts of its vector as two columns.
+        two are expanded back to every position.  Any other block carries
+        the real and imaginary parts of its vector as two columns.
         """
         (closure, gens), samples = self._generator(b), step_index.size
         phase = _atom_phases(self.blocks[b], self.truncation)
         v = v * phase
-        real = gens[0].dtype.kind == "f"
-        if closure is None:
-            if real:  # the real and imaginary parts as two columns
-                v = v.view(float).reshape(phase.size, 2)
-            block, sizes = self._advance((b, 0), gens[0], v, levels,
-                                         step_index)
+        if closure is None:  # the real and imaginary parts as two columns
+            block, sizes = self._advance((b, 0), gens[0],
+                                         v.view(float).reshape(-1, 2),
+                                         levels, step_index)
             rotated = block.view(complex).reshape(samples, phase.size)
         else:
             upper, twin = closure
@@ -559,7 +547,7 @@ class _BlockPropagator:
                 rotated.imag[:, upper[pair]] = y
                 rotated.imag[:, twin[pair]] = -y
                 sizes += more
-        return rotated * phase.conj(), "real" if real else "complex", sizes
+        return rotated * phase.conj(), sizes
 
     def run(self, v0, start, times):
         """Trajectory of vec(rho) = v0 at `start` over the sorted `times`.
@@ -569,11 +557,10 @@ class _BlockPropagator:
         must vanish in every other block.  The blocks that hold the
         populations are propagated here, for the trace drift, which raises
         beyond 10*DEFAULT_TOL; the others when the trajectory is first read
-        there.  The INFO log names the size and arithmetic of each block
-        propagated here, the number of expm builds they added and the size
-        of each matrix exponentiated (3 N + 2 for the real part of the k = 0
-        block at resonance); each later propagation logs the same at
-        DEBUG.
+        there.  The INFO log names the size of each block propagated here,
+        the number of expm builds they added and the size of each matrix
+        exponentiated (3 N + 2 for the real part of the k = 0 block); each
+        later propagation logs the same at DEBUG.
         """
         levels, step_index = _step_groups(np.diff(np.r_[start, times]))
         traj = Trajectory(times, self, v0, levels, step_index)
@@ -591,12 +578,14 @@ class _BlockPropagator:
 
 def integrate_trajectory(rho0, jc, damping, times):
     """Propagate the master equation exactly to each time, as a
-    `Trajectory`; jc=None or damping=None drops the coupling or the
-    dissipator (see `liouvillian`).  The blocks that hold the populations
-    are propagated here; every other block whose initial vector is non-zero
-    is propagated when the trajectory is first read there (see
-    `_BlockPropagator.run`), so a reader of k = 0 entries (populations,
-    P_+, F_n) pays for the k = 0 block alone."""
+    `Trajectory`; jc=None drops the coupling (see `liouvillian`).  The
+    blocks that hold the populations are propagated here; every other block
+    whose initial vector is non-zero is propagated when the trajectory is
+    first read there (see `_BlockPropagator.run`), so a reader of k = 0
+    entries (populations, P_+, F_n) pays for the k = 0 block alone."""
+    _instance(rho0, "rho0", DensityMatrix)
+    _instance(jc, "jc", JCParams, type(None))
+    _instance(damping, "damping", DampingParams)
     times = _check_times(times, rho0.time)
     v0 = rho0.matrix.reshape(-1)
     prop = _BlockPropagator(jc, damping, rho0.truncation, v0)
@@ -630,7 +619,8 @@ def oracle_observables(trajectory, jc):
     = (1/2) e^{2 i g sqrt(n+1) t} (rho_aa - rho_bb + rho_ba - rho_ab).
     Every one of these entries has coherence order k = 0.
     """
-    _require_resonance(jc)
+    _instance(trajectory, "trajectory", Trajectory)
+    _instance(jc, "jc", JCParams)
     trunc = trajectory.truncation
     times = np.array(trajectory.times)
     every = np.arange(2 * (trunc + 1))
@@ -666,15 +656,18 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
     conditioned field to t_B, where s2 is read off.  Only the k = 0 part of
     rho0 reaches that trace through conditioning and re-injection: each
     passage reads just the atom sector's populations, so it propagates the
-    k = 0 block alone, and the second starts from their diagonal.  At
-    resonance that block runs on the real part of its Hermitian closure,
-    3 N + 2 states, as the second's real start and any cat's k = 0 part
-    have no imaginary part.  Both share that block's generators and one
+    k = 0 block alone, and the second starts from their diagonal.  That
+    block runs on the real part of its Hermitian closure, 3 N + 2 states,
+    as the second's real start and any cat's k = 0 part have no imaginary
+    part.  Both share that block's generators and one
     expm per distinct step length, so t_B = 2 t_A from rho0 at time 0 takes
     a single expm; neither builds a dense density matrix.
     """
     _check_outcome(s1, "s1")
     _check_outcome(s2, "s2")
+    _instance(rho0, "rho0", DensityMatrix)
+    _instance(jc, "jc", JCParams)
+    _instance(damping, "damping", DampingParams)
     t_a, t_b = _check_times([_times(t, one=True) for t in (t_a, t_b)],
                             rho0.time)
     v0 = rho0.matrix.reshape(-1)
@@ -702,9 +695,9 @@ def w_equation_residuals(window, jc, damping):
     `window` is a `Trajectory` at strictly increasing times whose steps
     equal their mean dt = (t_last - t_first) / (len - 1) to SPACING_RTOL
     relative, with dt * g < 0.1, and `damping` the DampingParams the
-    equations assume.  At resonance W(t) = e^{iHt} rho(t) e^{-iHt} is, in
-    the interaction picture, rho in `dressed.dressed_basis` conjugated by
-    the diagonal phases e^{i g sqrt(n+1) t} of the coupling Hamiltonian.
+    equations assume.  W(t) = e^{iHt} rho(t) e^{-iHt} is, in the
+    interaction picture, rho in `dressed.dressed_basis` conjugated by the
+    diagonal phases e^{i g sqrt(n+1) t} of the coupling Hamiltonian.
     Time derivatives use a fourth-order centered stencil, so residuals
     exist at interior samples 2..len-3.  The right-hand side is the
     dissipator conjugated into the rotating dressed frame, assembled from
@@ -735,7 +728,7 @@ def w_equation_residuals(window, jc, damping):
         raise ValueError("the window spacing times g must be below 0.1 for "
                          "the secular part")
     trunc = window.truncation
-    a_base = dressed_annihilation(jc, trunc)
+    a_base = dressed_annihilation(trunc)
     k, nb = damping.kappa, damping.n_thermal
     dim = 2 * (trunc + 1)
     k0 = np.divmod(np.flatnonzero(_block_labels(trunc, jc) == 0), dim)

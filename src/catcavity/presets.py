@@ -2,8 +2,7 @@
 
 from dataclasses import dataclass
 
-from .damping import DampingParams
-from .dressed import JCParams
+from .params import DampingParams, JCParams
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .damping import DampingParams, doublet_decay_rate
+from .damping import doublet_decay_rate
 from .errors import (ValidityWarning, _count, _instance, _nonnegative,
                      _parameter, _times)
+from .params import DampingParams
 from .states import _log_poisson
 
 

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .damping import DampingParams, _unitarity_ground, f_star
+from .damping import _unitarity_ground, f_star
 from .errors import ValidityWarning
 from .observables import ExperimentConfig, p_excited, p_joint
+from .params import DampingParams
 from .presets import PRESETS
 from .resummation import ResumParams, resummed_p_excited
 from .states import CatSpec, cat_distribution, coherent_distribution, default_truncation

@@ -225,13 +225,11 @@ def liouvillian_triplets(jc, damping, truncation):
     dim = 2 * (truncation + 1)
     every = np.arange(dim)
     vec = every[:, None] * dim + every[None, :]  # position of (i, j)
-    diag = np.zeros((dim, dim), dtype=complex)
+    diag = np.zeros((dim, dim))
     rows, cols, vals = [vec.ravel()], [vec.ravel()], []
     lo = np.arange(2 * truncation)  # |n, s> with n < N; a takes lo + 2 to lo
     root = np.sqrt(lo // 2 + 1.0)
     if jc is not None:
-        energy = 0.5 * jc.detuning * np.where(every % 2, -1.0, 1.0)
-        diag += 1j * (energy[None, :] - energy[:, None])
         # g sqrt(n + 1) between |n, +> and |n + 1, ->, both ways
         plus = lo[0::2]
         h_row = np.r_[plus, plus + 3]
@@ -240,18 +238,17 @@ def liouvillian_triplets(jc, damping, truncation):
         rows += [vec[:, h_col].ravel(), vec[h_row, :].ravel()]
         cols += [vec[:, h_row].ravel(), vec[h_col, :].ravel()]
         vals += [np.tile(h_val, dim), -np.repeat(h_val, dim)]
-    if damping is not None:
-        k, nb = damping.kappa, damping.n_thermal
-        for rate, left, right in ((k * (nb + 1.0), lo, lo + 2),
-                                  (k * nb, lo + 2, lo)):
-            if rate > 0:
-                # J = sum root |left><right|, so J*J = diag(root^2) on right
-                number = np.zeros(dim)
-                number[right] = root ** 2
-                diag -= rate * (number[:, None] + number[None, :])
-                rows.append(vec[np.ix_(left, left)].ravel())
-                cols.append(vec[np.ix_(right, right)].ravel())
-                vals.append((2.0 * rate * np.outer(root, root)).ravel())
+    k, nb = damping.kappa, damping.n_thermal
+    for rate, left, right in ((k * (nb + 1.0), lo, lo + 2),
+                              (k * nb, lo + 2, lo)):
+        if rate > 0:
+            # J = sum root |left><right|, so J*J = diag(root^2) on right
+            number = np.zeros(dim)
+            number[right] = root ** 2
+            diag -= rate * (number[:, None] + number[None, :])
+            rows.append(vec[np.ix_(left, left)].ravel())
+            cols.append(vec[np.ix_(right, right)].ravel())
+            vals.append((2.0 * rate * np.outer(root, root)).ravel())
     vals.insert(0, diag.ravel())
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 

@@ -192,12 +192,12 @@ def test_oracle_logs_truncation_and_k0_block(tmp_path, caplog):
     trunc = default_truncation(1.0)
     records = [r.getMessage() for r in caplog.records
                if r.name == "catcavity"]
-    # one propagated block: k = 0, with 4 N + 2 states, real at resonance,
-    # and one expm for the two equal steps, on the 3 N + 2 real parts of
-    # its Hermitian closure (the cat's k = 0 part is real)
+    # one propagated block: k = 0, with 4 N + 2 states, and one expm for
+    # the two equal steps, on the 3 N + 2 real parts of its Hermitian
+    # closure (the cat's k = 0 part is real)
     assert records == [f"oracle: truncation {trunc}, propagated block "
-                       f"sizes [{4 * trunc + 2}], arithmetic [real], "
-                       f"expm builds 1 of sizes [{3 * trunc + 2}]"]
+                       f"sizes [{4 * trunc + 2}], expm builds 1 of sizes "
+                       f"[{3 * trunc + 2}]"]
 
 
 def test_oracle_requires_nb(capsys):

@@ -144,7 +144,7 @@ ENTRIES = {
                                     BAD_COUNTS, COUNT),
     "dressed_basis": (dressed_basis, dict(BAD_COUNTS, **{"non-integer": 3.5}),
                       COUNT),
-    "dressed_annihilation": (lambda v: dressed_annihilation(JC, v),
+    "dressed_annihilation": (dressed_annihilation,
                              dict(BAD_COUNTS, **{"non-integer": 3.5}), COUNT),
     "build_dressed_frame": (lambda v: build_dressed_frame(JC, v), BAD_COUNTS,
                             COUNT),
@@ -190,8 +190,6 @@ ENTRIES = {
     "DampingParams-kappa": (lambda v: DampingParams(kappa=v), BAD_POSITIVE,
                             PARAMETER),
     "JCParams-g": (lambda v: JCParams(g=v), BAD_POSITIVE, PARAMETER),
-    "JCParams-detuning": (lambda v: JCParams(g=1.0, detuning=v), BAD_FINITE,
-                          PARAMETER),
     "CatSpec-phase": (lambda v: CatSpec(intensity=1.0, phase=v), BAD_FINITE,
                       PARAMETER),
     "ResumParams-nbar": (lambda v: dataclasses.replace(RESUM, nbar=v),
@@ -228,10 +226,26 @@ def test_malformed_input_rejected(call, value, rule):
     (lambda: oracle.w_equation_residuals(WINDOW, None, DAMPING), "jc"),
     (lambda: oracle.w_equation_residuals(WINDOW, JC, None), "damping"),
     (lambda: oracle.condition_on_atom(RHO0, "+"), "traj"),
+    (lambda: oracle.oracle_observables(list(WINDOW), JC), "trajectory"),
+    (lambda: oracle.oracle_observables(WINDOW, None), "jc"),
+    (lambda: oracle.joint_probability_oracle(
+        RHO0.matrix, JC, DAMPING, 1e-5, 1e-4, "+", "+"), "rho0"),
+    (lambda: oracle.joint_probability_oracle(
+        RHO0, JC.g, DAMPING, 1e-5, 1e-4, "+", "+"), "jc"),
+    (lambda: oracle.joint_probability_oracle(
+        RHO0, JC, "x", 1e-5, 1e-4, "+", "+"), "damping"),
+    (lambda: oracle.integrate_trajectory(RHO0.matrix, JC, DAMPING, [0.0]),
+     "rho0"),
+    (lambda: oracle.integrate_trajectory(RHO0, "x", DAMPING, [0.0]), "jc"),
+    (lambda: oracle.integrate_trajectory(RHO0, JC, None, [0.0]), "damping"),
 ], ids=["config-jc", "config-damping", "config-initial_field",
         "resum-damping", "w_equation_residuals-window",
         "w_equation_residuals-jc", "w_equation_residuals-damping",
-        "condition_on_atom-traj"])
+        "condition_on_atom-traj", "oracle_observables-trajectory",
+        "oracle_observables-jc", "joint_probability_oracle-rho0",
+        "joint_probability_oracle-jc", "joint_probability_oracle-damping",
+        "integrate_trajectory-rho0", "integrate_trajectory-jc",
+        "integrate_trajectory-damping"])
 def test_compound_input_of_wrong_type_rejected(call, field):
     with pytest.raises(TypeError, match=f"^{field} must be a "):
         call()
@@ -258,7 +272,6 @@ RULE_RAISERS = {
     "1-d array of finite values": "errors._probabilities",
     "must be a finite number": "errors._parameter",
     "must be '+' or '-'": "errors._check_outcome",
-    "defined at resonance only": "errors._require_resonance",
 }
 
 #: ValueErrors and ConfigurationErrors outside the helpers that may still

@@ -11,7 +11,6 @@ from catcavity import (
     JCParams,
     PRESETS,
     TruncationError,
-    UnsupportedRegimeError,
     ValidityWarning,
     cat_distribution,
     coherent_distribution,
@@ -179,16 +178,6 @@ def test_decoherence_time_shrinks_with_nbar():
     large = ExperimentConfig(jc=jc, damping=damping,
                              initial_field=CatSpec(intensity=16.0))
     assert decoherence_time(large) < decoherence_time(small)
-
-
-def test_detuned_config_rejected():
-    config = ExperimentConfig(
-        jc=JCParams(g=36000.0, detuning=1000.0),
-        damping=DampingParams(kappa=8.33),
-        initial_field=CatSpec(intensity=4.0),
-    )
-    with pytest.raises(UnsupportedRegimeError):
-        p_excited(config, 1e-5)
 
 
 def test_secular_ratio_warning():
