@@ -7,7 +7,7 @@ decay kernels; the oracle module integrates the full master equation in a
 truncated basis and exists to cross-check the closed forms.
 """
 
-from .damping import doublet_decay_rate, f_star, f_star_ground, offdiag_decay
+from .damping import doublet_decay_rate, f_star, f_star_ground
 from .errors import (
     CatCavityError,
     ConfigurationError,
@@ -31,7 +31,6 @@ from .resummation import ResumParams, resummed_p_excited
 from .states import (
     CatSpec,
     PhotonDistribution,
-    branch_overlap,
     cat_distribution,
     cat_mean_photons,
     coherent_distribution,
@@ -53,7 +52,6 @@ __all__ = [
     "ResumParams",
     "TruncationError",
     "ValidityWarning",
-    "branch_overlap",
     "cat_distribution",
     "cat_mean_photons",
     "coherent_distribution",
@@ -64,7 +62,6 @@ __all__ = [
     "eta_correlation",
     "f_star",
     "f_star_ground",
-    "offdiag_decay",
     "p_excited",
     "p_joint",
     "resummed_p_excited",

@@ -147,9 +147,3 @@ def f_star_ground(p0, damping, t):
     probs = _probs_of(p0)
     return _unitarity_ground(probs, f_star(probs, damping, t))
 
-
-def offdiag_decay(p0, damping, t):
-    """Intra-doublet amplitudes <psi_n^+|W|psi_n^-> = (1/2) e^{-alpha_n t} p_n."""
-    probs = _probs_of(p0)
-    alpha = doublet_decay_rate(damping, np.arange(probs.size))
-    return 0.5 * np.exp(-alpha * _times(t, one=True)) * probs

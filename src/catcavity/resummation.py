@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .damping import doublet_decay_rate
-from .errors import (ValidityWarning, _count, _instance, _nonnegative,
-                     _parameter, _times)
+from .errors import ValidityWarning, _count, _instance, _parameter, _times
 from .params import DampingParams
 from .states import _log_poisson
 
@@ -45,35 +44,16 @@ class ResumParams:
             )
 
 
-def fractional_poisson(nbar, x):
-    """Poisson weight nbar^x e^{-nbar} / Gamma(x+1) at real argument x >= 0."""
-    _nonnegative(nbar, "nbar")
-    out = np.exp(_log_poisson(nbar, _nonnegative(x, "argument")))
-    return float(out) if out.ndim == 0 else out
-
-
-def collapse_wave(params, t):
-    """nu = 0 wave: the initial collapse e^{-g^2 t^2 / 2} cos(2 g t sqrt(nbar))."""
-    return _collapse(params, params.g * _times(t))
-
-
-def revival_wave(params, nu, t):
-    """Revival wave w_nu(t) for nu > 0 (integer or half-odd).
-
-    The Poisson envelope peaks where g^2 t^2 / (4 pi^2 nu^2) = nbar, i.e. at
-    gt = 2 pi nu sqrt(nbar).
-    """
-    _parameter(nu, "nu", 0.0)
-    return _revival(params, nu, params.g * _times(t))
-
-
 def _collapse(params, gt):
-    """`collapse_wave` at the checked products gt = g t."""
+    """nu = 0 wave at the checked products gt = g t: the initial collapse
+    e^{-(gt)^2 / 2} cos(2 gt sqrt(nbar))."""
     return np.exp(-gt * gt / 2.0) * np.cos(2.0 * gt * math.sqrt(params.nbar))
 
 
 def _revival(params, nu, gt):
-    """`revival_wave` at the checked products gt = g t."""
+    """Revival wave w_nu, nu > 0 integer or half-odd, at the checked gt = g t;
+    its Poisson envelope peaks where (gt)^2 / (4 pi^2 nu^2) = nbar, i.e. at
+    gt = 2 pi nu sqrt(nbar)."""
     argument = gt * gt / (4.0 * math.pi**2 * nu**2)
     envelope = np.exp(_log_poisson(params.nbar, argument)) * gt / (
         math.pi * math.sqrt(2.0 * nu**3)

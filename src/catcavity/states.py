@@ -151,8 +151,3 @@ def cat_mean_photons(spec):
     c = math.cos(spec.phase) * math.exp(-2.0 * spec.intensity)
     return spec.intensity * (1.0 - c) / (1.0 + c)
 
-
-def branch_overlap(intensity):
-    """Overlap probability |<z|-z>|^2 = exp(-2 |z|^2) of the two branches."""
-    _nonnegative(intensity, "intensity")
-    return math.exp(-2.0 * intensity)

@@ -4,12 +4,13 @@ Independent evaluations the library itself does not need: the rates of the
 F*_n recurrence, the alternating double-sum form of F*_{-1},
 finite-difference residuals of the F*_n recurrence, the two atom passages
 of the closed-form observables as a loop over times and fields, the matrix
-of the creation operator in the dressed basis, a density-matrix sanity
-check, the k = 0 part of an oracle state and the dense W frame of one, the
-oracle's Liouvillian as triplets of the whole matrix, its split into filled
-blocks by one sort of the labels, its propagation by complex matrix
-exponentials of the blocks of that matrix, and its earlier dense assembly of
-every sample and dense read of the observables.
+of the creation operator in the dressed basis, the oracle start of any pure
+field state, a density-matrix sanity check, the k = 0 part of an oracle
+state and the dense W frame of one, the oracle's Liouvillian as triplets of
+the whole matrix, its split into filled blocks by one sort of the labels,
+its propagation by complex matrix exponentials of the blocks of that
+matrix, and its earlier dense assembly of every sample and dense read of
+the observables.
 """
 
 import math
@@ -179,6 +180,14 @@ def dressed_creation(truncation):
     c[minus + 2, plus] = c[plus + 2, minus] = 0.5 * (lo - hi)
     c[dim - 1, dim - 3:dim - 1] = math.sqrt(truncation / 2.0)
     return c
+
+
+def pure_state(amplitudes):
+    """The oracle's `DensityMatrix` at time 0 of the pure field state with
+    the Fock `amplitudes` and the atom excited."""
+    a = np.asarray(amplitudes, dtype=complex)
+    return oracle.DensityMatrix(
+        np.kron(np.outer(a, a.conj()), oracle._EXCITED), time=0.0)
 
 
 def validate_density_matrix(rho):

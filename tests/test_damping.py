@@ -13,8 +13,8 @@ from catcavity import (
     ValidityWarning,
     cat_distribution,
     coherent_distribution,
+    doublet_decay_rate,
     f_star,
-    offdiag_decay,
 )
 from catcavity import damping as damping_module
 from catcavity.damping import (KERNEL_CHUNK, NEGATIVE_CLIP, _f_star_apply,
@@ -198,13 +198,16 @@ def test_ground_double_sum_agrees_up_to_n20():
 
 
 def test_offdiag_decay_values():
-    d = DampingParams(kappa=1.0)
-    p = coherent_distribution(2.0, 32).probs
-    assert np.array_equal(offdiag_decay(p, d, 0.0), 0.5 * p)
-    out = offdiag_decay(p, d, 0.2)
-    alpha, _, _ = rate_arrays(d, 5)
-    assert out[5] == pytest.approx(0.5 * math.exp(-alpha[5] * 0.2) * p[5],
-                                   rel=1e-12)
+    # the intra-doublet amplitudes (1/2) e^{-alpha_n t} p_n decay at
+    # doublet_decay_rate, the alpha_n of the recurrence, at every level and
+    # at a real nbar
+    for d in (DampingParams(kappa=1.0), DampingParams(kappa=8.33,
+                                                      n_thermal=0.1)):
+        alpha, _, _ = rate_arrays(d, 32)
+        assert np.allclose(doublet_decay_rate(d, np.arange(33)), alpha,
+                           rtol=1e-15, atol=0.0)
+        assert doublet_decay_rate(d, 49.0) == pytest.approx(
+            2.0 * d.kappa * (2.0 * d.n_thermal * 50.0 + 49.5), rel=1e-15)
 
 
 def test_residuals_vanish_at_zero_temperature():
@@ -300,7 +303,7 @@ def test_damping_params_reject_non_finite(kwargs):
 
 @pytest.mark.parametrize("p0", [[0.5, math.nan, 0.5], [0.5, math.inf],
                                 [[0.5, 0.5], [0.5, 0.5]], 0.5])
-@pytest.mark.parametrize("helper", [f_star, f_star_ground, offdiag_decay])
+@pytest.mark.parametrize("helper", [f_star, f_star_ground])
 def test_closed_form_helpers_reject_malformed_fields(helper, p0):
     with pytest.raises(ValueError):
         helper(np.array(p0), DampingParams(kappa=1.0), 0.1)

@@ -17,7 +17,6 @@ from catcavity import (
     ExperimentConfig,
     JCParams,
     PhotonDistribution,
-    branch_overlap,
     cat_distribution,
     cat_mean_photons,
     coherent_distribution,
@@ -26,7 +25,6 @@ from catcavity import (
     eta_correlation,
     f_star,
     f_star_ground,
-    offdiag_decay,
     oracle,
     p_excited,
     p_joint,
@@ -34,9 +32,7 @@ from catcavity import (
 )
 from catcavity.dressed import (build_dressed_frame, dressed_annihilation,
                                dressed_basis)
-from catcavity.resummation import (ResumParams, collapse_wave,
-                                   fractional_poisson, resummed_p_excited,
-                                   revival_wave)
+from catcavity.resummation import ResumParams, resummed_p_excited
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "catcavity"
 
@@ -103,13 +99,8 @@ ENTRIES = {
     "f_star-t": (lambda v: f_star(P0, DAMPING, v), BAD_TIMES, TIME),
     "f_star_ground-t": (lambda v: f_star_ground(P0, DAMPING, v), BAD_TIMES,
                         TIME),
-    "offdiag_decay-t": (lambda v: offdiag_decay(P0, DAMPING, v), BAD_TIMES,
-                        TIME),
     "resummed_p_excited": (lambda v: resummed_p_excited(RESUM, v), BAD_TIMES,
                            TIME),
-    "collapse_wave": (lambda v: collapse_wave(RESUM, v), BAD_TIMES, TIME),
-    "revival_wave-t": (lambda v: revival_wave(RESUM, 1.0, v), BAD_TIMES,
-                       TIME),
     "integrate_trajectory": (lambda v: oracle.integrate_trajectory(
         RHO0, JC, DAMPING, [0.0, v]), BAD_TIMES, TIME),
     "joint_probability_oracle-t_a": (lambda v: oracle.joint_probability_oracle(
@@ -129,8 +120,6 @@ ENTRIES = {
     # one time, not an array
     "f_star-shape": (lambda v: f_star(P0, DAMPING, v),
                      {"array": [[0.1]]}, ONE_TIME),
-    "offdiag_decay-shape": (lambda v: offdiag_decay(P0, DAMPING, v),
-                            {"array": np.array([0.1, 0.2])}, ONE_TIME),
     # truncations and integer counts
     "ExperimentConfig-truncation": (
         lambda v: dataclasses.replace(CONFIG, truncation=v),
@@ -166,16 +155,11 @@ ENTRIES = {
                           INTENSITY),
     "coherent_distribution-intensity": (
         lambda v: coherent_distribution(v, 40), BAD_INTENSITIES, INTENSITY),
-    "branch_overlap": (branch_overlap, BAD_INTENSITIES, INTENSITY),
     "default_truncation": (default_truncation,
                            dict(BAD_INTENSITIES, negative=-5.0), INTENSITY),
     "coherent_state_vector-intensity": (
         lambda v: oracle.coherent_state_vector(v, 5), BAD_INTENSITIES,
         INTENSITY),
-    "fractional_poisson-nbar": (lambda v: fractional_poisson(v, 1.0),
-                                BAD_INTENSITIES, INTENSITY),
-    "fractional_poisson-argument": (lambda v: fractional_poisson(49.0, v),
-                                    BAD_INTENSITIES, INTENSITY),
     "DampingParams-n_thermal": (
         lambda v: DampingParams(kappa=1.0, n_thermal=v), BAD_INTENSITIES,
         INTENSITY),
@@ -183,8 +167,6 @@ ENTRIES = {
     "PhotonDistribution": (PhotonDistribution, BAD_PROBS, PROBS),
     "f_star-p0": (lambda v: f_star(v, DAMPING, 1e-4), BAD_PROBS, PROBS),
     "f_star_ground-p0": (lambda v: f_star_ground(v, DAMPING, 1e-4), BAD_PROBS,
-                         PROBS),
-    "offdiag_decay-p0": (lambda v: offdiag_decay(v, DAMPING, 1e-4), BAD_PROBS,
                          PROBS),
     # scalar parameters
     "DampingParams-kappa": (lambda v: DampingParams(kappa=v), BAD_POSITIVE,
@@ -198,8 +180,6 @@ ENTRIES = {
                           BAD_FINITE, PARAMETER),
     "ResumParams-g": (lambda v: dataclasses.replace(RESUM, g=v), BAD_POSITIVE,
                       PARAMETER),
-    "revival_wave-nu": (lambda v: revival_wave(RESUM, v, 1e-4), BAD_POSITIVE,
-                        PARAMETER),
     # the spacing of a residual window, read from its samples' times
     "w_equation_residuals-window": (lambda v: oracle.w_equation_residuals(
         v, JC, DAMPING), BAD_WINDOWS, SPACING),
@@ -238,6 +218,9 @@ def test_malformed_input_rejected(call, value, rule):
      "rho0"),
     (lambda: oracle.integrate_trajectory(RHO0, "x", DAMPING, [0.0]), "jc"),
     (lambda: oracle.integrate_trajectory(RHO0, JC, None, [0.0]), "damping"),
+    (lambda: oracle.liouvillian(JC.g, DAMPING, 2), "jc"),
+    (lambda: oracle.liouvillian(JC, None, 2), "damping"),
+    (lambda: oracle.build_initial_state(P0, 32), "fieldspec"),
 ], ids=["config-jc", "config-damping", "config-initial_field",
         "resum-damping", "w_equation_residuals-window",
         "w_equation_residuals-jc", "w_equation_residuals-damping",
@@ -245,7 +228,8 @@ def test_malformed_input_rejected(call, value, rule):
         "oracle_observables-jc", "joint_probability_oracle-rho0",
         "joint_probability_oracle-jc", "joint_probability_oracle-damping",
         "integrate_trajectory-rho0", "integrate_trajectory-jc",
-        "integrate_trajectory-damping"])
+        "integrate_trajectory-damping", "liouvillian-jc",
+        "liouvillian-damping", "build_initial_state-fieldspec"])
 def test_compound_input_of_wrong_type_rejected(call, field):
     with pytest.raises(TypeError, match=f"^{field} must be a "):
         call()
@@ -275,10 +259,8 @@ RULE_RAISERS = {
 }
 
 #: ValueErrors and ConfigurationErrors outside the helpers that may still
-#: speak of these words: the oracle's checks of complex matrices and
-#: amplitudes.
-OWN_CHECKS = {"oracle.DensityMatrix.__post_init__",
-              "oracle.build_initial_state"}
+#: speak of these words: the oracle's check of complex matrices.
+OWN_CHECKS = {"oracle.DensityMatrix.__post_init__"}
 
 
 def _raise_texts():

@@ -1,6 +1,7 @@
 import ast
 import logging
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,20 +14,23 @@ from catcavity import (
     CatSpec,
     ConsistencyError,
     DampingParams,
+    ExperimentConfig,
     JCParams,
     PhotonDistribution,
+    ValidityWarning,
     coherent_distribution,
     default_truncation,
+    p_excited,
 )
 from catcavity import oracle, validation
 from catcavity.cli import main
-from catcavity.damping import f_star, offdiag_decay
+from catcavity.damping import doublet_decay_rate, f_star
 from catcavity.dressed import dressed_annihilation, dressed_basis
 from catcavity.presets import PRESETS
 from references import (atom_phases, block_generator,
                         complex_block_trajectory, dense_observables,
                         dense_trajectory, dephased, filled_blocks, fold_block,
-                        hermitian_closure, to_w_frame,
+                        hermitian_closure, pure_state, to_w_frame,
                         validate_density_matrix)
 from references import liouvillian as liouvillian_reference
 
@@ -89,7 +93,7 @@ def test_block_propagator_matches_dop853(include_coupling):
     phi = 1.1
     base = oracle.coherent_state_vector(1.0, trunc)
     amp = base * (1.0 + np.exp(1j * phi) * (-1.0) ** np.arange(trunc + 1))
-    rho0 = oracle.build_initial_state(amp / np.linalg.norm(amp), trunc)
+    rho0 = pure_state(amp / np.linalg.norm(amp))
     jc = JCParams(g=1.3) if include_coupling else None
     damping = DampingParams(kappa=0.2, n_thermal=0.15)
     times = np.array([0.3, 0.5, 0.5, 1.7, 2.0, 4.5])
@@ -166,7 +170,7 @@ def test_samples_bit_identical_to_dense_assembly(case):
     damping = DampingParams(kappa=preset.kappa, n_thermal=0.13)
     base = oracle.coherent_state_vector(2.0, trunc)
     amp = base * (1.0 + np.exp(1j) * (-1.0) ** np.arange(trunc + 1))
-    rho0 = oracle.build_initial_state(amp / np.linalg.norm(amp), trunc)
+    rho0 = pure_state(amp / np.linalg.norm(amp))
     if case == "dephased":
         rho0 = dephased(rho0)
     times = np.linspace(0.0, 30.0 / preset.g, 7)
@@ -367,7 +371,8 @@ def test_block_generators_match_reference(case):
     folded = 0
     for b, idx in enumerate(prop.blocks):
         want = block_generator(coo, phase, idx)
-        closure, got = prop._generator(b)
+        prop.build([b])
+        closure, got = prop._generators[b]
         want_closure = (hermitian_closure(idx, dim)
                         if want.dtype.kind == "f" else None)
         if want_closure is None:
@@ -405,11 +410,12 @@ def _cut_cat(trunc):
 def test_block_split_matches_sorted_labels(field, jc, trunc):
     # the filled blocks, each position's block number and its place in the
     # block equal those of one stable sort of every label
-    fields = {"cat": _cut_cat(trunc),
-              "distribution": PhotonDistribution(
-                  np.full(trunc + 1, 1.0 / (trunc + 1))),
-              "vacuum": np.eye(trunc + 1)[0]}
-    v0 = oracle.build_initial_state(fields[field], trunc).matrix.reshape(-1)
+    starts = {"cat": pure_state(_cut_cat(trunc)),
+              "distribution": oracle.build_initial_state(
+                  PhotonDistribution(np.full(trunc + 1, 1.0 / (trunc + 1))),
+                  trunc),
+              "vacuum": pure_state(np.eye(trunc + 1)[0])}
+    v0 = starts[field].matrix.reshape(-1)
     prop = oracle._BlockPropagator(jc, DampingParams(kappa=0.4), trunc, v0)
     want = filled_blocks(prop.label, v0)
     owner = np.full(prop.label.size, -1)
@@ -441,7 +447,9 @@ def test_union_builds_match_single_block_builds(jc, n_b):
     together.build(range(0, count, 2))
     together.build(range(count))
     for b in range(count):
-        (closure, got), (_, want) = together._generator(b), alone._generator(b)
+        alone.build([b])
+        (closure, got), (_, want) = (together._generators[b],
+                                     alone._generators[b])
         assert (closure is not None) == (b == 0)
         assert len(got) == len(want)
         for a, w in zip(got, want):
@@ -639,8 +647,12 @@ def test_integrate_trajectory_rejects_malformed_times(times):
 @pytest.mark.parametrize("amp", [np.ones(9), np.r_[math.nan, np.zeros(8)],
                                  np.eye(9)[:, :1]])
 def test_initial_state_rejects_malformed_amplitudes(amp):
-    with pytest.raises(ValueError):
-        oracle.build_initial_state(amp, 8)
+    # the start is a CatSpec or a PhotonDistribution; amplitudes, malformed
+    # or of unit norm, are refused by type
+    for fieldspec in (amp, np.eye(9)[0]):
+        with pytest.raises(TypeError, match="^fieldspec must be a CatSpec "
+                           "or PhotonDistribution, got ndarray$"):
+            oracle.build_initial_state(fieldspec, 8)
 
 
 def test_density_matrix_truncation_follows_shape():
@@ -809,6 +821,13 @@ def test_observables_match_w_frame_read():
     assert np.abs(obs.offdiag).max() > 1e-3
 
 
+def _offdiag_decay(p0, damping, t):
+    """Intra-doublet amplitudes (1/2) e^{-alpha_n t} p_n of the secular
+    solution, alpha_n the `doublet_decay_rate` that P_+ runs."""
+    return 0.5 * np.exp(-doublet_decay_rate(damping, np.arange(p0.probs.size))
+                        * t) * p0.probs
+
+
 def test_offdiag_decay_matches_oracle_in_secular_regime():
     trunc = 32
     jc = JCParams(g=36000.0)
@@ -820,8 +839,36 @@ def test_offdiag_decay_matches_oracle_in_secular_regime():
     obs = oracle.oracle_observables(traj, jc)
     scale = 0.5 * p0.probs[5]
     for i, t in enumerate(times):
-        predicted = offdiag_decay(p0, damping, t)[5]
+        predicted = _offdiag_decay(p0, damping, t)[5]
         assert abs(abs(obs.offdiag[i, 5]) - predicted) < 0.02 * scale
+
+
+@pytest.mark.parametrize("preset, n_b, gap, gt_at", [
+    ("benson97", 0.0, 0.0694, 22.6), ("benson97", 0.1, 0.0626, 21.7),
+    ("brune96", 0.0, 0.1754, 0.8), ("brune96", 0.1, 0.1914, 0.8)])
+def test_closed_form_gap_map(preset, n_b, gap, gt_at):
+    # the measured error of the closed-form P_+ against the exact dynamics
+    # (ROADMAP item 1): an even cat at the preset's nbar on the figures' gt
+    # grid, the oracle from the full cat, which propagates its k = 0 block
+    # alone; a warning the closed form may give does not change the values
+    preset = PRESETS[preset]
+    jc, damping = preset.jc(), preset.damping(n_b)
+    spec = CatSpec(intensity=preset.nbar)
+    trunc = default_truncation(preset.nbar)
+    gts = np.arange(0.0, preset.gt_max + 0.05, 0.1)
+    times = gts / jc.g
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        closed = p_excited(ExperimentConfig(jc=jc, damping=damping,
+                                            initial_field=spec), times)
+    traj = oracle.integrate_trajectory(oracle.build_initial_state(spec, trunc),
+                                       jc, damping, times)
+    exact = oracle.oracle_observables(traj, jc).p_plus
+    assert sum(values is not None for values in traj._values) == 1
+    deviation = np.abs(closed - exact)
+    worst = deviation.argmax()
+    assert deviation[worst] == pytest.approx(gap, abs=1e-3)
+    assert gts[worst] == pytest.approx(gt_at)
 
 
 def test_offdiag_secular_rate_fails_at_strong_damping():
@@ -838,7 +885,7 @@ def test_offdiag_secular_rate_fails_at_strong_damping():
     obs = oracle.oracle_observables(traj, jc)
     scale = 0.5 * p0.probs[5]
     worst = max(
-        abs(abs(obs.offdiag[i, 5]) - offdiag_decay(p0, damping, t)[5]) / scale
+        abs(abs(obs.offdiag[i, 5]) - _offdiag_decay(p0, damping, t)[5]) / scale
         for i, t in enumerate(times)
     )
     assert worst > 0.1
@@ -1026,6 +1073,23 @@ def test_branch_coherence_starts_at_overlap_scale():
     coh = oracle.branch_coherence_trajectory(spec, damping, [0.0], 32)
     # <z|rho_C|-z> at t=0 is |<z|cat>|^2-like and of order 1/2
     assert 0.3 < coh[0] < 0.6
+
+
+@pytest.mark.parametrize("phase, n_b", [(0.0, 0.0), (1.1, 0.13), (2.9, 0.5)])
+def test_uncoupled_run_keeps_the_atom_excited(phase, n_b):
+    # with the coupling off the atom stays in |+>: every sample's "-" sector
+    # is exactly zero, so branch_coherence_trajectory reads the field from
+    # the "+" sector alone
+    trunc = 32
+    damping = DampingParams(kappa=8.33, n_thermal=n_b)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=4.0, phase=phase),
+                                      trunc)
+    traj = oracle.integrate_trajectory(rho0, None, damping,
+                                       np.linspace(0.0, damping.t_cav, 6))
+    minus, minus_weight = oracle.condition_on_atom(traj, "-")
+    assert not minus.any() and not minus_weight.any()
+    plus_weight = oracle.condition_on_atom(traj, "+")[1]
+    assert np.abs(plus_weight - 1.0).max() < 1e-12
 
 
 def test_branch_coherence_decays_faster_than_energy():

@@ -15,11 +15,11 @@ from catcavity import (
 )
 from catcavity.resummation import (
     ResumParams,
-    collapse_wave,
-    fractional_poisson,
+    _collapse,
+    _revival,
     resummed_p_excited,
-    revival_wave,
 )
+from catcavity.states import _log_poisson
 
 BENSON = dict(g=36000.0, kappa=8.33)
 
@@ -34,39 +34,40 @@ def _params(nbar=49.0, phase=0.0, max_order=3, n_thermal=0.1):
     )
 
 
+def _fractional_poisson(nbar, x):
+    """Poisson weight nbar^x e^{-nbar} / Gamma(x + 1) at a real x >= 0, as
+    `_revival` reads it."""
+    return float(np.exp(_log_poisson(nbar, np.asarray(x))))
+
+
 def test_fractional_poisson_matches_integer_pmf():
     probs = coherent_distribution(49.0, 120).probs
     for n in (30, 49, 70):
-        assert fractional_poisson(49.0, float(n)) == pytest.approx(
+        assert _fractional_poisson(49.0, float(n)) == pytest.approx(
             probs[n], rel=1e-12
         )
-    assert fractional_poisson(49.0, 49.0) == pytest.approx(0.05690, abs=5e-5)
+    assert _fractional_poisson(49.0, 49.0) == pytest.approx(0.05690, abs=5e-5)
 
 
 def test_fractional_poisson_at_zero():
-    assert fractional_poisson(49.0, 0.0) == pytest.approx(math.exp(-49.0))
+    assert _fractional_poisson(49.0, 0.0) == pytest.approx(math.exp(-49.0))
 
 
 def test_fractional_poisson_smooth_across_peak():
-    lo = fractional_poisson(49.0, 48.5)
-    hi = fractional_poisson(49.0, 49.5)
-    peak = fractional_poisson(49.0, 49.0)
+    lo = _fractional_poisson(49.0, 48.5)
+    hi = _fractional_poisson(49.0, 49.5)
+    peak = _fractional_poisson(49.0, 49.0)
     assert lo == pytest.approx(peak, rel=0.01)
     assert hi == pytest.approx(peak, rel=0.01)
 
 
 def test_collapse_wave_at_zero_is_one():
-    assert collapse_wave(_params(), 0.0) == pytest.approx(1.0)
+    assert _collapse(_params(), 0.0) == pytest.approx(1.0)
 
 
 def test_revival_wave_vanishes_at_small_time():
     params = _params()
-    assert abs(revival_wave(params, 1.0, 1e-6)) < 1e-15
-
-
-def test_revival_wave_rejects_nonpositive_order():
-    with pytest.raises(ValueError):
-        revival_wave(_params(), 0.0, 1e-4)
+    assert abs(_revival(params, 1.0, params.g * 1e-6)) < 1e-15
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 1.5])
@@ -75,7 +76,7 @@ def test_revival_envelope_peaks_at_expected_time(nu):
     g = params.g
     center = 2.0 * math.pi * nu * math.sqrt(params.nbar) / g
     ts = np.linspace(0.5 * center, 1.5 * center, 4001)
-    envelope = np.abs(revival_wave(params, nu, ts))
+    envelope = np.abs(_revival(params, nu, g * ts))
     peak_t = ts[np.argmax(envelope)]
     assert abs(peak_t - center) / center < 0.03
 
@@ -119,8 +120,8 @@ def test_quarter_phase_drops_half_order_waves():
         0.5 * np.exp(-2.0 * params.damping.kappa * params.damping.n_thermal * ts)
         + 0.5 * np.exp(-2.0 * params.damping.kappa * ts
                        * (2.0 * 0.1 * 50.0 + 49.5))
-        * (collapse_wave(params, ts)
-           + sum(revival_wave(params, nu, ts) for nu in (1.0, 2.0, 3.0)))
+        * (_collapse(params, gts)
+           + sum(_revival(params, nu, gts) for nu in (1.0, 2.0, 3.0)))
     )
     assert np.allclose(cat, direct_coherent, atol=1e-12)
 

@@ -10,7 +10,6 @@ from catcavity import (
     DegenerateCatError,
     PhotonDistribution,
     TruncationError,
-    branch_overlap,
     cat_distribution,
     cat_mean_photons,
     coherent_distribution,
@@ -88,8 +87,14 @@ def test_even_cat_mean_is_tanh_weighted():
 
 
 def test_branch_overlap():
-    assert branch_overlap(0.0) == 1.0
-    assert branch_overlap(3.0) == pytest.approx(math.exp(-6.0))
+    # <z|-z> = sum_n (-1)^n p_n over the Poisson p_n of |z> is e^{-2|z|^2},
+    # the overlap the cat normalization 2 + 2 cos(phi) <z|-z> carries
+    for intensity in (0.0, 3.0):
+        probs = coherent_distribution(intensity, 40).probs
+        overlap = probs @ (-1.0) ** np.arange(41)
+        assert overlap == pytest.approx(math.exp(-2.0 * intensity), rel=1e-12)
+        assert CatSpec(intensity).normalization == pytest.approx(
+            2.0 + 2.0 * overlap, rel=1e-12)
 
 
 def test_phase_reduced_modulo_two_pi():
