@@ -125,22 +125,12 @@ def _merge_settings(args, figure_id):
     return settings
 
 
-def _metadata_line(figure_id, preset, settings, extra=""):
-    parts = [
-        f"figure={figure_id}",
-        f"preset={preset.name}",
-        f"kappa={preset.kappa:g}",
-        f"g={preset.g:g}",
-        f"nbar={settings['nbar']:g}",
-        f"phi={settings['phi']:g}",
-        f"nb={settings['nb']:g}",
-        f"gt_max={settings['gt_max']:g}",
-        f"gt_step={settings['gt_step']:g}",
-        f"version={VERSION}",
-    ]
-    if extra:
-        parts.append(extra)
-    return "# " + " ".join(parts)
+def _metadata(**fields):
+    """The `#` line of a CSV: key=value for each field in order, a float as
+    `:g` and anything else as `str`."""
+    return "# " + " ".join(
+        f"{key}={value:g}" if isinstance(value, float) else f"{key}={value}"
+        for key, value in fields.items())
 
 
 def _fmt(value):
@@ -183,29 +173,29 @@ def _field_configs(preset, settings):
             for tag, field in fields.items()}
 
 
-def _revival_figure(figure_id, preset, settings, out_dir):
+def _write_figure(figure_id, preset, settings, out_dir):
+    """Write the files of one preset of a figure: for fig3 one
+    `eta_correlation` file over both fields, for fig1 and fig2 one
+    `revival_curves` file per field."""
+    axis_name, axis, times = _time_axis(settings, preset)
+    configs = _field_configs(preset, settings)
+    meta = dict(figure=figure_id, preset=preset.name, kappa=preset.kappa,
+                g=preset.g, **{key: settings[key] for key in NUMBER_KEYS},
+                version=VERSION)
+    if figure_id == "fig3":
+        files = [(f"fig3_{preset.name}", meta, ("eta_coherent", "eta_cat"),
+                  eta_correlation(configs.values(), times))]
+    else:
+        curves = revival_curves(configs.values(), times)
+        files = [(f"{figure_id}_{tag}", dict(meta, field=tag),
+                  ("P_plus", "P_plusplus"), [curve[row] for curve in curves])
+                 for row, tag in enumerate(configs)]
     written = []
-    axis_name, axis, times = _time_axis(settings, preset)
-    configs = _field_configs(preset, settings)
-    curves = revival_curves(configs.values(), times)
-    for row, tag in enumerate(configs):
-        rows = zip(axis.tolist(), *(curve[row].tolist() for curve in curves))
-        path = out_dir / f"{figure_id}_{tag}.csv"
-        meta = _metadata_line(figure_id, preset, settings, extra=f"field={tag}")
-        _write_csv(path, meta, (axis_name, "P_plus", "P_plusplus"), rows)
-        written.append(path)
+    for name, fields, columns, values in files:
+        rows = zip(axis.tolist(), *(column.tolist() for column in values))
+        written.append(_write_csv(out_dir / f"{name}.csv", _metadata(**fields),
+                                  (axis_name, *columns), rows))
     return written
-
-
-def _eta_figure(preset, settings, out_dir):
-    configs = _field_configs(preset, settings)
-    axis_name, axis, times = _time_axis(settings, preset)
-    rows = zip(axis.tolist(), *eta_correlation(
-        [configs["coherent"], configs["cat"]], times).tolist())
-    path = out_dir / f"fig3_{preset.name}.csv"
-    meta = _metadata_line("fig3", preset, settings)
-    _write_csv(path, meta, (axis_name, "eta_coherent", "eta_cat"), rows)
-    return [path]
 
 
 def run_figure(figure_id, args):
@@ -227,10 +217,7 @@ def run_figure(figure_id, args):
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for preset, local in runs:
-        if figure_id == "fig3":
-            written += _eta_figure(preset, local, out_dir)
-        else:
-            written += _revival_figure(figure_id, preset, local, out_dir)
+        written += _write_figure(figure_id, preset, local, out_dir)
     return written
 
 
@@ -281,11 +268,10 @@ def run_oracle(args):
         rows.append((float(t), "f_ground", float(obs.f_ground[i])))
         for n in range(trunc):
             rows.append((float(t), f"f_{n}", float(obs.f[i, n])))
-    meta = (f"# preset={preset.name} kappa={preset.kappa:g} g={preset.g:g} "
-            f"nbar={nbar:g} phi={args.phi:g} nb={args.nb:g} t_max={t_max:g} "
-            f"samples={args.samples} version={VERSION}")
-    _write_csv(path, meta, ("t", "observable", "value"), rows)
-    return [path]
+    meta = _metadata(preset=preset.name, kappa=preset.kappa, g=preset.g,
+                     nbar=nbar, phi=args.phi, nb=args.nb, t_max=t_max,
+                     samples=args.samples, version=VERSION)
+    return [_write_csv(path, meta, ("t", "observable", "value"), rows)]
 
 
 def build_parser():
@@ -339,14 +325,10 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        if args.command == "figure":
-            written = run_figure(args.id, args)
-            for path in written:
-                print(path)
-            return 0
         if args.command == "validate":
             return run_validate(args.level)
-        written = run_oracle(args)
+        written = (run_figure(args.id, args) if args.command == "figure"
+                   else run_oracle(args))
         for path in written:
             print(path)
         return 0

@@ -15,11 +15,12 @@ suite keeps that form as a small-truncation cross-check).
 """
 
 import math
+import warnings
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConsistencyError, _probabilities, _times
+from .errors import ConsistencyError, ValidityWarning, _probabilities, _times
 # benchmarks/workloads.py reads damping.DampingParams
 from .params import DampingParams  # noqa: F401
 from .states import PhotonDistribution
@@ -31,6 +32,19 @@ NEGATIVE_CLIP = 1e-12
 #: that a chunk's kernels stay in a 2 MiB L2 cache while every field is
 #: propagated through them (8 times at 121 levels, 3 at 202, 120 at 33).
 KERNEL_CHUNK = 2 ** 17
+
+
+def _warn_high_thermal(damping, stacklevel):
+    """Warn when n_b is outside the small-n_b regime of the closed form;
+    `stacklevel` is what the caller would pass to `warnings.warn`.  The
+    oracle takes the same `DampingParams` and does not warn."""
+    if damping.n_thermal > 0.5:
+        warnings.warn(
+            "n_thermal > 0.5 is outside the small-n_b regime of the "
+            "closed-form solution",
+            ValidityWarning,
+            stacklevel=stacklevel + 1,
+        )
 
 
 def doublet_decay_rate(damping, n):
@@ -126,6 +140,7 @@ def _f_star_apply(kernels, decay, stack):
 
 def f_star(p0, damping, t):
     """Closed-form F*_n(t) for initial distribution p0 (may be unnormalized)."""
+    _warn_high_thermal(damping, 2)
     probs = _probs_of(p0)
     times = _times(t, one=True).reshape(1)
     [(_, kernels, decay)] = _f_star_chunks(probs.size, damping, times)

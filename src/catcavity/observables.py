@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .damping import (_f_star_apply, _f_star_chunks, _unitarity_ground,
-                      doublet_decay_rate)
+                      _warn_high_thermal, doublet_decay_rate)
 from .errors import (ConsistencyError, ValidityWarning, _check_outcome,
                      _count, _instance, _times)
 from .params import DampingParams, JCParams
@@ -74,6 +74,7 @@ class ExperimentConfig:
                 ValidityWarning,
                 stacklevel=3,  # the caller of the generated __init__
             )
+        _warn_high_thermal(self.damping, 3)
 
     def distribution(self):
         """Initial photon distribution at the configured truncation."""

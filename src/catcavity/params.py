@@ -3,10 +3,9 @@ coupling and the cavity damping.  They hold and check numbers, and no
 formula lives here, so the oracle takes them without sharing code with the
 closed form."""
 
-import warnings
 from dataclasses import dataclass
 
-from .errors import ValidityWarning, _nonnegative, _parameter
+from .errors import _nonnegative, _parameter
 
 
 @dataclass(frozen=True)
@@ -29,13 +28,6 @@ class DampingParams:
     def __post_init__(self):
         _parameter(self.kappa, "kappa", 0.0)
         _nonnegative(self.n_thermal, "n_thermal")
-        if self.n_thermal > 0.5:
-            warnings.warn(
-                "n_thermal > 0.5 is outside the small-n_b regime of the "
-                "closed-form solution",
-                ValidityWarning,
-                stacklevel=3,  # the caller of the generated __init__
-            )
 
     @property
     def t_cav(self):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .damping import doublet_decay_rate
+from .damping import _warn_high_thermal, doublet_decay_rate
 from .errors import ValidityWarning, _count, _instance, _parameter, _times
 from .params import DampingParams
 from .states import _log_poisson
@@ -42,6 +42,7 @@ class ResumParams:
                 ValidityWarning,
                 stacklevel=3,  # the caller of the generated __init__
             )
+        _warn_high_thermal(self.damping, 3)
 
 
 def _collapse(params, gt):

@@ -437,8 +437,11 @@ def dense_trajectory(rho0, jc, damping, times):
 
 def dense_observables(rho, times, jc):
     """(p_plus, f, f_ground, offdiag) read from a (times, dim, dim) stack of
-    dense density matrices, in the expression order of
-    `oracle.oracle_observables`."""
+    dense density matrices: the first three in the expression order of
+    `oracle.oracle_observables`, and offdiag the dressed-frame coherence
+    <psi_n^+|W|psi_n^-> = (1/2) e^{2 i g sqrt(n+1) t}
+    (rho_aa - rho_bb + rho_ba - rho_ab), a = |n, +>, b = |n+1, ->, which
+    only the tests read."""
     trunc = rho.shape[1] // 2 - 1
     diag = np.diagonal(rho, axis1=1, axis2=2).real
     a = 2 * np.arange(trunc)

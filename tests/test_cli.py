@@ -136,6 +136,34 @@ def test_config_file_supplies_nb_and_cli_overrides(tmp_path):
     assert "nb=0.1" in meta
 
 
+def test_figure_header_records_every_setting(tmp_path):
+    assert main(["figure", "fig1", "--nb", "0.1", "--gt-max", "2",
+                 "--gt-step", "0.5", "--out", str(tmp_path)]) == 0
+    meta, _, _ = _read_csv(tmp_path / "fig1_coherent.csv")
+    assert meta == ("# figure=fig1 preset=benson97 kappa=8.33 g=36000 "
+                    "nbar=49 phi=0 nb=0.1 gt_max=2 gt_step=0.5 "
+                    f"version={cli.VERSION} field=coherent")
+    assert main(["figure", "fig3", "--preset", "brune96", "--nb", "0",
+                 "--gt-max", "1", "--out", str(tmp_path)]) == 0
+    meta, _, _ = _read_csv(tmp_path / "fig3_brune96.csv")
+    assert meta == ("# figure=fig3 preset=brune96 kappa=2500 g=24000 "
+                    "nbar=3.3 phi=0 nb=0 gt_max=1 gt_step=0.1 "
+                    f"version={cli.VERSION}")
+
+
+def test_config_file_run_writes_the_same_files_as_flags(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[fig1]\nnb = 0.1\ngt_max = 2\ngt_step = 0.5\n")
+    assert main(["figure", "fig1", "--config", str(cfg),
+                 "--out", str(tmp_path / "config")]) == 0
+    assert main(["figure", "fig1", "--nb", "0.1", "--gt-max", "2",
+                 "--gt-step", "0.5", "--out", str(tmp_path / "flags")]) == 0
+    for tag in ("coherent", "cat"):
+        name = f"fig1_{tag}.csv"
+        assert ((tmp_path / "config" / name).read_bytes()
+                == (tmp_path / "flags" / name).read_bytes())
+
+
 def test_config_file_unknown_preset_is_a_configuration_error(tmp_path,
                                                              capsys):
     cfg = tmp_path / "bad.ini"
@@ -182,6 +210,8 @@ def test_oracle_dump(tmp_path):
     assert "f_ground" in names
     p0 = [float(r[2]) for r in rows if r[0] == "0" and r[1] == "p_plus"]
     assert p0 and p0[0] == pytest.approx(1.0, abs=1e-8)
+    assert meta == ("# preset=benson97 kappa=8.33 g=36000 nbar=1 phi=0 "
+                    f"nb=0.1 t_max=0.002 samples=3 version={cli.VERSION}")
 
 
 def test_oracle_logs_truncation_and_k0_block(tmp_path, caplog):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from scipy.special import gammaln
 from catcavity import (
     CatSpec,
     DampingParams,
+    ExperimentConfig,
+    JCParams,
+    ResumParams,
     ValidityWarning,
     cat_distribution,
     coherent_distribution,
@@ -17,6 +21,7 @@ from catcavity import (
     f_star,
 )
 from catcavity import damping as damping_module
+from catcavity.cli import main
 from catcavity.damping import (KERNEL_CHUNK, NEGATIVE_CLIP, _f_star_apply,
                                _f_star_chunks, f_star_ground)
 from catcavity.presets import PRESETS
@@ -268,9 +273,33 @@ def test_identity_kernel_returns_the_field_bit_for_bit(t):
 
 
 def test_high_thermal_occupation_warns():
-    with pytest.warns(ValidityWarning) as record:
+    # each closed-form entry that takes a DampingParams warns at its
+    # caller's line, and f_star_ground through f_star
+    damping = DampingParams(kappa=1.0, n_thermal=0.8)
+    p0 = coherent_distribution(1.0, 16)
+    entries = (
+        lambda: ExperimentConfig(jc=JCParams(g=100.0), damping=damping,
+                                 initial_field=p0),
+        lambda: ResumParams(nbar=20.0, phase=0.0, max_order=2,
+                            damping=damping, g=100.0),
+        lambda: f_star(p0, damping, 0.1),
+    )
+    for entry in entries:
+        with pytest.warns(ValidityWarning, match="n_thermal > 0.5") as record:
+            entry()
+        assert len(record) == 1
+        assert record[0].filename == __file__
+    with pytest.warns(ValidityWarning, match="n_thermal > 0.5"):
+        f_star_ground(p0, damping, 0.1)
+
+
+def test_damping_record_and_oracle_command_do_not_warn(tmp_path):
+    # the record is shared with the oracle, which solves every n_b exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ValidityWarning)
         DampingParams(kappa=1.0, n_thermal=0.8)
-    assert record[0].filename == __file__
+        assert main(["oracle", "--nbar", "1", "--nb", "0.6", "--t-max",
+                     "0.001", "--samples", "3", "--out", str(tmp_path)]) == 0
 
 
 def test_negative_time_rejected():

@@ -181,8 +181,8 @@ def test_samples_bit_identical_to_dense_assembly(case):
     assert np.abs(expected[-1] - expected[0]).max() > 1e-2
     if jc is not None:
         obs = oracle.oracle_observables(traj, jc)
-        got = (obs.p_plus, obs.f, obs.f_ground, obs.offdiag)
-        for a, b in zip(got, dense_observables(expected, times, jc)):
+        got = (obs.p_plus, obs.f, obs.f_ground)
+        for a, b in zip(got, dense_observables(expected, times, jc)[:3]):
             assert np.array_equal(a, b)
 
 
@@ -800,9 +800,10 @@ def test_observables_match_w_frame_read():
     jc = JCParams(g=36000.0)
     damping = DampingParams(kappa=250.0, n_thermal=0.1)
     rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.3), trunc)
-    traj = oracle.integrate_trajectory(rho0, jc, damping,
-                                       np.linspace(0.0, 40.0 / jc.g, 7))
+    times = np.linspace(0.0, 40.0 / jc.g, 7)
+    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
     obs = oracle.oracle_observables(traj, jc)
+    offdiag = _dense_coherence(rho0, jc, damping, times)
     plus = 1 + 2 * np.arange(trunc)
     minus = plus + 1
     ground, edge = 0, 2 * trunc + 1
@@ -817,8 +818,15 @@ def test_observables_match_w_frame_read():
         assert abs(obs.p_plus[i] - p_plus) < 1e-14
         assert np.abs(obs.f[i] - (w[plus, plus] + w[minus, minus]).real).max() < 1e-14
         assert abs(obs.f_ground[i] - 2.0 * w[ground, ground].real) < 1e-14
-        assert np.abs(obs.offdiag[i] - w[plus, minus]).max() < 1e-14
-    assert np.abs(obs.offdiag).max() > 1e-3
+        assert np.abs(offdiag[i] - w[plus, minus]).max() < 1e-14
+    assert np.abs(offdiag).max() > 1e-3
+
+
+def _dense_coherence(rho0, jc, damping, times):
+    """The dressed-frame coherences <psi_n^+|W|psi_n^-> per sample, read by
+    `dense_observables` from the dense assembly of the oracle's samples."""
+    rho = dense_trajectory(rho0, jc, damping, times)
+    return dense_observables(rho, times, jc)[3]
 
 
 def _offdiag_decay(p0, damping, t):
@@ -835,12 +843,28 @@ def test_offdiag_decay_matches_oracle_in_secular_regime():
     p0 = coherent_distribution(3.3, trunc)
     rho0 = oracle.build_initial_state(p0, trunc)
     times = np.linspace(0.0, 0.5 / damping.kappa, 5)
-    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
-    obs = oracle.oracle_observables(traj, jc)
+    offdiag = _dense_coherence(rho0, jc, damping, times)
     scale = 0.5 * p0.probs[5]
     for i, t in enumerate(times):
         predicted = _offdiag_decay(p0, damping, t)[5]
-        assert abs(abs(obs.offdiag[i, 5]) - predicted) < 0.02 * scale
+        assert abs(abs(offdiag[i, 5]) - predicted) < 0.02 * scale
+
+
+def _closed_form_gap(jc, damping, nbar, gts):
+    """|closed-form P_+ - exact P_+| of an even cat at nbar on the gt grid
+    gts: the oracle from the full cat, which propagates its k = 0 block
+    alone; a warning the closed form may give does not change the values."""
+    spec = CatSpec(intensity=nbar)
+    times = gts / jc.g
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        closed = p_excited(ExperimentConfig(jc=jc, damping=damping,
+                                            initial_field=spec), times)
+    rho0 = oracle.build_initial_state(spec, default_truncation(nbar))
+    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+    exact = oracle.oracle_observables(traj, jc).p_plus
+    assert sum(values is not None for values in traj._values) == 1
+    return np.abs(closed - exact)
 
 
 @pytest.mark.parametrize("preset, n_b, gap, gt_at", [
@@ -848,27 +872,38 @@ def test_offdiag_decay_matches_oracle_in_secular_regime():
     ("brune96", 0.0, 0.1754, 0.8), ("brune96", 0.1, 0.1914, 0.8)])
 def test_closed_form_gap_map(preset, n_b, gap, gt_at):
     # the measured error of the closed-form P_+ against the exact dynamics
-    # (ROADMAP item 1): an even cat at the preset's nbar on the figures' gt
-    # grid, the oracle from the full cat, which propagates its k = 0 block
-    # alone; a warning the closed form may give does not change the values
+    # (ROADMAP item 1) at the preset's nbar on the figures' gt grid
     preset = PRESETS[preset]
-    jc, damping = preset.jc(), preset.damping(n_b)
-    spec = CatSpec(intensity=preset.nbar)
-    trunc = default_truncation(preset.nbar)
     gts = np.arange(0.0, preset.gt_max + 0.05, 0.1)
-    times = gts / jc.g
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ValidityWarning)
-        closed = p_excited(ExperimentConfig(jc=jc, damping=damping,
-                                            initial_field=spec), times)
-    traj = oracle.integrate_trajectory(oracle.build_initial_state(spec, trunc),
-                                       jc, damping, times)
-    exact = oracle.oracle_observables(traj, jc).p_plus
-    assert sum(values is not None for values in traj._values) == 1
-    deviation = np.abs(closed - exact)
+    deviation = _closed_form_gap(preset.jc(), preset.damping(n_b),
+                                 preset.nbar, gts)
     worst = deviation.argmax()
     assert deviation[worst] == pytest.approx(gap, abs=1e-3)
     assert gts[worst] == pytest.approx(gt_at)
+
+
+@pytest.mark.parametrize("nbar, kappa, gaps", [
+    (3.3, 1e-3, (0.0120, 0.0120, 0.0120, None)),
+    (3.3, 1e-2, (0.0210, 0.0227, 0.0227, 0.0713)),
+    (10.0, 1e-3, (0.0063, 0.0063, 0.0380, 0.0411)),
+    (10.0, 1e-2, (0.0081, 0.0435, 0.0571, 0.0571)),
+    (49.0, 1e-4, (0.0030, 0.0030, 0.0224, 0.0400)),
+    (49.0, 1e-3, (0.0148, 0.0281, 0.0284, 0.0284)),
+    (49.0, 1e-2, (0.0000, 0.0072, 0.0837, 0.1219))])
+def test_closed_form_gap_map_over_lost_photons(nbar, kappa, gaps):
+    # the (nbar, kappa/g) axis of the map (ROADMAP item 1) at g = 1 and
+    # n_b = 0: the largest gap up to the last gt where the mean number of
+    # lost photons J = 2 kappa nbar t is at most 0.05, 0.1, 0.2 and 0.4;
+    # None where J stays below the cut up to gt = 60
+    gts = np.arange(0.0, 60.0 + 0.05, 0.1)
+    deviation = _closed_form_gap(JCParams(g=1.0), DampingParams(kappa=kappa),
+                                 nbar, gts)
+    lost = 2.0 * kappa * nbar * gts
+    for cut, gap in zip((0.05, 0.1, 0.2, 0.4), gaps):
+        if gap is None:
+            assert lost[-1] < cut
+        else:
+            assert deviation[lost <= cut].max() == pytest.approx(gap, abs=1e-3)
 
 
 def test_offdiag_secular_rate_fails_at_strong_damping():
@@ -881,11 +916,10 @@ def test_offdiag_secular_rate_fails_at_strong_damping():
     p0 = coherent_distribution(3.3, trunc)
     rho0 = oracle.build_initial_state(p0, trunc)
     times = np.linspace(0.0, 0.5 / damping.kappa, 5)
-    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
-    obs = oracle.oracle_observables(traj, jc)
+    offdiag = _dense_coherence(rho0, jc, damping, times)
     scale = 0.5 * p0.probs[5]
     worst = max(
-        abs(abs(obs.offdiag[i, 5]) - _offdiag_decay(p0, damping, t)[5]) / scale
+        abs(abs(offdiag[i, 5]) - _offdiag_decay(p0, damping, t)[5]) / scale
         for i, t in enumerate(times)
     )
     assert worst > 0.1
