@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (ConfigurationError, DegenerateCatError, _count,
                      _nonnegative, _parameter)
 from .observables import ExperimentConfig, eta_correlation, revival_curves
-from .params import DampingParams
 from .presets import PRESETS
 from .states import CatSpec, coherent_distribution, default_truncation
 
@@ -165,7 +164,7 @@ def _time_axis(settings, preset):
 def _field_configs(preset, settings):
     """{"coherent": config, "cat": config} at the settings' nbar, phi and nb."""
     nbar = settings["nbar"]
-    damping = DampingParams(kappa=preset.kappa, n_thermal=settings["nb"])
+    damping = preset.damping(settings["nb"])
     fields = {"coherent": coherent_distribution(nbar, default_truncation(nbar)),
               "cat": CatSpec(intensity=nbar, phase=settings["phi"])}
     return {tag: ExperimentConfig(jc=preset.jc(), damping=damping,
@@ -252,7 +251,7 @@ def run_oracle(args):
         CatSpec(intensity=nbar, phase=args.phi).refuse_degenerate)
     trunc = default_truncation(nbar)
     t_max = args.t_max if args.t_max is not None else 0.5 / preset.kappa
-    damping = DampingParams(kappa=preset.kappa, n_thermal=args.nb)
+    damping = preset.damping(args.nb)
     rho0 = oracle.build_initial_state(CatSpec(intensity=nbar, phase=args.phi),
                                       trunc)
     times = np.linspace(0.0, t_max, args.samples)

@@ -138,13 +138,18 @@ def _f_star_apply(kernels, decay, stack):
     return out.clip(0.0, None, out=out)
 
 
-def f_star(p0, damping, t):
-    """Closed-form F*_n(t) for initial distribution p0 (may be unnormalized)."""
-    _warn_high_thermal(damping, 2)
-    probs = _probs_of(p0)
+def _f_star(probs, damping, t):
+    """F*_n(t) of the checked probabilities `probs` at one time; warns of
+    nothing, so that each public entry warns at its own caller's line."""
     times = _times(t, one=True).reshape(1)
     [(_, kernels, decay)] = _f_star_chunks(probs.size, damping, times)
     return _f_star_apply(kernels, decay, probs[None])[0, 0]
+
+
+def f_star(p0, damping, t):
+    """Closed-form F*_n(t) for initial distribution p0 (may be unnormalized)."""
+    _warn_high_thermal(damping, 2)
+    return _f_star(_probs_of(p0), damping, t)
 
 
 def _unitarity_ground(probs, f):
@@ -160,5 +165,5 @@ def f_star_ground(p0, damping, t):
     For an unnormalized input the role of 1 is played by the input mass.
     """
     probs = _probs_of(p0)
-    return _unitarity_ground(probs, f_star(probs, damping, t))
-
+    _warn_high_thermal(damping, 2)
+    return _unitarity_ground(probs, _f_star(probs, damping, t))

@@ -306,16 +306,17 @@ class Trajectory(Sequence):
     propagated when a read first touches one of its positions, so a
     trajectory costs what is read of it: `entries` reads any rho_ij of
     every sample and propagates only the blocks that hold them.  Every
-    reader in this library reads through it.  `traj[i]` and iteration
-    propagate every filled block and build a sample's dense DensityMatrix,
-    with the k < 0 blocks filled as conjugate transposes; nothing keeps it.
-    They are a convenience that no library path uses, kept because the
-    oracle check of `benchmarks/workloads.py` iterates dense samples.  A
-    block propagated on its Hermitian closure is stored expanded to every
-    one of its positions, each entry the exact conjugate of its
-    transpose's.  Each block starts from the same initial vector with the
-    same propagators, so its values do not depend on the order of the
-    reads.  Until every filled block is stored, the trajectory keeps its
+    reader in this library reads through it and counts the samples with
+    `times.size`.  `traj[i]` and iteration propagate every filled block
+    and build a sample's dense DensityMatrix, with the k < 0 blocks filled
+    as conjugate transposes; nothing keeps it.  They and `len(traj)` (the
+    `Sequence` protocol) are a convenience that no library path uses, kept
+    because the oracle check of `benchmarks/workloads.py` iterates dense
+    samples.  A block propagated on its Hermitian closure is stored
+    expanded to every one of its positions, each entry the exact conjugate
+    of its transpose's.  Each block starts from the same initial vector
+    with the same propagators, so its values do not depend on the order of
+    the reads.  Until every filled block is stored, the trajectory keeps its
     `_BlockPropagator` (the positions of the filled blocks and the
     generators and expm per step of each block propagated so far) and each
     unstored block's part of the initial vector; then it lets go of them.
@@ -376,7 +377,7 @@ class Trajectory(Sequence):
         return DensityMatrix(matrix=m, time=float(self.times[i]))
 
     def entries(self, rows, cols):
-        """rho_(rows, cols) of every sample, with shape (len(self),) + the
+        """rho_(rows, cols) of every sample, with shape (times.size,) + the
         broadcast shape of the two index arrays.  An entry of a block that
         is not filled is zero, and one of coherence order k < 0 is the
         conjugate of its transpose."""
@@ -392,13 +393,13 @@ class Trajectory(Sequence):
         self._fill(owner)
         # a C-ordered result, so that a sum over the entries of each sample
         # runs in the same order as over a dense matrix
-        out = np.zeros((len(self), pos.size), dtype=complex)
+        out = np.zeros((self.times.size, pos.size), dtype=complex)
         for b in np.unique(owner[owner >= 0]):
             here = owner == b
             out[:, here] = self._values[b][:, self._local[pos[here]]]
         if lower.any():
             out[:, lower] = out[:, lower].conj()
-        return out.reshape((len(self),) + rows.shape)
+        return out.reshape((self.times.size,) + rows.shape)
 
 
 def _by_block(owner, count):
@@ -699,9 +700,9 @@ def w_equation_residuals(window, jc, damping):
     _instance(window, "window", Trajectory)
     _instance(jc, "jc", JCParams)
     _instance(damping, "damping", DampingParams)
-    if len(window) < 5:
-        raise ValueError("need at least 5 uniformly spaced samples")
     times = window.times
+    if times.size < 5:
+        raise ValueError("need at least 5 uniformly spaced samples")
     dt = (times[-1] - times[0]) / (times.size - 1)
     if not (dt > 0.0 and np.all(
             np.abs(np.diff(times) - dt) <= SPACING_RTOL * dt)):
@@ -714,7 +715,7 @@ def w_equation_residuals(window, jc, damping):
     k, nb = damping.kappa, damping.n_thermal
     dim = 2 * (trunc + 1)
     k0 = np.divmod(np.flatnonzero(_block_labels(trunc, jc) == 0), dim)
-    w = np.zeros((len(window), dim, dim), dtype=complex)
+    w = np.zeros((times.size, dim, dim), dtype=complex)
     w[:, k0[0], k0[1]] = window.entries(*k0)
     u, rabi = dressed_basis(trunc)
     phases = np.exp(1j * (jc.g * rabi) * times[:, None])
@@ -725,7 +726,7 @@ def w_equation_residuals(window, jc, damping):
     rows = np.r_[plus, minus, 0, plus]
     cols = np.r_[plus, minus, 0, minus]
     worst = w_norm = 0.0
-    for i in range(2, len(w) - 2):
+    for i in range(2, times.size - 2):
         w_norm = max(w_norm, np.abs(w[i]).max())
         a_t = phases[i][:, None] * a_base * phases[i].conj()[None, :]
         a_t_dag = a_t.conj().T

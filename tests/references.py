@@ -122,9 +122,10 @@ def _passage(config, field, t):
     return f_star(field, config.damping, t), factor * field
 
 
-def passage_reference(config, t_a, t_b):
-    """(P_+(t_a), {s1: (P(s1), P(s1, +))}) for a second atom at t_b, from
-    one `f_star` per passage of one field at one time.
+def passage_reference(config, t_a, t_bs):
+    """(P_+(t_a), [{s1: (P(s1), P(s1, +))} for a second atom at each t_b of
+    `t_bs`]), from one `f_star` per passage of one field at one time; the
+    first passage is shared by every t_b.
 
     The arithmetic of the closed-form observables, written out per time
     and field in the same expression order, so that their arrays must equal
@@ -134,7 +135,7 @@ def passage_reference(config, t_a, t_b):
     f, osc = _passage(config, probs, t_a)
     ground = _unitarity_ground(probs, f)
     p_plus = 0.5 - 0.25 * ground + 0.5 * osc.sum()
-    outcomes = {}
+    conditioned = {}
     for s1 in "+-":
         if s1 == "+":
             cond = 0.5 * (f + osc)
@@ -143,10 +144,15 @@ def passage_reference(config, t_a, t_b):
             cond[0] = 0.5 * ground
             cond[1:] = 0.5 * (f[:-1] - osc[:-1])
         cond = np.clip(cond, 0.0, None)
-        weight = cond.sum()
-        f_b, osc_b = _passage(config, cond, t_b - t_a)
-        value = 0.5 * f_b.sum() + 0.5 * osc_b.sum()
-        outcomes[s1] = weight, np.minimum(np.maximum(value, 0.0), weight)
+        conditioned[s1] = cond, cond.sum()
+    outcomes = []
+    for t_b in t_bs:
+        outcomes.append({})
+        for s1, (cond, weight) in conditioned.items():
+            f_b, osc_b = _passage(config, cond, t_b - t_a)
+            value = 0.5 * f_b.sum() + 0.5 * osc_b.sum()
+            outcomes[-1][s1] = weight, np.minimum(np.maximum(value, 0.0),
+                                                  weight)
     return p_plus, outcomes
 
 

@@ -274,7 +274,7 @@ def test_identity_kernel_returns_the_field_bit_for_bit(t):
 
 def test_high_thermal_occupation_warns():
     # each closed-form entry that takes a DampingParams warns at its
-    # caller's line, and f_star_ground through f_star
+    # caller's line
     damping = DampingParams(kappa=1.0, n_thermal=0.8)
     p0 = coherent_distribution(1.0, 16)
     entries = (
@@ -283,14 +283,13 @@ def test_high_thermal_occupation_warns():
         lambda: ResumParams(nbar=20.0, phase=0.0, max_order=2,
                             damping=damping, g=100.0),
         lambda: f_star(p0, damping, 0.1),
+        lambda: f_star_ground(p0, damping, 0.1),
     )
     for entry in entries:
         with pytest.warns(ValidityWarning, match="n_thermal > 0.5") as record:
             entry()
         assert len(record) == 1
         assert record[0].filename == __file__
-    with pytest.warns(ValidityWarning, match="n_thermal > 0.5"):
-        f_star_ground(p0, damping, 0.1)
 
 
 def test_damping_record_and_oracle_command_do_not_warn(tmp_path):

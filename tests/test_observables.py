@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from catcavity import (
 )
 from catcavity import observables
 from catcavity.damping import KERNEL_CHUNK, _f_star_chunks
-from references import eta_reference, passage_reference, rate_arrays
+from references import eta_reference, passage_reference
 
 
 @pytest.fixture
@@ -305,49 +306,6 @@ def test_p_joint_rejects_reversed_times_in_array(benson_config):
         p_joint(benson_config, np.array([1e-5, 1e-4]), 5e-5, "+", "+")
 
 
-def _per_passage_rates(jc, damping, size, times):
-    """`_operators` one time per chunk, with alpha_n (from `rate_arrays`),
-    sqrt(n+1) and the F*_n kernel rebuilt for every time, where
-    `_operators` builds the rates once per call and the kernels once per
-    chunk of times."""
-    for i, t in enumerate(times.tolist()):
-        n = np.arange(size)
-        alpha, _, _ = rate_arrays(damping, size - 1)
-        osc = np.exp(-alpha * t) * np.cos(2.0 * jc.g * t * np.sqrt(n + 1.0))
-        [(_, kernels, decay)] = _f_star_chunks(size, damping, times[i:i + 1])
-        yield slice(i, i + 1), (kernels, decay, osc[None, None])
-
-
-@pytest.mark.parametrize("nb", [0.0, 0.13])
-def test_passage_bit_identical_to_per_passage_rates(monkeypatch, nb):
-    # the fig1 grid and fields: the figure CSVs stay byte-identical
-    preset = PRESETS["benson97"]
-    ts = np.arange(0.0, 50.0 + 0.05, 0.1) / preset.g
-    damping = DampingParams(kappa=preset.kappa, n_thermal=nb)
-    configs = [ExperimentConfig(jc=preset.jc(), damping=damping,
-                                initial_field=field)
-               for field in (coherent_distribution(49.0,
-                                                   default_truncation(49.0)),
-                             CatSpec(intensity=49.0, phase=1.7))]
-
-    def curves(config):
-        return (p_excited(config, ts),
-                p_joint(config, ts, 2.0 * ts, "+", "+"),
-                eta_correlation(config, ts),
-                *revival_curves(config, ts))
-
-    for config in configs:
-        got = curves(config)
-        with monkeypatch.context() as patch:
-            patch.setattr(observables, "_operators", _per_passage_rates)
-            expected = curves(config)
-        for a, b in zip(got, expected):
-            assert np.array_equal(a, b, equal_nan=True)
-        # revival_curves is (p_excited, p_joint(t, 2t, "+", "+"))
-        assert np.array_equal(got[3], expected[0])
-        assert np.array_equal(got[4], expected[1])
-
-
 def _figure_pair(preset, nb, truncations=(0, 0)):
     """The coherent and cat configs of one figure (phi = 1.7) and its axis."""
     damping = DampingParams(kappa=preset.kappa, n_thermal=nb)
@@ -361,65 +319,87 @@ def _figure_pair(preset, nb, truncations=(0, 0)):
     return configs, ts
 
 
+@functools.cache
+def _loop_reference(name, nb):
+    """`_figure_pair(PRESETS[name], nb)` and, per config, its curves from
+    one f_star per passage, time and field, with alpha_n from rate_arrays
+    (tests/references.py `passage_reference`): P_+ under "p_plus",
+    P(s1, s2) of a second atom at k t under (k, s1, s2), and eta."""
+    configs, ts = _figure_pair(PRESETS[name], nb)
+    curves = []
+    for config in configs:
+        refs = [passage_reference(config, t, (2.0 * t, 3.0 * t)) for t in ts]
+        curve = {"p_plus": np.array([p for p, _ in refs]),
+                 "eta": np.array([eta_reference(p, o[0]["+"][1],
+                                                o[0]["-"][1])
+                                  for p, o in refs])}
+        for i, k in enumerate((2.0, 3.0)):
+            for s1 in "+-":
+                weight, plus = np.array([o[i][s1] for _, o in refs]).T
+                curve[k, s1, "+"], curve[k, s1, "-"] = plus, weight - plus
+        curves.append(curve)
+    return configs, ts, curves
+
+
 @pytest.mark.filterwarnings("ignore::catcavity.ValidityWarning")
 @pytest.mark.parametrize("nb", [0.0, 0.13])
 @pytest.mark.parametrize("name", ["benson97", "brune96"])
 def test_observables_bit_identical_to_loop_reference(name, nb):
-    # the fig1 (benson97) and fig3 (both presets) grids and fields, against
-    # one f_star per passage, time and field, with alpha_n from rate_arrays
-    # (tests/references.py)
-    configs, ts = _figure_pair(PRESETS[name], nb)
-    for config in configs:
-        refs = {k: [passage_reference(config, t, k * t) for t in ts]
-                for k in (2.0, 3.0)}
-        p_plus = np.array([p for p, _ in refs[2.0]])
-
-        def joint(k, s1, s2):
-            weight, plus = np.array([o[s1] for _, o in refs[k]]).T
-            return plus if s2 == "+" else weight - plus
-
-        eta = np.array([eta_reference(p, o["+"][1], o["-"][1])
-                        for p, o in refs[2.0]])
-        assert np.array_equal(p_excited(config, ts), p_plus)
+    # the fig1 (benson97) and fig3 (both presets) grids and fields
+    configs, ts, curves = _loop_reference(name, nb)
+    for config, ref in zip(configs, curves):
+        assert np.array_equal(p_excited(config, ts), ref["p_plus"])
         for k in (2.0, 3.0):
             for s1 in "+-":
                 for s2 in "+-":
                     assert np.array_equal(
-                        p_joint(config, ts, k * ts, s1, s2),
-                        joint(k, s1, s2))
+                        p_joint(config, ts, k * ts, s1, s2), ref[k, s1, s2])
         p_plus_rc, p_plusplus_rc = revival_curves(config, ts)
-        assert np.array_equal(p_plus_rc, p_plus)
-        assert np.array_equal(p_plusplus_rc, joint(2.0, "+", "+"))
-        assert np.array_equal(eta_correlation(config, ts), eta,
+        assert np.array_equal(p_plus_rc, ref["p_plus"])
+        assert np.array_equal(p_plusplus_rc, ref[2.0, "+", "+"])
+        assert np.array_equal(eta_correlation(config, ts), ref["eta"],
                               equal_nan=True)
 
 
-def _assert_rows_equal_single_calls(configs, ts):
-    def curves(config):
-        return (*revival_curves(config, ts), eta_correlation(config, ts),
-                p_excited(config, ts),
-                *(p_joint(config, ts, 2.0 * ts, s1, s2)
-                  for s1, s2 in (("+", "-"), ("-", "+"))))
+#: The loop reference's name of each curve of `_curves`.
+_CURVE_KEYS = ("p_plus", (2.0, "+", "+"), "eta", "p_plus", (2.0, "+", "-"),
+               (2.0, "-", "+"))
 
-    stacked = curves(configs)
+
+def _curves(configs, ts):
+    return (*revival_curves(configs, ts), eta_correlation(configs, ts),
+            p_excited(configs, ts),
+            *(p_joint(configs, ts, 2.0 * ts, s1, s2)
+              for s1, s2 in (("+", "-"), ("-", "+"))))
+
+
+def _assert_rows_equal(configs, ts, singles):
+    """Each row of the stacked `_curves` of `configs` equals the curves of
+    its config in `singles`."""
+    stacked = _curves(configs, ts)
     assert all(rows.shape == (2, ts.size) for rows in stacked)
-    for row, config in enumerate(configs):
-        for rows, alone in zip(stacked, curves(config)):
-            assert np.array_equal(rows[row], alone, equal_nan=True)
+    for row, alone in enumerate(singles):
+        for rows, curve in zip(stacked, alone):
+            assert np.array_equal(rows[row], curve, equal_nan=True)
 
 
 @pytest.mark.filterwarnings("ignore::catcavity.ValidityWarning")
 @pytest.mark.parametrize("nb", [0.0, 0.13])
 @pytest.mark.parametrize("name", ["benson97", "brune96"])
 def test_stacked_rows_equal_single_config_calls(name, nb):
-    # the fig1 (benson97) and fig3 (both presets) grids and fields
-    _assert_rows_equal_single_calls(*_figure_pair(PRESETS[name], nb))
+    # the fig1 (benson97) and fig3 (both presets) grids and fields, against
+    # the loop reference, which each single-config call equals bit for bit
+    configs, ts, curves = _loop_reference(name, nb)
+    _assert_rows_equal(configs, ts, [[ref[key] for key in _CURVE_KEYS]
+                                     for ref in curves])
 
 
 def test_stacked_rows_of_different_truncation_equal_single_calls():
     configs, ts = _figure_pair(PRESETS["benson97"], 0.1, (120, 150))
     assert [config.truncation for config in configs] == [120, 150]
-    _assert_rows_equal_single_calls(configs, ts[::10])
+    ts = ts[::10]
+    _assert_rows_equal(configs, ts,
+                       [_curves(config, ts) for config in configs])
 
 
 def test_stacked_scalar_time_gives_one_value_per_config():
