@@ -2,9 +2,8 @@
 
 The density matrix lives on basis states |n, s> with s in {+, -}, index
 2 n + (0 for +, 1 for -), in the interaction picture that removes
-omega (a* a + sigma_z / 2): the cavity is resonant with the atom, so the
-remaining Hamiltonian is the bare coupling g (a sigma_+ + a* sigma_-), and
-the (unspecified) optical frequency cancels from every observable.
+omega (a* a + sigma_z / 2): at resonance the remaining Hamiltonian is the
+bare coupling g (a sigma_+ + a* sigma_-), and omega cancels throughout.
 
 The coupling and both dissipators conserve the coherence order
 k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
@@ -12,29 +11,28 @@ k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
 with blocks of at most 4 N + 2 states.  Each block is propagated exactly
 with `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
 970, 2009), the k = 0 block on its Hermitian closure of 3 N + 2 real
-variables (and N more for an imaginary part, see below), and only when it
-is read: `integrate_trajectory` propagates the blocks that hold the
-populations, and a `Trajectory` propagates any other block the first time a
-read touches it, with the generators of the blocks one read propagates
-built together from their positions.  Every reader
-here reads through `Trajectory.entries`, so a reader of P_+, F_n, the
-residuals of the W-frame equations or any other k = 0 entry pays for the
-k = 0 block alone, whatever the initial state.
+variables (and N more for an imaginary part, see below), and only when
+read: `integrate_trajectory` propagates the blocks of the populations, a
+`Trajectory` any other when a read first touches it.  `oracle_observables`,
+`joint_probability_oracle`, `w_equation_residuals` and the trace-drift
+check read k = 0 entries through `Trajectory.entries`, so they pay for the
+k = 0 block alone, whatever the initial state.  The decoherence surrogate
+`branch_coherence_trajectory` runs the uncoupled field alone, one real
+block per filled diagonal.
 
 The blocks are propagated in the atom-phase frame rho' = S* rho S with
 S = 1_field x diag(1, i).  The coupling links |n, +> only with |n+1, ->, so
 S turns g (a sigma_+ + a* sigma_-) into i times a real antisymmetric matrix
 and i [rho, H'] into a real map; a and a* act on the field alone and commute
-with S, so both dissipators stay real.  Every block is therefore a real
-matrix.  Multiplying by 1 or +/-i only moves and negates floats, so a
-rotated block holds exactly the floats of `liouvillian` at its positions.
+with S, so both dissipators stay real, and so does every block.  Multiplying
+by 1 or +/-i only moves and negates floats, so a rotated block holds
+exactly the floats of `liouvillian` at its positions.
 
-A block that holds the transpose (j, i) of each of its positions (i, j),
-the k = 0 block, commutes with that transposition, and rho' stays
-Hermitian.  Its real part, symmetric, and its imaginary part,
-antisymmetric, then evolve apart (Puri & Agarwal, PRA 33, 3610, 1986): on
-the 3 N + 2 positions with i <= j and on the N with i < j.  Each runs on its
-own generator, the second only when the start has an imaginary part, which
+The k = 0 block holds the transpose (j, i) of each of its positions (i, j)
+and commutes with that transposition, so rho' stays Hermitian: its real,
+symmetric part and its imaginary, antisymmetric part evolve apart (Puri &
+Agarwal, PRA 33, 3610, 1986), on the 3 N + 2 positions with i <= j and the
+N with i < j, the second only when the start has an imaginary part, which
 no cat or photon distribution has.
 """
 
@@ -69,10 +67,9 @@ _LOG = logging.getLogger("catcavity")
 
 def __getattr__(name):
     """`oracle.solve_ivp`, imported on its first read (PEP 562), so that
-    importing the oracle does not load `scipy.integrate`.  Nothing here
-    calls it: `benchmarks/run.py --trace 1` wraps this name to count nfev.
-    Delete this when the benchmark replaces that counter (ROADMAP item 2).
-    """
+    importing the oracle does not load `scipy.integrate`.  Only
+    `benchmarks/run.py --trace 1` reads it, to count nfev; delete this when
+    the benchmark replaces that counter (ROADMAP item 2)."""
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
         return solve_ivp
@@ -137,11 +134,9 @@ def cat_state_vector(spec, truncation):
 
 
 def build_initial_state(fieldspec, truncation):
-    """rho(0) = (field state) x |+><+| with the atom excited.
-
-    `fieldspec` is a CatSpec (pure cat, Fock coherences kept) or a
-    PhotonDistribution (diagonal mixture -- what the analytic path sees).
-    """
+    """rho(0) = (field state) x |+><+| with the atom excited, from a
+    CatSpec (pure cat, Fock coherences kept) or a PhotonDistribution
+    (diagonal mixture -- what the analytic path sees) `fieldspec`."""
     _instance(fieldspec, "fieldspec", CatSpec, PhotonDistribution)
     _count(truncation, "truncation", 1)
     if isinstance(fieldspec, CatSpec):
@@ -160,7 +155,7 @@ def build_initial_state(fieldspec, truncation):
 
 def _triplets(jc, damping, truncation, positions):
     """The Liouvillian of `liouvillian` on the ascending vec(rho)
-    `positions`, a set it maps into itself (a block, or every position), as
+    `positions`, a set it maps into itself (blocks, or every position), as
     (rows, cols, values) arrays whose rows and cols index `positions`.
 
     Under row-major vectorization entry (i, j) of A rho B reads A_ik B_lj
@@ -217,8 +212,8 @@ def liouvillian(jc, damping, truncation):
     with H' = g (a sigma_+ + a* sigma_-) and the jumps (rate, J) =
     (kappa (n_b + 1), a) and (kappa n_b, a*), from `_triplets` over every
     position; the propagation builds the blocks it propagates from those of
-    their positions.  jc=None drops H' (field-only decay, for
-    pure-decoherence runs).
+    their positions.  jc=None drops H', the field-only decay that
+    `branch_coherence_trajectory` runs from `_triplets` itself.
     """
     import scipy.sparse as sp
 
@@ -230,23 +225,15 @@ def liouvillian(jc, damping, truncation):
     return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 
-def _block_labels(truncation, jc):
-    """Block label of each entry of row-major vec(rho).
-
-    The label is the coherence order k = m_i - m_j of |n_i, s_i><n_j, s_j|,
-    with excitation number m = n + [s = +]; the coupling and both
-    dissipators conserve it.  With the coupling off (jc=None) the atom
-    states are conserved too, and the label is 4 k + 2 s_i + s_j (s = 0 for
-    +, 1 for -), so label // 4 is k.  Either way label < 0 exactly where
-    k < 0, and the Liouvillian is block-diagonal once vec(rho) is sorted by
-    label.
+def _block_labels(truncation):
+    """Coherence order k = m_i - m_j of |n_i, s_i><n_j, s_j| at each entry
+    of row-major vec(rho), with excitation number m = n + [s = +].  The
+    coupling and both dissipators conserve it, so the Liouvillian is
+    block-diagonal once vec(rho) is sorted by k.
     """
     s = np.arange(2 * (truncation + 1)) % 2
     m = np.arange(2 * (truncation + 1)) // 2 + 1 - s
-    k = m[:, None] - m[None, :]
-    if jc is not None:
-        return k.ravel()
-    return (4 * k + 2 * s[:, None] + s[None, :]).ravel()
+    return (m[:, None] - m[None, :]).ravel()
 
 
 _ATOM = np.array([1.0, 1j])  # s of |n, +> and |n, ->
@@ -262,11 +249,11 @@ def _atom_phases(positions, truncation):
 
 def _fold(dense, upper, twin):
     """The generators of a real block closed under (i, j) -> (j, i) on its
-    Hermitian closure: the symmetric one on the real parts at the local
-    positions `upper` (each (i, j) with i <= j), whose column for a pair is
-    G[:, a] + G[:, twin(a)] and for a diagonal position G[:, a], and the
-    antisymmetric one on the imaginary parts at the off-diagonal ones, whose
-    column is G[:, a] - G[:, twin(a)]; both read the rows at `upper`."""
+    Hermitian closure, both on the rows at the local positions `upper` (each
+    (i, j) with i <= j): the symmetric one on the real parts, whose column
+    is G[:, a] + G[:, twin(a)] for a pair and G[:, a] on the diagonal, and
+    the antisymmetric one on the imaginary parts off the diagonal, whose
+    column is G[:, a] - G[:, twin(a)]."""
     pair = upper != twin
     rows = dense[upper]
     sym = rows[:, upper]
@@ -296,30 +283,32 @@ def _check_times(times, start):
     return times
 
 
+def _check_drift(drift):
+    """Raise ConsistencyError at the first trace drift beyond
+    10*DEFAULT_TOL; a NaN drift fails too."""
+    bad = np.flatnonzero(~(np.abs(drift) <= 10.0 * DEFAULT_TOL))
+    if bad.size:
+        raise ConsistencyError(
+            f"trace drift {drift[bad[0]]:.3e} beyond 10*DEFAULT_TOL")
+
+
 class Trajectory(Sequence):
     """The samples of one oracle run, as a read-only sequence; what
     `integrate_trajectory` returns.
 
-    It holds propagated block vectors, not density matrices: for each
-    sample, the entries of vec(rho) at the positions of a filled block (of
-    coherence order k >= 0), in the bare basis.  A filled block is
-    propagated when a read first touches one of its positions, so a
-    trajectory costs what is read of it: `entries` reads any rho_ij of
-    every sample and propagates only the blocks that hold them.  Every
-    reader in this library reads through it and counts the samples with
-    `times.size`.  `traj[i]` and iteration propagate every filled block
-    and build a sample's dense DensityMatrix, with the k < 0 blocks filled
-    as conjugate transposes; nothing keeps it.  They and `len(traj)` (the
-    `Sequence` protocol) are a convenience that no library path uses, kept
-    because the oracle check of `benchmarks/workloads.py` iterates dense
-    samples.  A block propagated on its Hermitian closure is stored
-    expanded to every one of its positions, each entry the exact conjugate
-    of its transpose's.  Each block starts from the same initial vector
-    with the same propagators, so its values do not depend on the order of
-    the reads.  Until every filled block is stored, the trajectory keeps its
-    `_BlockPropagator` (the positions of the filled blocks and the
-    generators and expm per step of each block propagated so far) and each
-    unstored block's part of the initial vector; then it lets go of them.
+    It holds, for each sample, the bare-basis entries of vec(rho) at the
+    positions of each filled block (of coherence order k >= 0), propagated
+    when a read first touches one of them.  Every library reader reads any
+    rho_ij of every sample through `entries` and counts the samples with
+    `times.size`.  `traj[i]`, iteration and `len(traj)` (the `Sequence`
+    protocol) build dense DensityMatrix samples that nothing keeps, for the
+    oracle check of `benchmarks/workloads.py` alone.  A block run on its
+    Hermitian closure is stored on all its positions, each entry the exact
+    conjugate of its transpose's.  Each block starts from the same initial
+    vector with the same propagators, so its values do not depend on the
+    order of the reads.  Until every filled block is stored, the trajectory
+    keeps its `_BlockPropagator` and each unstored block's part of the
+    initial vector; then it lets go of them.
     """
 
     def __init__(self, times, prop, v0, levels, step_index):
@@ -336,10 +325,9 @@ class Trajectory(Sequence):
 
     def _fill(self, blocks, level=logging.DEBUG):
         """Propagate each of the block numbers `blocks` (-1, no block, is
-        skipped) that is not stored yet, with the generators of all of them
-        built by one `_BlockPropagator.build`, and log the sizes and expm
-        builds of those propagated, with the size of each matrix
-        exponentiated, at `level` (at DEBUG only when there are any)."""
+        skipped) not stored yet, their generators built by one
+        `_BlockPropagator.build`, and log their sizes and the size of each
+        expm built at `level` (at DEBUG only when there are any)."""
         new = [b for b in np.unique(blocks).tolist()
                if b >= 0 and self._values[b] is None]
         sizes, expms = [], []
@@ -423,7 +411,7 @@ class _BlockPropagator:
     def __init__(self, jc, damping, truncation, v0):
         self.model = jc, damping, truncation
         self.truncation = truncation
-        self.label = _block_labels(truncation, jc)
+        self.label = _block_labels(truncation)
         # the labels >= 0 with a non-zero part of v0, numbered in order
         upper = self.label >= 0
         filled = np.bincount(self.label[upper], weights=v0[upper] != 0) > 0
@@ -441,18 +429,6 @@ class _BlockPropagator:
         self._generators = {}  # block number -> (closure, generators)
         self._props = {}  # ((block number, part), step length) -> expm
 
-    def _closure(self, b):
-        """The local indices of the positions (i, j) of block `b` with
-        i <= j, ascending, and of their transposes (j, i); None unless the
-        block holds the transpose of each of its positions."""
-        dim = 2 * (self.truncation + 1)
-        i, j = np.divmod(self.blocks[b], dim)
-        twin = j * dim + i
-        if not np.all(self.owner[twin] == b):
-            return None
-        upper = np.flatnonzero(i <= j)
-        return upper, self.local[twin[upper]]
-
     def build(self, blocks):
         """Build the generators of each of the distinct block numbers
         `blocks` that has none yet, all from one `_triplets` call over the
@@ -460,9 +436,10 @@ class _BlockPropagator:
         (see `_atom_phases`), which is exact and leaves every entry real.
         Each triplet's value depends on its own (row, col) alone, so a
         block's slice of the union holds exactly the triplets of its own
-        positions; each generator is scattered into a float array, and
-        folded onto its Hermitian closure when the block is closed under
-        transposition."""
+        positions.  Each generator is scattered into a float array; the
+        k = 0 block's, closed under transposition, is folded onto its
+        Hermitian closure (the local indices of each (i, j) with i <= j,
+        ascending, and of its transpose (j, i))."""
         new = [b for b in blocks if b not in self._generators]
         if not new:
             return
@@ -472,14 +449,19 @@ class _BlockPropagator:
         gen = val * phase[rows] * phase[cols].conj()
         rows, cols = union[rows], union[cols]
         order, start, count = _by_block(self.owner[rows], len(self.blocks))
+        dim = 2 * (self.truncation + 1)
         for b in new:
             part = order[start[b]:start[b] + count[b]]
             dense = np.zeros((self.blocks[b].size,) * 2)
             dense[self.local[rows[part]], self.local[cols[part]]] = (
                 gen[part].real)
-            closure = self._closure(b)
-            self._generators[b] = closure, (
-                (dense,) if closure is None else _fold(dense, *closure))
+            if self.label[self.blocks[b][0]]:  # k != 0
+                self._generators[b] = None, (dense,)
+                continue
+            i, j = np.divmod(self.blocks[b], dim)
+            upper = np.flatnonzero(i <= j)
+            closure = upper, self.local[j[upper] * dim + i[upper]]
+            self._generators[b] = closure, _fold(dense, *closure)
 
     def _advance(self, key, gen, v, levels, step_index):
         """v after each sample's step under the generator `gen`, as a
@@ -503,14 +485,13 @@ class _BlockPropagator:
         the size of each expm it built, from the generators `build` built.
 
         Sample i is one step of length levels[step_index[i]] (none for
-        index -1) after sample i - 1.  The block runs in the atom-phase
-        frame with one product per sample.  A block closed under
-        transposition runs on its Hermitian closure: v is taken as its
-        Hermitian part, x = (x_a + x_twin) / 2 and y = (y_a - y_twin) / 2,
-        whose real part runs on the symmetric generator and whose imaginary
-        part, only when it is non-zero, on the antisymmetric one, and the
-        two are expanded back to every position.  Any other block carries
-        the real and imaginary parts of its vector as two columns.
+        index -1) after sample i - 1, one product in the atom-phase frame.
+        The k = 0 block runs on its Hermitian closure: v is taken as its
+        Hermitian part, whose real part x = (x_a + x_twin) / 2 runs on the
+        symmetric generator and imaginary part y = (y_a - y_twin) / 2, only
+        when non-zero, on the antisymmetric one, both expanded back to every
+        position.  Any other block carries the real and imaginary parts of
+        its vector as two columns.
         """
         (closure, gens), samples = self._generators[b], step_index.size
         phase = _atom_phases(self.blocks[b], self.truncation)
@@ -539,39 +520,32 @@ class _BlockPropagator:
     def run(self, v0, start, times):
         """Trajectory of vec(rho) = v0 at `start` over the sorted `times`.
 
-        Only the filled blocks, all of k >= 0, are ever propagated: v0 on
-        k < 0 is read as the conjugate transpose of its k > 0 part, and v0
-        must vanish in every other block.  The blocks that hold the
-        populations are propagated here, for the trace drift, which raises
-        beyond 10*DEFAULT_TOL; the others when the trajectory is first read
-        there.  The INFO log names the size of each block propagated here,
-        the number of expm builds they added and the size of each matrix
-        exponentiated (3 N + 2 for the real part of the k = 0 block); each
-        later propagation logs the same at DEBUG.
+        Only the filled blocks, all of k >= 0, are propagated: v0 on k < 0
+        is read as the conjugate transpose of its k > 0 part.  The blocks
+        that hold the populations are propagated here, for the trace drift
+        (see `_check_drift`), the others when a read first touches them.
+        The INFO log names the size of each block propagated here, the
+        number of expm builds and the size of each matrix exponentiated
+        (3 N + 2 for the k = 0 block's real part); later ones log at DEBUG.
         """
         levels, step_index = _step_groups(np.diff(np.r_[start, times]))
         traj = Trajectory(times, self, v0, levels, step_index)
         every = np.arange(2 * (self.truncation + 1))
         diagonal = every * every.size + every
         traj._fill(self.owner[diagonal], logging.INFO)
-        drift = (traj.entries(every, every).real.sum(axis=1)
-                 - v0[diagonal].real.sum())
-        bad = np.flatnonzero(~(np.abs(drift) <= 10.0 * DEFAULT_TOL))
-        if bad.size:  # NaN drift fails too
-            raise ConsistencyError(
-                f"trace drift {drift[bad[0]]:.3e} beyond 10*DEFAULT_TOL")
+        _check_drift(traj.entries(every, every).real.sum(axis=1)
+                     - v0[diagonal].real.sum())
         return traj
 
 
 def integrate_trajectory(rho0, jc, damping, times):
     """Propagate the master equation exactly to each time, as a
-    `Trajectory`; jc=None drops the coupling (see `liouvillian`).  The
-    blocks that hold the populations are propagated here; every other block
-    whose initial vector is non-zero is propagated when the trajectory is
-    first read there (see `_BlockPropagator.run`), so a reader of k = 0
-    entries (populations, P_+, F_n) pays for the k = 0 block alone."""
+    `Trajectory`.  The blocks that hold the populations are propagated
+    here, every other filled block when the trajectory is first read there
+    (see `_BlockPropagator.run`), so a reader of k = 0 entries
+    (populations, P_+, F_n) pays for the k = 0 block alone."""
     _instance(rho0, "rho0", DensityMatrix)
-    _instance(jc, "jc", JCParams, type(None))
+    _instance(jc, "jc", JCParams)
     _instance(damping, "damping", DampingParams)
     times = _check_times(times, rho0.time)
     v0 = rho0.matrix.reshape(-1)
@@ -585,11 +559,8 @@ def integrate_trajectory(rho0, jc, damping, times):
 
 @dataclass(frozen=True)
 class OracleObservables:
-    """Like-for-like quantities extracted from an oracle trajectory.
-
-    f covers the dressed doublets n = 0..truncation-1 present in the
-    truncated space.
-    """
+    """Like-for-like quantities extracted from an oracle trajectory; f
+    covers the dressed doublets n = 0..truncation-1 of the truncated space."""
 
     times: np.ndarray
     p_plus: np.ndarray
@@ -620,31 +591,17 @@ def oracle_observables(trajectory, jc):
                              f_ground=2.0 * diag[:, 1])
 
 
-def condition_on_atom(traj, outcome):
-    """Unnormalized field matrices <s|rho|s> of every sample of the
-    `Trajectory` traj after detection, stacked (samples, N + 1, N + 1),
-    and their weights.  It reads the atom sector's entries alone."""
-    _check_outcome(outcome)
-    _instance(traj, "traj", Trajectory)
-    sector = 2 * np.arange(traj.truncation + 1) + (outcome == "-")
-    block = traj.entries(sector[:, None], sector[None, :])
-    return block, np.trace(block, axis1=1, axis2=2).real
-
-
 def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
-    """Two-atom joint probability by explicit sequential integration.
-
-    Atom 1 evolves with the field to t_A and is projected onto s1 (keeping
-    the unnormalized weight); a fresh excited atom then evolves with the
-    conditioned field to t_B, where s2 is read off.  Only the k = 0 part of
-    rho0 reaches that trace through conditioning and re-injection: each
-    passage reads just the atom sector's populations, so it propagates the
-    k = 0 block alone, and the second starts from their diagonal.  That
-    block runs on the real part of its Hermitian closure, 3 N + 2 states,
-    as the second's real start and any cat's k = 0 part have no imaginary
-    part.  Both share that block's generators and one
-    expm per distinct step length, so t_B = 2 t_A from rho0 at time 0 takes
-    a single expm; neither builds a dense density matrix.
+    """Two-atom joint probability by explicit sequential integration: atom
+    1 evolves with the field to t_A and is projected onto s1 (keeping the
+    unnormalized weight), then a fresh excited atom evolves with the
+    conditioned field to t_B, where s2 is read off.  Each passage reads just
+    the atom sector's populations, so it propagates the k = 0 block alone
+    (on the 3 N + 2 real parts of its Hermitian closure, as neither start
+    has an imaginary part), and the second starts from their diagonal.
+    Both share that block's generators and one expm per distinct step
+    length, so t_B = 2 t_A from rho0 at time 0 takes a single expm; neither
+    builds a dense density matrix.
     """
     _check_outcome(s1, "s1")
     _check_outcome(s2, "s2")
@@ -680,20 +637,18 @@ def w_equation_residuals(window, jc, damping):
     relative, with dt * g < 0.1, and `damping` the DampingParams the
     equations assume.  W(t) = e^{iHt} rho(t) e^{-iHt} is, in the
     interaction picture, rho in `dressed.dressed_basis` conjugated by the
-    diagonal phases e^{i g sqrt(n+1) t} of the coupling Hamiltonian.
-    Time derivatives use a fourth-order centered stencil, so residuals
-    exist at interior samples 2..len-3.  The right-hand side is the
-    dissipator conjugated into the rotating dressed frame, assembled from
-    `dressed.dressed_annihilation` and the explicit oscillatory phase
-    factors; it shares no code with `liouvillian`, so the check stays
-    independent of the propagation.  The residual is read on the doublet
-    diagonals, the intra-doublet off-diagonals <psi_n^+|W|psi_n^-> and the
-    ground sector.  All of these, and the largest |W| entry (a diagonal
-    one, since W is a density matrix), have coherence order k = 0, and the
-    k = 0 part of W is closed under the equations: the dressed basis mixes
-    states of one excitation number, and a lowers it on both sides.  So W
-    is built from the window's k = 0 entries alone, read with `entries`,
-    and the window propagates its k = 0 block alone.
+    phases e^{i g sqrt(n+1) t} of the coupling.  Time derivatives use a
+    fourth-order centered stencil, at interior samples 2..len-3.  The
+    right-hand side is the dissipator conjugated into the rotating dressed
+    frame, assembled from `dressed.dressed_annihilation` and the explicit
+    oscillatory phase factors; it shares no code with `liouvillian`, so the
+    check stays independent of the propagation.  The residual is read on
+    the doublet diagonals, <psi_n^+|W|psi_n^-> and the ground sector.  These
+    and the largest |W| entry (a diagonal one) have coherence order k = 0,
+    and the k = 0 part of W is closed under the equations (the dressed
+    basis mixes states of one excitation number, and a lowers it on both
+    sides), so W is built from the window's k = 0 entries alone and the
+    window propagates its k = 0 block alone.
 
     Returns (largest absolute residual, largest absolute W entry).
     """
@@ -714,7 +669,7 @@ def w_equation_residuals(window, jc, damping):
     a_base = dressed_annihilation(trunc)
     k, nb = damping.kappa, damping.n_thermal
     dim = 2 * (trunc + 1)
-    k0 = np.divmod(np.flatnonzero(_block_labels(trunc, jc) == 0), dim)
+    k0 = np.divmod(np.flatnonzero(_block_labels(trunc) == 0), dim)
     w = np.zeros((times.size, dim, dim), dtype=complex)
     w[:, k0[0], k0[1]] = window.entries(*k0)
     u, rabi = dressed_basis(trunc)
@@ -749,19 +704,63 @@ def w_equation_residuals(window, jc, damping):
 
 def branch_coherence_trajectory(spec, damping, times, truncation):
     """Cat branch coherence |<z e^{-kappa t}| rho_C |-z e^{-kappa t}>| of
-    the field rho_C under pure cavity decay (coupling off).
+    the field rho_C under pure cavity decay, at each of the sorted `times`
+    from the cat `spec` at 0; the probes follow the decaying branch
+    amplitude, so plain energy decay does not masquerade as decoherence.
 
-    Runs the oracle master equation with the atom uncoupled, so the decay of
-    the cross-branch overlap isolates environment-induced decoherence.  The
-    probe coherent states follow the decaying branch amplitude so that plain
-    energy decay does not masquerade as decoherence.  The uncoupled atom
-    stays excited, so the field is the "+" sector alone.
+    With the coupling off the atom stays in |+><+|, so the field runs alone
+    on `_triplets` without the coupling at the "+" positions (2 n, 2 m).
+    Each diagonal d = m - n >= 0, the entries (n, n + d), is a real block,
+    propagated only when the cat fills it (an even cat fills even d), its
+    real and imaginary parts as two columns, with one expm per distinct
+    step, built at the step's first use and dropped after its last; each
+    step's products run over the diagonals stacked and zero-padded.  With
+    real probes w, diagonal d adds sum_n w_n w_(n+d) (-1)^n times rho_nn
+    (d = 0), twice Re rho_(n,n+d) (even d) or -2i Im rho_(n,n+d) (odd d).
+    The d = 0 trace drift raises beyond 10*DEFAULT_TOL.  The INFO log names
+    the truncation, the diagonals' sizes and the expm builds.
     """
-    rho0 = build_initial_state(spec, truncation)
-    traj = integrate_trajectory(rho0, None, damping, times)
-    field = condition_on_atom(traj, "+")[0]
-    signs = (-1.0) ** np.arange(truncation + 1)
-    probes = [coherent_state_vector(spec.intensity * math.exp(
-        -2.0 * damping.kappa * t), truncation) for t in traj.times.tolist()]
-    return np.array([abs(np.vdot(probe, rho_c @ (probe * signs)))
-                     for probe, rho_c in zip(probes, field)])
+    _instance(spec, "spec", CatSpec)
+    _instance(damping, "damping", DampingParams)
+    size = _count(truncation, "truncation", 1) + 1
+    times = _check_times(times, 0.0)
+    amp = cat_state_vector(spec, truncation)
+    n, m = np.triu_indices(size)
+    start = amp[n] * amp[m].conj()
+    filled = np.unique((m - n)[start != 0])  # d = 0, the trace, first
+    keep = np.isin(m - n, filled)
+    n, m, start = n[keep], m[keep], start[keep]
+    at = np.searchsorted(filled, m - n)  # each entry's diagonal; n its place
+    rows, cols, vals = _triplets(None, damping, truncation,
+                                 4 * size * n + 2 * m)
+    gen = np.zeros((filled.size, size, size))
+    gen[at[rows], n[rows], n[cols]] = vals
+    v = np.zeros((filled.size, size, 2))
+    v[at, n] = start.view(float).reshape(-1, 2)
+    levels, step_index = _step_groups(np.diff(np.r_[0.0, times]))
+    sizes = (size - filled).tolist()
+    _LOG.info("oracle: truncation %d, field diagonal sizes %s, expm builds "
+              "%d of sizes %s", truncation, sizes, levels.size * len(sizes),
+              sizes * levels.size)
+    odd = filled % 2
+    parity = np.c_[(1 - odd) * np.where(filled > 0, 2.0, 1.0), -2.0 * odd]
+    pair = np.minimum(np.arange(size) + filled[:, None], size)
+    w, signs = np.zeros(size + 1), (-1.0) ** np.arange(size)  # w[N + 1] = 0
+    trace, props = v[0, :, 0].sum(), {}
+    out, traces = np.empty(times.size), np.empty(times.size)
+    last = dict(zip(step_index.tolist(), range(times.size)))
+    for i, (t, j) in enumerate(zip(times.tolist(), step_index.tolist())):
+        if j >= 0 and j not in props:
+            props[j] = np.zeros_like(gen)
+            for prop, g, k in zip(props[j], gen, sizes):
+                prop[:k, :k] = expm(levels[j] * g[:k, :k])
+        if j >= 0:
+            v = (props.pop(j) if last[j] == i else props[j]) @ v
+        traces[i] = v[0, :, 0].sum()
+        w[:size] = coherent_state_vector(spec.intensity * math.exp(
+            -2.0 * damping.kappa * t), truncation).real
+        weight = w[:size] * signs * w[pair]
+        out[i] = math.hypot(*((weight[:, None, :] @ v)[:, 0] * parity).sum(
+            axis=0))
+    _check_drift(traces - trace)
+    return out

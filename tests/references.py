@@ -6,11 +6,12 @@ finite-difference residuals of the F*_n recurrence, the two atom passages
 of the closed-form observables as a loop over times and fields, the matrix
 of the creation operator in the dressed basis, the oracle start of any pure
 field state, a density-matrix sanity check, the k = 0 part of an oracle
-state and the dense W frame of one, the oracle's Liouvillian as triplets of
-the whole matrix, its split into filled blocks by one sort of the labels,
-its propagation by complex matrix exponentials of the blocks of that
-matrix, and its earlier dense assembly of every sample and dense read of
-the observables.
+state and the dense W frame of one, the atom sector of a trajectory, the
+oracle's Liouvillian as triplets of the whole matrix, its block labels with
+the coupling on or off, its split into filled blocks by one sort of the
+labels, its propagation by complex matrix exponentials of the blocks of
+that matrix, and its earlier dense assembly of every sample and dense read
+of the observables.
 """
 
 import math
@@ -25,6 +26,7 @@ from catcavity.damping import _unitarity_ground, f_star, f_star_ground
 from catcavity.dressed import dressed_basis
 from catcavity.errors import ConsistencyError
 from catcavity.observables import ETA_EPSILON
+from catcavity.params import JCParams
 
 
 def rate_arrays(damping, truncation):
@@ -212,10 +214,19 @@ def dephased(rho):
     """The `oracle.DensityMatrix` rho with every entry of coherence order
     k != 0 set to zero: the start whose run the k = 0 reads of a full run
     must equal, since the k = 0 block evolves on its own."""
-    keep = (oracle._block_labels(rho.truncation, None) // 4 == 0).reshape(
+    keep = (block_labels(rho.truncation, JCParams(g=1.0)) == 0).reshape(
         rho.matrix.shape)
     return oracle.DensityMatrix(matrix=np.where(keep, rho.matrix, 0.0),
                                 time=rho.time)
+
+
+def atom_sector(traj, outcome):
+    """The unnormalized field matrices <s|rho|s> of every sample of the
+    `oracle.Trajectory` traj after the atom is found in `outcome`, stacked
+    (samples, N + 1, N + 1), read through `entries`, and their traces."""
+    sector = 2 * np.arange(traj.truncation + 1) + (outcome == "-")
+    block = traj.entries(sector[:, None], sector[None, :])
+    return block, np.trace(block, axis1=1, axis2=2).real
 
 
 def to_w_frame(rho, jc):
@@ -276,6 +287,21 @@ def liouvillian(jc, damping, truncation):
     lind = sp.csr_matrix((vals, (rows, cols)), shape=(dim * dim,) * 2)
     lind.eliminate_zeros()
     return lind
+
+
+def block_labels(truncation, jc):
+    """A label per entry of row-major vec(rho) that the Liouvillian never
+    mixes, from the excitation number m = n + [s = +] of each basis state:
+    the coherence order k = m_i - m_j with the coupling on, and
+    4 k + 2 s_i + s_j (s = 0 for +, 1 for -) with it off (jc None), where
+    the atom states are conserved too.  Either way label < 0 exactly where
+    k < 0."""
+    s = np.arange(2 * (truncation + 1)) % 2
+    m = np.arange(2 * (truncation + 1)) // 2 + 1 - s
+    k = m[:, None] - m[None, :]
+    if jc is not None:
+        return k.ravel()
+    return (4 * k + 2 * s[:, None] + s[None, :]).ravel()
 
 
 def filled_blocks(label, v0):
@@ -349,7 +375,7 @@ def complex_block_trajectory(rho0, jc, damping, times):
     """
     trunc = rho0.truncation
     dim = 2 * (trunc + 1)
-    label = oracle._block_labels(trunc, jc)
+    label = block_labels(trunc, jc)
     lind = liouvillian(jc, damping, trunc)
     levels, step_index = oracle._step_groups(np.diff(np.r_[rho0.time, times]))
     v0 = rho0.matrix.reshape(-1)
@@ -403,7 +429,7 @@ def dense_trajectory(rho0, jc, damping, times):
     """
     trunc = rho0.truncation
     dim = 2 * (trunc + 1)
-    label = oracle._block_labels(trunc, jc)
+    label = block_labels(trunc, jc)
     phase = atom_phases(trunc)
     levels, step_index = oracle._step_groups(np.diff(np.r_[rho0.time, times]))
     coo = liouvillian(jc, damping, trunc).tocoo()

@@ -205,7 +205,6 @@ def test_malformed_input_rejected(call, value, rule):
      "window"),
     (lambda: oracle.w_equation_residuals(WINDOW, None, DAMPING), "jc"),
     (lambda: oracle.w_equation_residuals(WINDOW, JC, None), "damping"),
-    (lambda: oracle.condition_on_atom(RHO0, "+"), "traj"),
     (lambda: oracle.oracle_observables(list(WINDOW), JC), "trajectory"),
     (lambda: oracle.oracle_observables(WINDOW, None), "jc"),
     (lambda: oracle.joint_probability_oracle(
@@ -217,19 +216,26 @@ def test_malformed_input_rejected(call, value, rule):
     (lambda: oracle.integrate_trajectory(RHO0.matrix, JC, DAMPING, [0.0]),
      "rho0"),
     (lambda: oracle.integrate_trajectory(RHO0, "x", DAMPING, [0.0]), "jc"),
+    (lambda: oracle.integrate_trajectory(RHO0, None, DAMPING, [0.0]), "jc"),
     (lambda: oracle.integrate_trajectory(RHO0, JC, None, [0.0]), "damping"),
     (lambda: oracle.liouvillian(JC.g, DAMPING, 2), "jc"),
     (lambda: oracle.liouvillian(JC, None, 2), "damping"),
     (lambda: oracle.build_initial_state(P0, 32), "fieldspec"),
+    (lambda: oracle.branch_coherence_trajectory(
+        coherent_distribution(2.0, 16), DAMPING, [0.0, 1e-4], 16), "spec"),
+    (lambda: oracle.branch_coherence_trajectory(SPEC, JC, [0.0, 1e-4], 16),
+     "damping"),
 ], ids=["config-jc", "config-damping", "config-initial_field",
         "resum-damping", "w_equation_residuals-window",
         "w_equation_residuals-jc", "w_equation_residuals-damping",
-        "condition_on_atom-traj", "oracle_observables-trajectory",
+        "oracle_observables-trajectory",
         "oracle_observables-jc", "joint_probability_oracle-rho0",
         "joint_probability_oracle-jc", "joint_probability_oracle-damping",
         "integrate_trajectory-rho0", "integrate_trajectory-jc",
-        "integrate_trajectory-damping", "liouvillian-jc",
-        "liouvillian-damping", "build_initial_state-fieldspec"])
+        "integrate_trajectory-jc-none", "integrate_trajectory-damping",
+        "liouvillian-jc", "liouvillian-damping",
+        "build_initial_state-fieldspec", "branch_coherence_trajectory-spec",
+        "branch_coherence_trajectory-damping"])
 def test_compound_input_of_wrong_type_rejected(call, field):
     with pytest.raises(TypeError, match=f"^{field} must be a "):
         call()

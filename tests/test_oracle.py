@@ -17,6 +17,7 @@ from catcavity import (
     ExperimentConfig,
     JCParams,
     PhotonDistribution,
+    TruncationError,
     ValidityWarning,
     coherent_distribution,
     default_truncation,
@@ -27,11 +28,11 @@ from catcavity.cli import main
 from catcavity.damping import doublet_decay_rate, f_star
 from catcavity.dressed import dressed_annihilation, dressed_basis
 from catcavity.presets import PRESETS
-from references import (atom_phases, block_generator,
-                        complex_block_trajectory, dense_observables,
-                        dense_trajectory, dephased, filled_blocks, fold_block,
-                        hermitian_closure, pure_state, to_w_frame,
-                        validate_density_matrix)
+from references import (atom_phases, atom_sector, block_generator,
+                        block_labels, complex_block_trajectory,
+                        dense_observables, dense_trajectory, dephased,
+                        filled_blocks, fold_block, hermitian_closure,
+                        pure_state, to_w_frame, validate_density_matrix)
 from references import liouvillian as liouvillian_reference
 
 
@@ -85,18 +86,44 @@ def _dop853_reference(rho0, jc, damping, times):
     return sol.y.T[inverse]
 
 
+def _branch_overlap(field, spec, damping, times):
+    """|<w|rho_C|w (-1)^n>| of each field matrix in the stack `field`, with
+    w the coherent state of intensity spec.intensity e^{-2 kappa t}: the
+    branch coherence read from dense matrices, one product per sample."""
+    trunc = field.shape[1] - 1
+    signs = (-1.0) ** np.arange(trunc + 1)
+    probes = [oracle.coherent_state_vector(
+        spec.intensity * math.exp(-2.0 * damping.kappa * t), trunc)
+        for t in times]
+    return np.array([abs(np.vdot(w, rho_c @ (w * signs)))
+                     for w, rho_c in zip(probes, field)])
+
+
 @pytest.mark.parametrize("include_coupling", [True, False])
 def test_block_propagator_matches_dop853(include_coupling):
     # truncated cat at phi != 0 fills every coherence order; the grid is
-    # non-uniform, repeats a time and starts after rho0
-    trunc = 6
+    # non-uniform, repeats a time and starts after rho0.  With the coupling
+    # off, the field-only run of the branch coherence matches the overlap
+    # read from the "+" sector of the DOP853 run of its cat
     phi = 1.1
+    damping = DampingParams(kappa=0.2, n_thermal=0.15)
+    times = np.array([0.3, 0.5, 0.5, 1.7, 2.0, 4.5])
+    if not include_coupling:
+        trunc, spec = 10, CatSpec(intensity=0.5, phase=phi)
+        rho0 = oracle.build_initial_state(spec, trunc)
+        dim = 2 * (trunc + 1)
+        field = _dop853_reference(rho0, None, damping, times).reshape(
+            times.size, dim, dim)[:, 0::2, 0::2]
+        expected = _branch_overlap(field, spec, damping, times)
+        got = oracle.branch_coherence_trajectory(spec, damping, times, trunc)
+        assert np.abs(got - expected).max() < 1e-9
+        assert abs(expected[-1] - expected[0]) > 0.1
+        return
+    trunc = 6
     base = oracle.coherent_state_vector(1.0, trunc)
     amp = base * (1.0 + np.exp(1j * phi) * (-1.0) ** np.arange(trunc + 1))
     rho0 = pure_state(amp / np.linalg.norm(amp))
-    jc = JCParams(g=1.3) if include_coupling else None
-    damping = DampingParams(kappa=0.2, n_thermal=0.15)
-    times = np.array([0.3, 0.5, 0.5, 1.7, 2.0, 4.5])
+    jc = JCParams(g=1.3)
     traj = oracle.integrate_trajectory(rho0, jc, damping, times)
     got = np.array([rho.matrix.reshape(-1) for rho in traj])
     expected = _dop853_reference(rho0, jc, damping, times)
@@ -159,14 +186,14 @@ def test_real_propagation_matches_complex_reference(caplog, nbar, trunc, n_b,
         f"[{4 * trunc + 2}], expm builds 1 of sizes [{3 * trunc + 2}]"]
 
 
-@pytest.mark.parametrize("case", ["cat", "dephased", "uncoupled"])
+@pytest.mark.parametrize("case", ["cat", "dephased"])
 def test_samples_bit_identical_to_dense_assembly(case):
     # a phi = 1 cat (cut at N = 8 and renormalized) fills every block; the
     # dense matrices built on request and the observables read from the
     # block vectors keep every bit of the dense assembly and the dense read
     preset = PRESETS["benson97"]
     trunc = 8
-    jc = None if case == "uncoupled" else preset.jc()
+    jc = preset.jc()
     damping = DampingParams(kappa=preset.kappa, n_thermal=0.13)
     base = oracle.coherent_state_vector(2.0, trunc)
     amp = base * (1.0 + np.exp(1j) * (-1.0) ** np.arange(trunc + 1))
@@ -179,11 +206,10 @@ def test_samples_bit_identical_to_dense_assembly(case):
     assert np.array_equal([rho.matrix for rho in traj], expected)
     assert [rho.time for rho in traj] == list(times)
     assert np.abs(expected[-1] - expected[0]).max() > 1e-2
-    if jc is not None:
-        obs = oracle.oracle_observables(traj, jc)
-        got = (obs.p_plus, obs.f, obs.f_ground)
-        for a, b in zip(got, dense_observables(expected, times, jc)[:3]):
-            assert np.array_equal(a, b)
+    obs = oracle.oracle_observables(traj, jc)
+    got = (obs.p_plus, obs.f, obs.f_ground)
+    for a, b in zip(got, dense_observables(expected, times, jc)[:3]):
+        assert np.array_equal(a, b)
 
 
 def _benchmark_cat():
@@ -208,7 +234,7 @@ def _expm_sizes(monkeypatch):
 def test_trajectory_propagates_each_block_when_first_read(monkeypatch):
     rho0, jc, damping, times = _benchmark_cat()
     trunc = rho0.truncation
-    label = oracle._block_labels(trunc, jc)
+    label = oracle._block_labels(trunc)
     filled = np.unique(label[(label >= 0) & (rho0.matrix.reshape(-1) != 0)])
     assert filled.size == 33
     built = _expm_sizes(monkeypatch)
@@ -296,7 +322,6 @@ def test_readers_build_no_dense_sample(monkeypatch, tmp_path):
     traj = oracle.integrate_trajectory(rho0, jc, damping, times)
     built = _count_dense(monkeypatch)
     oracle.oracle_observables(traj, jc)
-    oracle.condition_on_atom(traj, "+")
     assert built == []
     # the joint reads populations and builds no density matrix
     oracle.joint_probability_oracle(rho0, jc, damping, times[1], times[3],
@@ -307,14 +332,14 @@ def test_readers_build_no_dense_sample(monkeypatch, tmp_path):
         rho0, jc, damping, 30.0 / jc.g + 0.04 / jc.g * np.arange(5.0))
     oracle.w_equation_residuals(window, jc, damping)
     assert built == []
-    # each of these builds its initial state only
+    # the check builds its initial state only, and the field-only run of
+    # the branch coherence none at all
     validation.check_w_residuals()
     assert built == [0.0]
     built.clear()
     oracle.branch_coherence_trajectory(CatSpec(intensity=2.0), damping,
                                        times, 16)
-    assert built == [0.0]
-    built.clear()
+    assert built == []
     # the command builds its initial state only
     assert main(["oracle", "--nbar", "2", "--nb", "0.1", "--t-max", "0.002",
                  "--samples", "9", "--out", str(tmp_path)]) == 0
@@ -353,20 +378,26 @@ _GENERATOR_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(_GENERATOR_CASES))
-def test_block_generators_match_reference(case):
+def test_block_generators_match_reference(monkeypatch, case):
     # every filled block of a phi = 1.1 cat, built from its own positions,
     # equals the block scattered from the whole-matrix triplets of the
     # reference, bit for bit and in dtype, and the one real block closed
-    # under transposition (k = 0 when coupled, its ++ part when not; the
-    # cat fills no -- entry) equals the reference's fold of it; so does the
-    # sparse Liouvillian
+    # under transposition (k = 0) equals the reference's fold of it; with
+    # the coupling off, the field-only run exponentiates the step times the
+    # reference's (d, +, +) block of each diagonal d (its positions
+    # (n + d, n) are the transposes of the run's (n, n + d), with the same
+    # floats); so does the sparse Liouvillian
     jc, damping = _GENERATOR_CASES[case]
     trunc = 16
     dim = 2 * (trunc + 1)
-    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
-    prop = oracle._BlockPropagator(jc, damping, trunc, rho0.matrix.reshape(-1))
     coo = liouvillian_reference(jc, damping, trunc).tocoo()
     phase = atom_phases(trunc)
+    if jc is None:
+        _uncoupled_generators_match_reference(monkeypatch, damping, trunc, coo,
+                                              phase)
+        return
+    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
+    prop = oracle._BlockPropagator(jc, damping, trunc, rho0.matrix.reshape(-1))
     assert len(prop.blocks) > trunc
     folded = 0
     for b, idx in enumerate(prop.blocks):
@@ -388,11 +419,34 @@ def test_block_generators_match_reference(case):
             assert a.dtype == w.dtype
             assert np.array_equal(a, w)
     assert folded == 1
+    _liouvillian_matches_reference(jc, damping, trunc)
+
+
+def _liouvillian_matches_reference(jc, damping, trunc):
     for n in (1, 2, trunc):
         want = liouvillian_reference(jc, damping, n)
         got = oracle.liouvillian(jc, damping, n)
         assert got.nnz == want.nnz and got.dtype == want.dtype
         assert (got != want).nnz == 0
+
+
+def _uncoupled_generators_match_reference(monkeypatch, damping, trunc, coo,
+                                          phase):
+    """The matrix of each expm of a one-step field-only run against the step
+    times the reference's (d, +, +) block, d = 0..trunc."""
+    given = []  # the matrix of each expm call
+    expm = oracle.expm
+    monkeypatch.setattr(oracle, "expm", lambda a: given.append(a) or expm(a))
+    step = 0.37
+    oracle.branch_coherence_trajectory(CatSpec(intensity=2.0, phase=1.1),
+                                       damping, [0.0, step], trunc)
+    label = block_labels(trunc, None)
+    assert len(given) == trunc + 1
+    for d, got in enumerate(given):
+        want = block_generator(coo, phase, np.flatnonzero(label == 4 * d))
+        assert want.dtype == got.dtype
+        assert np.array_equal(got, step * want)
+    _liouvillian_matches_reference(None, damping, trunc)
 
 
 def _cut_cat(trunc):
@@ -404,8 +458,7 @@ def _cut_cat(trunc):
 
 
 @pytest.mark.parametrize("trunc", [1, 4, 32])
-@pytest.mark.parametrize("jc", [None, JCParams(g=3.0)],
-                         ids=["uncoupled", "resonant"])
+@pytest.mark.parametrize("jc", [JCParams(g=3.0)], ids=["resonant"])
 @pytest.mark.parametrize("field", ["cat", "distribution", "vacuum"])
 def test_block_split_matches_sorted_labels(field, jc, trunc):
     # the filled blocks, each position's block number and its place in the
@@ -430,8 +483,7 @@ def test_block_split_matches_sorted_labels(field, jc, trunc):
 
 
 @pytest.mark.parametrize("n_b", [0.0, 0.13])
-@pytest.mark.parametrize("jc", [None, JCParams(g=3.0)],
-                         ids=["uncoupled", "resonant"])
+@pytest.mark.parametrize("jc", [JCParams(g=3.0)], ids=["resonant"])
 def test_union_builds_match_single_block_builds(jc, n_b):
     # the generators of every other block, built by one call over the union
     # of their positions, and then of the rest, equal each block built
@@ -525,7 +577,7 @@ def test_off_hermitian_k0_start_comes_back_hermitian():
     m = np.array(_imaginary_k0_start(trunc).matrix)
     m[6, 9] += 1e-12 * (1.0 + 1.0j)
     m[2, 2] += 1e-12j
-    label = oracle._block_labels(trunc, jc)
+    label = oracle._block_labels(trunc)
     rows, cols = np.divmod(np.flatnonzero(label == 0), 2 * (trunc + 1))
     assert rows.size == 4 * trunc + 2
     got = []
@@ -561,10 +613,10 @@ def test_fill_order_keeps_every_bit():
 
 
 def test_one_builder_call_per_fill(monkeypatch):
-    # the 33 filled blocks of the uncoupled phi != 0 cat at N = 32: the
-    # trace check fills the k = 0 block, reading the atom's + sector the
-    # other 32, one builder call each; a k = 0 read of the coupled run
-    # builds its k = 0 block alone
+    # the field-only run builds its generator by one call over the positions
+    # (n, n + d) of every diagonal the cat fills: all 33 of the phi != 0 cat
+    # at N = 32, the 17 even ones of the even cat; a k = 0 read of the
+    # coupled run builds its k = 0 block alone
     trunc = 32
     calls = []  # the number of positions given to each builder call
     triplets = oracle._triplets
@@ -573,9 +625,11 @@ def test_one_builder_call_per_fill(monkeypatch):
     preset = PRESETS["benson97"]
     damping = DampingParams(kappa=preset.kappa, n_thermal=0.1)
     spec = CatSpec(intensity=4.0, phase=1.1)
-    oracle.branch_coherence_trajectory(
-        spec, damping, np.linspace(0.0, damping.t_cav, 11), trunc)
-    assert calls == [trunc + 1, (trunc + 1) * trunc // 2]
+    for phase in (1.1, 0.0):
+        oracle.branch_coherence_trajectory(
+            CatSpec(intensity=4.0, phase=phase), damping,
+            np.linspace(0.0, damping.t_cav, 11), trunc)
+    assert calls == [(trunc + 1) * (trunc + 2) // 2, 17 ** 2]
     calls.clear()
     jc = preset.jc()
     rho0 = oracle.build_initial_state(spec, trunc)
@@ -592,11 +646,18 @@ def test_one_builder_call_per_fill(monkeypatch):
 def test_liouvillian_triplets_never_repeat_an_entry(jc, damping):
     # the block generators are scattered from the triplets, which is only
     # right if no (row, col) pair needs a sum, over every position and over
-    # one block alike; no triplet holds a zero
+    # one block alike, or with the coupling off over the "+" sector's
+    # diagonals (n, n + d), d >= 0, that the field-only run builds; no
+    # triplet holds a zero
     trunc = 5
-    label = oracle._block_labels(trunc, jc)
-    every = np.arange(label.size)
-    for positions in (every, np.flatnonzero(label == 1)):
+    dim = 2 * (trunc + 1)
+    every = np.arange(dim * dim)
+    if jc is None:
+        n, m = np.triu_indices(trunc + 1)
+        part = 2 * dim * n + 2 * m
+    else:
+        part = np.flatnonzero(oracle._block_labels(trunc) == 1)
+    for positions in (every, part):
         rows, cols, vals = oracle._triplets(jc, damping, trunc, positions)
         pairs = rows * positions.size + cols
         assert np.unique(pairs).size == pairs.size
@@ -606,20 +667,22 @@ def test_liouvillian_triplets_never_repeat_an_entry(jc, damping):
 
 
 def test_liouvillian_is_block_diagonal_in_coherence_order():
-    # labels are k with the coupling on and (k, s_i, s_j) with it off
+    # the library's labels are k, as the reference's with the coupling on;
+    # with it off the reference's are (k, s_i, s_j)
     trunc = 5
-    k = oracle._block_labels(trunc, JCParams(g=3.0))
+    k = oracle._block_labels(trunc)
+    assert np.array_equal(k, block_labels(trunc, JCParams(g=3.0)))
     damping = DampingParams(kappa=0.4, n_thermal=0.3)
     for jc in (JCParams(g=3.0), None):
         lind = oracle.liouvillian(jc, damping, trunc)
-        label = oracle._block_labels(trunc, jc)
+        label = block_labels(trunc, jc)
         coo = lind.tocoo()
         assert np.array_equal(label[coo.row], label[coo.col])
         assert np.array_equal(label < 0, k < 0)
         assert all(np.unique(k[label == value]).size == 1
                    for value in np.unique(label))
     assert np.unique(label).size > np.unique(k).size
-    assert np.array_equal(label // 4, k)  # how references.dephased reads k
+    assert np.array_equal(label // 4, k)
     # the coupling moves weight between the atom sectors of one k
     coupled = oracle.liouvillian(JCParams(g=3.0), damping, trunc).tocoo()
     assert not np.array_equal(label[coupled.row], label[coupled.col])
@@ -739,13 +802,17 @@ def test_undamped_collapse_revival_sum():
     assert np.abs(obs.p_plus - exact).max() < 1e-7
 
 
+#: A coupling too weak to show over these runs: (g t)^2 below 1e-23.
+FAINT = JCParams(g=1e-12)
+
+
 def test_thermal_stationary_state():
     trunc = 32
     damping = DampingParams(kappa=5.0, n_thermal=0.4)
     p0 = np.zeros(trunc + 1)
     p0[0] = 1.0
     rho0 = oracle.build_initial_state(PhotonDistribution(p0), trunc)
-    traj = oracle.integrate_trajectory(rho0, None, damping, [0.0, 3.0])
+    traj = oracle.integrate_trajectory(rho0, FAINT, damping, [0.0, 3.0])
     diag = np.diag(traj[-1].matrix).real
     field = diag[0::2] + diag[1::2]
     nb = 0.4
@@ -757,7 +824,7 @@ def test_energy_decay_fixes_kappa_convention():
     trunc = 32
     damping = DampingParams(kappa=5.0)
     rho0 = oracle.build_initial_state(coherent_distribution(4.0, trunc), trunc)
-    traj = oracle.integrate_trajectory(rho0, None, damping, [0.0, 0.1])
+    traj = oracle.integrate_trajectory(rho0, FAINT, damping, [0.0, 0.1])
     diag = np.diag(traj[-1].matrix).real
     mean = np.arange(trunc + 1) @ (diag[0::2] + diag[1::2])
     assert mean == pytest.approx(4.0 * math.exp(-1.0), abs=1e-9)
@@ -1010,7 +1077,7 @@ def test_joint_probability_oracle_consistency():
     rho0 = oracle.build_initial_state(CatSpec(intensity=3.3), trunc)
     t_a, t_b = 5.0 / jc.g, 12.0 / jc.g
     traj = oracle.integrate_trajectory(rho0, jc, damping, [t_a])
-    weight = oracle.condition_on_atom(traj, "+")[1][-1]
+    weight = atom_sector(traj, "+")[1][-1]
     pp = oracle.joint_probability_oracle(rho0, jc, damping, t_a, t_b, "+", "+")
     pm = oracle.joint_probability_oracle(rho0, jc, damping, t_a, t_b, "+", "-")
     assert pp + pm == pytest.approx(weight, abs=1e-7)
@@ -1020,9 +1087,6 @@ def test_oracle_rejects_unknown_outcome():
     jc = JCParams(g=24000.0)
     damping = DampingParams(kappa=2500.0, n_thermal=0.1)
     rho0 = oracle.build_initial_state(PhotonDistribution(np.eye(9)[1]), 8)
-    traj = oracle.integrate_trajectory(rho0, jc, damping, [1e-4])
-    with pytest.raises(ValueError):
-        oracle.condition_on_atom(traj, "up")
     for s1, s2 in (("+", "x"), ("x", "+")):
         with pytest.raises(ValueError):
             oracle.joint_probability_oracle(rho0, jc, damping, 1e-4, 2e-4,
@@ -1033,11 +1097,11 @@ def _joint_full_blocks(rho0, jc, damping, t_a, t_b, s1, s2):
     """Joint probability with every block of the atom sector propagated,
     and the second passage's start with the whole conditioned field."""
     traj_a = oracle.integrate_trajectory(rho0, jc, damping, [t_a])
-    field = oracle.condition_on_atom(traj_a, s1)[0][-1]
+    field = atom_sector(traj_a, s1)[0][-1]
     rho_b0 = oracle.DensityMatrix(matrix=np.kron(field, oracle._EXCITED),
                                   time=t_a)
     traj_b = oracle.integrate_trajectory(rho_b0, jc, damping, [t_b])
-    return oracle.condition_on_atom(traj_b, s2)[1][-1], rho_b0
+    return atom_sector(traj_b, s2)[1][-1], rho_b0
 
 
 def test_joint_probability_oracle_matches_full_blocks(caplog):
@@ -1048,7 +1112,7 @@ def test_joint_probability_oracle_matches_full_blocks(caplog):
     damping = DampingParams(kappa=2500.0, n_thermal=0.1)
     rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
     t_a, t_b = 5.0 / jc.g, 12.0 / jc.g
-    off_k0 = oracle._block_labels(trunc, jc) != 0
+    off_k0 = oracle._block_labels(trunc) != 0
     caplog.set_level(logging.INFO, logger="catcavity")
     for s1 in "+-":
         for s2 in "+-":
@@ -1111,19 +1175,32 @@ def test_branch_coherence_starts_at_overlap_scale():
 
 @pytest.mark.parametrize("phase, n_b", [(0.0, 0.0), (1.1, 0.13), (2.9, 0.5)])
 def test_uncoupled_run_keeps_the_atom_excited(phase, n_b):
-    # with the coupling off the atom stays in |+>: every sample's "-" sector
-    # is exactly zero, so branch_coherence_trajectory reads the field from
-    # the "+" sector alone
-    trunc = 32
+    # with the coupling off the Liouvillian has no entry between a (+, +)
+    # position and any other, so a start in |+><+| stays there and
+    # branch_coherence_trajectory runs the "+" sector alone; the dense
+    # reference run of the cat keeps every "-" entry exactly zero
+    trunc = 14
+    dim = 2 * (trunc + 1)
     damping = DampingParams(kappa=8.33, n_thermal=n_b)
-    rho0 = oracle.build_initial_state(CatSpec(intensity=4.0, phase=phase),
+    coo = oracle.liouvillian(None, damping, trunc).tocoo()
+    row_plus, col_plus = (np.isin(coo.row, _plus_plus(trunc)),
+                          np.isin(coo.col, _plus_plus(trunc)))
+    assert row_plus.any()
+    assert np.array_equal(row_plus, col_plus)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=1.0, phase=phase),
                                       trunc)
-    traj = oracle.integrate_trajectory(rho0, None, damping,
-                                       np.linspace(0.0, damping.t_cav, 6))
-    minus, minus_weight = oracle.condition_on_atom(traj, "-")
-    assert not minus.any() and not minus_weight.any()
-    plus_weight = oracle.condition_on_atom(traj, "+")[1]
-    assert np.abs(plus_weight - 1.0).max() < 1e-12
+    rho = dense_trajectory(rho0, None, damping,
+                           np.linspace(0.0, damping.t_cav, 6))
+    plus = np.zeros((dim, dim), dtype=bool)
+    plus[0::2, 0::2] = True
+    assert not rho[:, ~plus].any()
+    assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() < 1e-12
+
+
+def _plus_plus(trunc):
+    """The vec(rho) positions (2 n, 2 m) of the atom's + sector."""
+    n = 2 * np.arange(trunc + 1)
+    return (n[:, None] * 2 * (trunc + 1) + n[None, :]).ravel()
 
 
 def test_branch_coherence_decays_faster_than_energy():
@@ -1134,6 +1211,60 @@ def test_branch_coherence_decays_faster_than_energy():
                                              [0.0, t_half, 4.0 * t_half], 32)
     assert coh[1] < 0.8 * coh[0]
     assert coh[2] < 0.1 * coh[0]
+
+
+#: Non-uniform times that start at 0 and repeat one; three distinct steps.
+FIELD_TIMES = np.array([0.0, 0.0, 0.02, 0.05, 0.05, 0.08, 0.2])
+
+
+@pytest.mark.parametrize("phase", [0.0, 1.1])
+@pytest.mark.parametrize("n_b", [0.0, 0.3])
+def test_field_only_run_matches_dense_reference(phase, n_b):
+    # the branch coherence of the field-only run against the overlap read
+    # from the "+" sector of the dense reference run with the coupling off;
+    # the even cat fills no odd diagonal
+    trunc = 12
+    spec = CatSpec(intensity=0.8, phase=phase)
+    damping = DampingParams(kappa=2.0, n_thermal=n_b)
+    rho0 = oracle.build_initial_state(spec, trunc)
+    field = dense_trajectory(rho0, None, damping, FIELD_TIMES)[:, 0::2, 0::2]
+    expected = _branch_overlap(field, spec, damping, FIELD_TIMES)
+    got = oracle.branch_coherence_trajectory(spec, damping, FIELD_TIMES, trunc)
+    assert np.abs(got - expected).max() < 1e-13
+    assert got[0] == got[1] and got[3] == got[4]
+    assert np.abs(field[-1] - field[0]).max() > 0.05
+    odd = np.diagonal(field, 1, axis1=1, axis2=2)
+    assert (not odd.any()) == (phase == 0.0)
+
+
+@pytest.mark.parametrize("phase, sizes", [(0.0, [9, 7, 5, 3, 1]),
+                                          (1.1, list(range(9, 0, -1)))],
+                         ids=["even", "phi1.1"])
+def test_field_only_run_logs_its_diagonals(caplog, monkeypatch, phase, sizes):
+    # one INFO line: the truncation, the size of each filled diagonal and
+    # one expm per diagonal and distinct step, three steps here
+    built = _expm_sizes(monkeypatch)
+    caplog.set_level(logging.INFO, logger="catcavity")
+    oracle.branch_coherence_trajectory(CatSpec(intensity=0.3, phase=phase),
+                                       DampingParams(kappa=2.0), FIELD_TIMES,
+                                       8)
+    assert sorted(built) == sorted(sizes * 3)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"oracle: truncation 8, field diagonal sizes {sizes}, expm builds "
+        f"{3 * len(sizes)} of sizes {sizes * 3}"]
+
+
+def test_field_only_run_keeps_its_checks(monkeypatch):
+    # a cat the truncation cuts, and a propagator that returns NaN, whose
+    # trace drift must not pass as zero
+    damping = DampingParams(kappa=2.0)
+    with pytest.raises(TruncationError, match="retains norm"):
+        oracle.branch_coherence_trajectory(CatSpec(intensity=4.0), damping,
+                                           [0.0, 0.1], 8)
+    monkeypatch.setattr(oracle, "expm", lambda a: np.full(a.shape, math.nan))
+    with pytest.raises(ConsistencyError, match="trace drift"):
+        oracle.branch_coherence_trajectory(CatSpec(intensity=1.0), damping,
+                                           [0.0, 0.1], 16)
 
 
 def test_oracle_imports_no_closed_form_module():
