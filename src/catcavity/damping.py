@@ -123,13 +123,11 @@ def _f_star_apply(kernels, decay, stack):
     """The (C, F, size) stack of F*_n(t) = decay_n (kernel @ field) for a
     chunk of `_f_star_chunks`, clipped at 0.  `stack` is (F, size), the same
     fields at every time, or (C, F, size), one stack per time."""
-    # one matrix-vector product per time and row: a matrix product over
-    # times or rows would let BLAS pick a summation order by their number
-    out = np.empty(decay.shape[:1] + stack.shape[-2:])
-    fields = stack if stack.ndim == 3 else (stack,) * len(out)
-    for kernel, block, rows in zip(kernels, out, fields):
-        for row, field in zip(block, rows):
-            np.matmul(kernel, field, out=row)
+    # one stacked matmul per chunk, which NumPy runs as one gemv per (time,
+    # field) pair, so no sum's order depends on how many pairs there are; a
+    # GEMM over times or fields would let BLAS block by their number and
+    # change bits
+    out = np.matmul(kernels[:, None], stack[..., None])[..., 0]
     out *= decay
     if (out < -NEGATIVE_CLIP).any():
         raise ConsistencyError(

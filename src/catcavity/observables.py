@@ -224,6 +224,7 @@ def conditioned_field(config, t_a, outcome):
     oscillatory sign flipped and the level index shifted by one, with the
     vacuum entry fed by the ground sector F*_{-1}.  t_a is one time.
     """
+    _instance(config, "config", ExperimentConfig)
     _check_outcome(outcome)
     _, jc, damping, [(_, probs)] = _passages(config)
     [(_, op)] = _operators(jc, damping, probs.shape[1],
@@ -302,7 +303,7 @@ def decoherence_time(config):
     1 + 2 n_b is the thermal speed-up of the coherence between the two
     coherent branches: loss and thermal gain both scramble the branch phase.
     """
-    nbar = config.mean_photons()
+    nbar = _instance(config, "config", ExperimentConfig).mean_photons()
     if nbar <= 0:
         raise ValueError("decoherence time undefined for an empty field")
     return config.damping.t_cav / (nbar * (1.0 + 2.0 * config.damping.n_thermal))

@@ -322,6 +322,30 @@ def test_oracle_import_defers_scipy_integrate_and_sparse():
         oracle.nosuch
 
 
+def _command_in_fresh_interpreter(warning_flags, *args):
+    """Run `python <warning_flags> -m catcavity.cli <args>` on this tree's
+    sources and return the finished process."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(catcavity.__file__).resolve().parents[1]))
+    return subprocess.run(
+        [sys.executable, *warning_flags, "-m", "catcavity.cli", *args],
+        env=env, capture_output=True, text=True)
+
+
+def test_full_validation_passes_with_warnings_as_errors():
+    run = _command_in_fresh_interpreter(
+        ["-W", "error::UserWarning", "-W", "error::RuntimeWarning"],
+        "validate", "--level", "full")
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_fig1_runs_with_runtime_warnings_as_errors(tmp_path):
+    run = _command_in_fresh_interpreter(
+        ["-W", "error::RuntimeWarning"], "figure", "fig1", "--nb", "0.1",
+        "--gt-step", "0.5", "--out", str(tmp_path))
+    assert run.returncode == 0, run.stderr
+
+
 def test_main_reuses_one_parser_across_refusals(tmp_path, capsys,
                                                 monkeypatch):
     built = []

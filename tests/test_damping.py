@@ -260,6 +260,38 @@ def test_f_star_operator_chunks_equal_single_time_calls(kappa):
     assert bounds == [(0, step), (step, 2 * step), (2 * step, 2 * step + 3)]
 
 
+@pytest.mark.parametrize("size", [2, 33, 121, 202])
+@pytest.mark.parametrize("full", [False, True], ids=["one-time", "full-chunk"])
+def test_stacked_product_equals_one_matmul_per_pair(size, full):
+    # _f_star_apply against one 2-d np.matmul(kernel, field) per (time,
+    # field) pair, times decay_n and clipped, for 1, 2 and 4 fields shared
+    # by every time and one stack per time; t = 0 and t = 5e-324 (whose x
+    # rounds to 0 at kappa = 0.1) give identity kernels.  A GEMM over the
+    # times or fields of a chunk changes bits here
+    d = DampingParams(kappa=0.1, n_thermal=0.13)
+    if full:
+        runs = [np.linspace(0.0, 3.0, KERNEL_CHUNK // size**2)]
+        runs[0][1] = 5e-324
+    else:
+        runs = [np.array([t]) for t in (0.0, 5e-324, 1.3)]
+    rng = np.random.default_rng(size)
+    fields = rng.random((4, size))
+    for ts in runs:
+        [(_, kernels, decay)] = _f_star_chunks(size, d, ts)
+        expect = np.empty((ts.size, 4, size))
+        for stack in (fields, fields * rng.random((ts.size, 4, 1))):
+            rows = np.broadcast_to(stack, expect.shape)
+            for kernel, block, out in zip(kernels, rows, expect):
+                for field, row in zip(block, out):
+                    np.matmul(kernel, field, out=row)
+            expect *= decay
+            expect.clip(0.0, None, out=expect)
+            for count in (1, 2, 4):
+                assert np.array_equal(
+                    _f_star_apply(kernels, decay, stack[..., :count, :]),
+                    expect[:, :count])
+
+
 @pytest.mark.parametrize("t", [0.0, 5e-324])
 def test_identity_kernel_returns_the_field_bit_for_bit(t):
     # at kappa = 0.1, 2 kappa (n_b + 1) t rounds to 0 at both times: the

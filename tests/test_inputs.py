@@ -21,6 +21,7 @@ from catcavity import (
     cat_mean_photons,
     coherent_distribution,
     conditioned_field,
+    decoherence_time,
     default_truncation,
     eta_correlation,
     f_star,
@@ -225,6 +226,8 @@ def test_malformed_input_rejected(call, value, rule):
         coherent_distribution(2.0, 16), DAMPING, [0.0, 1e-4], 16), "spec"),
     (lambda: oracle.branch_coherence_trajectory(SPEC, JC, [0.0, 1e-4], 16),
      "damping"),
+    (lambda: conditioned_field([CONFIG, CONFIG], 1e-4, "+"), "config"),
+    (lambda: decoherence_time([CONFIG]), "config"),
 ], ids=["config-jc", "config-damping", "config-initial_field",
         "resum-damping", "w_equation_residuals-window",
         "w_equation_residuals-jc", "w_equation_residuals-damping",
@@ -235,7 +238,8 @@ def test_malformed_input_rejected(call, value, rule):
         "integrate_trajectory-jc-none", "integrate_trajectory-damping",
         "liouvillian-jc", "liouvillian-damping",
         "build_initial_state-fieldspec", "branch_coherence_trajectory-spec",
-        "branch_coherence_trajectory-damping"])
+        "branch_coherence_trajectory-damping", "conditioned_field-config",
+        "decoherence_time-config"])
 def test_compound_input_of_wrong_type_rejected(call, field):
     with pytest.raises(TypeError, match=f"^{field} must be a "):
         call()

@@ -973,6 +973,20 @@ def test_closed_form_gap_map_over_lost_photons(nbar, kappa, gaps):
             assert deviation[lost <= cut].max() == pytest.approx(gap, abs=1e-3)
 
 
+@pytest.mark.parametrize("n_b, gap, last", [
+    (0.05, 0.0938, 0.0815), (0.1, 0.1652, 0.1383), (0.3, 0.3282, 0.2480)])
+def test_closed_form_gap_map_over_thermal_occupation(n_b, gap, last):
+    # the n_b axis of the map (ROADMAP item 1), the thermal error source:
+    # benson97 rates and nbar = 49 up to kappa t = 3, where the closed form
+    # gives no warning; the largest gap (at gt 9681, 9248 and 7995) and the
+    # gap at the last time
+    preset = PRESETS["benson97"]
+    gts = np.linspace(0.0, 3.0 * preset.g / preset.kappa, 301)
+    deviation = _closed_form_gap(preset.jc(), preset.damping(n_b), 49.0, gts)
+    assert deviation.max() == pytest.approx(gap, abs=1e-3)
+    assert deviation[-1] == pytest.approx(last, abs=1e-3)
+
+
 def test_offdiag_secular_rate_fails_at_strong_damping():
     # kappa/g ~ 0.1: the inter-level feeding term oscillates at only
     # g / sqrt(n), slower than the decay itself, so the single-exponential
