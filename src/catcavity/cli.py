@@ -236,10 +236,12 @@ def run_validate(level):
 def run_oracle(args):
     """Integrate the master equation and dump observables in long format.
 
-    The `catcavity` logger records the truncation, the size of the one
-    block propagated, k = 0 with 4 N + 2 states, the number of expm builds
-    and the size of each matrix exponentiated, 3 N + 2 on its Hermitian
-    closure (see `oracle.integrate_trajectory`).
+    Every row is a k = 0 entry, so the run propagates the k = 0 block alone,
+    on its Hermitian closure, and reads the rows from that closure; no
+    block of k != 0 is built (see `oracle.integrate_trajectory`).  The
+    `catcavity` logger records the truncation, the size of the one block
+    propagated, 4 N + 2, the number of expm builds and the size of each
+    matrix exponentiated, 3 N + 2.
     """
     from . import oracle
 

@@ -10,17 +10,7 @@ k = m_i - m_j of |n_i, s_i><n_j, s_j|, with excitation number m = n + [s = +]
 (Buca & Prosen, NJP 14, 073007, 2012), so the Liouvillian is block-diagonal
 with blocks of at most 4 N + 2 states.  Each block is propagated exactly
 with `scipy.linalg.expm` (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
-970, 2009), the k = 0 block on its Hermitian closure of 3 N + 2 real
-variables (and N more for an imaginary part, see below), and only when
-read: `integrate_trajectory` propagates the blocks of the populations, a
-`Trajectory` any other when a read first touches it.  `oracle_observables`,
-`joint_probability_oracle`, `w_equation_residuals` and the trace-drift
-check read k = 0 entries through `Trajectory.entries`, so they pay for the
-k = 0 block alone, whatever the initial state.  The decoherence surrogate
-`branch_coherence_trajectory` runs the uncoupled field alone, one real
-block per filled diagonal.
-
-The blocks are propagated in the atom-phase frame rho' = S* rho S with
+970, 2009), in the atom-phase frame rho' = S* rho S with
 S = 1_field x diag(1, i).  The coupling links |n, +> only with |n+1, ->, so
 S turns g (a sigma_+ + a* sigma_-) into i times a real antisymmetric matrix
 and i [rho, H'] into a real map; a and a* act on the field alone and commute
@@ -28,12 +18,21 @@ with S, so both dissipators stay real, and so does every block.  Multiplying
 by 1 or +/-i only moves and negates floats, so a rotated block holds
 exactly the floats of `liouvillian` at its positions.
 
-The k = 0 block holds the transpose (j, i) of each of its positions (i, j)
-and commutes with that transposition, so rho' stays Hermitian: its real,
-symmetric part and its imaginary, antisymmetric part evolve apart (Puri &
-Agarwal, PRA 33, 3610, 1986), on the 3 N + 2 positions with i <= j and the
-N with i < j, the second only when the start has an imaginary part, which
-no cat or photon distribution has.
+Every number the coupled oracle reports is a k = 0 entry: P_+, F_n, the
+two-atom joint, the W-frame residuals and the trace.  The k = 0 block holds
+the transpose (j, i) of each of its positions (i, j) and commutes with that
+transposition, so rho' stays Hermitian: its real, symmetric part and its
+imaginary, antisymmetric part evolve apart (Puri & Agarwal, PRA 33, 3610,
+1986), on the 3 N + 2 positions with i <= j and the N with i < j, the second
+only when the start has an imaginary part, which no cat or photon
+distribution has.  One engine, `_Closure`, builds that block from its
+positions alone and propagates the closure: `integrate_trajectory` stores
+its samples in the `Trajectory`, and `joint_probability_oracle` runs both
+passages on it.  The blocks of k != 0 are the cold path of `traj[i]`,
+iteration and `Trajectory.entries` off k = 0, propagated by
+`_BlockPropagator` when such a read first touches them.  The decoherence
+surrogate `branch_coherence_trajectory` runs the uncoupled field alone, one
+real block per filled diagonal.
 """
 
 import logging
@@ -247,21 +246,6 @@ def _atom_phases(positions, truncation):
     return _ATOM.conj()[i % 2] * _ATOM[j % 2]
 
 
-def _fold(dense, upper, twin):
-    """The generators of a real block closed under (i, j) -> (j, i) on its
-    Hermitian closure, both on the rows at the local positions `upper` (each
-    (i, j) with i <= j): the symmetric one on the real parts, whose column
-    is G[:, a] + G[:, twin(a)] for a pair and G[:, a] on the diagonal, and
-    the antisymmetric one on the imaginary parts off the diagonal, whose
-    column is G[:, a] - G[:, twin(a)]."""
-    pair = upper != twin
-    rows = dense[upper]
-    sym = rows[:, upper]
-    sym[:, pair] += rows[:, twin[pair]]
-    rows = rows[pair]
-    return sym, rows[:, upper[pair]] - rows[:, twin[pair]]
-
-
 def _step_groups(steps):
     """Distinct non-zero step lengths (equal to STEP_RTOL relative), each
     the length of some step, and each step's index into them; zero steps get
@@ -292,60 +276,171 @@ def _check_drift(drift):
             f"trace drift {drift[bad[0]]:.3e} beyond 10*DEFAULT_TOL")
 
 
+def _advance(props, v, step_index):
+    """v after each sample's step, as a (samples,) + v.shape array: sample i
+    is one product with props[step_index[i]] (none for index -1) after
+    sample i - 1."""
+    out = np.empty((step_index.size,) + v.shape)
+    for i, j in enumerate(step_index):
+        if j >= 0:
+            v = props[j] @ v
+        out[i] = v
+    return out
+
+
+class _Closure:
+    """The coherence-order k = 0 block of one coupled Liouvillian on its
+    Hermitian closure, the engine of every k = 0 read.
+
+    The block pairs the basis states of one excitation number m: each
+    |n, +> with its coupling partner |n+1, ->, and |0, -> and |N, +> alone,
+    4 N + 2 positions of vec(rho), ascending in `positions`.  It holds the
+    transpose (j, i) of each of its (i, j) and commutes with that
+    transposition, so in the atom-phase frame (see `_atom_phases`) the real
+    parts x of its 3 N + 2 positions with i <= j evolve by themselves under
+    the symmetric generator G_s, whose column is G[:, a] + G[:, twin(a)] for
+    a pair and G[:, a] on the diagonal, and the imaginary parts y of its N
+    pairs under the antisymmetric G_a, column G[:, a] - G[:, twin(a)] (Puri
+    & Agarwal, PRA 33, 3610, 1986).  The block comes from one `_triplets`
+    call, rotated into that frame, where every entry is real; G_s is folded
+    from it on first use and G_a only for a start with an imaginary part,
+    and each is kept with one expm per distinct step length, for every run
+    on the engine.
+    """
+
+    def __init__(self, jc, damping, truncation):
+        self.truncation = truncation
+        dim = 2 * (truncation + 1)
+        every = np.arange(dim)
+        partner = every.copy()  # the other state of the same m, or itself
+        partner[0:-2:2] += 3
+        partner[3::2] -= 3
+        # each row's columns: the lower state, then the higher unless alone
+        j = np.stack([np.minimum(every, partner), np.maximum(every, partner)],
+                     axis=1).ravel()
+        keep = np.stack([every >= 0, partner != every], axis=1).ravel()
+        i, j = np.repeat(every, 2)[keep], j[keep]
+        self.positions = i * dim + j
+        upper = np.flatnonzero(i <= j)
+        twin = np.searchsorted(self.positions, j[upper] * dim + i[upper])
+        pair = upper != twin
+        self.upper, self.twin, self.pair = upper, twin, pair
+        self.column = np.empty(self.positions.size, dtype=int)  # x's
+        self.column[twin] = self.column[upper] = np.arange(upper.size)
+        self.phase = _atom_phases(self.positions, truncation)
+        rows, cols, vals = _triplets(jc, damping, truncation, self.positions)
+        self._block = rows, cols, (vals * self.phase[rows]
+                                   * self.phase[cols].conj()).real
+        self._generators = {}  # 0 for G_s, 1 for G_a
+        self._props = {}  # (0 or 1, step length) -> expm
+
+    def diagonal(self, states):
+        """The block positions of rho(|s>, |s>) for each of the basis state
+        numbers `states`."""
+        dim = 2 * (self.truncation + 1)
+        return np.searchsorted(self.positions, states * (dim + 1))
+
+    def start(self, v):
+        """(x, y) of the Hermitian part of the whole vec(rho) v."""
+        upper, twin, pair = self.upper, self.twin, self.pair
+        v = v[self.positions] * self.phase
+        return (0.5 * (v.real[upper] + v.real[twin]),
+                0.5 * (v.imag[upper[pair]] - v.imag[twin[pair]]))
+
+    def _generator(self, part):
+        """G_s (part 0) or G_a (part 1), folded from the block on first
+        use."""
+        if part not in self._generators:
+            upper, twin, pair = self.upper, self.twin, self.pair
+            rows, cols, vals = self._block
+            dense = np.zeros((self.positions.size,) * 2)
+            dense[rows, cols] = vals
+            rows = dense[upper]
+            if part:
+                rows = rows[pair]
+                gen = rows[:, upper[pair]] - rows[:, twin[pair]]
+            else:
+                gen = rows[:, upper]
+                gen[:, pair] += rows[:, twin[pair]]
+            self._generators[part] = gen
+        return self._generators[part]
+
+    def _run_part(self, part, v, levels, step_index, built):
+        """v after each sample's step under G_s or G_a, with the size of
+        each expm it builds added to `built`."""
+        gen = self._generator(part)
+        for level in levels:
+            if (part, level) not in self._props:
+                self._props[part, level] = expm(level * gen)
+                built.append(gen.shape[0])
+        return _advance([self._props[part, level] for level in levels], v,
+                        step_index)
+
+    def run(self, x, y, levels, step_index):
+        """x and y after each sample's step, one step of length
+        levels[step_index[i]] (none for index -1) after sample i - 1, as
+        (samples, size) arrays; y is None where it is None or zero at the
+        start.  Logs at INFO the truncation, the block's size and the size
+        of each expm it built."""
+        built = []
+        x = self._run_part(0, x, levels, step_index, built)
+        if y is not None and y.any():
+            y = self._run_part(1, y, levels, step_index, built)
+        else:
+            y = None
+        _LOG.info("oracle: truncation %d, propagated block sizes %s, expm "
+                  "builds %d of sizes %s", self.truncation,
+                  [self.positions.size], len(built), built)
+        return x, y
+
+    def read(self, x, y, local):
+        """The bare-basis entries at the block positions `local` of each
+        sample of x and y (None for zero), as a C-ordered (samples,
+        local.size) complex array, so that a sum over the entries of each
+        sample runs in the same order as over a dense matrix: x and y
+        expanded to every position, the entries of a transposed pair as
+        exact conjugates, and rotated back out of the atom-phase frame."""
+        rotated = np.zeros((x.shape[0], self.positions.size), dtype=complex)
+        rotated.real[:, self.upper] = rotated.real[:, self.twin] = x
+        if y is not None:
+            rotated.imag[:, self.upper[self.pair]] = y
+            rotated.imag[:, self.twin[self.pair]] = -y
+        return np.take(rotated * self.phase.conj(), local, axis=1)
+
+
 class Trajectory(Sequence):
     """The samples of one oracle run, as a read-only sequence; what
     `integrate_trajectory` returns.
 
-    It holds, for each sample, the bare-basis entries of vec(rho) at the
-    positions of each filled block (of coherence order k >= 0), propagated
-    when a read first touches one of them.  Every library reader reads any
-    rho_ij of every sample through `entries` and counts the samples with
-    `times.size`.  `traj[i]`, iteration and `len(traj)` (the `Sequence`
-    protocol) build dense DensityMatrix samples that nothing keeps, for the
-    oracle check of `benchmarks/workloads.py` alone.  A block run on its
-    Hermitian closure is stored on all its positions, each entry the exact
-    conjugate of its transpose's.  Each block starts from the same initial
-    vector with the same propagators, so its values do not depend on the
-    order of the reads.  Until every filled block is stored, the trajectory
-    keeps its `_BlockPropagator` and each unstored block's part of the
-    initial vector; then it lets go of them.
+    It holds the k = 0 closure x (and y) of every sample, and reads any
+    rho_ij through `entries`: a k = 0 entry from the closure, any other
+    from the blocks of coherence order k > 0.  Those are the cold path, for
+    `traj[i]`, iteration and `entries` off k = 0 alone: their
+    `_BlockPropagator` is built on the first such read, from `rho0.matrix`,
+    which the trajectory keeps by reference, and it propagates each block
+    when a read first touches it.  Every library reader reads k = 0 entries
+    and counts the samples with `times.size`.  `traj[i]`, iteration and
+    `len(traj)` (the `Sequence` protocol) build dense DensityMatrix samples
+    that nothing keeps, for the oracle check of `benchmarks/workloads.py`
+    alone.
     """
 
-    def __init__(self, times, prop, v0, levels, step_index):
+    def __init__(self, times, closure, x, y, start):
         self.times = times
-        self.truncation = prop.truncation
-        self._label = prop.label
-        self._blocks = prop.blocks
-        self._owner, self._local = prop.owner, prop.local
-        self._values = [None] * len(prop.blocks)  # (samples, size) each
-        # until a block is stored: its part of v0, and what propagates it
-        self._start = [v0[idx] for idx in prop.blocks]
-        self._prop, self._steps = prop, (levels, step_index)
+        self.truncation = closure.truncation
+        self._closure, self._x, self._y = closure, x, y
+        self._start = start  # (jc, damping, v0, levels, step_index)
+        self._propagator = None
         times.flags.writeable = False
 
-    def _fill(self, blocks, level=logging.DEBUG):
-        """Propagate each of the block numbers `blocks` (-1, no block, is
-        skipped) not stored yet, their generators built by one
-        `_BlockPropagator.build`, and log their sizes and the size of each
-        expm built at `level` (at DEBUG only when there are any)."""
-        new = [b for b in np.unique(blocks).tolist()
-               if b >= 0 and self._values[b] is None]
-        sizes, expms = [], []
-        if new:
-            self._prop.build(new)
-        for b in new:
-            values, built = self._prop.propagate(b, self._start[b],
-                                                 *self._steps)
-            values.flags.writeable = False
-            self._values[b], self._start[b] = values, None
-            sizes.append(values.shape[1])
-            expms += built
-        if all(values is not None for values in self._values):
-            self._prop = self._steps = None  # lets go of the propagator
-        if sizes or level > logging.DEBUG:
-            _LOG.log(level, "oracle: truncation %d, propagated block sizes "
-                     "%s, expm builds %d of sizes %s", self.truncation, sizes,
-                     len(expms), expms)
+    def _cold(self):
+        """The `_BlockPropagator` of the blocks of k > 0, built on first
+        use."""
+        if self._propagator is None:
+            jc, damping, v0, levels, step_index = self._start
+            self._propagator = _BlockPropagator(jc, damping, self.truncation,
+                                                v0, levels, step_index)
+        return self._propagator
 
     def __len__(self):
         return self.times.size
@@ -354,40 +449,49 @@ class Trajectory(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
-        self._fill(np.arange(len(self._blocks)))
+        cold = self._cold()
+        cold.fill(range(len(cold.blocks)))
         dim = 2 * (self.truncation + 1)
         m = np.zeros(dim * dim, dtype=complex)
-        for idx, values in zip(self._blocks, self._values):
+        for idx, values in zip(cold.blocks, cold.values):
             m[idx] = values[i]
+        k0 = self._closure
+        m[k0.positions] = k0.read(
+            self._x[i:i + 1], None if self._y is None else self._y[i:i + 1],
+            np.arange(k0.positions.size))[0]
         m = m.reshape(dim, dim)
-        lower = (self._label < 0).reshape(dim, dim)
+        lower = (cold.label < 0).reshape(dim, dim)
         m[lower] = m.T.conj()[lower]
         return DensityMatrix(matrix=m, time=float(self.times[i]))
 
     def entries(self, rows, cols):
         """rho_(rows, cols) of every sample, with shape (times.size,) + the
-        broadcast shape of the two index arrays.  An entry of a block that
-        is not filled is zero, and one of coherence order k < 0 is the
-        conjugate of its transpose."""
+        broadcast shape of the two integer index arrays; an array of bools
+        or floats raises TypeError.  An entry of a block that is not filled
+        is zero, and one of coherence order k < 0 is the conjugate of its
+        transpose."""
         dim = 2 * (self.truncation + 1)
         rows, cols = np.broadcast_arrays(rows, cols)
+        if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
+            raise TypeError("rows and cols must be a pair of integer arrays, "
+                            f"got {rows.dtype} and {cols.dtype}")
         if not (np.all((0 <= rows) & (rows < dim))
                 and np.all((0 <= cols) & (cols < dim))):
             raise IndexError(f"entries lie outside the {dim} x {dim} matrix")
-        pos = (rows * dim + cols).ravel()
-        lower = self._label[pos] < 0
-        pos[lower] = (cols * dim + rows).ravel()[lower]
-        owner = self._owner[pos]
-        self._fill(owner)
-        # a C-ordered result, so that a sum over the entries of each sample
-        # runs in the same order as over a dense matrix
-        out = np.zeros((self.times.size, pos.size), dtype=complex)
-        for b in np.unique(owner[owner >= 0]):
-            here = owner == b
-            out[:, here] = self._values[b][:, self._local[pos[here]]]
-        if lower.any():
-            out[:, lower] = out[:, lower].conj()
-        return out.reshape((self.times.size,) + rows.shape)
+        shape = rows.shape
+        rows, cols = rows.astype(int).ravel(), cols.astype(int).ravel()
+        pos = rows * dim + cols
+        k0 = self._closure
+        local = np.minimum(np.searchsorted(k0.positions, pos),
+                           k0.positions.size - 1)
+        here = k0.positions[local] == pos
+        if here.all():
+            out = k0.read(self._x, self._y, local)
+        else:
+            out = np.zeros((self.times.size, pos.size), dtype=complex)
+            out[:, here] = k0.read(self._x, self._y, local[here])
+            out[:, ~here] = self._cold().entries(rows[~here], cols[~here])
+        return out.reshape((self.times.size,) + shape)
 
 
 def _by_block(owner, count):
@@ -401,19 +505,19 @@ def _by_block(owner, count):
 
 
 class _BlockPropagator:
-    """The filled blocks of one Liouvillian.  The dense generators of the
-    blocks one read propagates are built together, from the union of their
-    positions, and each block's propagators once per distinct step length;
-    both are kept for later runs.  A block that holds the transpose (j, i)
-    of each of its (i, j), the k = 0 block, is kept as the two generators
-    of its Hermitian closure (see `_fold`) alone."""
+    """The filled blocks of coherence order k > 0 of one coupled run from
+    vec(rho) = v0, the cold path of `Trajectory`: each is propagated, in
+    the atom-phase frame with its real and imaginary parts as two columns,
+    when a read first touches it, and stored.  The generators of the blocks
+    one read propagates are built together, from the union of their
+    positions, and dropped once those blocks are stored."""
 
-    def __init__(self, jc, damping, truncation, v0):
+    def __init__(self, jc, damping, truncation, v0, levels, step_index):
         self.model = jc, damping, truncation
         self.truncation = truncation
         self.label = _block_labels(truncation)
-        # the labels >= 0 with a non-zero part of v0, numbered in order
-        upper = self.label >= 0
+        # the labels > 0 with a non-zero part of v0, numbered in order
+        upper = self.label > 0
         filled = np.bincount(self.label[upper], weights=v0[upper] != 0) > 0
         number = np.where(filled, np.cumsum(filled) - 1, -1)
         self.owner = np.full(self.label.size, -1)  # block number, or -1
@@ -426,131 +530,94 @@ class _BlockPropagator:
                                - np.repeat(starts, sizes))
         self.blocks = [grouped[a:a + n]
                        for a, n in zip(starts.tolist(), sizes.tolist())]
-        self._generators = {}  # block number -> (closure, generators)
-        self._props = {}  # ((block number, part), step length) -> expm
+        self.values = [None] * len(self.blocks)  # (samples, size) each
+        self._v0, self._steps = v0, (levels, step_index)
 
-    def build(self, blocks):
-        """Build the generators of each of the distinct block numbers
-        `blocks` that has none yet, all from one `_triplets` call over the
-        sorted union of their positions, rotated into the atom-phase frame
-        (see `_atom_phases`), which is exact and leaves every entry real.
-        Each triplet's value depends on its own (row, col) alone, so a
-        block's slice of the union holds exactly the triplets of its own
-        positions.  Each generator is scattered into a float array; the
-        k = 0 block's, closed under transposition, is folded onto its
-        Hermitian closure (the local indices of each (i, j) with i <= j,
-        ascending, and of its transpose (j, i))."""
-        new = [b for b in blocks if b not in self._generators]
-        if not new:
-            return
-        union = np.sort(np.concatenate([self.blocks[b] for b in new]))
+    def _build(self, blocks):
+        """The generator of each of the block numbers `blocks`, all from one
+        `_triplets` call over the sorted union of their positions, rotated
+        into the atom-phase frame (see `_atom_phases`), which is exact and
+        leaves every entry real.  Each triplet's value depends on its own
+        (row, col) alone, so a block's slice of the union holds exactly the
+        triplets of its own positions."""
+        union = np.sort(np.concatenate([self.blocks[b] for b in blocks]))
         rows, cols, val = _triplets(*self.model, union)
         phase = _atom_phases(union, self.truncation)
         gen = val * phase[rows] * phase[cols].conj()
         rows, cols = union[rows], union[cols]
         order, start, count = _by_block(self.owner[rows], len(self.blocks))
-        dim = 2 * (self.truncation + 1)
-        for b in new:
+        for b in blocks:
             part = order[start[b]:start[b] + count[b]]
             dense = np.zeros((self.blocks[b].size,) * 2)
             dense[self.local[rows[part]], self.local[cols[part]]] = (
                 gen[part].real)
-            if self.label[self.blocks[b][0]]:  # k != 0
-                self._generators[b] = None, (dense,)
-                continue
-            i, j = np.divmod(self.blocks[b], dim)
-            upper = np.flatnonzero(i <= j)
-            closure = upper, self.local[j[upper] * dim + i[upper]]
-            self._generators[b] = closure, _fold(dense, *closure)
+            yield dense
 
-    def _advance(self, key, gen, v, levels, step_index):
-        """v after each sample's step under the generator `gen`, as a
-        (samples,) + v.shape array, with the expm of each distinct step
-        length kept under (key, level), and the size of each expm built."""
-        sizes = []
-        for level in levels:
-            if (key, level) not in self._props:
-                self._props[key, level] = expm(level * gen)
-                sizes.append(gen.shape[0])
-        out = np.empty((step_index.size,) + v.shape, dtype=v.dtype)
-        for i, j in enumerate(step_index):
-            if j >= 0:
-                v = self._props[key, levels[j]] @ v
-            out[i] = v
-        return out, sizes
+    def fill(self, blocks):
+        """Propagate and store each of the block numbers `blocks` (-1, no
+        block, is skipped) not stored yet, and log at DEBUG, when there are
+        any, their sizes and the size of each expm built."""
+        new = [b for b in np.unique(blocks).tolist()
+               if b >= 0 and self.values[b] is None]
+        if not new:
+            return
+        levels, step_index = self._steps
+        expms = []
+        for b, gen in zip(new, self._build(new)):
+            phase = _atom_phases(self.blocks[b], self.truncation)
+            v = (self._v0[self.blocks[b]] * phase).view(float).reshape(-1, 2)
+            block = _advance([expm(level * gen) for level in levels], v,
+                             step_index)
+            expms += [gen.shape[0]] * levels.size
+            values = block.view(complex).reshape(step_index.size, -1)
+            self.values[b] = values * phase.conj()
+            self.values[b].flags.writeable = False
+        _LOG.debug("oracle: truncation %d, propagated block sizes %s, expm "
+                   "builds %d of sizes %s", self.truncation,
+                   [self.blocks[b].size for b in new], len(expms), expms)
 
-    def propagate(self, b, v, levels, step_index):
-        """Block `b` of vec(rho) at each sample, from its part `v` of the
-        initial vector, in the bare basis, as a (samples, size) array, and
-        the size of each expm it built, from the generators `build` built.
-
-        Sample i is one step of length levels[step_index[i]] (none for
-        index -1) after sample i - 1, one product in the atom-phase frame.
-        The k = 0 block runs on its Hermitian closure: v is taken as its
-        Hermitian part, whose real part x = (x_a + x_twin) / 2 runs on the
-        symmetric generator and imaginary part y = (y_a - y_twin) / 2, only
-        when non-zero, on the antisymmetric one, both expanded back to every
-        position.  Any other block carries the real and imaginary parts of
-        its vector as two columns.
-        """
-        (closure, gens), samples = self._generators[b], step_index.size
-        phase = _atom_phases(self.blocks[b], self.truncation)
-        v = v * phase
-        if closure is None:  # the real and imaginary parts as two columns
-            block, sizes = self._advance((b, 0), gens[0],
-                                         v.view(float).reshape(-1, 2),
-                                         levels, step_index)
-            rotated = block.view(complex).reshape(samples, phase.size)
-        else:
-            upper, twin = closure
-            pair = upper != twin
-            rotated = np.zeros((samples, phase.size), dtype=complex)
-            x, sizes = self._advance((b, 0), gens[0],
-                                     0.5 * (v.real[upper] + v.real[twin]),
-                                     levels, step_index)
-            rotated.real[:, upper] = rotated.real[:, twin] = x
-            y = 0.5 * (v.imag[upper[pair]] - v.imag[twin[pair]])
-            if y.any():
-                y, more = self._advance((b, 1), gens[1], y, levels, step_index)
-                rotated.imag[:, upper[pair]] = y
-                rotated.imag[:, twin[pair]] = -y
-                sizes += more
-        return rotated * phase.conj(), sizes
-
-    def run(self, v0, start, times):
-        """Trajectory of vec(rho) = v0 at `start` over the sorted `times`.
-
-        Only the filled blocks, all of k >= 0, are propagated: v0 on k < 0
-        is read as the conjugate transpose of its k > 0 part.  The blocks
-        that hold the populations are propagated here, for the trace drift
-        (see `_check_drift`), the others when a read first touches them.
-        The INFO log names the size of each block propagated here, the
-        number of expm builds and the size of each matrix exponentiated
-        (3 N + 2 for the k = 0 block's real part); later ones log at DEBUG.
-        """
-        levels, step_index = _step_groups(np.diff(np.r_[start, times]))
-        traj = Trajectory(times, self, v0, levels, step_index)
-        every = np.arange(2 * (self.truncation + 1))
-        diagonal = every * every.size + every
-        traj._fill(self.owner[diagonal], logging.INFO)
-        _check_drift(traj.entries(every, every).real.sum(axis=1)
-                     - v0[diagonal].real.sum())
-        return traj
+    def entries(self, rows, cols):
+        """rho_(rows, cols) of every sample, each entry of coherence order
+        k != 0, as a (samples, rows.size) array."""
+        dim = 2 * (self.truncation + 1)
+        pos = rows * dim + cols
+        lower = self.label[pos] < 0
+        pos[lower] = (cols * dim + rows)[lower]
+        owner = self.owner[pos]
+        self.fill(owner)
+        out = np.zeros((self._steps[1].size, pos.size), dtype=complex)
+        for b in np.unique(owner[owner >= 0]):
+            here = owner == b
+            out[:, here] = self.values[b][:, self.local[pos[here]]]
+        out[:, lower] = out[:, lower].conj()
+        return out
 
 
 def integrate_trajectory(rho0, jc, damping, times):
     """Propagate the master equation exactly to each time, as a
-    `Trajectory`.  The blocks that hold the populations are propagated
-    here, every other filled block when the trajectory is first read there
-    (see `_BlockPropagator.run`), so a reader of k = 0 entries
-    (populations, P_+, F_n) pays for the k = 0 block alone."""
+    `Trajectory`.  The run propagates the k = 0 block alone, on its
+    Hermitian closure (see `_Closure`), which holds every population, so a
+    reader of k = 0 entries (populations, P_+, F_n) pays for that block
+    alone, whatever the initial state; the trace drift (see `_check_drift`)
+    is read from it.  Every other filled block, of k > 0 (k < 0 read as the
+    conjugate transpose), is propagated when a read of the trajectory
+    first touches it.  The INFO log names the size of the k = 0 block, the
+    number of expm builds and the size of each matrix exponentiated (3 N + 2
+    for the real parts); a block propagated later logs at DEBUG.
+    """
     _instance(rho0, "rho0", DensityMatrix)
     _instance(jc, "jc", JCParams)
     _instance(damping, "damping", DampingParams)
     times = _check_times(times, rho0.time)
+    steps = _step_groups(np.diff(np.r_[rho0.time, times]))
+    closure = _Closure(jc, damping, rho0.truncation)
     v0 = rho0.matrix.reshape(-1)
-    prop = _BlockPropagator(jc, damping, rho0.truncation, v0)
-    return prop.run(v0, rho0.time, times)
+    x0, y0 = closure.start(v0)
+    x, y = closure.run(x0, y0, *steps)
+    diagonal = closure.column[closure.diagonal(
+        np.arange(2 * (rho0.truncation + 1)))]
+    _check_drift(x[:, diagonal].sum(axis=1) - x0[diagonal].sum())
+    return Trajectory(times, closure, x, y, (jc, damping, v0, *steps))
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +637,8 @@ class OracleObservables:
 
 def oracle_observables(trajectory, jc):
     """P_+, dressed F_n and F_{-1} per sample, read from the diagonal of a
-    `Trajectory`, whose entries have coherence order k = 0.  With
+    `Trajectory`, whose entries have coherence order k = 0 and so come from
+    its closure alone.  With
     a = |n, +> and b = |n+1, ->: F_n = rho_aa + rho_bb,
     F_{-1} = 2 rho(|0, ->) and P_+ = sum_n rho(|n, +>).
 
@@ -596,12 +664,13 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
     1 evolves with the field to t_A and is projected onto s1 (keeping the
     unnormalized weight), then a fresh excited atom evolves with the
     conditioned field to t_B, where s2 is read off.  Each passage reads just
-    the atom sector's populations, so it propagates the k = 0 block alone
-    (on the 3 N + 2 real parts of its Hermitian closure, as neither start
-    has an imaginary part), and the second starts from their diagonal.
-    Both share that block's generators and one expm per distinct step
-    length, so t_B = 2 t_A from rho0 at time 0 takes a single expm; neither
-    builds a dense density matrix.
+    the atom sector's populations, so both run on one k = 0 engine (see
+    `_Closure`): the first from the closure of rho0, the second from the
+    real parts alone, the conditioned populations on the excited sector's
+    diagonal.  They share that block's generator and one expm per distinct
+    step length, so t_B = 2 t_A from rho0 at time 0 takes a single expm;
+    neither builds a `Trajectory`, a dense density matrix or a start vector
+    over every position.
     """
     _check_outcome(s1, "s1")
     _check_outcome(s2, "s2")
@@ -610,18 +679,23 @@ def joint_probability_oracle(rho0, jc, damping, t_a, t_b, s1, s2):
     _instance(damping, "damping", DampingParams)
     t_a, t_b = _check_times([_times(t, one=True) for t in (t_a, t_b)],
                             rho0.time)
-    v0 = rho0.matrix.reshape(-1)
-    prop = _BlockPropagator(jc, damping, rho0.truncation, v0)
+    closure = _Closure(jc, damping, rho0.truncation)
+    excited = 2 * np.arange(rho0.truncation + 1)  # |n, +>
 
-    def populations(v, start, end, outcome):
-        sector = 2 * np.arange(rho0.truncation + 1) + (outcome == "-")
-        return prop.run(v, start, np.array([end])).entries(sector, sector)[-1]
+    def populations(x, y, start, end, outcome):
+        """The atom sector's populations at `end`, complex as `entries`
+        reads them, so that their sums round alike."""
+        x, _ = closure.run(x, y, *_step_groups(np.array([end - start])))
+        sector = closure.diagonal(excited + (outcome == "-"))
+        return closure.read(x[-1:], None, sector)[0]
 
-    field = populations(v0, rho0.time, t_a, s1)
+    field = populations(*closure.start(rho0.matrix.reshape(-1)), rho0.time,
+                        t_a, s1)
     if field.sum().real <= 0.0:
         return 0.0
-    v_b = np.kron(np.diag(field), _EXCITED).reshape(-1)
-    return float(populations(v_b, t_a, t_b, s2).sum().real)
+    x = np.zeros(3 * rho0.truncation + 2)  # the real parts of the closure
+    x[closure.column[closure.diagonal(excited)]] = field.real
+    return float(populations(x, None, t_a, t_b, s2).sum().real)
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +721,8 @@ def w_equation_residuals(window, jc, damping):
     and the largest |W| entry (a diagonal one) have coherence order k = 0,
     and the k = 0 part of W is closed under the equations (the dressed
     basis mixes states of one excitation number, and a lowers it on both
-    sides), so W is built from the window's k = 0 entries alone and the
-    window propagates its k = 0 block alone.
+    sides), so W is built from the window's k = 0 entries alone, which it
+    reads from its closure, with no block of k != 0.
 
     Returns (largest absolute residual, largest absolute W entry).
     """
@@ -669,7 +743,7 @@ def w_equation_residuals(window, jc, damping):
     a_base = dressed_annihilation(trunc)
     k, nb = damping.kappa, damping.n_thermal
     dim = 2 * (trunc + 1)
-    k0 = np.divmod(np.flatnonzero(_block_labels(trunc) == 0), dim)
+    k0 = np.divmod(window._closure.positions, dim)
     w = np.zeros((times.size, dim, dim), dtype=complex)
     w[:, k0[0], k0[1]] = window.entries(*k0)
     u, rabi = dressed_basis(trunc)

@@ -228,6 +228,11 @@ def test_malformed_input_rejected(call, value, rule):
      "damping"),
     (lambda: conditioned_field([CONFIG, CONFIG], 1e-4, "+"), "config"),
     (lambda: decoherence_time([CONFIG]), "config"),
+    # entry indices: a bool is not index 0 or 1, nor a bool array a mask
+    (lambda: WINDOW.entries(True, True), "rows and cols"),
+    (lambda: WINDOW.entries(np.array([True, False]), 0), "rows and cols"),
+    (lambda: WINDOW.entries(0.0, 1), "rows and cols"),
+    (lambda: WINDOW.entries(np.arange(3), np.arange(3.0)), "rows and cols"),
 ], ids=["config-jc", "config-damping", "config-initial_field",
         "resum-damping", "w_equation_residuals-window",
         "w_equation_residuals-jc", "w_equation_residuals-damping",
@@ -239,7 +244,8 @@ def test_malformed_input_rejected(call, value, rule):
         "liouvillian-jc", "liouvillian-damping",
         "build_initial_state-fieldspec", "branch_coherence_trajectory-spec",
         "branch_coherence_trajectory-damping", "conditioned_field-config",
-        "decoherence_time-config"])
+        "decoherence_time-config", "entries-bool", "entries-bool-mask",
+        "entries-float", "entries-float-cols"])
 def test_compound_input_of_wrong_type_rejected(call, field):
     with pytest.raises(TypeError, match=f"^{field} must be a "):
         call()

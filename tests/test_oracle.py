@@ -1,6 +1,10 @@
 import ast
+import json
 import logging
 import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -241,20 +245,19 @@ def test_trajectory_propagates_each_block_when_first_read(monkeypatch):
     traj = oracle.integrate_trajectory(rho0, jc, damping, times)
     oracle.oracle_observables(traj, jc)
     # one expm: the k = 0 block on the real part of its Hermitian closure,
-    # one step length
+    # one step length; the blocks of k > 0 are not even split yet
     assert built == [3 * trunc + 2]
+    assert traj._propagator is None
     built.clear()
     # rho(|3, +>, |0, +>) has k = 4 - 1; its block alone is propagated
     assert label[6 * 2 * (trunc + 1)] == 3
     traj.entries(6, 0)
     assert built == [np.count_nonzero(label == 3)]
     built.clear()
-    assert traj._prop is not None
     list(traj)
     assert sorted(built) == sorted(np.count_nonzero(label == k)
                                    for k in filled if k not in (0, 3))
-    # every block is stored: the propagation state is let go
-    assert traj._prop is None
+    # every block is stored: later reads propagate nothing
     built.clear()
     traj[0]
     traj.entries(6, 0)
@@ -290,6 +293,9 @@ def test_trajectory_entries_and_indexing():
     every = np.arange(2 * (trunc + 1))
     # k < 0 entries come back as conjugate transposes, like the dense fill
     assert np.array_equal(traj.entries(every[:, None], every[None, :]), dense)
+    # narrow unsigned indices do not wrap: 15 * 18 exceeds 255
+    assert np.array_equal(traj.entries(np.uint8(15), np.uint8([15, 12])),
+                          dense[:, 15, [15, 12]])
     assert [r.time for r in traj[1:]] == [0.2, 0.5]
     assert np.array_equal(traj[-1].matrix, dense[2])
     with pytest.raises(IndexError):
@@ -346,6 +352,53 @@ def test_readers_build_no_dense_sample(monkeypatch, tmp_path):
     assert built == [0.0]
 
 
+def test_k0_readers_never_build_the_cold_path(monkeypatch, tmp_path):
+    # a phi != 0 cat fills every coherence order, yet every library reader
+    # reads k = 0 alone: with the blocks of k != 0 unbuildable, the
+    # observables, the four outcome pairs of the joint, the residual and
+    # the oracle command all run, and the joint keeps the full-block value
+    preset = PRESETS["benson97"]
+    jc = preset.jc()
+    damping = DampingParams(kappa=preset.kappa, n_thermal=0.1)
+    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), 16)
+    dt = 0.04 / jc.g
+    times = 30.0 / jc.g + dt * np.arange(7.0)
+    t_a, t_b = 5.0 / jc.g, 12.0 / jc.g
+    expected = {(s1, s2): _joint_full_blocks(rho0, jc, damping, t_a, t_b,
+                                             s1, s2)[0]
+                for s1 in "+-" for s2 in "+-"}
+
+    def refuse(*args):
+        raise AssertionError("a k != 0 block was built")
+
+    monkeypatch.setattr(oracle, "_BlockPropagator", refuse)
+    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+    obs = oracle.oracle_observables(traj, jc)
+    for (s1, s2), value in expected.items():
+        got = oracle.joint_probability_oracle(rho0, jc, damping, t_a, t_b,
+                                              s1, s2)
+        assert abs(got - value) < 1e-12
+    residual, _ = oracle.w_equation_residuals(traj, jc, damping)
+    assert residual > 0.0
+    assert main(["oracle", "--nbar", "2", "--phi", "1.1", "--nb", "0.1",
+                 "--t-max", "0.002", "--samples", "5",
+                 "--out", str(tmp_path)]) == 0
+    with pytest.raises(AssertionError, match="k != 0 block"):
+        traj.entries(6, 0)
+    # the cold path, built on the same trajectory after those reads, keeps
+    # every bit of the dense assembly, and so do the closure's reads
+    monkeypatch.undo()
+    expected = dense_trajectory(rho0, jc, damping, times)
+    assert np.array_equal(traj.entries(6, 0), expected[:, 6, 0])
+    assert np.array_equal(traj.entries(0, 6), expected[:, 0, 6])
+    assert np.abs(expected[:, 6, 0]).min() > 1e-3
+    assert np.array_equal(traj[3].matrix, expected[3])
+    assert np.array_equal([rho.matrix for rho in traj], expected)
+    again = dense_observables(expected, times, jc)[:3]
+    for a, b in zip((obs.p_plus, obs.f, obs.f_ground), again):
+        assert np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("ratio, expm_calls", [(2.0, 1), (2.5, 2)])
 def test_joint_shares_one_propagator_per_step(monkeypatch, ratio, expm_calls):
     # t_B = 2 t_A repeats the first step, so both passages use one expm
@@ -379,10 +432,10 @@ _GENERATOR_CASES = {
 
 @pytest.mark.parametrize("case", sorted(_GENERATOR_CASES))
 def test_block_generators_match_reference(monkeypatch, case):
-    # every filled block of a phi = 1.1 cat, built from its own positions,
-    # equals the block scattered from the whole-matrix triplets of the
-    # reference, bit for bit and in dtype, and the one real block closed
-    # under transposition (k = 0) equals the reference's fold of it; with
+    # the k = 0 block of the engine, built from the positions it computes,
+    # equals the reference's fold of the block scattered from the
+    # whole-matrix triplets of the reference, bit for bit and in dtype, and
+    # so does every filled block of k > 0 of a phi = 1.1 cat; with
     # the coupling off, the field-only run exponentiates the step times the
     # reference's (d, +, +) block of each diagonal d (its positions
     # (n + d, n) are the transposes of the run's (n, n + d), with the same
@@ -396,29 +449,29 @@ def test_block_generators_match_reference(monkeypatch, case):
         _uncoupled_generators_match_reference(monkeypatch, damping, trunc, coo,
                                               phase)
         return
+    # the k = 0 block of the engine, folded onto its Hermitian closure
+    idx = np.flatnonzero(block_labels(trunc, jc) == 0)
+    closure = oracle._Closure(jc, damping, trunc)
+    assert np.array_equal(closure.positions, idx)
+    want = block_generator(coo, phase, idx)
+    assert want.dtype.kind == "f"
+    want_closure = hermitian_closure(idx, dim)
+    for a, w in zip((closure.upper, closure.twin), want_closure):
+        assert np.array_equal(a, w)
+    for part, w in enumerate(fold_block(want, *want_closure)):
+        got = closure._generator(part)
+        assert got.dtype == w.dtype
+        assert np.array_equal(got, w)
+    # every filled block of k > 0 of the cold path, each built alone
     rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
-    prop = oracle._BlockPropagator(jc, damping, trunc, rho0.matrix.reshape(-1))
-    assert len(prop.blocks) > trunc
-    folded = 0
+    prop = _cold_propagator(jc, damping, trunc, rho0.matrix.reshape(-1))
+    assert len(prop.blocks) == trunc
     for b, idx in enumerate(prop.blocks):
         want = block_generator(coo, phase, idx)
-        prop.build([b])
-        closure, got = prop._generators[b]
-        want_closure = (hermitian_closure(idx, dim)
-                        if want.dtype.kind == "f" else None)
-        if want_closure is None:
-            assert closure is None
-            want = (want,)
-        else:
-            for a, w in zip(closure, want_closure):
-                assert np.array_equal(a, w)
-            want = fold_block(want, *want_closure)
-            folded += 1
-        assert len(got) == len(want)
-        for a, w in zip(got, want):
-            assert a.dtype == w.dtype
-            assert np.array_equal(a, w)
-    assert folded == 1
+        assert hermitian_closure(idx, dim) is None
+        [got] = prop._build([b])
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
     _liouvillian_matches_reference(jc, damping, trunc)
 
 
@@ -457,20 +510,32 @@ def _cut_cat(trunc):
     return amp / np.linalg.norm(amp)
 
 
+def _cold_propagator(jc, damping, trunc, v0):
+    """The `_BlockPropagator` of the blocks of k > 0 of a one-step run from
+    vec(rho) = v0."""
+    return oracle._BlockPropagator(jc, damping, trunc, v0,
+                                   *oracle._step_groups(np.ones(1)))
+
+
 @pytest.mark.parametrize("trunc", [1, 4, 32])
 @pytest.mark.parametrize("jc", [JCParams(g=3.0)], ids=["resonant"])
 @pytest.mark.parametrize("field", ["cat", "distribution", "vacuum"])
 def test_block_split_matches_sorted_labels(field, jc, trunc):
-    # the filled blocks, each position's block number and its place in the
-    # block equal those of one stable sort of every label
+    # the positions the engine computes for the k = 0 block, and the cold
+    # path's filled blocks of k > 0, each position's block number and its
+    # place in the block, equal those of one stable sort of every label
     starts = {"cat": pure_state(_cut_cat(trunc)),
               "distribution": oracle.build_initial_state(
                   PhotonDistribution(np.full(trunc + 1, 1.0 / (trunc + 1))),
                   trunc),
               "vacuum": pure_state(np.eye(trunc + 1)[0])}
     v0 = starts[field].matrix.reshape(-1)
-    prop = oracle._BlockPropagator(jc, DampingParams(kappa=0.4), trunc, v0)
-    want = filled_blocks(prop.label, v0)
+    damping = DampingParams(kappa=0.4)
+    prop = _cold_propagator(jc, damping, trunc, v0)
+    assert np.array_equal(oracle._Closure(jc, damping, trunc).positions,
+                          np.flatnonzero(prop.label == 0))
+    want = [idx for idx in filled_blocks(prop.label, v0)
+            if prop.label[idx[0]] > 0]
     owner = np.full(prop.label.size, -1)
     local = np.zeros(prop.label.size, dtype=int)
     assert len(prop.blocks) == len(want)
@@ -485,28 +550,22 @@ def test_block_split_matches_sorted_labels(field, jc, trunc):
 @pytest.mark.parametrize("n_b", [0.0, 0.13])
 @pytest.mark.parametrize("jc", [JCParams(g=3.0)], ids=["resonant"])
 def test_union_builds_match_single_block_builds(jc, n_b):
-    # the generators of every other block, built by one call over the union
-    # of their positions, and then of the rest, equal each block built
-    # alone, bit for bit and in dtype
+    # the generators of every other block of k > 0, built by one call over
+    # the union of their positions, and then of the rest, equal each block
+    # built alone, bit for bit and in dtype
     trunc = 16
     rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
-    v0 = rho0.matrix.reshape(-1)
-    damping = DampingParams(kappa=0.4, n_thermal=n_b)
-    together = oracle._BlockPropagator(jc, damping, trunc, v0)
-    alone = oracle._BlockPropagator(jc, damping, trunc, v0)
-    count = len(together.blocks)
-    assert count > trunc
-    together.build(range(0, count, 2))
-    together.build(range(count))
+    prop = _cold_propagator(jc, DampingParams(kappa=0.4, n_thermal=n_b), trunc,
+                            rho0.matrix.reshape(-1))
+    count = len(prop.blocks)
+    assert count == trunc
+    together = {}
+    for half in (range(0, count, 2), range(1, count, 2)):
+        together.update(zip(half, prop._build(half)))
     for b in range(count):
-        alone.build([b])
-        (closure, got), (_, want) = (together._generators[b],
-                                     alone._generators[b])
-        assert (closure is not None) == (b == 0)
-        assert len(got) == len(want)
-        for a, w in zip(got, want):
-            assert a.dtype == w.dtype
-            assert np.array_equal(a, w)
+        [want] = prop._build([b])
+        assert together[b].dtype == want.dtype
+        assert np.array_equal(together[b], want)
 
 
 def _imaginary_k0_start(trunc):
@@ -597,11 +656,12 @@ def test_fill_order_keeps_every_bit():
     rho0, jc, damping, times = _benchmark_cat()
     trajs = [oracle.integrate_trajectory(rho0, jc, damping, times)
              for _ in range(3)]
-    count = len(trajs[0]._blocks)
-    trajs[0]._fill(np.arange(count))
+    cold = [traj._cold() for traj in trajs]
+    count = len(cold[0].blocks)
+    cold[0].fill(np.arange(count))
     for b in range(count):
-        trajs[1]._fill([b])
-        trajs[2]._fill([count - 1 - b])
+        cold[1].fill([b])
+        cold[2].fill([count - 1 - b])
     every = np.arange(2 * (rho0.truncation + 1))
     entries, samples = zip(*(
         (traj.entries(every[:, None], every[None, :]),
@@ -616,7 +676,8 @@ def test_one_builder_call_per_fill(monkeypatch):
     # the field-only run builds its generator by one call over the positions
     # (n, n + d) of every diagonal the cat fills: all 33 of the phi != 0 cat
     # at N = 32, the 17 even ones of the even cat; a k = 0 read of the
-    # coupled run builds its k = 0 block alone
+    # coupled run builds its k = 0 block alone, and so does a joint, once
+    # for both passages
     trunc = 32
     calls = []  # the number of positions given to each builder call
     triplets = oracle._triplets
@@ -635,6 +696,10 @@ def test_one_builder_call_per_fill(monkeypatch):
     rho0 = oracle.build_initial_state(spec, trunc)
     oracle.oracle_observables(oracle.integrate_trajectory(
         rho0, jc, damping, np.linspace(0.0, 50.0 / jc.g, 5)), jc)
+    assert calls == [4 * trunc + 2]
+    calls.clear()
+    oracle.joint_probability_oracle(rho0, jc, damping, 5.0 / jc.g,
+                                    12.0 / jc.g, "-", "+")
     assert calls == [4 * trunc + 2]
 
 
@@ -930,7 +995,7 @@ def _closed_form_gap(jc, damping, nbar, gts):
     rho0 = oracle.build_initial_state(spec, default_truncation(nbar))
     traj = oracle.integrate_trajectory(rho0, jc, damping, times)
     exact = oracle.oracle_observables(traj, jc).p_plus
-    assert sum(values is not None for values in traj._values) == 1
+    assert traj._propagator is None
     return np.abs(closed - exact)
 
 
@@ -1279,6 +1344,92 @@ def test_field_only_run_keeps_its_checks(monkeypatch):
     with pytest.raises(ConsistencyError, match="trace drift"):
         oracle.branch_coherence_trajectory(CatSpec(intensity=1.0), damping,
                                            [0.0, 0.1], 16)
+
+
+#: Runs the command in its arguments as its child and prints, as JSON, the
+#: child's standard output and its peak RSS in MB; the child of a small
+#: interpreter, so that the RSS of the test process does not count.
+PEAK_RSS = r'''
+import json, resource, subprocess, sys
+out = subprocess.run(sys.argv[1:], check=True, stdout=subprocess.PIPE,
+                     text=True).stdout
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+print(json.dumps({"stdout": out, "peak_mb": peak_mb}))
+'''
+
+
+def _fresh_peak_rss(*args):
+    """The standard output and the peak RSS in MB of
+    `python -W error::RuntimeWarning <args>` in a fresh interpreter, which
+    imports this tree's sources and `tests/references.py`."""
+    paths = (Path(oracle.__file__).resolve().parents[1],
+             Path(__file__).resolve().parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    run = subprocess.run(
+        [sys.executable, "-c", PEAK_RSS, sys.executable, "-W",
+         "error::RuntimeWarning", *args],
+        env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    got = json.loads(run.stdout)
+    return got["stdout"], got["peak_mb"]
+
+
+def test_oracle_command_at_the_paper_point_peaks_below_300_mb(tmp_path):
+    # `catcavity oracle` at nbar = 49 (N = 120) with 501 samples
+    _, peak_mb = _fresh_peak_rss(
+        "-m", "catcavity.cli", "oracle", "--nbar", "49", "--nb", "0.1",
+        "--samples", "501", "--out", str(tmp_path))
+    print(f"oracle --nbar 49 --samples 501: peak RSS {peak_mb:.0f} MB")
+    assert peak_mb <= 300.0
+
+
+#: The undephased nbar = 49 cat (N = 120) at 501 samples: what the
+#: trajectory keeps after a k = 0 read (its traced live memory, the
+#: difference before and after it is deleted), and whether P_+, F_n and
+#: F_-1 equal those of a run from the k = 0 part of rho0.
+UNDEPHASED = r'''
+import gc, json, tracemalloc
+
+import numpy as np
+
+from catcavity import CatSpec, DampingParams, default_truncation, oracle
+from catcavity.presets import PRESETS
+from references import dephased
+
+preset = PRESETS["benson97"]
+jc = preset.jc()
+damping = DampingParams(kappa=preset.kappa, n_thermal=0.1)
+trunc = default_truncation(49.0)
+rho0 = oracle.build_initial_state(CatSpec(intensity=49.0), trunc)
+times = np.linspace(0.0, 0.5 / preset.kappa, 501)
+tracemalloc.start()
+traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+full = oracle.oracle_observables(traj, jc)
+gc.collect()
+held = tracemalloc.get_traced_memory()[0]
+del traj
+gc.collect()
+kept_mb = (held - tracemalloc.get_traced_memory()[0]) / 1e6
+tracemalloc.stop()
+k0 = oracle.oracle_observables(
+    oracle.integrate_trajectory(dephased(rho0), jc, damping, times), jc)
+same = all(np.array_equal(getattr(full, name), getattr(k0, name))
+           for name in ("p_plus", "f", "f_ground"))
+print(json.dumps({"truncation": trunc, "kept_mb": kept_mb, "same": same}))
+'''
+
+
+def test_undephased_paper_point_cat_keeps_little_and_reads_as_dephased():
+    # the full even cat fills 61 blocks at N = 120, yet its k = 0 read keeps
+    # at most 12 MB and reads the same floats as the dephased run
+    out, peak_mb = _fresh_peak_rss("-c", UNDEPHASED)
+    got = json.loads(out)
+    print(f"undephased nbar = 49 cat, N = {got['truncation']}, 501 samples: "
+          f"peak RSS {peak_mb:.0f} MB, trajectory keeps "
+          f"{got['kept_mb']:.1f} MB after a k = 0 read")
+    assert got["same"]
+    assert got["kept_mb"] <= 12.0
+    assert peak_mb <= 300.0
 
 
 def test_oracle_imports_no_closed_form_module():
