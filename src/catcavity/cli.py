@@ -14,6 +14,7 @@ full` and `oracle` the master-equation oracle with `scipy.linalg`.
 import argparse
 import configparser
 import functools
+import itertools
 import math
 import sys
 from importlib.metadata import PackageNotFoundError, version
@@ -144,12 +145,21 @@ def _fmt(value):
 
 def _write_csv(path, metadata, header, rows):
     """Write the metadata line, the header and one line per row in one
-    call.  Rows of Python floats (`tolist()`) format faster than rows of
-    NumPy scalars, into the same text."""
-    lines = [metadata, ",".join(header)]
-    lines += [",".join(map(_fmt, row)) for row in rows]
+    call.  One printf-style call formats every cell, by the first row's
+    layout: `%s` for text, `%.12g` (the text of `format(x, ".12g")`) for a
+    number.  A line reading `nan` is formatted again by `_fmt`, which
+    leaves an undefined entry empty.  Rows of Python floats (`tolist()`)
+    format faster than rows of NumPy scalars, into the same text."""
+    rows = list(rows)
+    template = ",".join("%s" if isinstance(cell, str) else "%.12g"
+                        for cell in rows[0])
+    body = "\n".join([template] * len(rows)) % tuple(
+        itertools.chain.from_iterable(rows))
+    if "nan" in body:
+        body = "\n".join(",".join(map(_fmt, row)) if "nan" in line else line
+                         for row, line in zip(rows, body.split("\n")))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{metadata}\n{','.join(header)}\n{body}\n")
     return path
 
 

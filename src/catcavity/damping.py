@@ -80,8 +80,9 @@ def _packed_table(size):
         table = (gammaln(jj + 1.5) - gammaln(nn + 1.5), gammaln(diff + 1.0),
                  diff, lower)
         _PACKED_TABLE = table
+    ratio, fact, diff, lower = table
     count = size * (size + 1) // 2
-    return (*(part[:count] for part in table[:3]), table[3][:size, :size])
+    return ratio[:count], fact[:count], diff[:count], lower[:size, :size]
 
 
 def _f_star_chunks(size, damping, times):
@@ -89,15 +90,18 @@ def _f_star_chunks(size, damping, times):
     `times`, a chunk of times at a time: an iterator of (chunk, kernels,
     decay), where `chunk` slices `times`, `kernels` is the (C, size, size)
     stack and `decay` the (C, 1, size) decay_n of the chunk's C times.
-    `kernels` is a view of the one slab of the call, valid until the next
-    chunk.  Where 2 kappa (n_b + 1) t is 0 in floating point (t = 0, or t
-    so small that it underflows) the kernel is the identity and decay_n
-    exactly 1, so that time's F*_n is its field bit for bit.
+    x and log x of every time, the levels and the buffers are set up once
+    per call; each chunk evaluates (log x (j - n) + ratio) - fact and its
+    exp in `values` and scatters each row into its kernel's triangle of the
+    one slab, of which `kernels` is a view valid until the next chunk.
+    Where 2 kappa (n_b + 1) t is 0 in floating point (t = 0, or t so small
+    that it underflows) the kernel is the identity and decay_n exactly 1,
+    so that time's F*_n is its field bit for bit.
     """
     k, nb = damping.kappa, damping.n_thermal
     # x = 1 - exp(-2 kappa (n_b + 1) t); log x only where x is not 0
     xs = [-x for x in np.expm1(-2.0 * k * (nb + 1.0) * times).tolist()]
-    logs = [math.log(x) if x else 0.0 for x in xs]
+    logs = np.array([math.log(x) if x else 0.0 for x in xs])
     scaled = (-2.0 * k * times)[:, None, None]
     level = np.arange(0.5, size) * (nb + 1.0) + nb
     ratio, fact, diff, lower = _packed_table(size)
@@ -108,8 +112,8 @@ def _f_star_chunks(size, damping, times):
     slab = np.zeros((min(step, times.size), size, size))
     for start in range(0, times.size, step):
         chunk = slice(start, start + step)
-        part = np.multiply.outer(logs[chunk], diff,
-                                 out=values[:len(logs[chunk])])
+        part = values[:min(step, times.size - start)]
+        np.multiply(logs[chunk, None], diff, out=part)
         part += ratio
         part -= fact
         np.exp(part, out=part)
@@ -129,11 +133,11 @@ def _f_star_apply(kernels, decay, stack):
     # change bits
     out = np.matmul(kernels[:, None], stack[..., None])[..., 0]
     out *= decay
-    if (out < -NEGATIVE_CLIP).any():
+    low = out.min()
+    if low < -NEGATIVE_CLIP:
         raise ConsistencyError(
-            f"F*_n went negative beyond roundoff: min {out.min():.3e}"
-        )
-    return out.clip(0.0, None, out=out)
+            f"F*_n went negative beyond roundoff: min {low:.3e}")
+    return np.maximum(out, 0.0, out=out)
 
 
 def _f_star(probs, damping, t):

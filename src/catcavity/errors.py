@@ -32,18 +32,22 @@ class ValidityWarning(UserWarning):
     to be accurate; results are still computed."""
 
 
-def _nonnegative(value, name):
+def _nonnegative(value, name, one=False):
     """`value`, numbers (not text or bools), as a float array of finite
-    entries >= 0.  A bool among the numbers of a list or tuple is refused
-    too, which `np.asarray` would make 0.0 or 1.0."""
+    entries >= 0, and with `one` a single number.  A bool among the numbers
+    of a list or tuple is refused too, which `np.asarray` would make 0.0 or
+    1.0."""
     array = np.asarray(value)
     listed_bool = isinstance(value, (list, tuple)) and any(
         isinstance(entry, (bool, np.bool_))
         for entry in np.asarray(value, dtype=object).ravel())
+    # NaN fails both comparisons, and an empty array has nothing to refuse
     if listed_bool or array.dtype.kind not in "iuf" or not (
             0.0 <= float(array) < math.inf if array.ndim == 0
-            else ((array >= 0.0) & (array < math.inf)).all()):
-        raise ValueError(f"{name} must be finite and non-negative")
+            else not one and (not array.size or (
+                0.0 <= array.min() and array.max() < math.inf))):
+        raise ValueError(f"{name} must be finite and non-negative"
+                         + (", one number" if one else ""))
     return array.astype(float, copy=False)
 
 

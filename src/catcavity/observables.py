@@ -5,11 +5,14 @@ resonant model.  Two-atom joint probabilities propagate the unnormalized
 conditioned field distribution through the elapsed time t_B - t_A, so
 P(s1, s2) summed over s2 recovers the single-atom probability P(s1)
 exactly (the formulas are a joint-probability decomposition).  Every
-observable is an array expression on the one table that `_table` returns.
+observable is an array expression on the one table that `_table` returns:
+one pipeline over chunks of times that builds each chunk's F* kernels once
+and applies them to every config and conditioned outcome, so that a call
+pays one pipeline set-up beyond its kernel work.
 """
 
-import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Union
 
@@ -101,21 +104,24 @@ def _conditioned(f, osc, ground, outcomes):
             block[..., 0] = ground
             np.subtract(f[..., :-1], osc[..., :-1], out=block[..., 1:])
     dist *= 0.5
-    if dist.min() < -1e-10:
+    low = dist.min()
+    if low < -1e-10:
         raise ConsistencyError(
-            f"conditioned distribution entry {dist.min():.3e} below -1e-10"
-        )
-    return dist.clip(0.0, None, out=dist)
+            f"conditioned distribution entry {low:.3e} below -1e-10")
+    return np.maximum(dist, 0.0, out=dist)
 
 
 def _passages(configs):
     """(count, jc, damping, [(rows, probs)]) for one config or a sequence
     of configs that share jc and damping, grouped by truncation: each group
-    is the (F, N) stack `probs` of the rows `rows` of the sequence.  A field
-    is never re-truncated.
+    is the (F, N) stack `probs` of the rows `rows` of the sequence, a slice
+    of all of them when there is one group.  A field is never re-truncated.
     """
-    configs = ([configs] if isinstance(configs, ExperimentConfig)
-               else list(configs))
+    if isinstance(configs, ExperimentConfig):
+        return (1, configs.jc, configs.damping,
+                [(slice(None), configs.distribution().probs[None])])
+    configs = [_instance(config, "configs", ExperimentConfig) for config
+               in _instance(configs, "configs", ExperimentConfig, Iterable)]
     if not configs:
         raise ValueError("need at least one config")
     jc, damping = configs[0].jc, configs[0].damping
@@ -125,82 +131,80 @@ def _passages(configs):
     for row, config in enumerate(configs):
         groups.setdefault(config.truncation, []).append(row)
     return len(configs), jc, damping, [
-        (np.array(rows), np.array([configs[r].distribution().probs
-                                   for r in rows]))
+        (np.array(rows) if len(groups) > 1 else slice(None),
+         np.array([configs[r].distribution().probs for r in rows]))
         for rows in groups.values()]
 
 
-def _operators(jc, damping, size, times):
-    """(chunk, op) per chunk of `damping._f_star_chunks`: op is the chunk's
-    F* kernels and decay_n and the (C, 1, size) oscillation factors
-    e^{-alpha_n t} cos(2 g t sqrt(n+1)) of its times, valid until the next
-    chunk."""
+def _oscillation(jc, damping, size):
+    """The function from a 1-d array of times to the (C, 1, size) stack of
+    oscillation factors e^{-alpha_n t} cos(2 g t sqrt(n+1)) at them, with
+    alpha_n and sqrt(n+1) computed once, here."""
     n = np.arange(size)
-    alpha = -doublet_decay_rate(damping, n)
-    root = np.sqrt(n + 1.0)
-    for chunk, kernels, decay in _f_star_chunks(size, damping, times):
-        t = times[chunk, None, None]
-        yield chunk, (kernels, decay,
-                      np.exp(alpha * t) * np.cos(2.0 * jc.g * t * root))
+    rate, root = -doublet_decay_rate(damping, n), np.sqrt(n + 1.0)
+
+    def factor(times):
+        t = times[:, None, None]
+        return np.exp(rate * t) * np.cos(2.0 * jc.g * t * root)
+    return factor
 
 
-def _passage(op, fields):
-    """The (C, F, size) stacks (F*_n(t), the oscillation term
-    e^{-alpha_n t} cos(2 g t sqrt(n+1)) p_n) of the passages of one chunk
-    `op` of `_operators` through an (F, size) stack of fields, the same at
-    every time, or a (C, F, size) stack per time."""
-    kernels, decay, factor = op
-    return _f_star_apply(kernels, decay, fields), factor * fields
-
-
-def _table(configs, t_a, tau, outcomes=()):
-    """(P_+, weights, joints): P_+ and, keyed by s1, weight and joint, each
-    a (configs, times) array; the one loop over times of every observable.
-    t_a and tau are checked times, a scalar counting as one.
+def _table(configs, t_a, tau, outcomes=""):
+    """(P_+, weights, joints): P_+ a (configs, times) array, and weights and
+    joints (outcomes, configs, times) arrays whose i-th entry belongs to
+    the first outcome s1 = outcomes[i]; the one loop over times of every
+    observable.  t_a and tau are checked times, a scalar counting as one.
 
     P_+ is that of the first atom's passage over t_a[i].  For each first
-    outcome s1 in `outcomes`, weight is sum_n M_s1 p, the probability of s1,
-    and joint the weight of (s1, +): the conditioned field after the second
-    atom's passage over the delay tau[i], clipped to [0, weight].  The loop
-    runs a chunk of times at a time and builds each chunk's t_a operator
-    once; the second passage reuses it when every delay equals its t_a and
-    builds the tau operator only if some outcome is asked for.
+    outcome s1, weight is sum_n M_s1 p, the probability of s1, and joint
+    the weight of (s1, +): the conditioned field after the second atom's
+    passage over the delay tau[i], clipped to [0, weight].
+
+    Each truncation group runs one pipeline: `_f_star_chunks` yields a
+    chunk of times with its kernels, the group's `_oscillation` gives their
+    factors, and the chunk's results are written by slice into time-major
+    arrays, returned transposed.  The second passage reuses the first's
+    kernels and factors when every delay equals its t_a, and runs its own
+    `_f_star_chunks` over tau only if some outcome is asked for.
     """
-    t_a, tau = np.atleast_1d(t_a), np.atleast_1d(tau)
-    count, jc, damping, stacks = _passages(configs)
-    p_plus = np.empty((count, t_a.size))
-    weights = {s1: np.empty_like(p_plus) for s1 in outcomes}
-    joints = {s1: np.empty_like(p_plus) for s1 in outcomes}
     shared = not outcomes or tau is t_a or np.array_equal(tau, t_a)
+    t_a, tau = t_a.reshape(-1), tau.reshape(-1)
+    count, jc, damping, stacks = _passages(configs)
+    p_plus = np.empty((t_a.size, count))
+    weights = np.empty((t_a.size, len(outcomes), count))
+    joints = np.empty_like(weights)
     for rows, probs in stacks:
         size = probs.shape[1]
-        seconds = None if shared else _operators(jc, damping, size, tau)
-        for chunk, first in _operators(jc, damping, size, t_a):
-            f, osc = _passage(first, probs)
+        oscillation = _oscillation(jc, damping, size)
+        seconds = None if shared else _f_star_chunks(size, damping, tau)
+        for chunk, kernels, decay in _f_star_chunks(size, damping, t_a):
+            factor = oscillation(t_a[chunk])
+            f = _f_star_apply(kernels, decay, probs)
+            osc = factor * probs
             ground = _unitarity_ground(probs, f)
-            p_plus[rows, chunk] = (0.5 - 0.25 * ground
-                                   + 0.5 * osc.sum(axis=2)).T
+            p_plus[chunk, rows] = 0.5 - 0.25 * ground + 0.5 * osc.sum(axis=2)
             if not outcomes:
                 continue
-            second = first if shared else next(seconds)[1]
+            if not shared:
+                _, kernels, decay = next(seconds)
+                factor = oscillation(tau[chunk])
             cond = _conditioned(f, osc, ground, outcomes)
             weight = cond.sum(axis=2)
-            f_b, osc_b = _passage(second, cond)
-            value = 0.5 * f_b.sum(axis=2) + 0.5 * osc_b.sum(axis=2)
+            value = (0.5 * _f_star_apply(kernels, decay, cond).sum(axis=2)
+                     + 0.5 * (factor * cond).sum(axis=2))
             joint = np.minimum(np.maximum(value, 0.0), weight)
-            for i, s1 in enumerate(outcomes):
-                block = slice(i * rows.size, (i + 1) * rows.size)
-                weights[s1][rows, chunk] = weight[:, block].T
-                joints[s1][rows, chunk] = joint[:, block].T
-    return p_plus, weights, joints
+            shape = (len(joint), len(outcomes), -1)
+            weights[chunk, :, rows] = weight.reshape(shape)
+            joints[chunk, :, rows] = joint.reshape(shape)
+    return p_plus.T, weights.transpose(1, 2, 0), joints.transpose(1, 2, 0)
 
 
-def _shaped(out, configs, *t):
+def _shaped(out, configs, scalar):
     """A (configs, times) result in the caller's shape: one config drops
-    the first axis, scalar times the second, and both give a float."""
+    the first axis, a scalar time the second, and both give a float."""
     if isinstance(configs, ExperimentConfig):
         out = out[0]
-    if all(np.ndim(ti) == 0 for ti in t):
+    if scalar:
         out = out[..., 0]
     return float(out) if out.ndim == 0 else out
 
@@ -212,7 +216,7 @@ def p_excited(configs, t):
     jc and damping gives one row per config.
     """
     times = _times(t)
-    return _shaped(_table(configs, times, times)[0], configs, t)
+    return _shaped(_table(configs, times, times)[0], configs, times.ndim == 0)
 
 
 def conditioned_field(config, t_a, outcome):
@@ -226,11 +230,13 @@ def conditioned_field(config, t_a, outcome):
     """
     _instance(config, "config", ExperimentConfig)
     _check_outcome(outcome)
-    _, jc, damping, [(_, probs)] = _passages(config)
-    [(_, op)] = _operators(jc, damping, probs.shape[1],
-                           _times(t_a, one=True).reshape(1))
-    f, osc = _passage(op, probs)
-    return _conditioned(f, osc, _unitarity_ground(probs, f), (outcome,))[0, 0]
+    times = _times(t_a, one=True).reshape(1)
+    probs = config.distribution().probs[None]
+    size = probs.shape[1]
+    [(_, kernels, decay)] = _f_star_chunks(size, config.damping, times)
+    f = _f_star_apply(kernels, decay, probs)
+    osc = _oscillation(config.jc, config.damping, size)(times) * probs
+    return _conditioned(f, osc, _unitarity_ground(probs, f), outcome)[0, 0]
 
 
 def p_joint(configs, t_a, t_b, s1, s2):
@@ -248,9 +254,9 @@ def p_joint(configs, t_a, t_b, s1, s2):
     t_a_arr, t_b_arr = np.broadcast_arrays(_times(t_a), _times(t_b))
     if not np.all(t_a_arr <= t_b_arr):
         raise ValueError("need t_A <= t_B")
-    _, weights, joints = _table(configs, t_a_arr, t_b_arr - t_a_arr, (s1,))
-    joint = joints[s1] if s2 == "+" else weights[s1] - joints[s1]
-    return _shaped(joint, configs, t_a, t_b)
+    _, [weight], [joint] = _table(configs, t_a_arr, t_b_arr - t_a_arr, s1)
+    return _shaped(joint if s2 == "+" else weight - joint, configs,
+                   t_a_arr.ndim == 0)
 
 
 def revival_curves(configs, t):
@@ -264,8 +270,9 @@ def revival_curves(configs, t):
     time's operator is built once for all of them.
     """
     times = _times(t)
-    p_plus, _, joints = _table(configs, times, times, ("+",))
-    return _shaped(p_plus, configs, t), _shaped(joints["+"], configs, t)
+    p_plus, _, [joint] = _table(configs, times, times, "+")
+    scalar = times.ndim == 0
+    return _shaped(p_plus, configs, scalar), _shaped(joint, configs, scalar)
 
 
 def eta_correlation(configs, t):
@@ -278,15 +285,21 @@ def eta_correlation(configs, t):
     undefined), and each time's operator is built once for all of them.
     """
     times = _times(t)
-    p_plus, _, joints = _table(configs, times, times, ("+", "-"))
+    p_plus, _, (plus, minus) = _table(configs, times, times, "+-")
+    if times.ndim == 0 and isinstance(configs, ExperimentConfig):
+        # the same two divisions and subtraction, on floats
+        p = p_plus.item()
+        q = 1.0 - p
+        if p >= ETA_EPSILON and q >= ETA_EPSILON:
+            return plus.item() / p - minus.item() / q
+        return None
     p_minus = 1.0 - p_plus
     defined = (p_plus >= ETA_EPSILON) & (p_minus >= ETA_EPSILON)
     eta = np.full_like(p_plus, np.nan)
-    np.divide(joints["+"], p_plus, out=eta, where=defined)
-    eta -= np.divide(joints["-"], p_minus, out=np.zeros_like(p_plus),
+    np.divide(plus, p_plus, out=eta, where=defined)
+    eta -= np.divide(minus, p_minus, out=np.zeros_like(p_plus),
                      where=defined)
-    eta = _shaped(eta, configs, t)
-    return None if isinstance(eta, float) and math.isnan(eta) else eta
+    return _shaped(eta, configs, times.ndim == 0)
 
 
 def decoherence_time(config):

@@ -111,7 +111,7 @@ _EXCITED = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 def coherent_state_vector(intensity, truncation):
     """Fock amplitudes of |z> with z = sqrt(intensity) (real)."""
-    _nonnegative(intensity, "intensity")
+    _nonnegative(intensity, "intensity", one=True)
     n = np.arange(_count(truncation, "truncation", 1) + 1)
     return np.exp(0.5 * _log_poisson(intensity, n)).astype(complex)
 

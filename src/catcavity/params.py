@@ -27,7 +27,7 @@ class DampingParams:
 
     def __post_init__(self):
         _parameter(self.kappa, "kappa", 0.0)
-        _nonnegative(self.n_thermal, "n_thermal")
+        _nonnegative(self.n_thermal, "n_thermal", one=True)
 
     @property
     def t_cav(self):

@@ -53,11 +53,12 @@ def _collapse(params, gt):
 
 def _revival(params, nu, gt):
     """Revival wave w_nu, nu > 0 integer or half-odd, at the checked gt = g t;
-    its Poisson envelope peaks where (gt)^2 / (4 pi^2 nu^2) = nbar, i.e. at
+    an array of nu broadcast against gt gives one wave per entry.  Its
+    Poisson envelope peaks where (gt)^2 / (4 pi^2 nu^2) = nbar, i.e. at
     gt = 2 pi nu sqrt(nbar)."""
     argument = gt * gt / (4.0 * math.pi**2 * nu**2)
     envelope = np.exp(_log_poisson(params.nbar, argument)) * gt / (
-        math.pi * math.sqrt(2.0 * nu**3)
+        math.pi * np.sqrt(2.0 * nu**3)
     )
     return envelope * np.cos(gt * gt / (2.0 * math.pi * nu) - math.pi / 4.0)
 
@@ -66,8 +67,11 @@ def resummed_p_excited(params, t):
     """Resummed P_+(t) with damping kept at leading order.
 
     Depends on the cat phase only through cos(phase).  Warns when the
-    validity condition alpha_nbar << g is violated.
+    validity condition alpha_nbar << g is violated.  The revival waves
+    are one (waves, times) array, added to the collapse wave in the order
+    + w_nu - cos(phase) w_{nu - 1/2} for nu = 1, 2, ...
     """
+    _instance(params, "params", ResumParams)
     t = _times(t)
     alpha_nbar = doublet_decay_rate(params.damping, params.nbar)
     if alpha_nbar > 0.1 * params.g:
@@ -77,12 +81,15 @@ def resummed_p_excited(params, t):
             ValidityWarning,
             stacklevel=2,
         )
-    cos_phi = math.cos(params.phase)
     gt = params.g * t
+    # nu = 1/2, 1, 3/2, ..., max_order down the first axis
+    nu = np.arange(1, 2 * params.max_order + 1) / 2.0
+    revivals = _revival(params, nu.reshape(nu.shape + (1,) * gt.ndim), gt)
+    halves = math.cos(params.phase) * revivals[0::2]
     waves = _collapse(params, gt)
-    for nu in range(1, params.max_order + 1):
-        waves = waves + _revival(params, nu, gt)
-        waves = waves - cos_phi * _revival(params, nu - 0.5, gt)
+    for whole, half in zip(revivals[1::2], halves):
+        waves = waves + whole
+        waves = waves - half
     ground = 0.5 * np.exp(-2.0 * params.damping.kappa
                           * params.damping.n_thermal * t)
     out = ground + 0.5 * np.exp(-alpha_nbar * t) * waves

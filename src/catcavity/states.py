@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import (DegenerateCatError, TruncationError, _count,
-                     _nonnegative, _parameter, _probabilities)
+                     _instance, _nonnegative, _parameter, _probabilities)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -30,7 +30,7 @@ _DEGENERATE_NORM = 4.0 * np.finfo(float).eps / _SUM_SLACK
 
 def default_truncation(nbar):
     """Fock cutoff keeping at least 1 - 1e-10 of the photon mass at mean nbar."""
-    _nonnegative(nbar, "nbar")
+    _nonnegative(nbar, "nbar", one=True)
     return max(32, int(math.ceil(nbar + 10.0 * math.sqrt(nbar + 1.0))))
 
 
@@ -46,7 +46,7 @@ class CatSpec:
     phase: float = 0.0
 
     def __post_init__(self):
-        _nonnegative(self.intensity, "intensity")
+        _nonnegative(self.intensity, "intensity", one=True)
         _parameter(self.phase, "phase")
         object.__setattr__(self, "phase", float(self.phase) % _TWO_PI)
 
@@ -84,7 +84,7 @@ class PhotonDistribution:
 
     def __post_init__(self):
         probs = _probabilities(self.probs, "probabilities")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
+        if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
         total = probs.sum()
         if total < 1.0 - MASS_TOLERANCE:
@@ -120,7 +120,7 @@ def _log_poisson(intensity, n):
 
 def coherent_distribution(intensity, truncation):
     """Photon distribution of a coherent state: Poisson with mean |z|^2."""
-    _nonnegative(intensity, "intensity")
+    _nonnegative(intensity, "intensity", one=True)
     n = np.arange(_count(truncation, "truncation", 1) + 1)
     return PhotonDistribution(np.exp(_log_poisson(intensity, n)))
 
@@ -132,12 +132,15 @@ def cat_distribution(spec, truncation=None):
     2 (1 + cos(phi) (-1)^n) / (2 + 2 cos(phi) exp(-2|z|^2)).  The cutoff
     defaults to `default_truncation` at the branch intensity.
     """
+    _instance(spec, "spec", CatSpec)
     if truncation is None:
         truncation = default_truncation(spec.intensity)
     spec.refuse_degenerate()
     n = np.arange(_count(truncation, "truncation", 1) + 1)
-    parity = 1.0 + math.cos(spec.phase) * (-1.0) ** n
-    weights = 2.0 * parity / spec.normalization
+    cos_phi, norm = math.cos(spec.phase), spec.normalization
+    weights = np.empty(n.size)  # the parity weights of even n, then odd n
+    weights[0::2] = 2.0 * (1.0 + cos_phi) / norm
+    weights[1::2] = 2.0 * (1.0 - cos_phi) / norm
     probs = np.exp(_log_poisson(spec.intensity, n)) * weights
     return PhotonDistribution(probs)
 
@@ -147,7 +150,7 @@ def cat_mean_photons(spec):
 
     For phi = 0 this reduces to |z|^2 tanh(|z|^2).
     """
-    spec.refuse_degenerate()
+    _instance(spec, "spec", CatSpec).refuse_degenerate()
     c = math.cos(spec.phase) * math.exp(-2.0 * spec.intensity)
     return spec.intensity * (1.0 - c) / (1.0 + c)
 

@@ -3,7 +3,8 @@
 Independent evaluations the library itself does not need: the rates of the
 F*_n recurrence, the alternating double-sum form of F*_{-1},
 finite-difference residuals of the F*_n recurrence, the two atom passages
-of the closed-form observables as a loop over times and fields, the matrix
+of the closed-form observables as a loop over times and fields, the
+resummed P_+ as a loop over its revival orders, the matrix
 of the creation operator in the dressed basis, the oracle start of any pure
 field state, a density-matrix sanity check, the k = 0 part of an oracle
 state and the dense W frame of one, the atom sector of a trajectory, the
@@ -164,6 +165,37 @@ def eta_reference(p_plus, joint_plus, joint_minus):
     if p_plus < ETA_EPSILON or p_minus < ETA_EPSILON:
         return math.nan
     return joint_plus / p_plus - joint_minus / p_minus
+
+
+def resummed_loop_reference(params, t):
+    """The resummed P_+ of `params` at the times `t` as one collapse wave
+    plus a loop over nu = 1, ..., max_order, each step evaluating its two
+    revival waves alone: + w_nu - cos(phase) w_{nu - 1/2}.  Scalar math
+    and the expression order of the library's waves, so that its one
+    (waves, times) array must equal this bit for bit."""
+    t = np.asarray(t, dtype=float)
+    k, nb = params.damping.kappa, params.damping.n_thermal
+    alpha_nbar = 2.0 * k * (2.0 * nb * (params.nbar + 1.0) + params.nbar
+                            + 0.5)
+    gt = params.g * t
+
+    def revival(nu):
+        argument = gt * gt / (4.0 * math.pi**2 * nu**2)
+        log_poisson = (argument * math.log(params.nbar) - params.nbar
+                       - gammaln(argument + 1.0))
+        envelope = np.exp(log_poisson) * gt / (
+            math.pi * math.sqrt(2.0 * nu**3))
+        return envelope * np.cos(gt * gt / (2.0 * math.pi * nu)
+                                 - math.pi / 4.0)
+
+    waves = np.exp(-gt * gt / 2.0) * np.cos(2.0 * gt
+                                            * math.sqrt(params.nbar))
+    for nu in range(1, params.max_order + 1):
+        waves = waves + revival(nu)
+        waves = waves - math.cos(params.phase) * revival(nu - 0.5)
+    out = (0.5 * np.exp(-2.0 * k * nb * t)
+           + 0.5 * np.exp(-alpha_nbar * t) * waves)
+    return float(out) if out.ndim == 0 else out
 
 
 def dressed_creation(truncation):

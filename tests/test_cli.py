@@ -289,28 +289,34 @@ ORACLE_ONLY = ("catcavity.oracle", "scipy.integrate", "scipy.linalg",
 
 
 def _loaded_in_fresh_interpreter(*stages):
-    """The modules of ORACLE_ONLY that a new interpreter holds after each of
-    `stages`, lines of code run one after another."""
+    """The modules of ORACLE_ONLY that a new interpreter, with runtime
+    warnings as errors, holds after each of `stages`, lines of code run one
+    after another."""
     report = (f"print('loaded', json.dumps([m for m in {ORACLE_ONLY!r} "
               "if m in sys.modules]))")
     script = "\n".join(["import json, sys, tempfile"]
                        + [f"{stage}\n{report}" for stage in stages])
     env = dict(os.environ,
                PYTHONPATH=str(Path(catcavity.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", script], env=env, check=True,
-                         capture_output=True, text=True)
+    run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c",
+                          script], env=env, check=True, capture_output=True,
+                         text=True)
     return [json.loads(line.removeprefix("loaded "))
             for line in run.stdout.splitlines() if line.startswith("loaded ")]
 
 
 def test_closed_form_commands_load_no_oracle_module():
+    # figure and validate --level fast import neither the oracle nor the
+    # SciPy modules it runs on; the oracle command then runs on
+    # scipy.linalg, and scipy.integrate stays unloaded until a caller reads
+    # oracle.solve_ivp
+    main = "assert catcavity.cli.main({!r} + ['--out', tempfile.mkdtemp()]) == 0"
     loaded = _loaded_in_fresh_interpreter(
         "import catcavity.cli, catcavity.validation",
-        "assert catcavity.cli.main(['figure', 'fig1', '--nb', '0', "
-        "'--gt-max', '2', '--gt-step', '1', '--out', tempfile.mkdtemp()]) "
-        "== 0",
-        "assert catcavity.cli.main(['validate', '--level', 'fast']) == 0")
-    assert loaded == [[], [], []]
+        main.format(["figure", "fig1", "--nb", "0.1", "--gt-step", "0.5"]),
+        "assert catcavity.cli.main(['validate', '--level', 'fast']) == 0",
+        main.format(["oracle", "--nbar", "4", "--nb", "0.1"]))
+    assert loaded == [[], [], [], ["catcavity.oracle", "scipy.linalg"]]
 
 
 def test_oracle_import_defers_scipy_integrate_and_sparse():

@@ -54,7 +54,8 @@ BAD_TIMES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
 BAD_COUNTS = {"negative": -1, "non-integer": 40.5, "bool": True,
               "nan": math.nan, "inf": math.inf}
 BAD_INTENSITIES = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-                   "negative": -1.0, "text": "2.0", "bool": True}
+                   "negative": -1.0, "text": "2.0", "bool": True,
+                   "array": [1.0, 2.0]}
 BAD_PROBS = {"nan": [0.5, math.nan, 0.5], "inf": [0.5, math.inf],
              "2-d": [[0.5, 0.5], [0.5, 0.5]], "scalar": 0.5,
              "text": ["0.5", "0.5"], "bool": [True, False]}
@@ -228,6 +229,15 @@ def test_malformed_input_rejected(call, value, rule):
      "damping"),
     (lambda: conditioned_field([CONFIG, CONFIG], 1e-4, "+"), "config"),
     (lambda: decoherence_time([CONFIG]), "config"),
+    # a sequence of configs holds configs; a dict is iterated by its keys
+    (lambda: p_excited("abc", 1e-4), "configs"),
+    (lambda: p_excited([1, 2], 1e-4), "configs"),
+    (lambda: p_excited({"a": CONFIG}, 1e-4), "configs"),
+    (lambda: eta_correlation(3.0, 1e-4), "configs"),
+    (lambda: resummed_p_excited("x", 1e-4), "params"),
+    (lambda: cat_distribution(2.0), "spec"),
+    (lambda: cat_distribution(coherent_distribution(2.0, 32)), "spec"),
+    (lambda: cat_mean_photons(3.0), "spec"),
     # entry indices: a bool is not index 0 or 1, nor a bool array a mask
     (lambda: WINDOW.entries(True, True), "rows and cols"),
     (lambda: WINDOW.entries(np.array([True, False]), 0), "rows and cols"),
@@ -244,7 +254,11 @@ def test_malformed_input_rejected(call, value, rule):
         "liouvillian-jc", "liouvillian-damping",
         "build_initial_state-fieldspec", "branch_coherence_trajectory-spec",
         "branch_coherence_trajectory-damping", "conditioned_field-config",
-        "decoherence_time-config", "entries-bool", "entries-bool-mask",
+        "decoherence_time-config", "p_excited-configs-text",
+        "p_excited-configs-ints", "p_excited-configs-dict",
+        "eta_correlation-configs-number", "resummed_p_excited-params",
+        "cat_distribution-spec", "cat_distribution-spec-distribution",
+        "cat_mean_photons-spec", "entries-bool", "entries-bool-mask",
         "entries-float", "entries-float-cols"])
 def test_compound_input_of_wrong_type_rejected(call, field):
     with pytest.raises(TypeError, match=f"^{field} must be a "):

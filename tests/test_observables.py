@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catcavity import (
     CatSpec,
@@ -359,6 +361,51 @@ def test_observables_bit_identical_to_loop_reference(name, nb):
         assert np.array_equal(p_plusplus_rc, ref[2.0, "+", "+"])
         assert np.array_equal(eta_correlation(config, ts), ref["eta"],
                               equal_nan=True)
+
+
+def _same(value, reference):
+    """`value` equals `reference` bit for bit, None and NaN counting as
+    one undefined entry."""
+    value = math.nan if value is None else value
+    return np.array_equal(value, reference, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore::catcavity.ValidityWarning")
+@given(preset=st.sampled_from(sorted(PRESETS)),
+       nbars=st.lists(st.floats(min_value=1.0, max_value=100.0), min_size=2,
+                      max_size=2),
+       phi=st.floats(min_value=0.0, max_value=2.0 * math.pi),
+       nb=st.floats(min_value=0.0, max_value=0.3),
+       gts=st.lists(st.floats(min_value=0.0, max_value=70.0), min_size=1,
+                    max_size=3))
+@settings(max_examples=25, deadline=None)
+def test_sweep_domain_bit_identical_to_loop_reference(preset, nbars, phi,
+                                                      nb, gts):
+    # the sweep's domain, N = 32 to 201: single-config calls from an array
+    # and from scalars, and a stacked call of two configs that may hold
+    # two truncations, against one f_star per passage, time and field
+    preset = PRESETS[preset]
+    damping = DampingParams(kappa=preset.kappa, n_thermal=nb)
+    configs = [ExperimentConfig(jc=preset.jc(), damping=damping,
+                                initial_field=CatSpec(intensity=nbar,
+                                                      phase=phi))
+               for nbar in nbars]
+    ts = np.array(gts) / preset.g
+    refs = [[passage_reference(config, t, (2.0 * t,)) for t in ts]
+            for config in configs]
+    p_plus = np.array([[p for p, _ in row] for row in refs])
+    joint = np.array([[o[0]["+"][1] for _, o in row] for row in refs])
+    eta = np.array([[eta_reference(p, o[0]["+"][1], o[0]["-"][1])
+                     for p, o in row] for row in refs])
+    config = configs[0]
+    assert _same(p_excited(config, ts), p_plus[0])
+    for i, t in enumerate(ts.tolist()):
+        assert _same(p_excited(config, t), p_plus[0, i])
+        assert _same(eta_correlation(config, t), eta[0, i])
+        assert _same(p_joint(config, t, 2.0 * t, "+", "+"), joint[0, i])
+    stacked_p, stacked_joint = revival_curves(configs, ts)
+    assert _same(stacked_p, p_plus) and _same(stacked_joint, joint)
+    assert _same(eta_correlation(configs, ts), eta)
 
 
 #: The loop reference's name of each curve of `_curves`.

@@ -9,6 +9,7 @@ from catcavity import (
     DampingParams,
     ExperimentConfig,
     JCParams,
+    PRESETS,
     ValidityWarning,
     coherent_distribution,
     p_excited,
@@ -20,6 +21,7 @@ from catcavity.resummation import (
     resummed_p_excited,
 )
 from catcavity.states import _log_poisson
+from references import resummed_loop_reference
 
 BENSON = dict(g=36000.0, kappa=8.33)
 
@@ -79,6 +81,28 @@ def test_revival_envelope_peaks_at_expected_time(nu):
     envelope = np.abs(_revival(params, nu, g * ts))
     peak_t = ts[np.argmax(envelope)]
     assert abs(peak_t - center) / center < 0.03
+
+
+@pytest.mark.filterwarnings("ignore::catcavity.ValidityWarning")
+@pytest.mark.parametrize("max_order", [1, 2, 3, 6])
+def test_resummed_bit_identical_to_per_order_loop(max_order):
+    # the one (waves, times) array against one pair of waves per order, at
+    # random parameters of both presets, for an array of times and a
+    # scalar
+    rng = np.random.default_rng(max_order)
+    for preset in PRESETS.values():
+        for _ in range(25):
+            params = ResumParams(
+                nbar=rng.uniform(10.0, 100.0),
+                phase=rng.uniform(0.0, 2.0 * math.pi), max_order=max_order,
+                damping=DampingParams(kappa=preset.kappa,
+                                      n_thermal=rng.uniform(0.0, 0.3)),
+                g=preset.g)
+            ts = rng.uniform(0.0, 80.0, 4) / preset.g
+            assert np.array_equal(resummed_p_excited(params, ts),
+                                  resummed_loop_reference(params, ts))
+            assert np.array_equal(resummed_p_excited(params, ts[0]),
+                                  resummed_loop_reference(params, ts[0]))
 
 
 def test_resummed_starts_at_one():
