@@ -29,10 +29,10 @@ distribution has.  One engine, `_Closure`, builds that block from its
 positions alone and propagates the closure: `integrate_trajectory` stores
 its samples in the `Trajectory`, and `joint_probability_oracle` runs both
 passages on it.  The blocks of k != 0 are the cold path of `traj[i]`,
-iteration and `Trajectory.entries` off k = 0, propagated by
-`_BlockPropagator` when such a read first touches them.  The decoherence
-surrogate `branch_coherence_trajectory` runs the uncoupled field alone, one
-real block per filled diagonal.
+iteration and `Trajectory.entries` off k = 0: `Trajectory._block` builds
+and propagates each block of k > 0 alone when such a read first touches
+it.  The decoherence surrogate `branch_coherence_trajectory` runs the
+uncoupled field alone, one real block per filled diagonal.
 """
 
 import logging
@@ -246,6 +246,14 @@ def _atom_phases(positions, truncation):
     return _ATOM.conj()[i % 2] * _ATOM[j % 2]
 
 
+def _real_triplets(jc, damping, truncation, positions, phase):
+    """`_triplets` of the block at the ascending `positions`, rotated into
+    the atom-phase frame by their `phase` (see `_atom_phases`), which is
+    exact and leaves every value real."""
+    rows, cols, vals = _triplets(jc, damping, truncation, positions)
+    return rows, cols, (vals * phase[rows] * phase[cols].conj()).real
+
+
 def _step_groups(steps):
     """Distinct non-zero step lengths (equal to STEP_RTOL relative), each
     the length of some step, and each step's index into them; zero steps get
@@ -328,9 +336,8 @@ class _Closure:
         self.column = np.empty(self.positions.size, dtype=int)  # x's
         self.column[twin] = self.column[upper] = np.arange(upper.size)
         self.phase = _atom_phases(self.positions, truncation)
-        rows, cols, vals = _triplets(jc, damping, truncation, self.positions)
-        self._block = rows, cols, (vals * self.phase[rows]
-                                   * self.phase[cols].conj()).real
+        self._block = _real_triplets(jc, damping, truncation, self.positions,
+                                     self.phase)
         self._generators = {}  # 0 for G_s, 1 for G_a
         self._props = {}  # (0 or 1, step length) -> expm
 
@@ -414,15 +421,14 @@ class Trajectory(Sequence):
 
     It holds the k = 0 closure x (and y) of every sample, and reads any
     rho_ij through `entries`: a k = 0 entry from the closure, any other
-    from the blocks of coherence order k > 0.  Those are the cold path, for
-    `traj[i]`, iteration and `entries` off k = 0 alone: their
-    `_BlockPropagator` is built on the first such read, from `rho0.matrix`,
-    which the trajectory keeps by reference, and it propagates each block
-    when a read first touches it.  Every library reader reads k = 0 entries
-    and counts the samples with `times.size`.  `traj[i]`, iteration and
-    `len(traj)` (the `Sequence` protocol) build dense DensityMatrix samples
-    that nothing keeps, for the oracle check of `benchmarks/workloads.py`
-    alone.
+    from the block of coherence order |k| > 0.  Those blocks are the cold
+    path, for `traj[i]`, iteration and `entries` off k = 0 alone: `_block`
+    propagates each from `rho0.matrix`, which the trajectory keeps by
+    reference, when a read first touches it.  Every library reader reads
+    k = 0 entries and counts the samples with `times.size`.  `traj[i]`,
+    iteration and `len(traj)` (the `Sequence` protocol) build dense
+    DensityMatrix samples that nothing keeps, for the oracle check of
+    `benchmarks/workloads.py` alone.
     """
 
     def __init__(self, times, closure, x, y, start):
@@ -430,17 +436,39 @@ class Trajectory(Sequence):
         self.truncation = closure.truncation
         self._closure, self._x, self._y = closure, x, y
         self._start = start  # (jc, damping, v0, levels, step_index)
-        self._propagator = None
+        self._blocks = {}  # k -> (positions, values or None)
         times.flags.writeable = False
 
-    def _cold(self):
-        """The `_BlockPropagator` of the blocks of k > 0, built on first
-        use."""
-        if self._propagator is None:
+    def _block(self, k):
+        """The ascending vec(rho) positions of the block of coherence order
+        k > 0 and its (samples, size) entries, None where rho0 leaves it
+        empty, propagated on first use and stored.  The block is built
+        alone, by one `_triplets` call, and is real in the atom-phase frame,
+        so its real and imaginary parts run as two columns, with one expm
+        per distinct step; it logs its size and expm builds at DEBUG."""
+        if k not in self._blocks:
             jc, damping, v0, levels, step_index = self._start
-            self._propagator = _BlockPropagator(jc, damping, self.truncation,
-                                                v0, levels, step_index)
-        return self._propagator
+            trunc = self.truncation
+            positions = np.flatnonzero(_block_labels(trunc) == k)
+            phase = _atom_phases(positions, trunc)
+            v = v0[positions] * phase
+            values = None
+            if v.any():
+                rows, cols, vals = _real_triplets(jc, damping, trunc,
+                                                  positions, phase)
+                gen = np.zeros((positions.size,) * 2)
+                gen[rows, cols] = vals
+                block = _advance([expm(level * gen) for level in levels],
+                                 v.view(float).reshape(-1, 2), step_index)
+                values = (block.view(complex).reshape(step_index.size, -1)
+                          * phase.conj())
+                values.flags.writeable = False
+                _LOG.debug("oracle: truncation %d, propagated block sizes %s, "
+                           "expm builds %d of sizes %s", trunc,
+                           [positions.size], levels.size,
+                           [positions.size] * levels.size)
+            self._blocks[k] = positions, values
+        return self._blocks[k]
 
     def __len__(self):
         return self.times.size
@@ -449,27 +477,27 @@ class Trajectory(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]
-        cold = self._cold()
-        cold.fill(range(len(cold.blocks)))
         dim = 2 * (self.truncation + 1)
         m = np.zeros(dim * dim, dtype=complex)
-        for idx, values in zip(cold.blocks, cold.values):
-            m[idx] = values[i]
+        for k in range(1, self.truncation + 2):
+            positions, values = self._block(k)
+            if values is not None:
+                m[positions] = values[i]
         k0 = self._closure
         m[k0.positions] = k0.read(
             self._x[i:i + 1], None if self._y is None else self._y[i:i + 1],
             np.arange(k0.positions.size))[0]
         m = m.reshape(dim, dim)
-        lower = (cold.label < 0).reshape(dim, dim)
+        lower = (_block_labels(self.truncation) < 0).reshape(dim, dim)
         m[lower] = m.T.conj()[lower]
         return DensityMatrix(matrix=m, time=float(self.times[i]))
 
     def entries(self, rows, cols):
         """rho_(rows, cols) of every sample, with shape (times.size,) + the
         broadcast shape of the two integer index arrays; an array of bools
-        or floats raises TypeError.  An entry of a block that is not filled
-        is zero, and one of coherence order k < 0 is the conjugate of its
-        transpose."""
+        or floats raises TypeError.  An entry of a block that rho0 leaves
+        empty is zero, and one of coherence order k < 0 is the conjugate of
+        its transpose."""
         dim = 2 * (self.truncation + 1)
         rows, cols = np.broadcast_arrays(rows, cols)
         if rows.dtype.kind not in "iu" or cols.dtype.kind not in "iu":
@@ -490,107 +518,17 @@ class Trajectory(Sequence):
         else:
             out = np.zeros((self.times.size, pos.size), dtype=complex)
             out[:, here] = k0.read(self._x, self._y, local[here])
-            out[:, ~here] = self._cold().entries(rows[~here], cols[~here])
+            k = _block_labels(self.truncation)[pos]
+            lower = k < 0
+            pos[lower] = (cols * dim + rows)[lower]
+            for order in np.unique(np.abs(k[~here])).tolist():
+                positions, values = self._block(order)
+                if values is not None:
+                    at = np.flatnonzero(np.abs(k) == order)
+                    out[:, at] = values[:, np.searchsorted(positions,
+                                                           pos[at])]
+            out[:, lower] = out[:, lower].conj()
         return out.reshape((self.times.size,) + shape)
-
-
-def _by_block(owner, count):
-    """The stable order that groups the block numbers `owner`, all below
-    `count`, by block, and where each block's group starts in it and its
-    size.  On keys of 16 bits or fewer NumPy's stable sort is a radix sort,
-    linear in the number of keys."""
-    sizes = np.bincount(owner, minlength=count)
-    order = np.argsort(owner.astype(np.min_scalar_type(count)), kind="stable")
-    return order, np.cumsum(sizes) - sizes, sizes
-
-
-class _BlockPropagator:
-    """The filled blocks of coherence order k > 0 of one coupled run from
-    vec(rho) = v0, the cold path of `Trajectory`: each is propagated, in
-    the atom-phase frame with its real and imaginary parts as two columns,
-    when a read first touches it, and stored.  The generators of the blocks
-    one read propagates are built together, from the union of their
-    positions, and dropped once those blocks are stored."""
-
-    def __init__(self, jc, damping, truncation, v0, levels, step_index):
-        self.model = jc, damping, truncation
-        self.truncation = truncation
-        self.label = _block_labels(truncation)
-        # the labels > 0 with a non-zero part of v0, numbered in order
-        upper = self.label > 0
-        filled = np.bincount(self.label[upper], weights=v0[upper] != 0) > 0
-        number = np.where(filled, np.cumsum(filled) - 1, -1)
-        self.owner = np.full(self.label.size, -1)  # block number, or -1
-        self.owner[upper] = number[self.label[upper]]
-        kept = np.flatnonzero(self.owner >= 0)
-        order, starts, sizes = _by_block(self.owner[kept], number.max() + 1)
-        grouped = kept[order]  # each block's positions, ascending
-        self.local = np.zeros(self.label.size, dtype=int)
-        self.local[grouped] = (np.arange(grouped.size)
-                               - np.repeat(starts, sizes))
-        self.blocks = [grouped[a:a + n]
-                       for a, n in zip(starts.tolist(), sizes.tolist())]
-        self.values = [None] * len(self.blocks)  # (samples, size) each
-        self._v0, self._steps = v0, (levels, step_index)
-
-    def _build(self, blocks):
-        """The generator of each of the block numbers `blocks`, all from one
-        `_triplets` call over the sorted union of their positions, rotated
-        into the atom-phase frame (see `_atom_phases`), which is exact and
-        leaves every entry real.  Each triplet's value depends on its own
-        (row, col) alone, so a block's slice of the union holds exactly the
-        triplets of its own positions."""
-        union = np.sort(np.concatenate([self.blocks[b] for b in blocks]))
-        rows, cols, val = _triplets(*self.model, union)
-        phase = _atom_phases(union, self.truncation)
-        gen = val * phase[rows] * phase[cols].conj()
-        rows, cols = union[rows], union[cols]
-        order, start, count = _by_block(self.owner[rows], len(self.blocks))
-        for b in blocks:
-            part = order[start[b]:start[b] + count[b]]
-            dense = np.zeros((self.blocks[b].size,) * 2)
-            dense[self.local[rows[part]], self.local[cols[part]]] = (
-                gen[part].real)
-            yield dense
-
-    def fill(self, blocks):
-        """Propagate and store each of the block numbers `blocks` (-1, no
-        block, is skipped) not stored yet, and log at DEBUG, when there are
-        any, their sizes and the size of each expm built."""
-        new = [b for b in np.unique(blocks).tolist()
-               if b >= 0 and self.values[b] is None]
-        if not new:
-            return
-        levels, step_index = self._steps
-        expms = []
-        for b, gen in zip(new, self._build(new)):
-            phase = _atom_phases(self.blocks[b], self.truncation)
-            v = (self._v0[self.blocks[b]] * phase).view(float).reshape(-1, 2)
-            block = _advance([expm(level * gen) for level in levels], v,
-                             step_index)
-            expms += [gen.shape[0]] * levels.size
-            values = block.view(complex).reshape(step_index.size, -1)
-            self.values[b] = values * phase.conj()
-            self.values[b].flags.writeable = False
-        _LOG.debug("oracle: truncation %d, propagated block sizes %s, expm "
-                   "builds %d of sizes %s", self.truncation,
-                   [self.blocks[b].size for b in new], len(expms), expms)
-
-    def entries(self, rows, cols):
-        """rho_(rows, cols) of every sample, each entry of coherence order
-        k != 0, as a (samples, rows.size) array."""
-        dim = 2 * (self.truncation + 1)
-        pos = rows * dim + cols
-        lower = self.label[pos] < 0
-        pos[lower] = (cols * dim + rows)[lower]
-        owner = self.owner[pos]
-        self.fill(owner)
-        out = np.zeros((self._steps[1].size, pos.size), dtype=complex)
-        for b in np.unique(owner[owner >= 0]):
-            here = owner == b
-            out[:, here] = self.values[b][:, self.local[pos[here]]]
-        out[:, lower] = out[:, lower].conj()
-        return out
 
 
 def integrate_trajectory(rho0, jc, damping, times):
@@ -599,11 +537,12 @@ def integrate_trajectory(rho0, jc, damping, times):
     Hermitian closure (see `_Closure`), which holds every population, so a
     reader of k = 0 entries (populations, P_+, F_n) pays for that block
     alone, whatever the initial state; the trace drift (see `_check_drift`)
-    is read from it.  Every other filled block, of k > 0 (k < 0 read as the
-    conjugate transpose), is propagated when a read of the trajectory
-    first touches it.  The INFO log names the size of the k = 0 block, the
-    number of expm builds and the size of each matrix exponentiated (3 N + 2
-    for the real parts); a block propagated later logs at DEBUG.
+    is read from it.  Every other block that rho0 fills, of k > 0 (k < 0
+    read as the conjugate transpose), is built and propagated alone when a
+    read of the trajectory first touches it (see `Trajectory._block`).
+    The INFO log names the size of the k = 0 block, the number of expm
+    builds and the size of each matrix exponentiated (3 N + 2 for the real
+    parts); each block propagated later logs one line at DEBUG.
     """
     _instance(rho0, "rho0", DensityMatrix)
     _instance(jc, "jc", JCParams)

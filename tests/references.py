@@ -336,16 +336,6 @@ def block_labels(truncation, jc):
     return (4 * k + 2 * s[:, None] + s[None, :]).ravel()
 
 
-def filled_blocks(label, v0):
-    """The vec(rho) positions, each in ascending order, of every block with
-    label >= 0 whose part of v0 is non-zero, in ascending label order, from
-    one stable sort of every label."""
-    order = np.argsort(label, kind="stable")
-    upper = order[label[order] >= 0]
-    cuts = np.flatnonzero(np.diff(label[upper])) + 1
-    return [b for b in np.split(upper, cuts) if v0[b].any()]
-
-
 def atom_phases(truncation):
     """d with vec(S* rho S) = d * vec(rho) for S = 1_field x diag(1, i),
     over every position: d_(i,j) = conj(s_i) s_j, each exactly 1, i or -i;

@@ -35,8 +35,8 @@ from catcavity.presets import PRESETS
 from references import (atom_phases, atom_sector, block_generator,
                         block_labels, complex_block_trajectory,
                         dense_observables, dense_trajectory, dephased,
-                        filled_blocks, fold_block, hermitian_closure,
-                        pure_state, to_w_frame, validate_density_matrix)
+                        fold_block, hermitian_closure, pure_state,
+                        to_w_frame, validate_density_matrix)
 from references import liouvillian as liouvillian_reference
 
 
@@ -226,6 +226,14 @@ def _benchmark_cat():
     return rho0, jc, damping, np.linspace(0.0, 50.0 / jc.g, 21)
 
 
+def _expm_inputs(monkeypatch):
+    """A list that gains the matrix given to each expm call."""
+    given = []
+    expm = oracle.expm
+    monkeypatch.setattr(oracle, "expm", lambda a: given.append(a) or expm(a))
+    return given
+
+
 def _expm_sizes(monkeypatch):
     """A list that gains the size of each matrix given to expm."""
     sizes = []
@@ -235,48 +243,84 @@ def _expm_sizes(monkeypatch):
     return sizes
 
 
+def _block_reads(monkeypatch):
+    """A list that gains k at each call of `Trajectory._block`."""
+    orders = []
+    block = oracle.Trajectory._block
+    monkeypatch.setattr(oracle.Trajectory, "_block",
+                        lambda self, k: orders.append(k) or block(self, k))
+    return orders
+
+
 def test_trajectory_propagates_each_block_when_first_read(monkeypatch):
+    # the benchmark's phi != 0 cat fills every block of k > 0, an even cat
+    # the even ones, and a photon distribution none: a block that rho0
+    # leaves empty builds no expm and reads as exact zeros
     rho0, jc, damping, times = _benchmark_cat()
     trunc = rho0.truncation
     label = oracle._block_labels(trunc)
-    filled = np.unique(label[(label >= 0) & (rho0.matrix.reshape(-1) != 0)])
-    assert filled.size == 33
+    starts = {32: rho0,
+              16: oracle.build_initial_state(CatSpec(intensity=4.0), trunc),
+              0: oracle.build_initial_state(coherent_distribution(4.0, trunc),
+                                            trunc)}
     built = _expm_sizes(monkeypatch)
-    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
-    oracle.oracle_observables(traj, jc)
-    # one expm: the k = 0 block on the real part of its Hermitian closure,
-    # one step length; the blocks of k > 0 are not even split yet
-    assert built == [3 * trunc + 2]
-    assert traj._propagator is None
-    built.clear()
-    # rho(|3, +>, |0, +>) has k = 4 - 1; its block alone is propagated
-    assert label[6 * 2 * (trunc + 1)] == 3
-    traj.entries(6, 0)
-    assert built == [np.count_nonzero(label == 3)]
-    built.clear()
-    list(traj)
-    assert sorted(built) == sorted(np.count_nonzero(label == k)
-                                   for k in filled if k not in (0, 3))
-    # every block is stored: later reads propagate nothing
-    built.clear()
-    traj[0]
-    traj.entries(6, 0)
-    assert built == []
+    reads = _block_reads(monkeypatch)
+    for count, rho0 in starts.items():
+        filled = np.unique(label[(label > 0) & (rho0.matrix.reshape(-1) != 0)])
+        assert filled.size == count
+        built.clear()
+        traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+        oracle.oracle_observables(traj, jc)
+        # one expm: the k = 0 block on the real part of its Hermitian
+        # closure, one step length; no block of k > 0 is touched
+        assert built == [3 * trunc + 2]
+        assert reads == []
+        built.clear()
+        # rho(|3, +>, |0, +>) has k = 4 - 1; its block alone is propagated
+        assert label[6 * 2 * (trunc + 1)] == 3
+        entry = traj.entries(6, 0)
+        assert reads == [3]
+        assert built == ([np.count_nonzero(label == 3)] if 3 in filled
+                         else [])
+        built.clear()
+        samples = np.array([rho.matrix.reshape(-1) for rho in traj])
+        assert sorted(built) == sorted(np.count_nonzero(label == k)
+                                       for k in filled if k != 3)
+        empty = ~np.isin(np.abs(label), np.r_[0, filled])
+        assert not samples[:, empty].any()
+        assert entry.any() == (3 in filled)
+        # every block is stored: later reads propagate nothing
+        built.clear()
+        traj[0]
+        traj.entries(6, 0)
+        assert built == []
+        reads.clear()
 
 
 def test_read_order_keeps_every_bit():
-    # a k = 3 entry first and then every dense sample, and the reverse
-    # order: both keep every bit of the dense assembly
+    # a k = 3 entry first and then every dense sample, the reverse order,
+    # every entry in one read, and the blocks one by one from the highest k
+    # down, through their k < 0 transposes: each keeps every bit of the
+    # dense assembly
     rho0, jc, damping, times = _benchmark_cat()
     expected = dense_trajectory(rho0, jc, damping, times)
+    every = np.arange(2 * (rho0.truncation + 1))
+    label = oracle._block_labels(rho0.truncation).reshape(every.size, -1)
     first = oracle.integrate_trajectory(rho0, jc, damping, times)
     entry_first = first.entries(6, 0)
     samples_first = [rho.matrix for rho in first]
     last = oracle.integrate_trajectory(rho0, jc, damping, times)
     samples_last = [last[i].matrix for i in reversed(range(len(last)))]
     entry_last = last.entries(6, 0)
+    whole = oracle.integrate_trajectory(rho0, jc, damping, times)
+    by_block = oracle.integrate_trajectory(rho0, jc, damping, times)
+    for k in range(label.max(), 0, -1):
+        by_block.entries(*np.nonzero(label == -k))
     assert np.array_equal(samples_first, expected)
     assert np.array_equal(samples_last[::-1], expected)
+    for traj in (whole, by_block):
+        assert np.array_equal(traj.entries(every[:, None], every[None, :]),
+                              expected)
     assert np.array_equal(entry_first, expected[:, 6, 0])
     assert np.array_equal(entry_last, expected[:, 6, 0])
     assert np.abs(expected[:, 6, 0]).min() > 1e-3
@@ -371,7 +415,7 @@ def test_k0_readers_never_build_the_cold_path(monkeypatch, tmp_path):
     def refuse(*args):
         raise AssertionError("a k != 0 block was built")
 
-    monkeypatch.setattr(oracle, "_BlockPropagator", refuse)
+    monkeypatch.setattr(oracle.Trajectory, "_block", refuse)
     traj = oracle.integrate_trajectory(rho0, jc, damping, times)
     obs = oracle.oracle_observables(traj, jc)
     for (s1, s2), value in expected.items():
@@ -462,14 +506,18 @@ def test_block_generators_match_reference(monkeypatch, case):
         got = closure._generator(part)
         assert got.dtype == w.dtype
         assert np.array_equal(got, w)
-    # every filled block of k > 0 of the cold path, each built alone
+    # every filled block of k > 0 of the cold path, each built alone: a
+    # one-step run exponentiates the step 1 times its generator
     rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
-    prop = _cold_propagator(jc, damping, trunc, rho0.matrix.reshape(-1))
-    assert len(prop.blocks) == trunc
-    for b, idx in enumerate(prop.blocks):
+    traj = oracle.integrate_trajectory(rho0, jc, damping, [0.0, 1.0])
+    given = _expm_inputs(monkeypatch)
+    traj[0]
+    label = block_labels(trunc, jc)
+    assert len(given) == trunc
+    for k, got in enumerate(given, 1):
+        idx = np.flatnonzero(label == k)
         want = block_generator(coo, phase, idx)
         assert hermitian_closure(idx, dim) is None
-        [got] = prop._build([b])
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
     _liouvillian_matches_reference(jc, damping, trunc)
@@ -487,9 +535,7 @@ def _uncoupled_generators_match_reference(monkeypatch, damping, trunc, coo,
                                           phase):
     """The matrix of each expm of a one-step field-only run against the step
     times the reference's (d, +, +) block, d = 0..trunc."""
-    given = []  # the matrix of each expm call
-    expm = oracle.expm
-    monkeypatch.setattr(oracle, "expm", lambda a: given.append(a) or expm(a))
+    given = _expm_inputs(monkeypatch)
     step = 0.37
     oracle.branch_coherence_trajectory(CatSpec(intensity=2.0, phase=1.1),
                                        damping, [0.0, step], trunc)
@@ -500,72 +546,6 @@ def _uncoupled_generators_match_reference(monkeypatch, damping, trunc, coo,
         assert want.dtype == got.dtype
         assert np.array_equal(got, step * want)
     _liouvillian_matches_reference(None, damping, trunc)
-
-
-def _cut_cat(trunc):
-    """Amplitudes of the phi = 1.1 cat of intensity 2, cut at `trunc` and
-    renormalized, so that any truncation holds it."""
-    base = oracle.coherent_state_vector(2.0, trunc)
-    amp = base * (1.0 + np.exp(1.1j) * (-1.0) ** np.arange(trunc + 1))
-    return amp / np.linalg.norm(amp)
-
-
-def _cold_propagator(jc, damping, trunc, v0):
-    """The `_BlockPropagator` of the blocks of k > 0 of a one-step run from
-    vec(rho) = v0."""
-    return oracle._BlockPropagator(jc, damping, trunc, v0,
-                                   *oracle._step_groups(np.ones(1)))
-
-
-@pytest.mark.parametrize("trunc", [1, 4, 32])
-@pytest.mark.parametrize("jc", [JCParams(g=3.0)], ids=["resonant"])
-@pytest.mark.parametrize("field", ["cat", "distribution", "vacuum"])
-def test_block_split_matches_sorted_labels(field, jc, trunc):
-    # the positions the engine computes for the k = 0 block, and the cold
-    # path's filled blocks of k > 0, each position's block number and its
-    # place in the block, equal those of one stable sort of every label
-    starts = {"cat": pure_state(_cut_cat(trunc)),
-              "distribution": oracle.build_initial_state(
-                  PhotonDistribution(np.full(trunc + 1, 1.0 / (trunc + 1))),
-                  trunc),
-              "vacuum": pure_state(np.eye(trunc + 1)[0])}
-    v0 = starts[field].matrix.reshape(-1)
-    damping = DampingParams(kappa=0.4)
-    prop = _cold_propagator(jc, damping, trunc, v0)
-    assert np.array_equal(oracle._Closure(jc, damping, trunc).positions,
-                          np.flatnonzero(prop.label == 0))
-    want = [idx for idx in filled_blocks(prop.label, v0)
-            if prop.label[idx[0]] > 0]
-    owner = np.full(prop.label.size, -1)
-    local = np.zeros(prop.label.size, dtype=int)
-    assert len(prop.blocks) == len(want)
-    for b, (got, idx) in enumerate(zip(prop.blocks, want)):
-        assert np.array_equal(got, idx)
-        owner[idx] = b
-        local[idx] = np.arange(idx.size)
-    assert np.array_equal(prop.owner, owner)
-    assert np.array_equal(prop.local, local)
-
-
-@pytest.mark.parametrize("n_b", [0.0, 0.13])
-@pytest.mark.parametrize("jc", [JCParams(g=3.0)], ids=["resonant"])
-def test_union_builds_match_single_block_builds(jc, n_b):
-    # the generators of every other block of k > 0, built by one call over
-    # the union of their positions, and then of the rest, equal each block
-    # built alone, bit for bit and in dtype
-    trunc = 16
-    rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
-    prop = _cold_propagator(jc, DampingParams(kappa=0.4, n_thermal=n_b), trunc,
-                            rho0.matrix.reshape(-1))
-    count = len(prop.blocks)
-    assert count == trunc
-    together = {}
-    for half in (range(0, count, 2), range(1, count, 2)):
-        together.update(zip(half, prop._build(half)))
-    for b in range(count):
-        [want] = prop._build([b])
-        assert together[b].dtype == want.dtype
-        assert np.array_equal(together[b], want)
 
 
 def _imaginary_k0_start(trunc):
@@ -650,34 +630,12 @@ def test_off_hermitian_k0_start_comes_back_hermitian():
     assert np.abs(got[0][:, (rows == 6) & (cols == 9)]).min() > 1e-3
 
 
-def test_fill_order_keeps_every_bit():
-    # every filled block at once, one by one, or one by one in reverse:
-    # the entries and the dense samples keep every bit
-    rho0, jc, damping, times = _benchmark_cat()
-    trajs = [oracle.integrate_trajectory(rho0, jc, damping, times)
-             for _ in range(3)]
-    cold = [traj._cold() for traj in trajs]
-    count = len(cold[0].blocks)
-    cold[0].fill(np.arange(count))
-    for b in range(count):
-        cold[1].fill([b])
-        cold[2].fill([count - 1 - b])
-    every = np.arange(2 * (rho0.truncation + 1))
-    entries, samples = zip(*(
-        (traj.entries(every[:, None], every[None, :]),
-         [rho.matrix for rho in traj]) for traj in trajs))
-    for i in (1, 2):
-        assert np.array_equal(entries[i], entries[0])
-        assert np.array_equal(samples[i], samples[0])
-    assert np.array_equal(samples[0], entries[0])
-
-
-def test_one_builder_call_per_fill(monkeypatch):
+def test_one_builder_call_per_block_build(monkeypatch):
     # the field-only run builds its generator by one call over the positions
     # (n, n + d) of every diagonal the cat fills: all 33 of the phi != 0 cat
     # at N = 32, the 17 even ones of the even cat; a k = 0 read of the
-    # coupled run builds its k = 0 block alone, and so does a joint, once
-    # for both passages
+    # coupled run builds its k = 0 block alone, a k = 3 read then the k = 3
+    # block alone, and a joint its k = 0 block, once for both passages
     trunc = 32
     calls = []  # the number of positions given to each builder call
     triplets = oracle._triplets
@@ -694,9 +652,13 @@ def test_one_builder_call_per_fill(monkeypatch):
     calls.clear()
     jc = preset.jc()
     rho0 = oracle.build_initial_state(spec, trunc)
-    oracle.oracle_observables(oracle.integrate_trajectory(
-        rho0, jc, damping, np.linspace(0.0, 50.0 / jc.g, 5)), jc)
+    traj = oracle.integrate_trajectory(rho0, jc, damping,
+                                       np.linspace(0.0, 50.0 / jc.g, 5))
+    oracle.oracle_observables(traj, jc)
     assert calls == [4 * trunc + 2]
+    calls.clear()
+    traj.entries(6, 0)
+    assert calls == [np.count_nonzero(oracle._block_labels(trunc) == 3)]
     calls.clear()
     oracle.joint_probability_oracle(rho0, jc, damping, 5.0 / jc.g,
                                     12.0 / jc.g, "-", "+")
@@ -738,6 +700,11 @@ def test_liouvillian_is_block_diagonal_in_coherence_order():
     k = oracle._block_labels(trunc)
     assert np.array_equal(k, block_labels(trunc, JCParams(g=3.0)))
     damping = DampingParams(kappa=0.4, n_thermal=0.3)
+    # the engine computes the positions of the k = 0 block without labels
+    for n in (1, 4, trunc, 32):
+        assert np.array_equal(
+            oracle._Closure(JCParams(g=3.0), damping, n).positions,
+            np.flatnonzero(oracle._block_labels(n) == 0))
     for jc in (JCParams(g=3.0), None):
         lind = oracle.liouvillian(jc, damping, trunc)
         label = block_labels(trunc, jc)
@@ -993,9 +960,11 @@ def _closed_form_gap(jc, damping, nbar, gts):
         closed = p_excited(ExperimentConfig(jc=jc, damping=damping,
                                             initial_field=spec), times)
     rho0 = oracle.build_initial_state(spec, default_truncation(nbar))
-    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
-    exact = oracle.oracle_observables(traj, jc).p_plus
-    assert traj._propagator is None
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        reads = _block_reads(monkeypatch)
+        traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+        exact = oracle.oracle_observables(traj, jc).p_plus
+    assert reads == []
     return np.abs(closed - exact)
 
 

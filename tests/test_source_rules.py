@@ -10,6 +10,9 @@
   read: each needs a reader in a module of src/catcavity other than
   `__init__`, or a mention in the benchmark harness (benchmarks/*.py or
   BENCHMARK.json).
+- No dead helper in tests/references.py: each of its top-level functions
+  is read by a test module, or by another top-level statement of
+  references.py.
 
 Each failure names its `file:line`, relative to the repository root.
 """
@@ -148,4 +151,30 @@ def test_no_dataclass_field_in_src_that_only_tests_read():
                              and item.target.id not in fields
                              and not re.search(rf"\.{item.target.id}\b",
                                                harness)]
+    assert not failures, "\n".join(failures)
+
+
+def test_every_reference_helper_is_read_by_a_test():
+    reference = pathlib.Path("tests", "references.py")
+    helpers = [node for node in _parsed()[reference][1].body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    # the names each top-level statement of tests reads, by statement
+    reads = []
+    for path, (_, tree) in _parsed().items():
+        if path.parts[0] == "tests":
+            for top in tree.body:
+                names = set()
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Name)
+                            and isinstance(node.ctx, ast.Load)):
+                        names.add(node.id)
+                    elif isinstance(node, ast.Attribute):
+                        names.add(node.attr)
+                    elif isinstance(node, ast.ImportFrom):
+                        names.update(alias.name for alias in node.names)
+                reads.append((top, names))
+    failures = [f"{reference}:{node.lineno}: {node.name} is read by no test"
+                for node in helpers
+                if not any(node.name in names for top, names in reads
+                           if top is not node)]
     assert not failures, "\n".join(failures)
