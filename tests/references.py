@@ -11,8 +11,8 @@ state and the dense W frame of one, the atom sector of a trajectory, the
 oracle's Liouvillian as triplets of the whole matrix, its block labels with
 the coupling on or off, its split into filled blocks by one sort of the
 labels, its propagation by complex matrix exponentials of the blocks of
-that matrix, and its earlier dense assembly of every sample and dense read
-of the observables.
+that matrix, its earlier dense assembly of every sample and dense read
+of the observables, and the branch coherence read one sample at a time.
 """
 
 import math
@@ -505,3 +505,41 @@ def dense_observables(rho, times, jc):
                     * times[:, None])
     offd = 0.5 * phases * (rho_aa - rho_bb + rho[:, b, a] - rho[:, a, b])
     return diag[:, 0::2].sum(axis=1), rho_aa + rho_bb, 2.0 * diag[:, 1], offd
+
+
+def branch_coherence_loop(spec, damping, times, truncation):
+    """The branch coherence of `oracle.branch_coherence_trajectory`, read
+    one sample at a time: each diagonal d that the cat fills propagated
+    alone, its entries (n, n + d) as two real columns under the block of
+    the whole-matrix Liouvillian with the coupling off that holds their
+    transposes (the same floats), with one batched expm per diagonal over
+    the distinct steps; after each step, the probe coherent state of that
+    sample and its sum with every diagonal."""
+    size = truncation + 1
+    amp = oracle.cat_state_vector(spec, truncation)
+    coo = liouvillian(None, damping, truncation).tocoo()
+    label = block_labels(truncation, None)
+    levels, step_index = oracle._step_groups(np.diff(np.r_[0.0, times]))
+    signs = (-1.0) ** np.arange(size)
+    diagonals = []  # (d, expm per distinct step, the two columns)
+    for d in range(size):
+        start = amp[:size - d] * amp[d:].conj()
+        if start.any():
+            gen = block_generator(coo, np.ones(label.size),
+                                  np.flatnonzero(label == 4 * d))
+            diagonals.append((d, expm(levels[:, None, None] * gen),
+                              start.view(float).reshape(-1, 2)))
+    out = np.empty(len(times))
+    for i, j in enumerate(step_index):
+        w = oracle.coherent_state_vector(spec.intensity * math.exp(
+            -2.0 * damping.kappa * times[i]), truncation).real
+        total = np.zeros(2)
+        for k, (d, props, v) in enumerate(diagonals):
+            if j >= 0:
+                v = props[j] @ v
+                diagonals[k] = d, props, v
+            part = (w[:size - d] * signs[:size - d] * w[d:]) @ v
+            total += (part[0], 0.0) if d == 0 else (
+                (0.0, -2.0 * part[1]) if d % 2 else (2.0 * part[0], 0.0))
+        out[i] = math.hypot(*total)
+    return out

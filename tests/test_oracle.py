@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -33,10 +34,11 @@ from catcavity.damping import doublet_decay_rate, f_star
 from catcavity.dressed import dressed_annihilation, dressed_basis
 from catcavity.presets import PRESETS
 from references import (atom_phases, atom_sector, block_generator,
-                        block_labels, complex_block_trajectory,
-                        dense_observables, dense_trajectory, dephased,
-                        fold_block, hermitian_closure, pure_state,
-                        to_w_frame, validate_density_matrix)
+                        block_labels, branch_coherence_loop,
+                        complex_block_trajectory, dense_observables,
+                        dense_trajectory, dephased, fold_block,
+                        hermitian_closure, pure_state, to_w_frame,
+                        validate_density_matrix)
 from references import liouvillian as liouvillian_reference
 
 
@@ -665,6 +667,128 @@ def test_one_builder_call_per_block_build(monkeypatch):
     assert calls == [4 * trunc + 2]
 
 
+#: (coupling on, kappa, n_b) of runs at one truncation: n_b = 0, 0.13 and
+#: 0 again, a new kappa, an n_b whose kappa n_b underflows to 0, the
+#: coupling off at n_b = 0.13 and 0, and the coupling on again.
+_KEPT_RUNS = [(True, 0.4, 0.0), (True, 0.4, 0.13), (True, 0.4, 0.0),
+              (True, 1.7, 0.13), (True, 0.4, 5e-324), (False, 0.4, 0.13),
+              (False, 0.4, 0.0), (True, 0.4, 0.13)]
+
+
+def test_kept_structure_keeps_every_bit(monkeypatch):
+    # the rate-free structure that the oracle keeps between calls is keyed
+    # on more than the truncation: in every run of the sequence, the
+    # triplets equal a build from an empty store and the reference's block,
+    # bit for bit and in dtype, and so does every generator given to expm;
+    # kappa n_b = 0 takes the structure of n_b = 0, and whatever is kept
+    # is read-only
+    trunc = 12
+    jc = JCParams(g=3.0)
+    spec = CatSpec(intensity=1.0, phase=1.1)
+    rho0 = oracle.build_initial_state(spec, trunc)
+    step = 0.37
+    phase = atom_phases(trunc)
+    labels = block_labels(trunc, jc), block_labels(trunc, None)
+    k0 = np.flatnonzero(labels[0] == 0)
+    closure = hermitian_closure(k0, 2 * (trunc + 1))
+    calls = []
+    triplets = oracle._triplets
+    monkeypatch.setattr(oracle, "_triplets", lambda *args: calls.append(
+        (args, triplets(*args))) or calls[-1][1])
+    given = _expm_inputs(monkeypatch)
+    first = {}
+    for coupled, kappa, n_b in _KEPT_RUNS:
+        damping = DampingParams(kappa=kappa, n_thermal=n_b)
+        calls.clear()
+        given.clear()
+        if coupled:
+            oracle.integrate_trajectory(rho0, jc, damping, [0.0, step])
+        else:
+            oracle.branch_coherence_trajectory(spec, damping, [0.0, step],
+                                               trunc)
+        (args, got), = calls
+        with monkeypatch.context() as empty:
+            empty.setattr(oracle, "_KEPT", {})
+            fresh = triplets(*args)
+        for a, b in zip(got, fresh):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not got[0].flags.writeable and not got[1].flags.writeable
+        rows, cols, vals = got
+        coo = liouvillian_reference(jc if coupled else None, damping,
+                                    trunc).tocoo()
+        dense = np.zeros((args[3].size,) * 2, dtype=vals.dtype)
+        dense[rows, cols] = vals
+        want = block_generator(coo, np.ones(phase.size), args[3])
+        assert dense.dtype == want.dtype and np.array_equal(dense, want)
+        assert np.count_nonzero(dense) == vals.size
+        if coupled:
+            wants = [fold_block(block_generator(coo, phase, k0), *closure)[0]]
+        else:
+            wants = [block_generator(coo, phase,
+                                     np.flatnonzero(labels[1] == 4 * d))
+                     for d in range(trunc + 1)]
+        assert len(given) == len(wants)
+        for a, w in zip(given, wants):
+            assert a.dtype == w.dtype and np.array_equal(a, step * w)
+        first.setdefault((coupled, kappa, kappa * n_b > 0), got)
+        for a, b in zip(got, first[coupled, kappa, kappa * n_b > 0]):
+            assert np.array_equal(a, b)
+    assert 0.4 * 5e-324 == 0.0
+    engine = oracle._Closure(jc, DampingParams(kappa=0.4), trunc)
+    for name in ("positions", "upper", "twin", "pair", "column", "phase"):
+        assert not getattr(engine, name).flags.writeable
+    assert all(not array.flags.writeable
+               for value, _ in oracle._KEPT.values() for array in value)
+
+
+def test_kept_structure_is_shared_across_threads(monkeypatch):
+    # eight threads run engines and field runs at three truncations and two
+    # sets of rates, with the store held to a tenth of what they build, so
+    # that they drop each other's structure all the time: every generator
+    # and coherence keeps the bits of a run in one thread, and no thread
+    # meets the store half changed
+    monkeypatch.setattr(oracle, "_KEPT", {})
+    cases = [(trunc, n_b) for trunc in (8, 10, 12) for n_b in (0.0, 0.13)]
+    spec = CatSpec(intensity=0.3, phase=1.1)
+
+    def run(trunc, n_b):
+        damping = DampingParams(kappa=0.4, n_thermal=n_b)
+        engine = oracle._Closure(JCParams(g=3.0), damping, trunc)
+        return engine._generator(0), oracle.branch_coherence_trajectory(
+            spec, damping, [0.0, 0.1], trunc)
+
+    expected = [run(*case) for case in cases]
+    built = sum(nbytes for _, nbytes in oracle._KEPT.values())
+    monkeypatch.setattr(oracle, "_KEPT_BYTES", built // 10)
+    monkeypatch.setattr(oracle, "_KEPT", {})
+    failures = []
+
+    def worker(first):
+        try:
+            for k in range(first, first + 100):
+                got = run(*cases[k % len(cases)])
+                want = expected[k % len(cases)]
+                if not all(map(np.array_equal, got, want)):
+                    failures.append(cases[k % len(cases)])
+        except Exception as exc:  # a thread reports its failure here
+            failures.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(first,))
+                   for first in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert sum(nbytes for _, nbytes in oracle._KEPT.values()) <= built // 10
+
+
 @pytest.mark.parametrize("jc, damping", [
     (JCParams(g=3.0), DampingParams(kappa=0.4, n_thermal=0.3)),
     (JCParams(g=3.0), DampingParams(kappa=0.4)),
@@ -700,11 +824,16 @@ def test_liouvillian_is_block_diagonal_in_coherence_order():
     k = oracle._block_labels(trunc)
     assert np.array_equal(k, block_labels(trunc, JCParams(g=3.0)))
     damping = DampingParams(kappa=0.4, n_thermal=0.3)
-    # the engine computes the positions of the k = 0 block without labels
+    # the engine computes the positions of the k = 0 block without labels,
+    # and the cold path those of every k > 0
     for n in (1, 4, trunc, 32):
         assert np.array_equal(
             oracle._Closure(JCParams(g=3.0), damping, n).positions,
             np.flatnonzero(oracle._block_labels(n) == 0))
+        for order in range(n + 2):
+            assert np.array_equal(
+                oracle._block_positions(n, order),
+                np.flatnonzero(oracle._block_labels(n) == order))
     for jc in (JCParams(g=3.0), None):
         lind = oracle.liouvillian(jc, damping, trunc)
         label = block_labels(trunc, jc)
@@ -1269,8 +1398,9 @@ FIELD_TIMES = np.array([0.0, 0.0, 0.02, 0.05, 0.05, 0.08, 0.2])
 @pytest.mark.parametrize("n_b", [0.0, 0.3])
 def test_field_only_run_matches_dense_reference(phase, n_b):
     # the branch coherence of the field-only run against the overlap read
-    # from the "+" sector of the dense reference run with the coupling off;
-    # the even cat fills no odd diagonal
+    # from the "+" sector of the dense reference run with the coupling off,
+    # and against the read of one sample at a time, each diagonal
+    # propagated alone; the even cat fills no odd diagonal
     trunc = 12
     spec = CatSpec(intensity=0.8, phase=phase)
     damping = DampingParams(kappa=2.0, n_thermal=n_b)
@@ -1279,6 +1409,9 @@ def test_field_only_run_matches_dense_reference(phase, n_b):
     expected = _branch_overlap(field, spec, damping, FIELD_TIMES)
     got = oracle.branch_coherence_trajectory(spec, damping, FIELD_TIMES, trunc)
     assert np.abs(got - expected).max() < 1e-13
+    loop = branch_coherence_loop(spec, damping, FIELD_TIMES, trunc)
+    assert np.abs(got - loop).max() < 1e-14
+    assert np.ptp(loop) > 0.04
     assert got[0] == got[1] and got[3] == got[4]
     assert np.abs(field[-1] - field[0]).max() > 0.05
     odd = np.diagonal(field, 1, axis1=1, axis2=2)
@@ -1350,6 +1483,34 @@ def test_oracle_command_at_the_paper_point_peaks_below_300_mb(tmp_path):
         "--samples", "501", "--out", str(tmp_path))
     print(f"oracle --nbar 49 --samples 501: peak RSS {peak_mb:.0f} MB")
     assert peak_mb <= 300.0
+
+
+#: Runs the oracle command at n_b = 0.13 and then 0.05, into the two
+#: directories in its arguments.
+ORACLE_TWICE = r'''
+import sys
+
+from catcavity.cli import main
+
+for nb, out in zip(("0.13", "0.05"), sys.argv[1:]):
+    assert main(["oracle", "--nbar", "4", "--nb", nb, "--t-max", "0.002",
+                 "--samples", "9", "--out", out]) == 0
+'''
+
+
+def test_oracle_command_writes_the_same_bytes_warm_and_cold(tmp_path):
+    # here n_b = 0.05 runs first and 0.13 reuses the structure it kept; in
+    # a fresh interpreter 0.13 builds that structure and 0.05 reuses it;
+    # each CSV has the same bytes either way
+    for nb in ("0.05", "0.13"):
+        assert main(["oracle", "--nbar", "4", "--nb", nb, "--t-max", "0.002",
+                     "--samples", "9", "--out", str(tmp_path / nb)]) == 0
+    _fresh_peak_rss("-c", ORACLE_TWICE, str(tmp_path / "fresh0.13"),
+                    str(tmp_path / "fresh0.05"))
+    for nb in ("0.05", "0.13"):
+        warm = (tmp_path / nb / "oracle.csv").read_bytes()
+        assert warm == (tmp_path / f"fresh{nb}" / "oracle.csv").read_bytes()
+        assert warm.count(b"\n") > 9 * 33
 
 
 #: The undephased nbar = 49 cat (N = 120) at 501 samples: what the
