@@ -38,18 +38,21 @@ A block's rates and g are the only part of it that a run's parameters
 change: its positions, the (row, col) pattern of its triplets and their
 rate-free coefficients, the closure's layout and fold, and the field-only
 run's diagonals depend on the truncation, on which rates are > 0 and on
-whether the coupling is on.  `_kept` builds each of these once and keeps
-it, read-only, for later calls, at most _KEPT_BYTES (32 MiB) in all, the
-least recently used dropped first; at N = 120 the k = 0 engine keeps about
-0.15 MB per set of rates > 0, and the field-only run about 1.2 MB with
-every diagonal filled.  A call that finds its structure kept computes the
-same floats as one that builds it.
+whether the coupling is on.  Each builder of such a structure is keyed on
+those few numbers alone and `_kept`: it keeps the structure, read-only, for
+its last _KEPT_KEYS (4) keys, so that later calls at one truncation build
+only their values and expm.  At N = 120 an entry of the k = 0 engine takes
+at most 61 kB (`_closure_structure`), and one of the field-only run with
+every diagonal filled 0.58 MB (`_field_structure`) and 0.42 MB
+(`_field_layout`), so every builder together holds about 5 MB at most.  A
+call that finds its structure kept computes the same floats as one that
+builds it.  A single run gains nothing from the store, and costs what it
+did without it.
 """
 
 import functools
 import logging
 import math
-import threading
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -165,32 +168,23 @@ def build_initial_state(fieldspec, truncation):
 # Liouvillian and integration
 # ---------------------------------------------------------------------------
 
-#: Bytes of rate-free structure that `_kept` holds between calls.
-_KEPT_BYTES = 32 * 2 ** 20
-
-_KEPT = {}  # key -> (read-only arrays, their bytes), least recently used first
-_KEPT_LOCK = threading.Lock()
+#: Keys for which each `_kept` builder holds its structure.
+_KEPT_KEYS = 4
 
 
-def _kept(key, build):
-    """The tuple of arrays `build()` returns, built on the first call with
-    `key` and kept, read-only, for the next; the least recently used go
-    once all of them hold more than _KEPT_BYTES.  Threads may share it:
-    two that miss one key at once both build it, and keep one."""
-    with _KEPT_LOCK:
-        entry = _KEPT.pop(key, None)
-        if entry is not None:
-            _KEPT[key] = entry
-            return entry[0]
-    value = build()
-    for array in value:
-        array.flags.writeable = False
-    with _KEPT_LOCK:
-        _KEPT[key] = value, sum(array.nbytes for array in value)
-        held = sum(nbytes for _, nbytes in _KEPT.values())
-        while held > _KEPT_BYTES:
-            held -= _KEPT.pop(next(iter(_KEPT)))[1]
-    return value
+def _kept(build):
+    """`build`, a function of the small hashable key of a rate-free
+    structure that returns a tuple of arrays, kept for the last _KEPT_KEYS
+    keys (`functools.lru_cache`, which threads may share) with every array
+    read-only."""
+    @functools.lru_cache(maxsize=_KEPT_KEYS)
+    @functools.wraps(build)
+    def kept(*key):
+        value = build(*key)
+        for array in value:
+            array.flags.writeable = False
+        return value
+    return kept
 
 
 def _rates(damping):
@@ -198,6 +192,11 @@ def _rates(damping):
     a*."""
     k, nb = damping.kappa, damping.n_thermal
     return k * (nb + 1.0), k * nb
+
+
+def _active(damping):
+    """Which of the two jumps of `_rates` have a rate > 0."""
+    return tuple(rate > 0 for rate in _rates(damping))
 
 
 def _structure(truncation, positions, coupled, active):
@@ -246,7 +245,7 @@ def _structure(truncation, positions, coupled, active):
     return np.concatenate([nz] + rows), cols, sums[:, nz], roots, *products
 
 
-def _triplets(jc, damping, truncation, positions):
+def _triplets(jc, damping, truncation, positions, structure=None):
     """The Liouvillian of `liouvillian` on the ascending vec(rho)
     `positions`, a set it maps into itself (blocks, or every position), as
     (rows, cols, values) arrays whose rows and cols index `positions`.
@@ -260,19 +259,17 @@ def _triplets(jc, damping, truncation, positions):
     Everything but the rates and g depends only on the truncation, the
     positions, whether the coupling is on and which rates are > 0 (a
     kappa n_b that underflows to 0 drops the a* jump, as n_b = 0 does):
-    that structure (`_structure`) is built once per such key and kept by
-    `_kept`, and each call multiplies in its rates and g alone, in the
-    order of a build from scratch, so every value has the same bits.  The
-    rows and cols returned are the kept, read-only arrays.  The structure
-    of the k = 0 block takes about 60 kB at N = 120, and that of the
-    field-only run's 121 diagonals about 0.6 MB.
+    that is the `structure` (see `_structure`), which a caller that keeps
+    it for those positions, that coupling and `_active(damping)` passes
+    in, and which is built here otherwise.  Each call multiplies in its
+    rates and g alone, in the order of a build from scratch, so every value
+    has the same bits; the rows and cols returned are the structure's.
     """
     rates = _rates(damping)
-    active = tuple(rate > 0 for rate in rates)
-    rows, cols, sums, roots, *products = _kept(
-        ("triplets", truncation, positions.dtype.str, positions.tobytes(),
-         jc is not None, active),
-        lambda: _structure(truncation, positions, jc is not None, active))
+    if structure is None:
+        structure = _structure(truncation, positions, jc is not None,
+                               _active(damping))
+    rows, cols, sums, roots, *products = structure
     diag, jumps = np.zeros(sums.shape[1]), []
     for rate, number, product in zip(rates, sums, products):
         if rate > 0:
@@ -380,6 +377,7 @@ def _advance(props, v, step_index):
     return out
 
 
+@_kept
 def _closure_layout(truncation):
     """The rate-free layout of `_Closure`: the positions of the k = 0 block,
     the upper ones and their twins, which of those are pairs, the column of
@@ -393,6 +391,38 @@ def _closure_layout(truncation):
     column[twin] = column[upper] = np.arange(upper.size)
     return (positions, upper, twin, upper != twin, column,
             _atom_phases(positions, truncation))
+
+
+@_kept
+def _closure_structure(truncation, active):
+    """The `_structure` of the coupled k = 0 block with the jumps that
+    `active` marks."""
+    return _structure(truncation, _closure_layout(truncation)[0], True,
+                      active)
+
+
+@_kept
+def _closure_fold(truncation, active, part):
+    """The triplets of the k = 0 block that land in G_s (part 0) or G_a
+    (part 1), their flat index there and the factor that rotates each into
+    the atom-phase frame (see `_atom_phases`) with its sign: a row of an
+    upper position (of a pair's, for G_a) adds into the column of x (of y)
+    that its col belongs to, for G_a minus where the col is a twin."""
+    positions, upper, twin, pair, column, phase = _closure_layout(truncation)
+    rows, cols = _closure_structure(truncation, active)[:2]
+    size = positions.size
+    row, col, sign = np.full(size, -1), column, np.ones(size)
+    lead = upper
+    if part:
+        lead, twin = upper[pair], twin[pair]
+        col, sign = np.full(size, -1), np.zeros(size)
+        col[lead] = col[twin] = np.arange(lead.size)
+        sign[lead], sign[twin] = 1.0, -1.0
+    row[lead] = np.arange(lead.size)
+    at = ((row[rows] >= 0) & (col[cols] >= 0)).nonzero()[0]
+    rows, cols = rows[at], cols[at]
+    return (at, row[rows] * lead.size + col[cols],
+            phase[rows] * phase[cols].conj() * sign[cols])
 
 
 class _Closure:
@@ -416,19 +446,19 @@ class _Closure:
 
     Only the rates, the block's values and the expm are built per engine.
     The layout (`positions`, `upper`, `twin`, `pair`, `column`, `phase`) is
-    built once per truncation, and the map of each triplet into G_s or G_a
-    (`_fold`) once per truncation and set of rates > 0; `_kept` holds both,
-    at N = 120 about 22 kB for the layout and 58 kB for the fold of G_s.
+    kept per truncation (`_closure_layout`), and the triplet structure
+    (`_closure_structure`) and the map of each triplet into G_s or G_a
+    (`_closure_fold`) per truncation and set of rates > 0; at N = 120 they
+    take about 22 kB, 60 kB and 58 kB (G_s).
     """
 
     def __init__(self, jc, damping, truncation):
         self.truncation = truncation
         (self.positions, self.upper, self.twin, self.pair, self.column,
-         self.phase) = _kept(("closure", truncation),
-                             lambda: _closure_layout(truncation))
-        self._block = _triplets(jc, damping, truncation, self.positions)
-        self._fold_key = ("fold", truncation, jc is not None,
-                          tuple(rate > 0 for rate in _rates(damping)))
+         self.phase) = _closure_layout(truncation)
+        self._active = _active(damping)
+        self._block = _triplets(jc, damping, truncation, self.positions,
+                                _closure_structure(truncation, self._active))
         self._generators = {}  # 0 for G_s, 1 for G_a
         self._props = {}  # (0 or 1, step length) -> expm
 
@@ -445,28 +475,6 @@ class _Closure:
         return (0.5 * (v.real[upper] + v.real[twin]),
                 0.5 * (v.imag[upper[pair]] - v.imag[twin[pair]]))
 
-    def _fold(self, part):
-        """The triplets of the block that land in G_s (part 0) or G_a
-        (part 1), their flat index there and the factor that rotates each
-        into the atom-phase frame (see `_atom_phases`) with its sign: a row
-        of an upper position (of a pair's, for G_a) adds into the column of
-        x (of y) that its col belongs to, for G_a minus where the col is a
-        twin."""
-        rows, cols, _ = self._block
-        size = self.positions.size
-        row, col, sign = np.full(size, -1), self.column, np.ones(size)
-        lead = self.upper
-        if part:
-            lead, twin = self.upper[self.pair], self.twin[self.pair]
-            col, sign = np.full(size, -1), np.zeros(size)
-            col[lead] = col[twin] = np.arange(lead.size)
-            sign[lead], sign[twin] = 1.0, -1.0
-        row[lead] = np.arange(lead.size)
-        at = ((row[rows] >= 0) & (col[cols] >= 0)).nonzero()[0]
-        rows, cols = rows[at], cols[at]
-        return (at, row[rows] * lead.size + col[cols],
-                self.phase[rows] * self.phase[cols].conj() * sign[cols])
-
     def _generator(self, part):
         """G_s (part 0) or G_a (part 1), folded from the block on first
         use: each entry is the sum of the (at most two) rotated triplets
@@ -475,8 +483,8 @@ class _Closure:
         depend on their order, so these are the floats of the dense fold
         of the rotated block."""
         if part not in self._generators:
-            at, target, factor = _kept(self._fold_key + (part,),
-                                       lambda: self._fold(part))
+            at, target, factor = _closure_fold(self.truncation, self._active,
+                                               part)
             size = np.count_nonzero(self.pair) if part else self.upper.size
             self._generators[part] = np.bincount(
                 target, (self._block[2][at] * factor).real,
@@ -831,15 +839,24 @@ def w_equation_residuals(window, jc, damping):
 # decoherence surrogate
 # ---------------------------------------------------------------------------
 
+@_kept
+def _upper_triangle(size):
+    """The rows and columns of the upper triangle of a size x size
+    matrix, row by row."""
+    return np.triu_indices(size)
+
+
+@_kept
 def _field_layout(size, filled):
     """The rate-free layout of the field-only run over the ascending filled
-    diagonals d: of each of their entries (n, n + d), its index into the
-    upper triangle, its row n, its diagonal, its vec(rho) position
+    diagonals d (a tuple): of each of their entries (n, n + d), its index
+    into the upper triangle, its row n, its diagonal, its vec(rho) position
     (2 n, 2 (n + d)), where its row starts in the zero-padded (diagonal,
     n, n') stack of generators, and whether d is odd; then each diagonal's
     factors on the real and the imaginary sum, and the partner n + d of each
     n (N + 1, a zero probe, past the end)."""
-    n, m = np.triu_indices(size)
+    n, m = _upper_triangle(size)
+    filled = np.array(filled)
     keep = np.flatnonzero(np.isin(m - n, filled))
     n, m = n[keep], m[keep]
     at = np.searchsorted(filled, m - n)
@@ -848,6 +865,14 @@ def _field_layout(size, filled):
     return (keep, n, at, 4 * size * n + 2 * m, (at * size + n) * size,
             odd[at] == 1, parity,
             np.minimum(np.arange(size) + filled[:, None], size))
+
+
+@_kept
+def _field_structure(size, filled, active):
+    """The `_structure` of the field-only run over the filled diagonals
+    (see `_field_layout`), with the coupling off and the jumps that
+    `active` marks."""
+    return _structure(size - 1, _field_layout(size, filled)[3], False, active)
 
 
 def branch_coherence_trajectory(spec, damping, times, truncation):
@@ -865,39 +890,50 @@ def branch_coherence_trajectory(spec, damping, times, truncation):
     zero-padded.  With real probes w, diagonal d adds
     sum_n w_n w_(n+d) (-1)^n times rho_nn (d = 0), twice Re rho_(n,n+d)
     (even d) or -2i Im rho_(n,n+d) (odd d), so only that part of each
-    diagonal is propagated.  Every sample of it is kept, (times, diagonals,
-    N + 1) floats, and the probes of all samples are contracted with them
-    in one array expression after the run.  The d = 0 trace drift raises
-    beyond 10*DEFAULT_TOL.  The INFO log names the truncation, the
-    diagonals' sizes and the expm builds.
+    diagonal is propagated.  The probes of all samples are computed in one
+    array expression before the run, and each sample is contracted with
+    them as it is reached, so that the run holds (times, N + 2) probe
+    floats and (times, diagonals) sums, not the samples.  The d = 0 trace
+    drift raises beyond 10*DEFAULT_TOL.  The INFO log names the truncation,
+    the diagonals' sizes and the expm builds.
 
-    The layout of the filled diagonals is built once per truncation and
-    set of filled diagonals, and the triplet structure as `_triplets` says;
-    `_kept` holds both, at N = 120 with every diagonal filled about 0.54 MB
-    for the layout and 0.64 MB for the triplets.
+    The layout of the filled diagonals (`_field_layout`) is kept per
+    truncation and set of filled diagonals, and their triplet structure
+    (`_field_structure`) per those and set of rates > 0; at N = 120 with
+    every diagonal filled they take about 0.42 MB and 0.58 MB.
     """
     _instance(spec, "spec", CatSpec)
     _instance(damping, "damping", DampingParams)
     size = _count(truncation, "truncation", 1) + 1
     times = _check_times(times, 0.0)
     amp = cat_state_vector(spec, truncation)
-    n, m = _kept(("triangle", size), lambda: np.triu_indices(size))
+    n, m = _upper_triangle(size)
     start = amp[n] * amp[m].conj()
-    filled = np.unique((m - n)[start != 0])  # d = 0, the trace, first
-    keep, n, at, positions, base, odd, parity, pair = _kept(
-        ("field", size, filled.tobytes()), lambda: _field_layout(size, filled))
-    rows, cols, vals = _triplets(None, damping, truncation, positions)
-    gen = np.zeros((filled.size, size, size))
+    filled = tuple(np.unique((m - n)[start != 0]).tolist())  # d = 0 first
+    keep, n, at, positions, base, odd, parity, pair = _field_layout(size,
+                                                                    filled)
+    rows, cols, vals = _triplets(
+        None, damping, truncation, positions,
+        _field_structure(size, filled, _active(damping)))
+    gen = np.zeros((len(filled), size, size))
     gen.reshape(-1)[base[rows] + n[cols]] = vals
-    v = np.zeros((filled.size, size, 1))
+    v = np.zeros((len(filled), size, 1))
     v[at, n, 0] = np.where(odd, start.imag[keep], start.real[keep])
     levels, step_index = _step_groups(np.diff(np.r_[0.0, times]))
-    sizes = (size - filled).tolist()
+    sizes = [size - d for d in filled]
     _LOG.info("oracle: truncation %d, field diagonal sizes %s, expm builds "
               "%d of sizes %s", truncation, sizes, levels.size * len(sizes),
               sizes * levels.size)
+    # the probe of intensity I e^-x: log w_n = (log p_n(I) - x n
+    # + I (1 - e^-x)) / 2, with p_n(I) the Poisson weight
+    photons, decay = np.arange(size), 2.0 * damping.kappa * times
+    w = np.zeros((times.size, size + 1))  # w_(N + 1) = 0
+    w[:, :size] = np.exp(0.5 * (_log_poisson(spec.intensity, photons)
+                                - decay[:, None] * photons
+                                - spec.intensity * np.expm1(-decay)[:, None]))
+    signed = w[:, :size] * (-1.0) ** photons
     trace, props = v[0].sum(), {}
-    field = np.empty((times.size,) + v.shape)
+    sums, traces = np.empty((times.size, len(filled))), np.empty(times.size)
     last = dict(zip(step_index.tolist(), range(times.size)))
     for i, j in enumerate(step_index.tolist()):
         if j >= 0 and j not in props:
@@ -906,15 +942,7 @@ def branch_coherence_trajectory(spec, damping, times, truncation):
                 prop[:k, :k] = expm(levels[j] * g[:k, :k])
         if j >= 0:
             v = (props.pop(j) if last[j] == i else props[j]) @ v
-        field[i] = v
-    field = field[..., 0]
-    _check_drift(field[:, 0].sum(axis=1) - trace)
-    # the probe of intensity I e^-x: log w_n = (log p_n(I) - x n
-    # + I (1 - e^-x)) / 2, with p_n(I) the Poisson weight
-    photons, decay = np.arange(size), 2.0 * damping.kappa * times
-    w = np.zeros((times.size, size + 1))  # w_(N + 1) = 0
-    w[:, :size] = np.exp(0.5 * (_log_poisson(spec.intensity, photons)
-                                - decay[:, None] * photons
-                                - spec.intensity * np.expm1(-decay)[:, None]))
-    weight = (w[:, :size] * (-1.0) ** photons)[:, None, :] * w[:, pair]
-    return np.hypot(*((weight * field).sum(axis=2) @ parity).T)
+        traces[i] = v[0].sum()
+        sums[i] = (signed[i] * w[i, pair] * v[..., 0]).sum(axis=1)
+    _check_drift(traces - trace)
+    return np.hypot(*(sums @ parity).T)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -678,10 +679,10 @@ _KEPT_RUNS = [(True, 0.4, 0.0), (True, 0.4, 0.13), (True, 0.4, 0.0),
 def test_kept_structure_keeps_every_bit(monkeypatch):
     # the rate-free structure that the oracle keeps between calls is keyed
     # on more than the truncation: in every run of the sequence, the
-    # triplets equal a build from an empty store and the reference's block,
-    # bit for bit and in dtype, and so does every generator given to expm;
-    # kappa n_b = 0 takes the structure of n_b = 0, and whatever is kept
-    # is read-only
+    # triplets equal a build with no kept structure and the reference's
+    # block, bit for bit and in dtype, and so does every generator given to
+    # expm; kappa n_b = 0 takes the structure of n_b = 0, and whatever is
+    # kept is read-only and handed out again, not rebuilt
     trunc = 12
     jc = JCParams(g=3.0)
     spec = CatSpec(intensity=1.0, phase=1.1)
@@ -707,9 +708,8 @@ def test_kept_structure_keeps_every_bit(monkeypatch):
             oracle.branch_coherence_trajectory(spec, damping, [0.0, step],
                                                trunc)
         (args, got), = calls
-        with monkeypatch.context() as empty:
-            empty.setattr(oracle, "_KEPT", {})
-            fresh = triplets(*args)
+        assert len(args) == 5  # the kept structure, passed in
+        fresh = triplets(*args[:4])
         for a, b in zip(got, fresh):
             assert a.dtype == b.dtype and np.array_equal(a, b)
         assert not got[0].flags.writeable and not got[1].flags.writeable
@@ -737,17 +737,24 @@ def test_kept_structure_keeps_every_bit(monkeypatch):
     engine = oracle._Closure(jc, DampingParams(kappa=0.4), trunc)
     for name in ("positions", "upper", "twin", "pair", "column", "phase"):
         assert not getattr(engine, name).flags.writeable
-    assert all(not array.flags.writeable
-               for value, _ in oracle._KEPT.values() for array in value)
+    size, filled = trunc + 1, tuple(range(trunc + 1))
+    for build, key in [(oracle._closure_layout, (trunc,)),
+                       (oracle._closure_structure, (trunc, (True, False))),
+                       (oracle._closure_fold, (trunc, (True, True), 0)),
+                       (oracle._closure_fold, (trunc, (True, True), 1)),
+                       (oracle._upper_triangle, (size,)),
+                       (oracle._field_layout, (size, filled)),
+                       (oracle._field_structure, (size, filled, (True, True)))]:
+        kept = build(*key)
+        assert build(*key) is kept
+        assert all(not array.flags.writeable for array in kept)
 
 
-def test_kept_structure_is_shared_across_threads(monkeypatch):
+def test_kept_structure_is_shared_across_threads():
     # eight threads run engines and field runs at three truncations and two
-    # sets of rates, with the store held to a tenth of what they build, so
+    # sets of rates, six keys per builder against the four each keeps, so
     # that they drop each other's structure all the time: every generator
-    # and coherence keeps the bits of a run in one thread, and no thread
-    # meets the store half changed
-    monkeypatch.setattr(oracle, "_KEPT", {})
+    # and coherence keeps the bits of a run in one thread
     cases = [(trunc, n_b) for trunc in (8, 10, 12) for n_b in (0.0, 0.13)]
     spec = CatSpec(intensity=0.3, phase=1.1)
 
@@ -758,17 +765,13 @@ def test_kept_structure_is_shared_across_threads(monkeypatch):
             spec, damping, [0.0, 0.1], trunc)
 
     expected = [run(*case) for case in cases]
-    built = sum(nbytes for _, nbytes in oracle._KEPT.values())
-    monkeypatch.setattr(oracle, "_KEPT_BYTES", built // 10)
-    monkeypatch.setattr(oracle, "_KEPT", {})
     failures = []
 
     def worker(first):
         try:
             for k in range(first, first + 100):
                 got = run(*cases[k % len(cases)])
-                want = expected[k % len(cases)]
-                if not all(map(np.array_equal, got, want)):
+                if not all(map(np.array_equal, got, expected[k % len(cases)])):
                     failures.append(cases[k % len(cases)])
         except Exception as exc:  # a thread reports its failure here
             failures.append(repr(exc))
@@ -786,7 +789,6 @@ def test_kept_structure_is_shared_across_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    assert sum(nbytes for _, nbytes in oracle._KEPT.values()) <= built // 10
 
 
 @pytest.mark.parametrize("jc, damping", [
@@ -1446,6 +1448,24 @@ def test_field_only_run_keeps_its_checks(monkeypatch):
     with pytest.raises(ConsistencyError, match="trace drift"):
         oracle.branch_coherence_trajectory(CatSpec(intensity=1.0), damping,
                                            [0.0, 0.1], 16)
+
+
+def test_field_only_run_holds_no_sample_on_a_long_grid():
+    # 2001 samples at N = 32 of a cat that fills all 33 diagonals: every
+    # sample of every diagonal would take 17 MB, and the probes and sums
+    # that the run holds about 1.6 MB
+    spec = CatSpec(intensity=4.0, phase=1.1)
+    damping = DampingParams(kappa=0.4, n_thermal=0.1)
+    times = np.linspace(0.0, 2.0, 2001)
+    expected = oracle.branch_coherence_trajectory(spec, damping, times[:3], 32)
+    tracemalloc.start()
+    try:
+        got = oracle.branch_coherence_trajectory(spec, damping, times, 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.abs(got[:3] - expected).max() < 1e-14
+    assert peak < 4e6
 
 
 #: Runs the command in its arguments as its child and prints, as JSON, the
