@@ -35,19 +35,16 @@ it.  The decoherence surrogate `branch_coherence_trajectory` runs the
 uncoupled field alone, one real block per filled diagonal.
 
 A block's rates and g are the only part of it that a run's parameters
-change: its positions, the (row, col) pattern of its triplets and their
-rate-free coefficients, the closure's layout and fold, and the field-only
-run's diagonals depend on the truncation, on which rates are > 0 and on
-whether the coupling is on.  Each builder of such a structure is keyed on
-those few numbers alone and `_kept`: it keeps the structure, read-only, for
-its last _KEPT_KEYS (4) keys, so that later calls at one truncation build
-only their values and expm.  At N = 120 an entry of the k = 0 engine takes
-at most 61 kB (`_closure_structure`), and one of the field-only run with
-every diagonal filled 0.58 MB (`_field_structure`) and 0.42 MB
-(`_field_layout`), so every builder together holds about 5 MB at most.  A
-call that finds its structure kept computes the same floats as one that
-builds it.  A single run gains nothing from the store, and costs what it
-did without it.
+change.  The rest is one kept plan per engine: `_closure_plan` (the k = 0
+block's layout, triplet structure and fold into G_s and G_a, keyed on the
+truncation and which rates are > 0) and `_field_plan` (the field-only
+run's diagonals, structure and scatter, keyed on the size, the filled
+diagonals and which rates are > 0), each `_kept` read-only for its last
+_KEPT_KEYS (4) keys.  `_triplets` multiplies the rates and g into a kept
+structure as into a new one, so a warm call computes the floats of a cold
+one and builds only its values and expm.  At N = 120 a closure plan takes
+at most 0.15 MB and a field plan with every diagonal filled 1.1 MB, about
+5 MB for both stores full; a single run costs what it did without them.
 """
 
 import functools
@@ -168,21 +165,22 @@ def build_initial_state(fieldspec, truncation):
 # Liouvillian and integration
 # ---------------------------------------------------------------------------
 
-#: Keys for which each `_kept` builder holds its structure.
+#: Keys for which each `_kept` plan is held.
 _KEPT_KEYS = 4
 
 
 def _kept(build):
-    """`build`, a function of the small hashable key of a rate-free
-    structure that returns a tuple of arrays, kept for the last _KEPT_KEYS
-    keys (`functools.lru_cache`, which threads may share) with every array
-    read-only."""
+    """`build`, a function of the small hashable key of a rate-free plan
+    that returns a tuple of arrays and of tuples of arrays, kept for the
+    last _KEPT_KEYS keys (`functools.lru_cache`, which threads may share)
+    with every array read-only."""
     @functools.lru_cache(maxsize=_KEPT_KEYS)
     @functools.wraps(build)
     def kept(*key):
         value = build(*key)
-        for array in value:
-            array.flags.writeable = False
+        for item in value:
+            for array in item if isinstance(item, tuple) else [item]:
+                array.flags.writeable = False
         return value
     return kept
 
@@ -200,10 +198,20 @@ def _active(damping):
 
 
 def _structure(truncation, positions, coupled, active):
-    """The rate-free part of `_triplets` on `positions`: rows, cols, the
-    number sums (J*J)_ii + (J*J)_jj of the diagonal, the signed coupling
-    roots, and each jump's sandwich products, for the jumps that `active`
-    marks (the others get zero sums and no products)."""
+    """The rate-free part of the Liouvillian of `liouvillian` on the
+    ascending vec(rho) `positions`, a set it maps into itself (blocks, or
+    every position), for the coupling on or off and the jumps that `active`
+    marks (`_active`): rows and cols that index `positions`, the number
+    sums (J*J)_ii + (J*J)_jj of the diagonal, the signed coupling roots,
+    and each jump's sandwich products (an unmarked jump gets zero sums and
+    no products).
+
+    Under row-major vectorization entry (i, j) of A rho B reads A_ik B_lj
+    from entry (k, l), so the triplets are the non-zero diagonal
+    -sum rate ((J*J)_ii + (J*J)_jj), the coupling once from each side of
+    the commutator, and each jump's sandwich shifted one photon along both
+    indices.  No (row, col) pair appears twice.
+    """
     dim = 2 * (truncation + 1)
     i, j = np.divmod(positions, dim)
     every = np.arange(dim)
@@ -245,33 +253,15 @@ def _structure(truncation, positions, coupled, active):
     return np.concatenate([nz] + rows), cols, sums[:, nz], roots, *products
 
 
-def _triplets(jc, damping, truncation, positions, structure=None):
-    """The Liouvillian of `liouvillian` on the ascending vec(rho)
-    `positions`, a set it maps into itself (blocks, or every position), as
-    (rows, cols, values) arrays whose rows and cols index `positions`.
-
-    Under row-major vectorization entry (i, j) of A rho B reads A_ik B_lj
-    from entry (k, l), so the triplets are the non-zero diagonal
-    -sum rate ((J*J)_ii + (J*J)_jj), the coupling once from each side of
-    the commutator, and each jump's sandwich shifted one photon along both
-    indices.  No (row, col) pair appears twice.
-
-    Everything but the rates and g depends only on the truncation, the
-    positions, whether the coupling is on and which rates are > 0 (a
-    kappa n_b that underflows to 0 drops the a* jump, as n_b = 0 does):
-    that is the `structure` (see `_structure`), which a caller that keeps
-    it for those positions, that coupling and `_active(damping)` passes
-    in, and which is built here otherwise.  Each call multiplies in its
-    rates and g alone, in the order of a build from scratch, so every value
-    has the same bits; the rows and cols returned are the structure's.
-    """
-    rates = _rates(damping)
-    if structure is None:
-        structure = _structure(truncation, positions, jc is not None,
-                               _active(damping))
+def _triplets(jc, damping, structure):
+    """The Liouvillian on the positions of a `_structure` built for the
+    coupling of `jc` (None for off) and for `_active(damping)`, as (rows,
+    cols, values): the one place where the rates and g are multiplied in,
+    in one order whether the structure is kept or new, so that every value
+    has the same bits either way."""
     rows, cols, sums, roots, *products = structure
     diag, jumps = np.zeros(sums.shape[1]), []
-    for rate, number, product in zip(rates, sums, products):
+    for rate, number, product in zip(_rates(damping), sums, products):
         if rate > 0:
             diag -= rate * number
             jumps.append(2.0 * rate * product)
@@ -286,9 +276,8 @@ def liouvillian(jc, damping, truncation):
 
     with H' = g (a sigma_+ + a* sigma_-) and the jumps (rate, J) =
     (kappa (n_b + 1), a) and (kappa n_b, a*), from `_triplets` over every
-    position; the propagation builds the blocks it propagates from those of
-    their positions.  jc=None drops H', the field-only decay that
-    `branch_coherence_trajectory` runs from `_triplets` itself.
+    position, which no propagation builds.  jc=None drops H', the
+    field-only decay that `branch_coherence_trajectory` runs.
     """
     import scipy.sparse as sp
 
@@ -296,26 +285,24 @@ def liouvillian(jc, damping, truncation):
     _instance(damping, "damping", DampingParams)
     _count(truncation, "truncation", 0)
     size = 4 * (truncation + 1) ** 2
-    rows, cols, vals = _triplets(jc, damping, truncation, np.arange(size))
+    rows, cols, vals = _triplets(jc, damping, _structure(
+        truncation, np.arange(size), jc is not None, _active(damping)))
     return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
 
-def _block_labels(truncation):
-    """Coherence order k = m_i - m_j of |n_i, s_i><n_j, s_j| at each entry
-    of row-major vec(rho), with excitation number m = n + [s = +].  The
-    coupling and both dissipators conserve it, so the Liouvillian is
-    block-diagonal once vec(rho) is sorted by k.
-    """
-    s = np.arange(2 * (truncation + 1)) % 2
-    m = np.arange(2 * (truncation + 1)) // 2 + 1 - s
-    return (m[:, None] - m[None, :]).ravel()
+def _coherence_order(rows, cols):
+    """The coherence order k = m_i - m_j of |n_i, s_i><n_j, s_j| at each
+    row i = 2 n_i + s_i and col j, from (n, s): the excitation number
+    m = n + [s = +].  The coupling and both dissipators conserve it, so the
+    Liouvillian is block-diagonal once vec(rho) is sorted by k."""
+    return (rows // 2 - rows % 2) - (cols // 2 - cols % 2)
 
 
 def _block_positions(truncation, k):
     """The ascending vec(rho) positions of the block of coherence order
-    k >= 0, computed from (n, s) with no labels: row |n_i, s_i> meets the
-    states of excitation number m_i - k, |m_i - k - 1, +> and then
-    |m_i - k, ->, where they exist."""
+    k >= 0, computed from (n, s): row |n_i, s_i> meets the states of
+    excitation number m_i - k, |m_i - k - 1, +> and then |m_i - k, ->,
+    where they exist."""
     dim = 2 * (truncation + 1)
     every = np.arange(dim)
     plus = every - 3 * (every % 2) - 2 * k  # |m_i - k - 1, +>
@@ -341,7 +328,8 @@ def _step_groups(steps):
     index -1."""
     order = np.argsort(steps, kind="stable")
     ranked = steps[order]
-    new = np.r_[ranked[0] > 0, np.diff(ranked) > STEP_RTOL * ranked[1:]]
+    new = np.concatenate(([ranked[0] > 0],
+                          np.diff(ranked) > STEP_RTOL * ranked[1:]))
     index = np.empty(steps.size, dtype=int)
     index[order] = np.cumsum(new) - 1
     return ranked[new], index
@@ -378,51 +366,42 @@ def _advance(props, v, step_index):
 
 
 @_kept
-def _closure_layout(truncation):
-    """The rate-free layout of `_Closure`: the positions of the k = 0 block,
-    the upper ones and their twins, which of those are pairs, the column of
-    x that each position belongs to, and the atom phases."""
+def _closure_plan(truncation, active):
+    """The rate-free plan of `_Closure` with the jumps that `active` marks:
+    the positions of the k = 0 block, the upper ones and their twins, which
+    of those are pairs, the column of x that each position belongs to, the
+    atom phases, the block's `_structure`, and its fold into G_s and G_a.
+    The fold of each holds the triplets that land there, their flat index
+    there and the factor that rotates each into the atom-phase frame (see
+    `_atom_phases`) with its sign: a row of an upper position (of a pair's,
+    for G_a) adds into the column of x (of y) that its col belongs to, for
+    G_a minus where the col is a twin."""
     dim = 2 * (truncation + 1)
     positions = _block_positions(truncation, 0)
     i, j = np.divmod(positions, dim)
     upper = (i <= j).nonzero()[0]
     twin = np.searchsorted(positions, j[upper] * dim + i[upper])
+    pair = upper != twin
     column = np.empty(positions.size, dtype=int)
     column[twin] = column[upper] = np.arange(upper.size)
-    return (positions, upper, twin, upper != twin, column,
-            _atom_phases(positions, truncation))
-
-
-@_kept
-def _closure_structure(truncation, active):
-    """The `_structure` of the coupled k = 0 block with the jumps that
-    `active` marks."""
-    return _structure(truncation, _closure_layout(truncation)[0], True,
-                      active)
-
-
-@_kept
-def _closure_fold(truncation, active, part):
-    """The triplets of the k = 0 block that land in G_s (part 0) or G_a
-    (part 1), their flat index there and the factor that rotates each into
-    the atom-phase frame (see `_atom_phases`) with its sign: a row of an
-    upper position (of a pair's, for G_a) adds into the column of x (of y)
-    that its col belongs to, for G_a minus where the col is a twin."""
-    positions, upper, twin, pair, column, phase = _closure_layout(truncation)
-    rows, cols = _closure_structure(truncation, active)[:2]
+    phase = _atom_phases(positions, truncation)
+    structure = _structure(truncation, positions, True, active)
+    rows, cols = structure[:2]
     size = positions.size
-    row, col, sign = np.full(size, -1), column, np.ones(size)
-    lead = upper
-    if part:
-        lead, twin = upper[pair], twin[pair]
-        col, sign = np.full(size, -1), np.zeros(size)
-        col[lead] = col[twin] = np.arange(lead.size)
-        sign[lead], sign[twin] = 1.0, -1.0
-    row[lead] = np.arange(lead.size)
-    at = ((row[rows] >= 0) & (col[cols] >= 0)).nonzero()[0]
-    rows, cols = rows[at], cols[at]
-    return (at, row[rows] * lead.size + col[cols],
-            phase[rows] * phase[cols].conj() * sign[cols])
+    y_lead, y_twin = upper[pair], twin[pair]
+    y_col, y_sign = np.full(size, -1), np.zeros(size)
+    y_col[y_lead] = y_col[y_twin] = np.arange(y_lead.size)
+    y_sign[y_lead], y_sign[y_twin] = 1.0, -1.0
+    folds = []
+    for lead, col, sign in ((upper, column, np.ones(size)),
+                            (y_lead, y_col, y_sign)):
+        row = np.full(size, -1)
+        row[lead] = np.arange(lead.size)
+        at = ((row[rows] >= 0) & (col[cols] >= 0)).nonzero()[0]
+        into, of = rows[at], cols[at]
+        folds.append((at, row[into] * lead.size + col[of],
+                      phase[into] * phase[of].conj() * sign[of]))
+    return (positions, upper, twin, pair, column, phase, structure, *folds)
 
 
 class _Closure:
@@ -444,21 +423,17 @@ class _Closure:
     real, as it is folded, and each is kept with one expm per distinct step
     length, for every run on the engine.
 
-    Only the rates, the block's values and the expm are built per engine.
-    The layout (`positions`, `upper`, `twin`, `pair`, `column`, `phase`) is
-    kept per truncation (`_closure_layout`), and the triplet structure
-    (`_closure_structure`) and the map of each triplet into G_s or G_a
-    (`_closure_fold`) per truncation and set of rates > 0; at N = 120 they
-    take about 22 kB, 60 kB and 58 kB (G_s).
+    Only the rates, the block's values and the expm are built per engine;
+    the rest, `positions` to `phase`, the structure and the fold, is the
+    plan kept per truncation and set of rates > 0 (`_closure_plan`).
     """
 
     def __init__(self, jc, damping, truncation):
         self.truncation = truncation
         (self.positions, self.upper, self.twin, self.pair, self.column,
-         self.phase) = _closure_layout(truncation)
-        self._active = _active(damping)
-        self._block = _triplets(jc, damping, truncation, self.positions,
-                                _closure_structure(truncation, self._active))
+         self.phase, structure, *self._folds) = _closure_plan(
+             truncation, _active(damping))
+        self._values = _triplets(jc, damping, structure)[2]
         self._generators = {}  # 0 for G_s, 1 for G_a
         self._props = {}  # (0 or 1, step length) -> expm
 
@@ -478,16 +453,15 @@ class _Closure:
     def _generator(self, part):
         """G_s (part 0) or G_a (part 1), folded from the block on first
         use: each entry is the sum of the (at most two) rotated triplets
-        that the kept fold map sends there.  A rotation by 1 or +/-i and a
+        that the plan's fold sends there.  A rotation by 1 or +/-i and a
         sign only move and negate floats, and a sum of two floats does not
         depend on their order, so these are the floats of the dense fold
         of the rotated block."""
         if part not in self._generators:
-            at, target, factor = _closure_fold(self.truncation, self._active,
-                                               part)
+            at, target, factor = self._folds[part]
             size = np.count_nonzero(self.pair) if part else self.upper.size
             self._generators[part] = np.bincount(
-                target, (self._block[2][at] * factor).real,
+                target, (self._values[at] * factor).real,
                 size * size).reshape(size, size)
         return self._generators[part]
 
@@ -562,7 +536,7 @@ class Trajectory(Sequence):
         """The ascending vec(rho) positions of the block of coherence order
         k > 0 and its (samples, size) entries, None where rho0 leaves it
         empty, propagated on first use and stored.  The block is built
-        alone, by one `_triplets` call, and is real in the atom-phase frame,
+        alone, from its `_structure`, and is real in the atom-phase frame,
         so its real and imaginary parts run as two columns, with one expm
         per distinct step; it logs its size and expm builds at DEBUG."""
         if k not in self._blocks:
@@ -573,7 +547,8 @@ class Trajectory(Sequence):
             v = v0[positions] * phase
             values = None
             if v.any():
-                rows, cols, vals = _triplets(jc, damping, trunc, positions)
+                rows, cols, vals = _triplets(jc, damping, _structure(
+                    trunc, positions, True, _active(damping)))
                 gen = np.zeros((positions.size,) * 2)
                 gen[rows, cols] = (vals * phase[rows]
                                    * phase[cols].conj()).real
@@ -613,8 +588,8 @@ class Trajectory(Sequence):
     @functools.cached_property
     def _lower(self):
         """Where the coherence order k < 0, as a (2 N + 2)^2 mask."""
-        dim = 2 * (self.truncation + 1)
-        return (_block_labels(self.truncation) < 0).reshape(dim, dim)
+        every = np.arange(2 * (self.truncation + 1))
+        return _coherence_order(every[:, None], every) < 0
 
     def entries(self, rows, cols):
         """rho_(rows, cols) of every sample, with shape (times.size,) + the
@@ -642,7 +617,7 @@ class Trajectory(Sequence):
         else:
             out = np.zeros((self.times.size, pos.size), dtype=complex)
             out[:, here] = k0.read(self._x, self._y, local[here])
-            k = _block_labels(self.truncation)[pos]
+            k = _coherence_order(rows, cols)
             lower = k < 0
             pos[lower] = (cols * dim + rows)[lower]
             for order in np.unique(np.abs(k[~here])).tolist():
@@ -672,7 +647,7 @@ def integrate_trajectory(rho0, jc, damping, times):
     _instance(jc, "jc", JCParams)
     _instance(damping, "damping", DampingParams)
     times = _check_times(times, rho0.time)
-    steps = _step_groups(np.diff(np.r_[rho0.time, times]))
+    steps = _step_groups(np.diff(times, prepend=rho0.time))
     closure = _Closure(jc, damping, rho0.truncation)
     v0 = rho0.matrix.reshape(-1)
     x0, y0 = closure.start(v0)
@@ -815,8 +790,8 @@ def w_equation_residuals(window, jc, damping):
 
     n = np.arange(trunc)
     plus, minus = 1 + 2 * n, 2 + 2 * n  # columns of psi_n^+ and psi_n^-
-    rows = np.r_[plus, minus, 0, plus]
-    cols = np.r_[plus, minus, 0, minus]
+    rows = np.concatenate([plus, minus, [0], plus])
+    cols = np.concatenate([plus, minus, [0], minus])
     worst = w_norm = 0.0
     for i in range(2, times.size - 2):
         w_norm = max(w_norm, np.abs(w[i]).max())
@@ -840,39 +815,29 @@ def w_equation_residuals(window, jc, damping):
 # ---------------------------------------------------------------------------
 
 @_kept
-def _upper_triangle(size):
-    """The rows and columns of the upper triangle of a size x size
-    matrix, row by row."""
-    return np.triu_indices(size)
-
-
-@_kept
-def _field_layout(size, filled):
-    """The rate-free layout of the field-only run over the ascending filled
-    diagonals d (a tuple): of each of their entries (n, n + d), its index
-    into the upper triangle, its row n, its diagonal, its vec(rho) position
-    (2 n, 2 (n + d)), where its row starts in the zero-padded (diagonal,
-    n, n') stack of generators, and whether d is odd; then each diagonal's
-    factors on the real and the imaginary sum, and the partner n + d of each
-    n (N + 1, a zero probe, past the end)."""
-    n, m = _upper_triangle(size)
+def _field_plan(size, filled, active):
+    """The rate-free plan of the field-only run over the ascending filled
+    diagonals d (a tuple) with the jumps that `active` marks: of each of
+    their entries (n, n + d), its index into the upper triangle (row by
+    row), its row n, its diagonal and whether d is odd; each diagonal's
+    factors on the real and the imaginary sum; the partner n + d of each n
+    (N + 1, a zero probe, past the end); the `_structure` of the entries'
+    vec(rho) positions (2 n, 2 (n + d)) with the coupling off; and where
+    each triplet lands in the zero-padded (diagonal, n, n') stack of
+    generators."""
+    n, m = np.triu_indices(size)
     filled = np.array(filled)
     keep = np.flatnonzero(np.isin(m - n, filled))
     n, m = n[keep], m[keep]
     at = np.searchsorted(filled, m - n)
     odd = filled % 2
-    parity = np.c_[(1 - odd) * np.where(filled > 0, 2.0, 1.0), -2.0 * odd]
-    return (keep, n, at, 4 * size * n + 2 * m, (at * size + n) * size,
-            odd[at] == 1, parity,
-            np.minimum(np.arange(size) + filled[:, None], size))
-
-
-@_kept
-def _field_structure(size, filled, active):
-    """The `_structure` of the field-only run over the filled diagonals
-    (see `_field_layout`), with the coupling off and the jumps that
-    `active` marks."""
-    return _structure(size - 1, _field_layout(size, filled)[3], False, active)
+    parity = np.column_stack([(1 - odd) * np.where(filled > 0, 2.0, 1.0),
+                              -2.0 * odd])
+    structure = _structure(size - 1, 4 * size * n + 2 * m, False, active)
+    rows, cols = structure[:2]
+    return (keep, n, at, odd[at] == 1, parity,
+            np.minimum(np.arange(size) + filled[:, None], size), structure,
+            (at[rows] * size + n[rows]) * size + n[cols])
 
 
 def branch_coherence_trajectory(spec, damping, times, truncation):
@@ -897,29 +862,24 @@ def branch_coherence_trajectory(spec, damping, times, truncation):
     drift raises beyond 10*DEFAULT_TOL.  The INFO log names the truncation,
     the diagonals' sizes and the expm builds.
 
-    The layout of the filled diagonals (`_field_layout`) is kept per
-    truncation and set of filled diagonals, and their triplet structure
-    (`_field_structure`) per those and set of rates > 0; at N = 120 with
-    every diagonal filled they take about 0.42 MB and 0.58 MB.
+    The rate-free part of the run is its plan, kept per truncation, set of
+    filled diagonals and set of rates > 0 (`_field_plan`).
     """
     _instance(spec, "spec", CatSpec)
     _instance(damping, "damping", DampingParams)
     size = _count(truncation, "truncation", 1) + 1
     times = _check_times(times, 0.0)
     amp = cat_state_vector(spec, truncation)
-    n, m = _upper_triangle(size)
+    n, m = np.triu_indices(size)
     start = amp[n] * amp[m].conj()
     filled = tuple(np.unique((m - n)[start != 0]).tolist())  # d = 0 first
-    keep, n, at, positions, base, odd, parity, pair = _field_layout(size,
-                                                                    filled)
-    rows, cols, vals = _triplets(
-        None, damping, truncation, positions,
-        _field_structure(size, filled, _active(damping)))
+    keep, n, at, odd, parity, pair, structure, target = _field_plan(
+        size, filled, _active(damping))
     gen = np.zeros((len(filled), size, size))
-    gen.reshape(-1)[base[rows] + n[cols]] = vals
+    gen.reshape(-1)[target] = _triplets(None, damping, structure)[2]
     v = np.zeros((len(filled), size, 1))
     v[at, n, 0] = np.where(odd, start.imag[keep], start.real[keep])
-    levels, step_index = _step_groups(np.diff(np.r_[0.0, times]))
+    levels, step_index = _step_groups(np.diff(times, prepend=0.0))
     sizes = [size - d for d in filled]
     _LOG.info("oracle: truncation %d, field diagonal sizes %s, expm builds "
               "%d of sizes %s", truncation, sizes, levels.size * len(sizes),

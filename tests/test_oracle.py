@@ -237,6 +237,12 @@ def _expm_inputs(monkeypatch):
     return given
 
 
+def _triplets(jc, damping, trunc, positions):
+    """`oracle._triplets` on a structure built anew for `positions`."""
+    return oracle._triplets(jc, damping, oracle._structure(
+        trunc, positions, jc is not None, oracle._active(damping)))
+
+
 def _expm_sizes(monkeypatch):
     """A list that gains the size of each matrix given to expm."""
     sizes = []
@@ -261,7 +267,7 @@ def test_trajectory_propagates_each_block_when_first_read(monkeypatch):
     # leaves empty builds no expm and reads as exact zeros
     rho0, jc, damping, times = _benchmark_cat()
     trunc = rho0.truncation
-    label = oracle._block_labels(trunc)
+    label = block_labels(trunc, jc)
     starts = {32: rho0,
               16: oracle.build_initial_state(CatSpec(intensity=4.0), trunc),
               0: oracle.build_initial_state(coherent_distribution(4.0, trunc),
@@ -308,7 +314,7 @@ def test_read_order_keeps_every_bit():
     rho0, jc, damping, times = _benchmark_cat()
     expected = dense_trajectory(rho0, jc, damping, times)
     every = np.arange(2 * (rho0.truncation + 1))
-    label = oracle._block_labels(rho0.truncation).reshape(every.size, -1)
+    label = block_labels(rho0.truncation, jc).reshape(every.size, -1)
     first = oracle.integrate_trajectory(rho0, jc, damping, times)
     entry_first = first.entries(6, 0)
     samples_first = [rho.matrix for rho in first]
@@ -619,7 +625,7 @@ def test_off_hermitian_k0_start_comes_back_hermitian():
     m = np.array(_imaginary_k0_start(trunc).matrix)
     m[6, 9] += 1e-12 * (1.0 + 1.0j)
     m[2, 2] += 1e-12j
-    label = oracle._block_labels(trunc)
+    label = block_labels(trunc, jc)
     rows, cols = np.divmod(np.flatnonzero(label == 0), 2 * (trunc + 1))
     assert rows.size == 4 * trunc + 2
     got = []
@@ -640,10 +646,11 @@ def test_one_builder_call_per_block_build(monkeypatch):
     # coupled run builds its k = 0 block alone, a k = 3 read then the k = 3
     # block alone, and a joint its k = 0 block, once for both passages
     trunc = 32
-    calls = []  # the number of positions given to each builder call
+    calls = []  # the number of positions of each builder call's structure
     triplets = oracle._triplets
+    # with both jumps on, every position has a non-zero diagonal sum
     monkeypatch.setattr(oracle, "_triplets", lambda *args: calls.append(
-        args[3].size) or triplets(*args))
+        args[2][2].shape[1]) or triplets(*args))
     preset = PRESETS["benson97"]
     damping = DampingParams(kappa=preset.kappa, n_thermal=0.1)
     spec = CatSpec(intensity=4.0, phase=1.1)
@@ -661,7 +668,7 @@ def test_one_builder_call_per_block_build(monkeypatch):
     assert calls == [4 * trunc + 2]
     calls.clear()
     traj.entries(6, 0)
-    assert calls == [np.count_nonzero(oracle._block_labels(trunc) == 3)]
+    assert calls == [np.count_nonzero(block_labels(trunc, jc) == 3)]
     calls.clear()
     oracle.joint_probability_oracle(rho0, jc, damping, 5.0 / jc.g,
                                     12.0 / jc.g, "-", "+")
@@ -677,12 +684,12 @@ _KEPT_RUNS = [(True, 0.4, 0.0), (True, 0.4, 0.13), (True, 0.4, 0.0),
 
 
 def test_kept_structure_keeps_every_bit(monkeypatch):
-    # the rate-free structure that the oracle keeps between calls is keyed
-    # on more than the truncation: in every run of the sequence, the
-    # triplets equal a build with no kept structure and the reference's
+    # the rate-free plan that each oracle engine keeps between calls is
+    # keyed on more than the truncation: in every run of the sequence, the
+    # triplets equal a build from a new structure and the reference's
     # block, bit for bit and in dtype, and so does every generator given to
-    # expm; kappa n_b = 0 takes the structure of n_b = 0, and whatever is
-    # kept is read-only and handed out again, not rebuilt
+    # expm; kappa n_b = 0 takes the plan of n_b = 0, and whatever is kept
+    # is read-only and handed out again, not rebuilt
     trunc = 12
     jc = JCParams(g=3.0)
     spec = CatSpec(intensity=1.0, phase=1.1)
@@ -692,6 +699,8 @@ def test_kept_structure_keeps_every_bit(monkeypatch):
     labels = block_labels(trunc, jc), block_labels(trunc, None)
     k0 = np.flatnonzero(labels[0] == 0)
     closure = hermitian_closure(k0, 2 * (trunc + 1))
+    n, m = np.triu_indices(trunc + 1)
+    field = 4 * (trunc + 1) * n + 2 * m  # (2 n, 2 m) on every diagonal
     calls = []
     triplets = oracle._triplets
     monkeypatch.setattr(oracle, "_triplets", lambda *args: calls.append(
@@ -708,17 +717,16 @@ def test_kept_structure_keeps_every_bit(monkeypatch):
             oracle.branch_coherence_trajectory(spec, damping, [0.0, step],
                                                trunc)
         (args, got), = calls
-        assert len(args) == 5  # the kept structure, passed in
-        fresh = triplets(*args[:4])
+        assert not any(a.flags.writeable for a in args[2])  # a kept plan's
+        positions = k0 if coupled else field
+        fresh = _triplets(args[0], damping, trunc, positions)
         for a, b in zip(got, fresh):
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert not got[0].flags.writeable and not got[1].flags.writeable
         rows, cols, vals = got
-        coo = liouvillian_reference(jc if coupled else None, damping,
-                                    trunc).tocoo()
-        dense = np.zeros((args[3].size,) * 2, dtype=vals.dtype)
+        coo = liouvillian_reference(args[0], damping, trunc).tocoo()
+        dense = np.zeros((positions.size,) * 2, dtype=vals.dtype)
         dense[rows, cols] = vals
-        want = block_generator(coo, np.ones(phase.size), args[3])
+        want = block_generator(coo, np.ones(phase.size), positions)
         assert dense.dtype == want.dtype and np.array_equal(dense, want)
         assert np.count_nonzero(dense) == vals.size
         if coupled:
@@ -738,24 +746,23 @@ def test_kept_structure_keeps_every_bit(monkeypatch):
     for name in ("positions", "upper", "twin", "pair", "column", "phase"):
         assert not getattr(engine, name).flags.writeable
     size, filled = trunc + 1, tuple(range(trunc + 1))
-    for build, key in [(oracle._closure_layout, (trunc,)),
-                       (oracle._closure_structure, (trunc, (True, False))),
-                       (oracle._closure_fold, (trunc, (True, True), 0)),
-                       (oracle._closure_fold, (trunc, (True, True), 1)),
-                       (oracle._upper_triangle, (size,)),
-                       (oracle._field_layout, (size, filled)),
-                       (oracle._field_structure, (size, filled, (True, True)))]:
+    for build, key in [(oracle._closure_plan, (trunc, (True, False))),
+                       (oracle._closure_plan, (trunc, (True, True))),
+                       (oracle._field_plan, (size, filled, (True, False))),
+                       (oracle._field_plan, (size, filled, (True, True)))]:
         kept = build(*key)
         assert build(*key) is kept
-        assert all(not array.flags.writeable for array in kept)
+        assert not any(array.flags.writeable for item in kept for array in
+                       (item if isinstance(item, tuple) else [item]))
 
 
 def test_kept_structure_is_shared_across_threads():
     # eight threads run engines and field runs at three truncations and two
-    # sets of rates, six keys per builder against the four each keeps, so
-    # that they drop each other's structure all the time: every generator
-    # and coherence keeps the bits of a run in one thread
+    # sets of rates, six keys per plan against the four each keeps, so that
+    # they drop each other's plans all the time: every generator and
+    # coherence keeps the bits of a run in one thread
     cases = [(trunc, n_b) for trunc in (8, 10, 12) for n_b in (0.0, 0.13)]
+    assert len(cases) > oracle._KEPT_KEYS
     spec = CatSpec(intensity=0.3, phase=1.1)
 
     def run(trunc, n_b):
@@ -809,33 +816,35 @@ def test_liouvillian_triplets_never_repeat_an_entry(jc, damping):
         n, m = np.triu_indices(trunc + 1)
         part = 2 * dim * n + 2 * m
     else:
-        part = np.flatnonzero(oracle._block_labels(trunc) == 1)
+        part = np.flatnonzero(block_labels(trunc, jc) == 1)
     for positions in (every, part):
-        rows, cols, vals = oracle._triplets(jc, damping, trunc, positions)
+        rows, cols, vals = _triplets(jc, damping, trunc, positions)
         pairs = rows * positions.size + cols
         assert np.unique(pairs).size == pairs.size
         assert np.count_nonzero(vals) == vals.size
     lind = oracle.liouvillian(jc, damping, trunc)
-    assert lind.nnz == oracle._triplets(jc, damping, trunc, every)[2].size
+    assert lind.nnz == _triplets(jc, damping, trunc, every)[2].size
 
 
 def test_liouvillian_is_block_diagonal_in_coherence_order():
-    # the library's labels are k, as the reference's with the coupling on;
-    # with it off the reference's are (k, s_i, s_j)
+    # the library computes the coherence order k of every position from
+    # (n, s), as the reference's labels with the coupling on; with it off
+    # the reference's are (k, s_i, s_j).  The engine computes the positions
+    # of the k = 0 block from (n, s), and the cold path those of every k > 0
     trunc = 5
-    k = oracle._block_labels(trunc)
-    assert np.array_equal(k, block_labels(trunc, JCParams(g=3.0)))
     damping = DampingParams(kappa=0.4, n_thermal=0.3)
-    # the engine computes the positions of the k = 0 block without labels,
-    # and the cold path those of every k > 0
     for n in (1, 4, trunc, 32):
+        every = np.arange(2 * (n + 1))
+        order = oracle._coherence_order(every[:, None], every).ravel()
+        assert np.array_equal(order, block_labels(n, JCParams(g=3.0)))
         assert np.array_equal(
             oracle._Closure(JCParams(g=3.0), damping, n).positions,
-            np.flatnonzero(oracle._block_labels(n) == 0))
-        for order in range(n + 2):
+            np.flatnonzero(block_labels(n, JCParams(g=3.0)) == 0))
+        for k in range(n + 2):
             assert np.array_equal(
-                oracle._block_positions(n, order),
-                np.flatnonzero(oracle._block_labels(n) == order))
+                oracle._block_positions(n, k),
+                np.flatnonzero(block_labels(n, JCParams(g=3.0)) == k))
+    k = block_labels(trunc, JCParams(g=3.0))
     for jc in (JCParams(g=3.0), None):
         lind = oracle.liouvillian(jc, damping, trunc)
         label = block_labels(trunc, jc)
@@ -1291,7 +1300,7 @@ def test_joint_probability_oracle_matches_full_blocks(caplog):
     damping = DampingParams(kappa=2500.0, n_thermal=0.1)
     rho0 = oracle.build_initial_state(CatSpec(intensity=2.0, phase=1.1), trunc)
     t_a, t_b = 5.0 / jc.g, 12.0 / jc.g
-    off_k0 = oracle._block_labels(trunc) != 0
+    off_k0 = block_labels(trunc, jc) != 0
     caplog.set_level(logging.INFO, logger="catcavity")
     for s1 in "+-":
         for s2 in "+-":

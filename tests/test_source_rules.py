@@ -13,6 +13,8 @@
 - No dead helper in tests/references.py: each of its top-level functions
   is read by a test module, or by another top-level statement of
   references.py.
+- No `np.r_` or `np.c_` in src: each costs several times the
+  `np.concatenate` or `np.column_stack` it stands for.
 
 Each failure names its `file:line`, relative to the repository root.
 """
@@ -177,4 +179,15 @@ def test_every_reference_helper_is_read_by_a_test():
                 for node in helpers
                 if not any(node.name in names for top, names in reads
                            if top is not node)]
+    assert not failures, "\n".join(failures)
+
+
+def test_no_index_trick_concatenation_in_src():
+    failures = [f"{path}:{node.lineno}: np.{node.attr}"
+                for path, (_, tree) in _parsed().items()
+                if path.parts[0] == "src" for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr in ("r_", "c_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")]
     assert not failures, "\n".join(failures)
