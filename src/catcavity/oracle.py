@@ -26,13 +26,12 @@ imaginary, antisymmetric part evolve apart (Puri & Agarwal, PRA 33, 3610,
 1986), on the 3 N + 2 positions with i <= j and the N with i < j, the second
 only when the start has an imaginary part, which no cat or photon
 distribution has.  One engine, `_Closure`, builds that block from its
-positions alone and propagates the closure: `integrate_trajectory` stores
+positions alone and propagates the closure: `integrate_trajectory` keeps
 its samples in the `Trajectory`, and `joint_probability_oracle` runs both
-passages on it.  The blocks of k != 0 are the cold path of `traj[i]`,
-iteration and `Trajectory.entries` off k = 0: `Trajectory._block` builds
-and propagates each block of k > 0 alone when such a read first touches
-it.  The decoherence surrogate `branch_coherence_trajectory` runs the
-uncoupled field alone, one real block per filled diagonal.
+passages on it.  A read off k = 0 propagates each block of k > 0 that it
+touches anew (`Trajectory._block`).  The decoherence surrogate
+`branch_coherence_trajectory` runs the uncoupled field alone, one real
+block per filled diagonal.
 
 A block's rates and g are the only part of it that a run's parameters
 change.  The rest is one kept plan per engine: `_closure_plan` (the k = 0
@@ -50,7 +49,6 @@ at most 0.15 MB and a field plan with every diagonal filled 1.1 MB, about
 import functools
 import logging
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +129,7 @@ def coherent_state_vector(intensity, truncation):
 
 def cat_state_vector(spec, truncation):
     """Fock amplitudes of the normalized cat |z; phi>, coherences included."""
+    _instance(spec, "spec", CatSpec)
     spec.refuse_degenerate()
     base = coherent_state_vector(spec.intensity, truncation)
     signs = (-1.0) ** np.arange(truncation + 1)
@@ -508,20 +507,18 @@ class _Closure:
         return np.take(rotated * self.phase.conj(), local, axis=1)
 
 
-class Trajectory(Sequence):
-    """The samples of one oracle run, as a read-only sequence; what
-    `integrate_trajectory` returns.
+class Trajectory:
+    """The samples of one oracle run; what `integrate_trajectory` returns.
 
-    It holds the k = 0 closure x (and y) of every sample, and reads any
-    rho_ij through `entries`: a k = 0 entry from the closure, any other
-    from the block of coherence order |k| > 0.  Those blocks are the cold
-    path, for `traj[i]`, iteration and `entries` off k = 0 alone: `_block`
-    propagates each from `rho0.matrix`, which the trajectory keeps by
-    reference, when a read first touches it.  Every library reader reads
-    k = 0 entries and counts the samples with `times.size`.  `traj[i]`,
-    iteration and `len(traj)` (the `Sequence` protocol) build dense
-    DensityMatrix samples that nothing keeps, for the oracle check of
-    `benchmarks/workloads.py` alone.
+    It keeps the k = 0 closure x (and y) of every sample and nothing else,
+    and reads every rho_ij through `entries`: a k = 0 entry from the
+    closure, any other from its block of coherence order |k| > 0, which
+    `_block` propagates anew from `rho0.matrix`, kept by reference, for
+    each read that touches it.  Every library reader reads k = 0 entries
+    and counts the samples with `times.size`.  Iteration and `traj[i]` (an
+    int or a slice) read every entry of every sample with one `entries`
+    call and build DensityMatrix samples that nothing keeps, for the oracle
+    check of `benchmarks/workloads.py` alone.
     """
 
     def __init__(self, times, closure, x, y, start):
@@ -529,67 +526,53 @@ class Trajectory(Sequence):
         self.truncation = closure.truncation
         self._closure, self._x, self._y = closure, x, y
         self._start = start  # (jc, damping, v0, levels, step_index)
-        self._blocks = {}  # k -> (positions, values or None)
         times.flags.writeable = False
 
     def _block(self, k):
         """The ascending vec(rho) positions of the block of coherence order
         k > 0 and its (samples, size) entries, None where rho0 leaves it
-        empty, propagated on first use and stored.  The block is built
-        alone, from its `_structure`, and is real in the atom-phase frame,
-        so its real and imaginary parts run as two columns, with one expm
-        per distinct step; it logs its size and expm builds at DEBUG."""
-        if k not in self._blocks:
-            jc, damping, v0, levels, step_index = self._start
-            trunc = self.truncation
-            positions = _block_positions(trunc, k)
-            phase = _atom_phases(positions, trunc)
-            v = v0[positions] * phase
-            values = None
-            if v.any():
-                rows, cols, vals = _triplets(jc, damping, _structure(
-                    trunc, positions, True, _active(damping)))
-                gen = np.zeros((positions.size,) * 2)
-                gen[rows, cols] = (vals * phase[rows]
-                                   * phase[cols].conj()).real
-                block = _advance([expm(level * gen) for level in levels],
-                                 v.view(float).reshape(-1, 2), step_index)
-                values = (block.view(complex).reshape(step_index.size, -1)
-                          * phase.conj())
-                values.flags.writeable = False
-                _LOG.debug("oracle: truncation %d, propagated block sizes %s, "
-                           "expm builds %d of sizes %s", trunc,
-                           [positions.size], levels.size,
-                           [positions.size] * levels.size)
-            self._blocks[k] = positions, values
-        return self._blocks[k]
+        empty, propagated anew at each call.  The block is built alone,
+        from its `_structure`, and is real in the atom-phase frame, so its
+        real and imaginary parts run as two columns, with one expm per
+        distinct step; it logs its size and expm builds at DEBUG."""
+        jc, damping, v0, levels, step_index = self._start
+        trunc = self.truncation
+        positions = _block_positions(trunc, k)
+        phase = _atom_phases(positions, trunc)
+        v = v0[positions] * phase
+        if not v.any():
+            return positions, None
+        rows, cols, vals = _triplets(jc, damping, _structure(
+            trunc, positions, True, _active(damping)))
+        gen = np.zeros((positions.size,) * 2)
+        gen[rows, cols] = (vals * phase[rows] * phase[cols].conj()).real
+        block = _advance([expm(level * gen) for level in levels],
+                         v.view(float).reshape(-1, 2), step_index)
+        _LOG.debug("oracle: truncation %d, propagated block sizes %s, expm "
+                   "builds %d of sizes %s", trunc, [positions.size],
+                   levels.size, [positions.size] * levels.size)
+        return positions, (block.view(complex).reshape(step_index.size, -1)
+                           * phase.conj())
 
     def __len__(self):
         return self.times.size
 
+    def __iter__(self):
+        return self._samples(slice(None))
+
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
+            return list(self._samples(i))
         i = range(len(self))[i]
-        dim = 2 * (self.truncation + 1)
-        m = np.zeros(dim * dim, dtype=complex)
-        for k in range(1, self.truncation + 2):
-            positions, values = self._block(k)
-            if values is not None:
-                m[positions] = values[i]
-        k0 = self._closure
-        m[k0.positions] = k0.read(
-            self._x[i:i + 1], None if self._y is None else self._y[i:i + 1],
-            np.arange(k0.positions.size))[0]
-        m = m.reshape(dim, dim)
-        m[self._lower] = m.T.conj()[self._lower]
-        return DensityMatrix(matrix=m, time=float(self.times[i]))
+        return next(self._samples(slice(i, i + 1)))
 
-    @functools.cached_property
-    def _lower(self):
-        """Where the coherence order k < 0, as a (2 N + 2)^2 mask."""
+    def _samples(self, picked):
+        """The DensityMatrix of each sample of the slice `picked`, each
+        built when it is reached, from one `entries` read of every entry of
+        every sample."""
         every = np.arange(2 * (self.truncation + 1))
-        return _coherence_order(every[:, None], every) < 0
+        matrices = self.entries(every[:, None], every)[picked]
+        return map(DensityMatrix, matrices, self.times[picked].tolist())
 
     def entries(self, rows, cols):
         """rho_(rows, cols) of every sample, with shape (times.size,) + the
@@ -607,26 +590,19 @@ class Trajectory(Sequence):
             raise IndexError(f"entries lie outside the {dim} x {dim} matrix")
         shape = rows.shape
         rows, cols = rows.astype(int).ravel(), cols.astype(int).ravel()
-        pos = rows * dim + cols
+        k = _coherence_order(rows, cols)
+        lower, here = k < 0, k == 0
+        pos = np.where(lower, cols * dim + rows, rows * dim + cols)
         k0 = self._closure
-        local = np.minimum(np.searchsorted(k0.positions, pos),
-                           k0.positions.size - 1)
-        here = k0.positions[local] == pos
-        if here.all():
-            out = k0.read(self._x, self._y, local)
-        else:
-            out = np.zeros((self.times.size, pos.size), dtype=complex)
-            out[:, here] = k0.read(self._x, self._y, local[here])
-            k = _coherence_order(rows, cols)
-            lower = k < 0
-            pos[lower] = (cols * dim + rows)[lower]
-            for order in np.unique(np.abs(k[~here])).tolist():
-                positions, values = self._block(order)
-                if values is not None:
-                    at = np.flatnonzero(np.abs(k) == order)
-                    out[:, at] = values[:, np.searchsorted(positions,
-                                                           pos[at])]
-            out[:, lower] = out[:, lower].conj()
+        out = np.zeros((self.times.size, pos.size), dtype=complex)
+        out[:, here] = k0.read(self._x, self._y,
+                               np.searchsorted(k0.positions, pos[here]))
+        for order in np.unique(np.abs(k[~here])).tolist():
+            positions, values = self._block(order)
+            if values is not None:
+                at = np.flatnonzero(np.abs(k) == order)
+                out[:, at] = values[:, np.searchsorted(positions, pos[at])]
+        out[:, lower] = out[:, lower].conj()
         return out.reshape((self.times.size,) + shape)
 
 
@@ -636,12 +612,11 @@ def integrate_trajectory(rho0, jc, damping, times):
     Hermitian closure (see `_Closure`), which holds every population, so a
     reader of k = 0 entries (populations, P_+, F_n) pays for that block
     alone, whatever the initial state; the trace drift (see `_check_drift`)
-    is read from it.  Every other block that rho0 fills, of k > 0 (k < 0
-    read as the conjugate transpose), is built and propagated alone when a
-    read of the trajectory first touches it (see `Trajectory._block`).
-    The INFO log names the size of the k = 0 block, the number of expm
-    builds and the size of each matrix exponentiated (3 N + 2 for the real
-    parts); each block propagated later logs one line at DEBUG.
+    is read from it.  A read of any other entry propagates its block then
+    (see `Trajectory`).  The INFO log names the size of the k = 0 block,
+    the number of expm builds and the size of each matrix exponentiated
+    (3 N + 2 for the real parts); each block propagated later logs one line
+    at DEBUG.
     """
     _instance(rho0, "rho0", DensityMatrix)
     _instance(jc, "jc", JCParams)
@@ -818,24 +793,23 @@ def w_equation_residuals(window, jc, damping):
 def _field_plan(size, filled, active):
     """The rate-free plan of the field-only run over the ascending filled
     diagonals d (a tuple) with the jumps that `active` marks: of each of
-    their entries (n, n + d), its index into the upper triangle (row by
-    row), its row n, its diagonal and whether d is odd; each diagonal's
-    factors on the real and the imaginary sum; the partner n + d of each n
-    (N + 1, a zero probe, past the end); the `_structure` of the entries'
-    vec(rho) positions (2 n, 2 (n + d)) with the coupling off; and where
-    each triplet lands in the zero-padded (diagonal, n, n') stack of
-    generators."""
+    their entries (n, n + d), row by row, its row n, its column n + d, its
+    diagonal and whether d is odd; each diagonal's factors on the real and
+    the imaginary sum; the partner n + d of each n (N + 1, a zero probe,
+    past the end); the `_structure` of the entries' vec(rho) positions
+    (2 n, 2 (n + d)) with the coupling off; and where each triplet lands in
+    the zero-padded (diagonal, n, n') stack of generators."""
     n, m = np.triu_indices(size)
     filled = np.array(filled)
-    keep = np.flatnonzero(np.isin(m - n, filled))
-    n, m = n[keep], m[keep]
+    on = np.isin(m - n, filled)
+    n, m = n[on], m[on]
     at = np.searchsorted(filled, m - n)
     odd = filled % 2
     parity = np.column_stack([(1 - odd) * np.where(filled > 0, 2.0, 1.0),
                               -2.0 * odd])
     structure = _structure(size - 1, 4 * size * n + 2 * m, False, active)
     rows, cols = structure[:2]
-    return (keep, n, at, odd[at] == 1, parity,
+    return (n, m, at, odd[at] == 1, parity,
             np.minimum(np.arange(size) + filled[:, None], size), structure,
             (at[rows] * size + n[rows]) * size + n[cols])
 
@@ -849,10 +823,12 @@ def branch_coherence_trajectory(spec, damping, times, truncation):
     With the coupling off the atom stays in |+><+|, so the field runs alone
     on `_triplets` without the coupling at the "+" positions (2 n, 2 m).
     Each diagonal d = m - n >= 0, the entries (n, n + d), is a real block,
-    propagated only when the cat fills it (an even cat fills even d), with
-    one expm per distinct step, built at the step's first use and dropped
-    after its last; each step's products run over the diagonals stacked and
-    zero-padded.  With real probes w, diagonal d adds
+    propagated only when the cat fills it, that is when the amplitudes at n
+    and n + d are non-zero for some n (an even cat fills even d), with one
+    expm per distinct step, built at the step's first use and dropped after
+    its last; each step's products run over the diagonals stacked and
+    zero-padded.  A filled diagonal whose every product of those amplitudes
+    underflows to 0 starts, and stays, at zeros.  With real probes w, diagonal d adds
     sum_n w_n w_(n+d) (-1)^n times rho_nn (d = 0), twice Re rho_(n,n+d)
     (even d) or -2i Im rho_(n,n+d) (odd d), so only that part of each
     diagonal is propagated.  The probes of all samples are computed in one
@@ -870,15 +846,16 @@ def branch_coherence_trajectory(spec, damping, times, truncation):
     size = _count(truncation, "truncation", 1) + 1
     times = _check_times(times, 0.0)
     amp = cat_state_vector(spec, truncation)
-    n, m = np.triu_indices(size)
-    start = amp[n] * amp[m].conj()
-    filled = tuple(np.unique((m - n)[start != 0]).tolist())  # d = 0 first
-    keep, n, at, odd, parity, pair, structure, target = _field_plan(
+    held = amp != 0
+    filled = tuple(np.flatnonzero(
+        np.correlate(held, held, "full")[size - 1:]).tolist())  # d = 0 first
+    n, m, at, odd, parity, pair, structure, target = _field_plan(
         size, filled, _active(damping))
     gen = np.zeros((len(filled), size, size))
     gen.reshape(-1)[target] = _triplets(None, damping, structure)[2]
+    start = amp[n] * amp[m].conj()
     v = np.zeros((len(filled), size, 1))
-    v[at, n, 0] = np.where(odd, start.imag[keep], start.real[keep])
+    v[at, n, 0] = np.where(odd, start.imag, start.real)
     levels, step_index = _step_groups(np.diff(times, prepend=0.0))
     sizes = [size - d for d in filled]
     _LOG.info("oracle: truncation %d, field diagonal sizes %s, expm builds "

@@ -238,6 +238,9 @@ def test_malformed_input_rejected(call, value, rule):
     (lambda: cat_distribution(2.0), "spec"),
     (lambda: cat_distribution(coherent_distribution(2.0, 32)), "spec"),
     (lambda: cat_mean_photons(3.0), "spec"),
+    (lambda: oracle.cat_state_vector(2.0, 32), "spec"),
+    (lambda: oracle.cat_state_vector(coherent_distribution(2.0, 32), 32),
+     "spec"),
     # entry indices: a bool is not index 0 or 1, nor a bool array a mask
     (lambda: WINDOW.entries(True, True), "rows and cols"),
     (lambda: WINDOW.entries(np.array([True, False]), 0), "rows and cols"),
@@ -258,7 +261,8 @@ def test_malformed_input_rejected(call, value, rule):
         "p_excited-configs-ints", "p_excited-configs-dict",
         "eta_correlation-configs-number", "resummed_p_excited-params",
         "cat_distribution-spec", "cat_distribution-spec-distribution",
-        "cat_mean_photons-spec", "entries-bool", "entries-bool-mask",
+        "cat_mean_photons-spec", "cat_state_vector-spec",
+        "cat_state_vector-spec-distribution", "entries-bool", "entries-bool-mask",
         "entries-float", "entries-float-cols"])
 def test_compound_input_of_wrong_type_rejected(call, field):
     with pytest.raises(TypeError, match=f"^{field} must be a "):

@@ -294,16 +294,42 @@ def test_trajectory_propagates_each_block_when_first_read(monkeypatch):
         built.clear()
         samples = np.array([rho.matrix.reshape(-1) for rho in traj])
         assert sorted(built) == sorted(np.count_nonzero(label == k)
-                                       for k in filled if k != 3)
+                                       for k in filled)
         empty = ~np.isin(np.abs(label), np.r_[0, filled])
         assert not samples[:, empty].any()
         assert entry.any() == (3 in filled)
-        # every block is stored: later reads propagate nothing
+        # nothing is kept beside the closure: a second read propagates its
+        # block again, with the same bits
         built.clear()
-        traj[0]
-        traj.entries(6, 0)
-        assert built == []
         reads.clear()
+        assert np.array_equal(traj.entries(6, 0), entry)
+        assert reads == [3]
+        assert built == ([np.count_nonzero(label == 3)] if 3 in filled
+                         else [])
+        reads.clear()
+
+
+def test_iteration_and_slices_read_each_block_once(monkeypatch):
+    # iteration reads every entry of every sample with one `entries` call,
+    # one `_block` call per order k = 1..N+1, and builds one DensityMatrix
+    # per sample; a slice reads once too, whatever its length
+    rho0, jc, damping, times = _benchmark_cat()
+    trunc = rho0.truncation
+    traj = oracle.integrate_trajectory(rho0, jc, damping, times)
+    reads = _block_reads(monkeypatch)
+    made = []
+    post_init = oracle.DensityMatrix.__post_init__
+    monkeypatch.setattr(oracle.DensityMatrix, "__post_init__",
+                        lambda rho: made.append(rho.time) or post_init(rho))
+    samples = [rho.matrix for rho in traj]
+    assert reads == list(range(1, trunc + 2))
+    assert made == list(times)
+    reads.clear()
+    made.clear()
+    tail = traj[1:]
+    assert reads == list(range(1, trunc + 2))
+    assert made == list(times[1:])
+    assert np.array_equal([rho.matrix for rho in tail], samples[1:])
 
 
 def test_read_order_keeps_every_bit():
@@ -1444,6 +1470,33 @@ def test_field_only_run_logs_its_diagonals(caplog, monkeypatch, phase, sizes):
     assert [r.getMessage() for r in caplog.records] == [
         f"oracle: truncation 8, field diagonal sizes {sizes}, expm builds "
         f"{3 * len(sizes)} of sizes {sizes * 3}"]
+
+
+def test_field_only_run_fills_diagonals_from_non_zero_amplitudes(caplog):
+    # a phase of two of the smallest subnormals leaves the odd amplitudes
+    # of this cat at zero or one subnormal: every product on an odd
+    # diagonal underflows to 0, yet each diagonal with non-zero amplitudes
+    # at both ends is filled and starts at those zeros, so the coherence
+    # is the even cat's up to rounding
+    trunc = 40
+    spec = CatSpec(intensity=12.0, phase=2 * np.nextafter(0.0, 1.0))
+    amp = oracle.cat_state_vector(spec, trunc)
+    n, m = np.triu_indices(trunc + 1)
+    odd = (m - n) % 2 == 1
+    assert amp[1::2].any() and not (amp[n] * amp[m].conj())[odd].any()
+    held = np.flatnonzero(amp)
+    filled = np.unique(np.abs(held[:, None] - held))
+    assert (filled % 2).any()
+    damping = DampingParams(kappa=0.4, n_thermal=0.1)
+    times = np.linspace(0.0, 2.0, 6)
+    caplog.set_level(logging.INFO, logger="catcavity")
+    got = oracle.branch_coherence_trajectory(spec, damping, times, trunc)
+    sizes = (trunc + 1 - filled).tolist()
+    assert caplog.records[0].getMessage().startswith(
+        f"oracle: truncation {trunc}, field diagonal sizes {sizes}, ")
+    even = oracle.branch_coherence_trajectory(CatSpec(intensity=12.0),
+                                              damping, times, trunc)
+    assert np.allclose(got, even, rtol=1e-12, atol=0.0)
 
 
 def test_field_only_run_keeps_its_checks(monkeypatch):
